@@ -1,9 +1,10 @@
 """Command-line interface: load sequences from JSON or CSV, run checks, emit JSON reports.
 
 Every command prints a single-line JSON report with the keys
-{command, verdict, margin_or_slacks, parameters, tolerance, version}.
-Exit codes: 0 = holds/success, 1 = inequality violated or profile rejected,
-2 = parse or precondition error.
+{command, verdict, margin_or_slacks, parameters, tolerance, version};
+non-finite floats are written as null.  Exit codes: 0 = holds/success,
+1 = inequality violated or profile rejected, 2 = parse or precondition
+error, or floating-point overflow.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -107,8 +110,19 @@ def _report(args, verdict: str, margins: dict, parameters: dict, tol: Tolerance)
     }
 
 
+def _jsonable(value):
+    """The report with non-finite floats as None, so that it is standard JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
 def _emit(report: dict, destination: str = "-") -> None:
-    line = json.dumps(report, sort_keys=True)
+    line = json.dumps(_jsonable(report), sort_keys=True, allow_nan=False)
     if destination == "-":
         print(line)
     else:
@@ -118,198 +132,195 @@ def _emit(report: dict, destination: str = "-") -> None:
 
 def _default_schedule(a, tol):
     """Canonical slope schedule (-k..-1 then 1..m) for a V-shaped sequence."""
-    sched = []
-    n_dec = sum(1 for i in range(len(a) - 1) if a[i + 1] - a[i] < -tol.abs)
-    n_inc = sum(1 for i in range(len(a) - 1) if a[i + 1] - a[i] > tol.abs)
-    sched.extend(float(-k) for k in range(n_dec, 0, -1))
-    sched.extend(float(k) for k in range(1, n_inc + 1))
-    return sched
+    shape = classify_shape(a, tol)
+    if shape.breakpoints is None:
+        return []  # no schedule fits; construct_witness rejects the profile
+    m, ell = shape.breakpoints
+    n_dec, n_inc = m - 1, len(a) - m - ell
+    return [float(-k) for k in range(n_dec, 0, -1)] + [float(k) for k in range(1, n_inc + 1)]
+
+
+class Command(NamedTuple):
+    """One subcommand: help line, required inputs, the engine call on them
+    (after ``args``), and the report mapper from the call's result to
+    ``(holds, verdict, margin_or_slacks)``; calls that already return that
+    triple keep the default mapper."""
+
+    help: str
+    needs: tuple[str, ...]
+    call: Callable
+    report: Callable = lambda result: result
+    flags: tuple = ()  # extra arguments as (flag, add_argument keywords) pairs
+    artifact: bool = False  # writes CSV to --output; the report goes to stdout only when that is a file
+
+
+def _verdict(holds: bool, margins: dict) -> tuple[bool, str, dict]:
+    return holds, "holds" if holds else "violated", margins
+
+
+def _judged(*fields: str) -> Callable:
+    return lambda rep: _verdict(rep.holds, {f: getattr(rep, f) for f in fields})
+
+
+def _classified(shape):
+    bp = shape.breakpoints
+    margins = {} if bp is None else {"m": bp[0], "ell": bp[1]}
+    return shape.variant is not ShapeKind.NOT_STRICTLY_V_SHAPED, shape.variant.value, margins
+
+
+def _witnessed(args, a, wit):
+    return True, "holds", {"witness": list(wit.values), "margin": is_convex_wrt(a, wit, args.tol).margin}
+
+
+def _weights(args, n: int) -> list[float]:
+    args.params["p"] = p = args.inputs.get("p", [1.0] * n)
+    return p
+
+
+def _check(args, a):
+    if args.wrt:
+        (t,) = _need(args.inputs, "t")
+        return is_convex_wrt(a, t, args.tol)
+    return is_convex(a, args.tol)
+
+
+def _witness(args, a):
+    sched = args.inputs.get("s") or _default_schedule(a, args.tol)
+    wit = construct_witness(a, sched, t1=args.t1, plateau_step=args.plateau_step, tol=args.tol)
+    args.params["s"] = sched
+    return _witnessed(args, a, wit)
+
+
+def _subdivide(args, a):
+    wit = construct_witness_on_interval(a, args.alpha, args.beta, args.tol)
+    args.params.update(alpha=args.alpha, beta=args.beta)
+    return _witnessed(args, a, wit)
+
+
+def _extend(args, a, t):
+    ext = build_extension(a, t, args.tol)
+    rows = sample(ext, args.resolution)
+    args.params["resolution"] = args.resolution
+    csv_text = "x,value\n" + "".join(f"{x!r},{v!r}\n" for x, v in rows)
+    if args.output == "-":
+        # keep stdout machine-readable CSV; the report would corrupt it
+        sys.stdout.write(csv_text)
+    else:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(csv_text)
+    return True, "holds", {"samples": len(rows), "slopes": list(ext.slopes)}
+
+
+def _weighted(engine: Callable) -> Callable:
+    """Call of a psi-weighted bound ``engine(a, [t,] p, psi, tol, skip_verify=...)``."""
+
+    def call(args, a, *t):
+        p = _weights(args, len(a))
+        args.params["psi"] = args.psi
+        return engine(a, *t, p, parse_psi(args.psi), args.tol, skip_verify=args.skip_verify)
+
+    return call
+
+
+def _majorize(args, a, pvec, qvec):
+    if "t" in args.inputs:
+        return majorization_inequality_check(
+            a, args.inputs["t"], pvec, qvec, args.tol, skip_verify=args.skip_verify
+        )
+    for name, vec in (("pvec", pvec), ("qvec", qvec)):
+        for k, v in enumerate(vec):
+            if v != int(v):
+                raise ValueError(
+                    f"{name}[{k + 1}] = {v!r} must be an integer index "
+                    "(provide t for the real-valued mode)"
+                )
+    return integer_majorization_check(
+        a, [int(v) for v in pvec], [int(v) for v in qvec], args.tol, skip_verify=args.skip_verify
+    )
+
+
+def _diagnose(args, a, t):
+    tol = args.tol
+    slope = is_convex_wrt(a, t, tol)
+    chord = neighbor_chord_check(a, t, tol)
+    det = collinearity_determinant_check(a, t, tol)
+    anchored = anchored_slope_check_all(a, t, tol)
+    margins = {
+        "slope_margin": slope.margin,
+        "chord_margin": chord.margin,
+        "determinant_margin": det.margin,
+        "anchored_margin": anchored.margin,
+        "agree": slope.holds == chord.holds == det.holds == anchored.holds,
+    }
+    try:
+        margins["growth_margin"] = increment_growth_check(a, t, tol).margin
+    except RelConvexError:
+        margins["growth_margin"] = None
+    return _verdict(slope.holds, margins)
+
+
+def _fuzz(args):
+    seeds = range(args.seed, args.seed + args.trials)
+    reps = []
+    for seed in seeds:
+        a, t = gen_relative_convex_pair(5 + seed % 8, seed)
+        q = list(np.random.default_rng(seed + 10_000).uniform(t[0], t[-1], 4))
+        pv = list(gen_majorized_pair(q, 8, seed + 20_000))
+        reps.append(majorization_inequality_check(a, t, pv, q, args.tol))
+    violating = [seed for seed, rep in zip(seeds, reps) if not rep.holds]
+    return _verdict(not violating, {
+        "trials": args.trials,
+        "violations": len(violating),
+        "min_margin": min((rep.margin for rep in reps), default=math.inf),
+        "first_violating_seed": violating[0] if violating else None,
+    })
+
+
+_SIDES = _judged("lhs", "rhs", "slack")
+_BOUNDS = _judged("lower", "value", "upper", "slack_lower", "slack_upper", "m", "gamma_t", "lambda_t")
+
+COMMANDS = {
+    "classify": Command("monotonicity profile of a", ("a",),
+                        lambda args, a: classify_shape(a, args.tol), _classified),
+    "check": Command("convexity of a (optionally w.r.t. t)", ("a",), _check,
+                     _judged("margin", "first_violation"),
+                     flags=(("--wrt", dict(action="store_true",
+                                           help="check against the witness column t")),)),
+    "witness": Command("build a witness from a slope schedule", ("a",), _witness,
+                       flags=(("--t1", dict(type=float, default=0.0)),
+                              ("--plateau-step", dict(type=float, default=1.0)))),
+    "subdivide": Command("witness subdividing [alpha, beta]", ("a",), _subdivide,
+                         flags=(("--alpha", dict(type=float, required=True)),
+                                ("--beta", dict(type=float, required=True)))),
+    "extend": Command("sample the polygonal extension as CSV", ("a", "t"), _extend,
+                      artifact=True),
+    "lupas": Command("covariance bound for a, b sharing witness t", ("a", "b", "t"),
+                     lambda args, a, b, t: lupas_check(a, b, t, _weights(args, len(a)), args.tol,
+                                                       skip_verify=args.skip_verify),
+                     _SIDES),
+    "pecaric": Command("raw-sum covariance bound for convex a, b", ("a", "b"),
+                       lambda args, a, b: pecaric_check(a, b, args.tol, skip_verify=args.skip_verify),
+                       _SIDES),
+    "hhf": Command("sandwich bounds for a witnessed sequence", ("a", "t"), _weighted(hhf_bounds), _BOUNDS),
+    "niezgoda": Command("one-sided endpoint bound, convex a", ("a",), _weighted(niezgoda_bound), _BOUNDS),
+    "hhf-convex": Command("two-sided bounds for convex a, raw sums", ("a",),
+                          _weighted(convex_hhf_bounds), _BOUNDS),
+    "majorize": Command("majorization inequality (witness mode with t, index mode without)",
+                        ("a", "pvec", "qvec"), _majorize, _judged("margin")),
+    "diagnose": Command("run the characterization battery on (a, t)", ("a", "t"), _diagnose),
+    "fuzz": Command("randomized majorization fuzzing", (), _fuzz,
+                    flags=(("--trials", dict(type=int, default=100)),)),
+}
 
 
 def _run(args) -> tuple[int, dict]:
-    tol = _tolerance(args)
-    inputs = _load_inputs(args.input) if args.input else {}
-    params: dict = {k: v for k, v in inputs.items()}
-    params["seed"] = args.seed
-    cmd = args.command
-
-    if cmd == "classify":
-        (a,) = _need(inputs, "a")
-        shape = classify_shape(a, tol)
-        ok = shape.variant is not ShapeKind.NOT_STRICTLY_V_SHAPED
-        margins = {}
-        if shape.breakpoints is not None:
-            margins = {"m": shape.breakpoints[0], "ell": shape.breakpoints[1]}
-        return (0 if ok else 1), _report(args, shape.variant.value, margins, params, tol)
-
-    if cmd == "check":
-        if args.wrt:
-            a, t = _need(inputs, "a", "t")
-            rep = is_convex_wrt(a, t, tol)
-        else:
-            (a,) = _need(inputs, "a")
-            rep = is_convex(a, tol)
-        margins = {"margin": rep.margin, "first_violation": rep.first_violation}
-        return (0 if rep.holds else 1), _report(
-            args, "holds" if rep.holds else "violated", margins, params, tol
-        )
-
-    if cmd == "witness":
-        (a,) = _need(inputs, "a")
-        sched = inputs.get("s") or _default_schedule(a, tol)
-        wit = construct_witness(a, sched, t1=args.t1, plateau_step=args.plateau_step, tol=tol)
-        rep = is_convex_wrt(a, wit, tol)
-        params["s"] = sched
-        margins = {"witness": list(wit.values), "margin": rep.margin}
-        return 0, _report(args, "holds", margins, params, tol)
-
-    if cmd == "subdivide":
-        (a,) = _need(inputs, "a")
-        wit = construct_witness_on_interval(a, args.alpha, args.beta, tol)
-        rep = is_convex_wrt(a, wit, tol)
-        params["alpha"] = args.alpha
-        params["beta"] = args.beta
-        margins = {"witness": list(wit.values), "margin": rep.margin}
-        return 0, _report(args, "holds", margins, params, tol)
-
-    if cmd == "extend":
-        a, t = _need(inputs, "a", "t")
-        ext = build_extension(a, t, tol)
-        rows = sample(ext, args.resolution)
-        params["resolution"] = args.resolution
-        csv_text = "x,value\n" + "".join(f"{x!r},{v!r}\n" for x, v in rows)
-        margins = {"samples": len(rows), "slopes": list(ext.slopes)}
-        report = _report(args, "holds", margins, params, tol)
-        if args.output == "-":
-            # keep stdout machine-readable CSV; the report would corrupt it
-            sys.stdout.write(csv_text)
-        else:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
-            _emit(report)
-        return 0, report
-
-    if cmd == "lupas":
-        a, b, t = _need(inputs, "a", "b", "t")
-        p = inputs.get("p", [1.0] * len(a))
-        rep = lupas_check(a, b, t, p, tol, skip_verify=args.skip_verify)
-        params["p"] = p
-        margins = {"lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack}
-        return (0 if rep.holds else 1), _report(
-            args, "holds" if rep.holds else "violated", margins, params, tol
-        )
-
-    if cmd == "pecaric":
-        a, b = _need(inputs, "a", "b")
-        rep = pecaric_check(a, b, tol, skip_verify=args.skip_verify)
-        margins = {"lhs": rep.lhs, "rhs": rep.rhs, "slack": rep.slack}
-        return (0 if rep.holds else 1), _report(
-            args, "holds" if rep.holds else "violated", margins, params, tol
-        )
-
-    if cmd in ("hhf", "niezgoda", "hhf-convex"):
-        (a,) = _need(inputs, "a")
-        p = inputs.get("p", [1.0] * len(a))
-        psi = parse_psi(args.psi)
-        params["p"] = p
-        params["psi"] = args.psi
-        if cmd == "hhf":
-            a, t = _need(inputs, "a", "t")
-            rep = hhf_bounds(a, t, p, psi, tol, skip_verify=args.skip_verify)
-        elif cmd == "niezgoda":
-            rep = niezgoda_bound(a, p, psi, tol, skip_verify=args.skip_verify)
-        else:
-            rep = convex_hhf_bounds(a, p, psi, tol, skip_verify=args.skip_verify)
-        margins = {
-            "lower": rep.lower,
-            "value": rep.value,
-            "upper": rep.upper,
-            "slack_lower": rep.slack_lower,
-            "slack_upper": rep.slack_upper,
-            "m": rep.m,
-            "gamma_t": rep.gamma_t,
-            "lambda_t": rep.lambda_t,
-        }
-        return (0 if rep.holds else 1), _report(
-            args, "holds" if rep.holds else "violated", margins, params, tol
-        )
-
-    if cmd == "majorize":
-        a, pvec, qvec = _need(inputs, "a", "pvec", "qvec")
-        if "t" in inputs:
-            rep = majorization_inequality_check(
-                a, inputs["t"], pvec, qvec, tol, skip_verify=args.skip_verify
-            )
-        else:
-            for name, vec in (("pvec", pvec), ("qvec", qvec)):
-                for k, v in enumerate(vec):
-                    if v != int(v):
-                        raise ValueError(
-                            f"{name}[{k + 1}] = {v!r} must be an integer index "
-                            "(provide t for the real-valued mode)"
-                        )
-            rep = integer_majorization_check(
-                a,
-                [int(v) for v in pvec],
-                [int(v) for v in qvec],
-                tol,
-                skip_verify=args.skip_verify,
-            )
-        margins = {"margin": rep.margin}
-        return (0 if rep.holds else 1), _report(
-            args, "holds" if rep.holds else "violated", margins, params, tol
-        )
-
-    if cmd == "diagnose":
-        a, t = _need(inputs, "a", "t")
-        slope = is_convex_wrt(a, t, tol)
-        chord = neighbor_chord_check(a, t, tol)
-        det = collinearity_determinant_check(a, t, tol)
-        anchored = anchored_slope_check_all(a, t, tol)
-        margins = {
-            "slope_margin": slope.margin,
-            "chord_margin": chord.margin,
-            "determinant_margin": det.margin,
-            "anchored_margin": anchored.margin,
-            "agree": slope.holds == chord.holds == det.holds == anchored.holds,
-        }
-        try:
-            growth = increment_growth_check(a, t, tol)
-            margins["growth_margin"] = growth.margin
-        except RelConvexError:
-            margins["growth_margin"] = None
-        return (0 if slope.holds else 1), _report(
-            args, "holds" if slope.holds else "violated", margins, params, tol
-        )
-
-    if cmd == "fuzz":
-        violations = 0
-        first_bad = None
-        worst = float("inf")
-        for k in range(args.trials):
-            seed = args.seed + k
-            a, t = gen_relative_convex_pair(5 + seed % 8, seed)
-            lo, hi = t[0], t[-1]
-            rng = np.random.default_rng(seed + 10_000)
-            q = list(rng.uniform(lo, hi, 4))
-            pv = list(gen_majorized_pair(q, 8, seed + 20_000))
-            rep = majorization_inequality_check(a, t, pv, q, tol)
-            worst = min(worst, rep.margin)
-            if not rep.holds:
-                violations += 1
-                if first_bad is None:
-                    first_bad = seed
-        margins = {
-            "trials": args.trials,
-            "violations": violations,
-            "min_margin": worst,
-            "first_violating_seed": first_bad,
-        }
-        return (0 if violations == 0 else 1), _report(
-            args, "holds" if violations == 0 else "violated", margins, params, tol
-        )
-
-    raise ValueError(f"unknown command {cmd!r}")
+    # the engine calls read the tolerance and inputs from args and add to the report's parameters
+    args.tol = _tolerance(args)
+    args.inputs = _load_inputs(args.input) if args.input else {}
+    args.params = dict(args.inputs, seed=args.seed)
+    command = COMMANDS[args.command]
+    holds, verdict, margins = command.report(command.call(args, *_need(args.inputs, *command.needs)))
+    return (0 if holds else 1), _report(args, verdict, margins, args.params, args.tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,26 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Checks, witness constructions, and inequality bounds for relative convex sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("classify", parents=[common], help="monotonicity profile of a")
-    chk = sub.add_parser("check", parents=[common], help="convexity of a (optionally w.r.t. t)")
-    chk.add_argument("--wrt", action="store_true", help="check against the witness column t")
-    wit = sub.add_parser("witness", parents=[common], help="build a witness from a slope schedule")
-    wit.add_argument("--t1", type=float, default=0.0)
-    wit.add_argument("--plateau-step", type=float, default=1.0)
-    sd = sub.add_parser("subdivide", parents=[common], help="witness subdividing [alpha, beta]")
-    sd.add_argument("--alpha", type=float, required=True)
-    sd.add_argument("--beta", type=float, required=True)
-    sub.add_parser("extend", parents=[common], help="sample the polygonal extension as CSV")
-    sub.add_parser("lupas", parents=[common], help="covariance bound for a, b sharing witness t")
-    sub.add_parser("pecaric", parents=[common], help="raw-sum covariance bound for convex a, b")
-    sub.add_parser("hhf", parents=[common], help="sandwich bounds for a witnessed sequence")
-    sub.add_parser("niezgoda", parents=[common], help="one-sided endpoint bound, convex a")
-    sub.add_parser("hhf-convex", parents=[common], help="two-sided bounds for convex a, raw sums")
-    sub.add_parser("majorize", parents=[common],
-                   help="majorization inequality (witness mode with t, index mode without)")
-    sub.add_parser("diagnose", parents=[common], help="run the characterization battery on (a, t)")
-    fz = sub.add_parser("fuzz", parents=[common], help="randomized majorization fuzzing")
-    fz.add_argument("--trials", type=int, default=100)
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=command.help)
+        for flag, kwargs in command.flags:
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
@@ -358,15 +353,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, report = _run(args)
-    except (RelConvexError, ValueError, OSError, json.JSONDecodeError) as exc:
-        tol = Tolerance()
-        report = _report(args, "error", {"message": str(exc)}, {}, tol)
-        print(json.dumps(report, sort_keys=True))
-        print(f"error: {exc}", file=sys.stderr)
+        if not COMMANDS[args.command].artifact:
+            _emit(report, args.output)
+        elif args.output != "-":
+            _emit(report)
+        return code
+    except (RelConvexError, ValueError, ArithmeticError, OSError) as exc:
+        # ArithmeticError: overflow or division by zero in the floating-point
+        # arithmetic, which says nothing about whether the inequality holds
+        message = f"{type(exc).__name__}: {exc}" if isinstance(exc, ArithmeticError) else str(exc)
+        _emit(_report(args, "error", {"message": message}, {}, Tolerance()))
+        print(f"error: {message}", file=sys.stderr)
         return 2
-    if args.command != "extend":
-        _emit(report, args.output)
-    return code
 
 
 if __name__ == "__main__":

@@ -11,25 +11,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, count, starmap
 
 from .errors import (
     IndexOutOfRange,
-    LengthMismatch,
     NotStrictlyIncreasing,
     PreconditionViolation,
 )
-from .inequalities import ConvexMap, spot_check_map
+from .inequalities import ConvexMap, _require_convex_wrt, spot_check_map
 from .seqcore import (
     DEFAULT_TOL,
     CheckReport,
-    RealSeq,
     SeqLike,
     Tolerance,
-    Witness,
     WitnessLike,
     forward_diff,
     is_convex_wrt,
+    paired,
+    scan_margin,
 )
 
 
@@ -48,14 +47,6 @@ class RateReport:
     max_tail: float
 
 
-def _paired(a: SeqLike, t: WitnessLike, tol: Tolerance) -> tuple[RealSeq, Witness]:
-    seq = RealSeq.of(a)
-    wit = Witness.of(t, tol)
-    if len(seq) != len(wit):
-        raise LengthMismatch(f"|a| = {len(seq)} but |t| = {len(wit)}")
-    return seq, wit
-
-
 def neighbor_chord_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Each interior point must sit on or below the chord through its neighbours.
 
@@ -64,22 +55,16 @@ def neighbor_chord_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TO
     Agrees with :func:`relconvex.seqcore.is_convex_wrt` on every input;
     with an arithmetic witness this is the ordinary midpoint test.
     """
-    seq, wit = _paired(a, t, tol)
-    n = len(seq)
-    if n < 3:
-        return CheckReport(True, None, math.inf, tol)
-    scale = max(abs(v) for v in seq)
-    allowed = tol.slack(scale)
-    margin = math.inf
-    first = None
-    for i in range(1, n - 1):
-        left = wit[i] - wit[i - 1]
-        right = wit[i + 1] - wit[i]
-        chord = (right * seq[i - 1] + left * seq[i + 1]) / (left + right)
-        gap = chord - seq[i]
-        margin = min(margin, gap)
-        if first is None and gap < -allowed:
-            first = i + 1
+    seq, wit = paired(a, t, tol)
+    av, tv = seq.values, wit.values
+
+    def gap(i):
+        left = tv[i] - tv[i - 1]
+        right = tv[i + 1] - tv[i]
+        return (right * av[i - 1] + left * av[i + 1]) / (left + right) - av[i]
+
+    allowed = tol.slack(max(abs(v) for v in av))
+    first, margin = scan_margin(map(gap, range(1, len(av) - 1)), allowed, count(2))
     return CheckReport(first is None, first, margin, tol)
 
 
@@ -89,7 +74,7 @@ def increment_growth_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_
     Only defined for strictly increasing a (the ratios divide by its
     increments).  Equivalent to the slope test on that domain.
     """
-    seq, wit = _paired(a, t, tol)
+    seq, wit = paired(a, t, tol)
     da = forward_diff(seq)
     dt = forward_diff(wit.values)
     for k, d in enumerate(da):
@@ -97,19 +82,10 @@ def increment_growth_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_
             raise NotStrictlyIncreasing(
                 f"a must be strictly increasing: step {k + 1} has gap {d!r}"
             )
-    if len(da) < 2:
-        return CheckReport(True, None, math.inf, tol)
     lhs = [(da[i + 1] - da[i]) / da[i] for i in range(len(da) - 1)]
     rhs = [(dt[i + 1] - dt[i]) / dt[i] for i in range(len(dt) - 1)]
-    scale = max(max(abs(v) for v in lhs), max(abs(v) for v in rhs))
-    allowed = tol.slack(scale)
-    margin = math.inf
-    first = None
-    for i, (x, y) in enumerate(zip(lhs, rhs)):
-        gap = x - y
-        margin = min(margin, gap)
-        if first is None and gap < -allowed:
-            first = i + 1
+    allowed = tol.slack(max((abs(v) for v in lhs + rhs), default=0.0))
+    first, margin = scan_margin((x - y for x, y in zip(lhs, rhs)), allowed)
     return CheckReport(first is None, first, margin, tol)
 
 
@@ -126,30 +102,35 @@ def collinearity_determinant_check(
     O(n)) decide the same verdict as all C(n, 3) triples since the
     consecutive determinant factors into gap * gap * slope-increment.
     ``first_violation`` is the lexicographically first bad 1-based triple.
+    The tolerance scale is the largest |term| over the scanned triples (at
+    least 1), so the verdict and the violation come from one threshold.
     """
-    seq, wit = _paired(a, t, tol)
-    n = len(seq)
-    if n < 3:
-        return CheckReport(True, None, math.inf, tol)
+    seq, wit = paired(a, t, tol)
+    av, tv = seq.values, wit.values
+    n = len(av)
+
+    def terms(l, m, k):
+        return (tv[k] - tv[m]) * av[l], (tv[k] - tv[l]) * av[m], (tv[m] - tv[l]) * av[k]
+
+    def triples():
+        return combinations(range(n), 3) if all_triples else ((i, i + 1, i + 2) for i in range(n - 2))
+
     if all_triples:
-        triples = combinations(range(n), 3)
+        # each term is largest at the widest witness span its position allows
+        # (rounding is monotone, so these are the exact maxima of the scan)
+        peaks = chain(
+            ((tv[-1] - tv[l + 1]) * abs(av[l]) for l in range(n - 2)),
+            ((tv[-1] - tv[0]) * abs(av[m]) for m in range(1, n - 1)),
+            ((tv[k - 1] - tv[0]) * abs(av[k]) for k in range(2, n)),
+        )
     else:
-        triples = ((i, i + 1, i + 2) for i in range(n - 2))
-    margin = math.inf
-    first = None
-    worst_scale = 1.0
-    for l, m, k in triples:
-        p1 = (wit[k] - wit[m]) * seq[l]
-        p2 = (wit[k] - wit[l]) * seq[m]
-        p3 = (wit[m] - wit[l]) * seq[k]
-        det = p1 - p2 + p3
-        worst_scale = max(worst_scale, abs(p1), abs(p2), abs(p3))
-        if det < margin:
-            margin = det
-        if first is None and det < -tol.slack(max(abs(p1), abs(p2), abs(p3))):
-            first = (l + 1, m + 1, k + 1)
-    holds = margin >= -tol.slack(worst_scale)
-    return CheckReport(holds, first, margin, tol)
+        peaks = map(abs, chain.from_iterable(starmap(terms, triples())))
+    allowed = tol.slack(max(max(peaks, default=0.0), 1.0))
+    dets = (p1 - p2 + p3 for p1, p2, p3 in starmap(terms, triples()))
+    first, margin = scan_margin(dets, allowed, triples())
+    if first is not None:
+        first = tuple(i + 1 for i in first)
+    return CheckReport(first is None, first, margin, tol)
 
 
 def anchored_slope_check(
@@ -163,40 +144,25 @@ def anchored_slope_check(
     ``first_violation`` is the 1-based index of the later point at which
     the divided-difference sequence first drops.
     """
-    seq, wit = _paired(a, t, tol)
+    seq, wit = paired(a, t, tol)
     n = len(seq)
     if not 1 <= anchor < n:
         raise IndexOutOfRange(f"anchor {anchor} outside 1..{n - 1}")
     s0 = anchor - 1
-    slopes = [
-        (seq[i] - seq[s0]) / (wit[i] - wit[s0]) for i in range(s0 + 1, n)
-    ]
-    if len(slopes) < 2:
-        return CheckReport(True, None, math.inf, tol)
+    av, tv = seq.values, wit.values
+    slopes = [(av[i] - av[s0]) / (tv[i] - tv[s0]) for i in range(s0 + 1, n)]
     allowed = tol.slack(max(abs(v) for v in slopes))
-    margin = math.inf
-    first = None
-    for i in range(len(slopes) - 1):
-        gap = slopes[i + 1] - slopes[i]
-        margin = min(margin, gap)
-        if first is None and gap < -allowed:
-            first = s0 + i + 3  # 1-based index of the later point
+    # label: 1-based index of the later point of each pair
+    first, margin = scan_margin((y - x for x, y in zip(slopes, slopes[1:])), allowed, count(s0 + 3))
     return CheckReport(first is None, first, margin, tol)
 
 
 def anchored_slope_check_all(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Conjunction of :func:`anchored_slope_check` over every anchor."""
-    seq, wit = _paired(a, t, tol)
-    margin = math.inf
-    first = None
-    holds = True
-    for anchor in range(1, len(seq)):
-        rep = anchored_slope_check(seq, wit, anchor, tol)
-        margin = min(margin, rep.margin)
-        if not rep.holds and first is None:
-            first = rep.first_violation
-        holds = holds and rep.holds
-    return CheckReport(holds, first, margin, tol)
+    seq, wit = paired(a, t, tol)
+    reps = [anchored_slope_check(seq, wit, anchor, tol) for anchor in range(1, len(seq))]
+    first = next((rep.first_violation for rep in reps if not rep.holds), None)
+    return CheckReport(first is None, first, min(rep.margin for rep in reps), tol)
 
 
 def psi_preservation_check(
@@ -210,12 +176,8 @@ def psi_preservation_check(
     Requires (a, t) witnessed to begin with; the verdict is the slope test
     on the mapped sequence against the same witness.
     """
-    seq, wit = _paired(a, t, tol)
-    base = is_convex_wrt(seq, wit, tol)
-    if not base.holds:
-        raise PreconditionViolation(
-            f"(a, t) is not a witnessed pair (margin {base.margin!r})"
-        )
+    seq, wit = paired(a, t, tol)
+    _require_convex_wrt("a", seq, wit, tol)
     spot_check_map(psi, seq.values, tol)
     mapped = tuple(float(psi(v)) for v in seq)
     return is_convex_wrt(mapped, wit, tol)
@@ -236,10 +198,8 @@ def bounded_monotone_diagnostic(
     dichotomy is uninformative here and the report comes back with
     ``applicable=False`` (a shrinking witness may converge instead).
     """
-    seq, wit = _paired(a, t, tol)
-    base = is_convex_wrt(seq, wit, tol)
-    if not base.holds:
-        raise PreconditionViolation("(a, t) is not a witnessed pair")
+    seq, wit = paired(a, t, tol)
+    _require_convex_wrt("a", seq, wit, tol)
     if max(seq.values) > bound + tol.abs:
         raise PreconditionViolation(
             f"max(a) = {max(seq.values)!r} exceeds the stated bound {bound!r}"
@@ -248,13 +208,7 @@ def bounded_monotone_diagnostic(
     if any(g < alpha for g in dt):
         return CheckReport(False, None, math.nan, tol, applicable=False)
     da = forward_diff(seq)
-    allowed = tol.slack(max(abs(v) for v in da) if da else 1.0)
-    margin = math.inf
-    first = None
-    for k, d in enumerate(da):
-        margin = min(margin, -d)
-        if first is None and d > allowed:
-            first = k + 1
+    first, margin = scan_margin((-d for d in da), tol.slack(max(abs(v) for v in da)))
     return CheckReport(first is None, first, margin, tol)
 
 
@@ -271,17 +225,14 @@ def rate_diagnostic(
     non-positive under the preconditions; the partial sums accumulate
     n * (slope increments) and should be Cauchy-like on well-behaved input.
     """
-    seq, wit = _paired(a, t, tol)
-    base = is_convex_wrt(seq, wit, tol)
-    if not base.holds:
-        raise PreconditionViolation("(a, t) is not a witnessed pair")
+    seq, wit = paired(a, t, tol)
+    _require_convex_wrt("a", seq, wit, tol)
     da = forward_diff(seq)
-    allowed = tol.slack(max(abs(v) for v in da) if da else 1.0)
-    for k, d in enumerate(da):
-        if d > allowed:
-            raise PreconditionViolation(
-                f"a must be non-increasing over the prefix: step {k + 1} rises by {d!r}"
-            )
+    rise, _ = scan_margin((-d for d in da), tol.slack(max(abs(v) for v in da)))
+    if rise is not None:
+        raise PreconditionViolation(
+            f"a must be non-increasing over the prefix: step {rise} rises by {da[rise - 1]!r}"
+        )
     dt = forward_diff(wit.values)
     if alpha is not None:
         for k, g in enumerate(dt):

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import DegenerateWitness, LengthMismatch, ZeroTotalWeight
@@ -19,11 +22,11 @@ class WeightVec:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        w = tuple(float(v) for v in self.weights)
+        w = tuple(map(float, self.weights))
         object.__setattr__(self, "weights", w)
-        for k, v in enumerate(w):
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"weight {k + 1} must be finite and non-negative, got {v!r}")
+        if not (all(map(math.isfinite, w)) and min(w, default=0.0) >= 0):
+            k, v = next((k, v) for k, v in enumerate(w) if not math.isfinite(v) or v < 0)
+            raise ValueError(f"weight {k + 1} must be finite and non-negative, got {v!r}")
         if not math.fsum(w) > 0:
             raise ZeroTotalWeight("weights must have a positive total")
 
@@ -31,9 +34,9 @@ class WeightVec:
     def of(cls, weights: WeightLike) -> "WeightVec":
         if isinstance(weights, cls):
             return weights
-        return cls(tuple(float(v) for v in weights))
+        return cls(tuple(weights))
 
-    @property
+    @cached_property
     def total(self) -> float:
         return math.fsum(self.weights)
 
@@ -53,7 +56,7 @@ def weighted_mean(x: Sequence[float], p: WeightLike) -> float:
     pv = WeightVec.of(p)
     if len(xv) != len(pv):
         raise LengthMismatch(f"|x| = {len(xv)} but |p| = {len(pv)}")
-    return math.fsum(w * v for w, v in zip(pv, xv)) / pv.total
+    return math.fsum(map(mul, pv.weights, xv)) / pv.total
 
 
 def cov_functional(x: Sequence[float], y: Sequence[float], p: WeightLike) -> float:
@@ -68,9 +71,10 @@ def cov_functional(x: Sequence[float], y: Sequence[float], p: WeightLike) -> flo
     if not len(xv) == len(yv) == len(pv):
         raise LengthMismatch(f"|x| = {len(xv)}, |y| = {len(yv)}, |p| = {len(pv)}")
     total = pv.total
-    mxy = math.fsum(w * a * b for w, a, b in zip(pv, xv, yv)) / total
-    mx = math.fsum(w * a for w, a in zip(pv, xv)) / total
-    my = math.fsum(w * b for w, b in zip(pv, yv)) / total
+    wx = tuple(map(mul, pv.weights, xv))
+    mxy = math.fsum(map(mul, wx, yv)) / total
+    mx = math.fsum(wx) / total
+    my = math.fsum(map(mul, pv.weights, yv)) / total
     return mxy - mx * my
 
 
@@ -105,11 +109,6 @@ def majorizes(x: Sequence[float], y: Sequence[float], tol: Tolerance = DEFAULT_T
     allowed = tol.abs + tol.rel * math.fsum(abs(v) for v in yv)
     xs = sorted(xv, reverse=True)
     ys = sorted(yv, reverse=True)
-    px = 0.0
-    py = 0.0
-    for k in range(len(xs) - 1):
-        px += xs[k]
-        py += ys[k]
-        if px > py + allowed:
-            return False
+    if any(px > py + allowed for px, py in zip(accumulate(xs[:-1]), accumulate(ys[:-1]))):
+        return False
     return abs(math.fsum(xs) - math.fsum(ys)) <= allowed

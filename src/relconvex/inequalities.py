@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 from .errors import (
     DegenerateWitness,
     IndexOutOfRange,
-    LengthError,
     LengthMismatch,
     PreconditionViolation,
 )
@@ -32,6 +31,8 @@ from .seqcore import (
     WitnessLike,
     is_convex,
     is_convex_wrt,
+    paired,
+    unit_witness,
 )
 
 #: A caller-supplied non-decreasing convex map; spot-checked, never proven.
@@ -120,6 +121,12 @@ def _require_convex(name: str, a: SeqLike, tol: Tolerance) -> None:
         )
 
 
+def _at_least(big: float, small: float, tol: Tolerance) -> tuple[float, bool]:
+    """``(big - small, holds)``: one-sided verdict at the scale of the two sides."""
+    slack = big - small
+    return slack, slack >= -tol.slack(max(abs(big), abs(small)))
+
+
 def lupas_check(
     a: SeqLike,
     b: SeqLike,
@@ -144,17 +151,16 @@ def lupas_check(
     if not skip_verify:
         _require_convex_wrt("a", seq_a, wit, tol)
         _require_convex_wrt("b", seq_b, wit, tol)
-    stt = cov_functional(wit.values, wit.values, pv)
-    if stt <= tol.slack(max(abs(v) for v in wit.values) ** 2):
+    stt = cov_functional(wit, wit, pv)
+    # S(t,t) is a variance: measure it against the witness spread, not its
+    # magnitude, so that translating t cannot make it look degenerate
+    if stt <= tol.slack((wit[-1] - wit[0]) ** 2):
         raise DegenerateWitness(
             "S(t,t) is not positive: need positive weight on at least two indices"
         )
-    lhs = cov_functional(seq_a.values, seq_b.values, pv)
-    rhs = cov_functional(seq_a.values, wit.values, pv) * cov_functional(
-        seq_b.values, wit.values, pv
-    ) / stt
-    slack = lhs - rhs
-    holds = slack >= -tol.slack(max(abs(lhs), abs(rhs)))
+    lhs = cov_functional(seq_a, seq_b, pv)
+    rhs = cov_functional(seq_a, wit, pv) * cov_functional(seq_b, wit, pv) / stt
+    slack, holds = _at_least(lhs, rhs, tol)
     return LupasReport(lhs, rhs, holds, slack, tol)
 
 
@@ -166,8 +172,8 @@ def pecaric_check(
 ) -> LupasReport:
     """Raw-sum covariance bound for two convex sequences against indices 1..n.
 
-    Both sides carry an extra factor n relative to :func:`lupas_check` with
-    t = (1..n) and uniform weights (raw sums there, means here).  Equality
+    Both sides are n times those of :func:`lupas_check` at the unit witness
+    t = (1..n) with uniform weights (raw sums here, means there).  Equality
     when either sequence is arithmetic.
     """
     seq_a = RealSeq.of(a)
@@ -178,15 +184,9 @@ def pecaric_check(
         _require_convex("a", seq_a, tol)
         _require_convex("b", seq_b, tol)
     n = len(seq_a)
-    lhs = math.fsum(x * y for x, y in zip(seq_a, seq_b)) - math.fsum(seq_a) * math.fsum(
-        seq_b
-    ) / n
-    centre = (n + 1) / 2.0
-    wa = math.fsum((i - centre) * x for i, x in enumerate(seq_a, start=1))
-    wb = math.fsum((i - centre) * y for i, y in enumerate(seq_b, start=1))
-    rhs = 12.0 / (n * (n * n - 1.0)) * wa * wb
-    slack = lhs - rhs
-    holds = slack >= -tol.slack(max(abs(lhs), abs(rhs)))
+    rep = lupas_check(seq_a, seq_b, unit_witness(n), [1.0] * n, tol, skip_verify=True)
+    lhs, rhs = n * rep.lhs, n * rep.rhs
+    slack, holds = _at_least(lhs, rhs, tol)
     return LupasReport(lhs, rhs, holds, slack, tol)
 
 
@@ -229,23 +229,30 @@ def hhf_bounds(
     lam = min(max(lam, 0.0), 1.0)
     lower = gamma * psi(seq[m]) + (1.0 - gamma) * psi(seq[m - 1])
     upper = lam * psi(seq[0]) + (1.0 - lam) * psi(seq[-1])
-    scale = max(abs(value), abs(lower), abs(upper))
-    allowed = tol.slack(scale)
+    return _sandwich(lower, value, upper, tol, m=m, gamma_t=gamma, lambda_t=lam)
+
+
+def _sandwich(lower: float, value: float, upper: float, tol: Tolerance, **fields) -> BoundReport:
+    allowed = tol.slack(max(abs(value), abs(lower), abs(upper)))
     slack_lower = value - lower
     slack_upper = upper - value
     holds = slack_lower >= -allowed and slack_upper >= -allowed
-    return BoundReport(
-        value=value,
-        upper=upper,
-        holds=holds,
-        slack_upper=slack_upper,
-        lower=lower,
-        slack_lower=slack_lower,
-        m=m,
-        gamma_t=gamma,
-        lambda_t=lam,
-        tolerance=tol,
-    )
+    return BoundReport(value=value, upper=upper, holds=holds, slack_upper=slack_upper,
+                       lower=lower, slack_lower=slack_lower, tolerance=tol, **fields)
+
+
+def _unit_hhf(
+    a: SeqLike, p: WeightLike, psi: ConvexMap, tol: Tolerance, skip_verify: bool
+) -> tuple[float, BoundReport]:
+    """(P_n, :func:`hhf_bounds` at t = (1..n)) for a sequence that must be convex."""
+    seq = RealSeq.of(a)
+    pv = WeightVec.of(p)
+    if len(seq) != len(pv):
+        raise LengthMismatch(f"|a| = {len(seq)} but |p| = {len(pv)}")
+    if not skip_verify:
+        _require_convex("a", seq, tol)
+        spot_check_map(psi, seq.values, tol)
+    return pv.total, hhf_bounds(seq, unit_witness(len(seq)), pv, psi, tol, skip_verify=True)
 
 
 def niezgoda_bound(
@@ -262,31 +269,14 @@ def niezgoda_bound(
         sum p_i psi(a_i)  <=  sum((n-i)/(n-1) p_i) psi(a_1)
                               + sum((i-1)/(n-1) p_i) psi(a_n)
 
-    Equals P_n times the upper bound of :func:`hhf_bounds` at t = (1..n).
+    Both sides are P_n times the value and upper bound of :func:`hhf_bounds`
+    at t = (1..n); only the upper side is judged.
     """
-    seq = RealSeq.of(a)
-    pv = WeightVec.of(p)
-    if len(seq) != len(pv):
-        raise LengthMismatch(f"|a| = {len(seq)} but |p| = {len(pv)}")
-    n = len(seq)
-    if n < 2:
-        raise LengthError("need at least 2 entries")
-    if not skip_verify:
-        _require_convex("a", seq, tol)
-        spot_check_map(psi, seq.values, tol)
-    value = math.fsum(w * psi(x) for w, x in zip(pv, seq))
-    c_first = math.fsum((n - i) / (n - 1.0) * w for i, w in enumerate(pv, start=1))
-    c_last = math.fsum((i - 1) / (n - 1.0) * w for i, w in enumerate(pv, start=1))
-    upper = c_first * psi(seq[0]) + c_last * psi(seq[-1])
-    slack_upper = upper - value
-    holds = slack_upper >= -tol.slack(max(abs(value), abs(upper)))
-    return BoundReport(
-        value=value,
-        upper=upper,
-        holds=holds,
-        slack_upper=slack_upper,
-        tolerance=tol,
-    )
+    total, rep = _unit_hhf(a, p, psi, tol, skip_verify)
+    value = total * rep.value
+    upper = total * rep.upper
+    slack_upper, holds = _at_least(upper, value, tol)
+    return BoundReport(value=value, upper=upper, holds=holds, slack_upper=slack_upper, tolerance=tol)
 
 
 def convex_hhf_bounds(
@@ -303,42 +293,11 @@ def convex_hhf_bounds(
 
         Phi(u, v) = sum((i-u)/(v-u) p_i) psi(a_v) + sum((v-i)/(v-u) p_i) psi(a_u),
 
-    the weighted sum lies between Phi(m, m+1) and Phi(1, n).
+    the weighted sum lies between Phi(m, m+1) and Phi(1, n).  These are P_n
+    times the lower and upper bounds of :func:`hhf_bounds` at t = (1..n).
     """
-    seq = RealSeq.of(a)
-    pv = WeightVec.of(p)
-    if len(seq) != len(pv):
-        raise LengthMismatch(f"|a| = {len(seq)} but |p| = {len(pv)}")
-    if not skip_verify:
-        _require_convex("a", seq, tol)
-        spot_check_map(psi, seq.values, tol)
-    n = len(seq)
-    mean_index = math.fsum(w * i for i, w in enumerate(pv, start=1)) / pv.total
-    m = min(max(int(math.floor(mean_index)), 1), n - 1)
-
-    def phi(u: int, v: int) -> float:
-        cu = math.fsum((v - i) / (v - u) * w for i, w in enumerate(pv, start=1))
-        cv = math.fsum((i - u) / (v - u) * w for i, w in enumerate(pv, start=1))
-        return cv * psi(seq[v - 1]) + cu * psi(seq[u - 1])
-
-    value = math.fsum(w * psi(x) for w, x in zip(pv, seq))
-    lower = phi(m, m + 1)
-    upper = phi(1, n)
-    scale = max(abs(value), abs(lower), abs(upper))
-    allowed = tol.slack(scale)
-    slack_lower = value - lower
-    slack_upper = upper - value
-    holds = slack_lower >= -allowed and slack_upper >= -allowed
-    return BoundReport(
-        value=value,
-        upper=upper,
-        holds=holds,
-        slack_upper=slack_upper,
-        lower=lower,
-        slack_lower=slack_lower,
-        m=m,
-        tolerance=tol,
-    )
+    total, rep = _unit_hhf(a, p, psi, tol, skip_verify)
+    return _sandwich(total * rep.lower, total * rep.value, total * rep.upper, tol, m=rep.m)
 
 
 def _floor_pieces(
@@ -378,10 +337,7 @@ def majorization_inequality_check(
     ``skip_verify`` disables the convexity precondition only; the
     majorization relation between pvec and qvec is always enforced.
     """
-    seq = RealSeq.of(a)
-    wit = Witness.of(t, tol)
-    if len(seq) != len(wit):
-        raise LengthMismatch(f"|a| = {len(seq)} but |t| = {len(wit)}")
+    seq, wit = paired(a, t, tol)
     pv = tuple(float(v) for v in pvec)
     qv = tuple(float(v) for v in qvec)
     if len(pv) != len(qv):
@@ -401,8 +357,7 @@ def majorization_inequality_check(
     q_floor, q_frac = _floor_pieces(seq, wit, qv, tol)
     lhs = p_floor - q_floor
     rhs = q_frac - p_frac
-    margin = rhs - lhs
-    holds = margin >= -tol.slack(max(abs(lhs), abs(rhs)))
+    margin, holds = _at_least(rhs, lhs, tol)
     return CheckReport(holds, None, margin, tol)
 
 
@@ -435,8 +390,7 @@ def integer_majorization_check(
         _require_convex("a", seq, tol)
     lhs = math.fsum(seq[i - 1] for i in pi)
     rhs = math.fsum(seq[i - 1] for i in qi)
-    margin = rhs - lhs
-    holds = margin >= -tol.slack(max(abs(lhs), abs(rhs)))
+    margin, holds = _at_least(rhs, lhs, tol)
     return CheckReport(holds, None, margin, tol)
 
 

@@ -90,6 +90,11 @@ def gen_shape(shape, n: int, seeded) -> RealSeq:
     return RealSeq(tuple(vals))
 
 
+# Largest exponent of the ``exp`` family: keeps a, its differences and its
+# slopes (witness gaps are at least 0.05) finite at any n.
+_EXP_CAP = 100.0
+
+
 def gen_relative_convex_pair(n: int, seeded) -> tuple[RealSeq, Witness]:
     """Sample a witnessed pair: random increasing abscissae, convex ordinates.
 
@@ -110,6 +115,9 @@ def gen_relative_convex_pair(n: int, seeded) -> tuple[RealSeq, Witness]:
         rate = float(rng.uniform(0.2, 0.8))
         amp = float(rng.uniform(0.5, 2.0))
         mid = float(t.mean())
+        span = float(np.max(np.abs(t - mid)))
+        if rate * span > _EXP_CAP:  # never below n = 64: 0.8 * 63 * 1.5 < _EXP_CAP
+            rate = _EXP_CAP / span
         a = [amp * float(np.exp(rate * (x - mid))) for x in t]
     elif family == "quad":
         c = float(rng.uniform(0.1, 1.5))

@@ -14,8 +14,8 @@ import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import LengthMismatch, OutOfDomain
-from .seqcore import DEFAULT_TOL, RealSeq, SeqLike, Tolerance, Witness, WitnessLike
+from .errors import OutOfDomain
+from .seqcore import DEFAULT_TOL, SeqLike, Tolerance, Witness, WitnessLike, _linspace, paired
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,7 @@ class PolygonalExtension:
 
 def build_extension(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> PolygonalExtension:
     """Assemble the polygonal extension of (a, t)."""
-    seq = RealSeq.of(a)
-    wit = Witness.of(t, tol)
-    if len(seq) != len(wit):
-        raise LengthMismatch(f"|a| = {len(seq)} but |t| = {len(wit)}")
+    seq, wit = paired(a, t, tol)
     slopes = tuple(
         (seq[i + 1] - seq[i]) / (wit[i + 1] - wit[i]) for i in range(len(seq) - 1)
     )
@@ -98,8 +95,4 @@ def sample(ext: PolygonalExtension, resolution: int = 256) -> list[tuple[float, 
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
-    lo, hi = ext.domain
-    xs = [lo + (hi - lo) * k / (resolution - 1) for k in range(resolution)]
-    xs[0] = lo
-    xs[-1] = hi
-    return [(x, ext.eval(x)) for x in xs]
+    return [(x, ext.eval(x)) for x in _linspace(*ext.domain, resolution)]

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence, Union
+from itertools import count
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     IntervalError,
@@ -57,34 +58,26 @@ DEFAULT_TOL = Tolerance()
 
 
 def _to_floats(values) -> tuple[float, ...]:
-    if isinstance(values, (RealSeq, Witness)):
+    if isinstance(values, _Floats):
         return values.values
-    return tuple(float(v) for v in values)
+    return tuple(map(float, values))
 
 
 @dataclass(frozen=True)
-class RealSeq:
-    """Finite sequence of finite reals; the payload of every check.
-
-    Length must be at least 2 so the difference operators are defined.
-    """
+class _Floats:
+    """At least 2 finite floats, read-only; shared by :class:`RealSeq` and :class:`Witness`."""
 
     values: tuple[float, ...]
+    _what = "sequence"
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         object.__setattr__(self, "values", vals)
         if len(vals) < 2:
-            raise LengthError(f"sequence needs at least 2 entries, got {len(vals)}")
-        for k, v in enumerate(vals):
-            if not math.isfinite(v):
-                raise ValueError(f"entry {k + 1} is not finite: {v!r}")
-
-    @classmethod
-    def of(cls, values: SeqLike) -> "RealSeq":
-        if isinstance(values, cls):
-            return values
-        return cls(_to_floats(values))
+            raise LengthError(f"{self._what} needs at least 2 entries, got {len(vals)}")
+        if not all(map(math.isfinite, vals)):
+            k = next(k for k, v in enumerate(vals) if not math.isfinite(v))
+            raise ValueError(f"entry {k + 1} is not finite: {vals[k]!r}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -96,8 +89,20 @@ class RealSeq:
         return self.values[i]
 
 
-@dataclass(frozen=True)
-class Witness:
+class RealSeq(_Floats):
+    """Finite sequence of finite reals; the payload of every check.
+
+    Length must be at least 2 so the difference operators are defined.
+    """
+
+    @classmethod
+    def of(cls, values: SeqLike) -> "RealSeq":
+        if isinstance(values, cls):
+            return values
+        return cls(tuple(values))
+
+
+class Witness(_Floats):
     """Strictly increasing abscissae that a sequence's convexity is measured against.
 
     The type-level invariant is genuine strict increase; operations that
@@ -105,21 +110,16 @@ class Witness:
     :meth:`of`.
     """
 
-    values: tuple[float, ...]
+    _what = "witness"
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if len(vals) < 2:
-            raise LengthError(f"witness needs at least 2 entries, got {len(vals)}")
-        for k, v in enumerate(vals):
-            if not math.isfinite(v):
-                raise ValueError(f"entry {k + 1} is not finite: {v!r}")
-        for k in range(len(vals) - 1):
-            if not vals[k + 1] > vals[k]:
-                raise WitnessNotIncreasing(
-                    f"t[{k + 2}] = {vals[k + 1]!r} does not exceed t[{k + 1}] = {vals[k]!r}"
-                )
+        super().__post_init__()
+        vals = self.values
+        if not all(map(float.__lt__, vals, vals[1:])):
+            k = next(k for k in range(len(vals) - 1) if not vals[k + 1] > vals[k])
+            raise WitnessNotIncreasing(
+                f"t[{k + 2}] = {vals[k + 1]!r} does not exceed t[{k + 1}] = {vals[k]!r}"
+            )
 
     @classmethod
     def of(cls, values: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> "Witness":
@@ -133,15 +133,6 @@ class Witness:
                     f"is not above the strictness tolerance {tol.abs!r}"
                 )
         return cls(vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
 
 
 class ShapeKind(str, Enum):
@@ -191,10 +182,43 @@ class CheckReport:
     applicable: bool = True
 
 
+def scan_margin(gaps: Iterable[float], allowed: float, labels: Iterable | None = None):
+    """One streaming pass: ``(first, margin)`` over the signed slacks ``gaps``.
+
+    ``margin`` is the smallest gap (``inf`` when there is none); ``first`` is
+    the label of the first gap below ``-allowed``, or None.  Labels default
+    to the 1-based positions 1, 2, ...  Deriving both from the one threshold
+    makes every report satisfy ``holds == (first is None)``.
+    """
+    margin = math.inf
+    first = None
+    for label, gap in zip(count(1) if labels is None else labels, gaps):
+        # the first gap below -allowed is always a new minimum
+        if gap < margin:
+            margin = gap
+            if first is None and gap < -allowed:
+                first = label
+    return first, margin
+
+
+def unit_witness(n: int) -> "Witness":
+    """The arithmetic witness 1..n, against which ordinary convexity is measured."""
+    return Witness(tuple(map(float, range(1, n + 1))))
+
+
 def forward_diff(a: SeqLike) -> tuple[float, ...]:
     """First forward differences ``a[i+1] - a[i]``; output length n-1."""
     vals = RealSeq.of(a).values
     return tuple(vals[i + 1] - vals[i] for i in range(len(vals) - 1))
+
+
+def paired(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> tuple[RealSeq, Witness]:
+    """Validate a sequence and its witness together; they must have equal length."""
+    seq = RealSeq.of(a)
+    wit = Witness.of(t, tol)
+    if len(seq) != len(wit):
+        raise LengthMismatch(f"|a| = {len(seq)} but |t| = {len(wit)}")
+    return seq, wit
 
 
 def is_convex_wrt(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -204,24 +228,11 @@ def is_convex_wrt(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> C
     1-based index i of the first failing pair (slope i vs slope i+1).
     Length-2 input is vacuously convex (single slope).
     """
-    seq = RealSeq.of(a)
-    wit = Witness.of(t, tol)
-    if len(seq) != len(wit):
-        raise LengthMismatch(f"|a| = {len(seq)} but |t| = {len(wit)}")
-    ratios = [
-        (seq[i + 1] - seq[i]) / (wit[i + 1] - wit[i]) for i in range(len(seq) - 1)
-    ]
-    if len(ratios) < 2:
-        return CheckReport(True, None, math.inf, tol)
-    scale = max(abs(r) for r in ratios)
-    allowed = tol.slack(scale)
-    margin = math.inf
-    first = None
-    for i in range(len(ratios) - 1):
-        gap = ratios[i + 1] - ratios[i]
-        margin = min(margin, gap)
-        if first is None and gap < -allowed:
-            first = i + 1
+    seq, wit = paired(a, t, tol)
+    av, tv = seq.values, wit.values
+    ratios = [(av[i + 1] - av[i]) / (tv[i + 1] - tv[i]) for i in range(len(av) - 1)]
+    allowed = tol.slack(max(abs(r) for r in ratios))
+    first, margin = scan_margin((r1 - r0 for r0, r1 in zip(ratios, ratios[1:])), allowed)
     return CheckReport(first is None, first, margin, tol)
 
 
@@ -235,13 +246,11 @@ def is_convex(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     ``first_violation`` is the 1-based interior index.
     """
     seq = RealSeq.of(a)
-    unit = Witness(tuple(float(i) for i in range(1, len(seq) + 1)))
-    rep = is_convex_wrt(seq, unit, tol)
+    rep = is_convex_wrt(seq, unit_witness(len(seq)), tol)
     if len(seq) == 2:
         return rep
-    margin = min(
-        (seq[i - 1] + seq[i + 1]) / 2.0 - seq[i] for i in range(1, len(seq) - 1)
-    )
+    av = seq.values
+    margin = min((av[i - 1] + av[i + 1]) / 2.0 - av[i] for i in range(1, len(av) - 1))
     first = None if rep.first_violation is None else rep.first_violation + 1
     return CheckReport(rep.holds, first, margin, tol)
 
@@ -413,18 +422,11 @@ def construct_witness_on_interval(
     if not alpha < beta:
         raise IntervalError(f"need alpha < beta, got [{alpha!r}, {beta!r}]")
     shape = classify_shape(seq, tol)
-    kind = shape.variant
-    if kind is ShapeKind.NOT_STRICTLY_V_SHAPED:
+    if shape.variant is ShapeKind.NOT_STRICTLY_V_SHAPED:
         raise ShapeError("sequence is not strictly V-shaped; no witness exists")
     vals = seq.values
     n = len(vals)
-    if kind is ShapeKind.CONSTANT:
-        return Witness.of(_linspace(alpha, beta, n), tol)
-    if kind is ShapeKind.STRICTLY_INCREASING:
-        return Witness.of(_subdivide_increasing(vals, alpha, beta), tol)
-    if kind is ShapeKind.STRICTLY_DECREASING:
-        return Witness.of(_subdivide_decreasing(vals, alpha, beta), tol)
-
+    # monotone and constant profiles are the one-segment case of the split below
     m, ell = shape.breakpoints
     i_min = m - 1          # 0-based start of the minimal block
     j_min = i_min + ell    # 0-based end of the minimal block

@@ -1,0 +1,121 @@
+"""Golden CLI outputs: every subcommand on fixed inputs against recorded reports.
+
+``cli_golden.json`` holds, per case, the exit code, the stdout line and (for
+``extend --output``) the CSV file.  Cases listed in ``REWRITTEN`` run
+engines whose arithmetic is expressed through another engine; they are
+compared structurally (keys, verdict, ints and None exactly, floats to
+rel 1e-12).  Every other case must match byte for byte.
+
+Regenerate the recorded file only when an output change is intended:
+``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from relconvex.cli import main
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+A5 = [4, 1, 0, 2, 6]
+T5 = [1, 2, 3, 4, 5]
+V6 = [5, 3, 1, 1, 2, 4]
+LOG_A = [math.log(i) for i in range(3, 30)]
+LOG_T = [math.log(math.log(i)) for i in range(3, 30)]
+
+# name -> (argv after the input flag, input payload or None)
+CASES = {
+    "classify": (["classify"], {"a": V6}),
+    "classify_rejected": (["classify"], {"a": [0, 3, 1, 2]}),
+    "check": (["check"], {"a": A5}),
+    "check_violated": (["check"], {"a": [0, 3, 1, 4, 9]}),
+    "check_wrt": (["check", "--wrt"], {"a": LOG_A, "t": LOG_T}),
+    "check_wrt_violated": (["check", "--wrt"], {"a": [0, 2, 3, 3.5, 5], "t": T5}),
+    "witness": (["witness", "--t1", "-1.0"], {"a": V6}),
+    "witness_schedule": (["witness", "--plateau-step", "0.5"], {"a": V6, "s": [-2, -0.5, 1, 3]}),
+    "subdivide": (["subdivide", "--alpha", "0", "--beta", "1"], {"a": V6}),
+    "extend": (["extend", "--resolution", "9", "--output", "{out}"], {"a": [0, 1, 3], "t": [0, 1, 2]}),
+    "lupas": (["lupas"], {"a": A5, "b": [9, 4, 1, 0, 1], "t": T5, "p": [1, 2, 3, 2, 1]}),
+    "lupas_uniform": (["lupas"], {"a": LOG_A, "b": [x * x for x in LOG_A], "t": LOG_T}),
+    "pecaric": (["pecaric"], {"a": A5, "b": [9, 4, 1, 0, 1]}),
+    "pecaric_long": (["pecaric"], {"a": [(i - 7.3) ** 2 for i in range(20)],
+                                   "b": [math.exp(0.2 * i) for i in range(20)]}),
+    "hhf": (["hhf", "--psi", "relu@0.5"], {"a": A5, "t": T5, "p": [1, 2, 3, 2, 1]}),
+    "hhf_log": (["hhf", "--psi", "exp"], {"a": LOG_A, "t": LOG_T}),
+    "niezgoda": (["niezgoda", "--psi", "relu@0.5"], {"a": A5, "p": [1, 2, 3, 2, 1]}),
+    "niezgoda_exp": (["niezgoda", "--psi", "exp"], {"a": [3, 1, 0.5, 1, 2.5, 5], "p": [0.3, 1, 2, 0.7, 1.1, 0.9]}),
+    "hhf_convex": (["hhf-convex", "--psi", "relu@0.5"], {"a": A5, "p": [1, 2, 3, 2, 1]}),
+    "hhf_convex_square": (["hhf-convex", "--psi", "square"], {"a": [3, 1, 0.5, 1, 2.5, 5],
+                                                              "p": [0.3, 1, 2, 0.7, 1.1, 0.9]}),
+    "majorize_index": (["majorize", "--seed", "7"], {"a": A5, "pvec": [2, 3, 4], "qvec": [1, 3, 5]}),
+    "majorize_witness": (["majorize"], {"a": A5, "t": T5, "pvec": [2.5, 3.0], "qvec": [2.0, 3.5]}),
+    "diagnose": (["diagnose"], {"a": A5, "t": T5}),
+    "diagnose_increasing": (["diagnose"], {"a": LOG_A, "t": LOG_T}),
+    "fuzz": (["fuzz", "--trials", "25", "--seed", "3"], None),
+    "error_missing_input": (["check", "--wrt"], {"a": A5}),
+    "error_precondition": (["pecaric"], {"a": [0, 3, 1], "b": [1, 2, 3]}),
+}
+
+# Commands whose engines are thin wrappers over another engine: same sides
+# up to rounding, so floats are compared to rel 1e-12 instead of bytewise.
+REWRITTEN = {"pecaric", "pecaric_long", "niezgoda", "niezgoda_exp", "hhf_convex", "hhf_convex_square"}
+
+
+def run_case(name, tmp_path, read_stdout):
+    argv, payload = CASES[name]
+    out_file = tmp_path / f"{name}.csv"
+    argv = [arg.replace("{out}", str(out_file)) for arg in argv]
+    if payload is not None:
+        inp = tmp_path / f"{name}.json"
+        inp.write_text(json.dumps(payload))
+        argv = argv + ["--input", str(inp)]
+    code = main(argv)
+    result = {"code": code, "stdout": read_stdout()}
+    if out_file.exists():
+        result["file"] = out_file.read_text()
+    return result
+
+
+def assert_close(got, want, path="report"):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and set(got) == set(want), path
+        for key in want:
+            assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{path}[{k}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), path
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, path
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_matches_golden(name, tmp_path, capsys):
+    want = json.loads(GOLDEN.read_text())[name]
+    got = run_case(name, tmp_path, lambda: capsys.readouterr().out)
+    assert got["code"] == want["code"]
+    assert got.get("file") == want.get("file")
+    if name in REWRITTEN:
+        assert_close(json.loads(got["stdout"]), json.loads(want["stdout"]))
+    else:
+        assert got["stdout"] == want["stdout"]
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    recorded = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                recorded[case] = run_case(case, Path(tmp), buf.getvalue)
+    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
