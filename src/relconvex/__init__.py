@@ -10,6 +10,7 @@ from .errors import (
     LengthError,
     LengthMismatch,
     MonotoneError,
+    NonFiniteArithmetic,
     NotStrictlyIncreasing,
     OutOfDomain,
     PreconditionViolation,
@@ -80,7 +81,7 @@ __all__ = [
     "RelConvexError", "LengthError", "LengthMismatch", "WitnessNotIncreasing",
     "ShapeError", "SignError", "MonotoneError", "IntervalError", "OutOfDomain",
     "ZeroTotalWeight", "DegenerateWitness", "PreconditionViolation",
-    "IndexOutOfRange", "NotStrictlyIncreasing", "InfeasibleShape",
+    "IndexOutOfRange", "NotStrictlyIncreasing", "InfeasibleShape", "NonFiniteArithmetic",
     # seqcore
     "Tolerance", "DEFAULT_TOL", "RealSeq", "Witness", "ShapeKind", "ShapeClass",
     "CheckReport", "forward_diff", "is_convex", "is_convex_wrt", "classify_shape",

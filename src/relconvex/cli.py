@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -105,7 +106,7 @@ def _report(args, verdict: str, margins: dict, parameters: dict, tol: Tolerance)
         "verdict": verdict,
         "margin_or_slacks": margins,
         "parameters": parameters,
-        "tolerance": {"abs": tol.abs, "rel": tol.rel},
+        "tolerance": asdict(tol),
         "version": __version__,
     }
 
@@ -227,16 +228,7 @@ def _majorize(args, a, pvec, qvec):
         return majorization_inequality_check(
             a, args.inputs["t"], pvec, qvec, args.tol, skip_verify=args.skip_verify
         )
-    for name, vec in (("pvec", pvec), ("qvec", qvec)):
-        for k, v in enumerate(vec):
-            if v != int(v):
-                raise ValueError(
-                    f"{name}[{k + 1}] = {v!r} must be an integer index "
-                    "(provide t for the real-valued mode)"
-                )
-    return integer_majorization_check(
-        a, [int(v) for v in pvec], [int(v) for v in qvec], args.tol, skip_verify=args.skip_verify
-    )
+    return integer_majorization_check(a, pvec, qvec, args.tol, skip_verify=args.skip_verify)
 
 
 def _diagnose(args, a, t):

@@ -63,7 +63,7 @@ def neighbor_chord_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TO
         right = tv[i + 1] - tv[i]
         return (right * av[i - 1] + left * av[i + 1]) / (left + right) - av[i]
 
-    allowed = tol.slack(max(abs(v) for v in av))
+    allowed = tol.allowed(av)
     first, margin = scan_margin(map(gap, range(1, len(av) - 1)), allowed, count(2))
     return CheckReport(first is None, first, margin, tol)
 
@@ -84,7 +84,7 @@ def increment_growth_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_
             )
     lhs = [(da[i + 1] - da[i]) / da[i] for i in range(len(da) - 1)]
     rhs = [(dt[i + 1] - dt[i]) / dt[i] for i in range(len(dt) - 1)]
-    allowed = tol.slack(max((abs(v) for v in lhs + rhs), default=0.0))
+    allowed = tol.allowed(lhs + rhs)
     first, margin = scan_margin((x - y for x, y in zip(lhs, rhs)), allowed)
     return CheckReport(first is None, first, margin, tol)
 
@@ -103,7 +103,8 @@ def collinearity_determinant_check(
     consecutive determinant factors into gap * gap * slope-increment.
     ``first_violation`` is the lexicographically first bad 1-based triple.
     The tolerance scale is the largest |term| over the scanned triples (at
-    least 1), so the verdict and the violation come from one threshold.
+    least 1: the floor is one more operand), so the verdict and the
+    violation come from one threshold.
     """
     seq, wit = paired(a, t, tol)
     av, tv = seq.values, wit.values
@@ -125,7 +126,7 @@ def collinearity_determinant_check(
         )
     else:
         peaks = map(abs, chain.from_iterable(starmap(terms, triples())))
-    allowed = tol.slack(max(max(peaks, default=0.0), 1.0))
+    allowed = tol.allowed(chain(peaks, (1.0,)))
     dets = (p1 - p2 + p3 for p1, p2, p3 in starmap(terms, triples()))
     first, margin = scan_margin(dets, allowed, triples())
     if first is not None:
@@ -151,7 +152,7 @@ def anchored_slope_check(
     s0 = anchor - 1
     av, tv = seq.values, wit.values
     slopes = [(av[i] - av[s0]) / (tv[i] - tv[s0]) for i in range(s0 + 1, n)]
-    allowed = tol.slack(max(abs(v) for v in slopes))
+    allowed = tol.allowed(slopes)
     # label: 1-based index of the later point of each pair
     first, margin = scan_margin((y - x for x, y in zip(slopes, slopes[1:])), allowed, count(s0 + 3))
     return CheckReport(first is None, first, margin, tol)
@@ -208,7 +209,7 @@ def bounded_monotone_diagnostic(
     if any(g < alpha for g in dt):
         return CheckReport(False, None, math.nan, tol, applicable=False)
     da = forward_diff(seq)
-    first, margin = scan_margin((-d for d in da), tol.slack(max(abs(v) for v in da)))
+    first, margin = scan_margin((-d for d in da), tol.allowed(da))
     return CheckReport(first is None, first, margin, tol)
 
 
@@ -228,7 +229,7 @@ def rate_diagnostic(
     seq, wit = paired(a, t, tol)
     _require_convex_wrt("a", seq, wit, tol)
     da = forward_diff(seq)
-    rise, _ = scan_margin((-d for d in da), tol.slack(max(abs(v) for v in da)))
+    rise, _ = scan_margin((-d for d in da), tol.allowed(da))
     if rise is not None:
         raise PreconditionViolation(
             f"a must be non-increasing over the prefix: step {rise} rises by {da[rise - 1]!r}"

@@ -50,7 +50,7 @@ class PreconditionViolation(RelConvexError):
 
 
 class IndexOutOfRange(RelConvexError):
-    """A 1-based index lies outside the sequence."""
+    """A 1-based index is not an integer position of the sequence."""
 
 
 class NotStrictlyIncreasing(RelConvexError):
@@ -59,3 +59,7 @@ class NotStrictlyIncreasing(RelConvexError):
 
 class InfeasibleShape(RelConvexError):
     """The requested shape cannot be realized at the given length."""
+
+
+class NonFiniteArithmetic(RelConvexError, ArithmeticError):
+    """The compared quantities overflowed to inf or NaN, so no verdict can be given."""

@@ -3,7 +3,10 @@
 Each engine evaluates both sides of its inequality, reports the slack, and
 verifies the documented preconditions up front (pass ``skip_verify=True``
 to probe converse directions).  Verdicts use one-sided tolerance: a bound
-"holds" when its slack is at least ``-tol.slack(scale)``.
+"holds" when its slack is at least ``-tol.allowed(sides)``, judged by
+:func:`relconvex.seqcore.scan_margin` at the scale of the compared sides.
+Sides that overflow to inf or NaN raise
+:class:`relconvex.errors.NonFiniteArithmetic` instead of giving a verdict.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from .errors import (
     LengthMismatch,
     PreconditionViolation,
 )
-from .functionals import WeightLike, WeightVec, cov_functional, majorizes, weighted_mean
+from .functionals import (
+    WeightLike, WeightVec, _fsum, _require_spread, cov_functional, majorizes, weighted_mean,
+)
 from .polyext import floor_wrt
 from .seqcore import (
     DEFAULT_TOL,
@@ -32,6 +37,7 @@ from .seqcore import (
     is_convex,
     is_convex_wrt,
     paired,
+    scan_margin,
     unit_witness,
 )
 
@@ -53,8 +59,7 @@ def spot_check_map(psi: ConvexMap, values: Sequence[float], tol: Tolerance = DEF
     """
     pts = sorted({float(v) for v in values})
     mapped = {v: float(psi(v)) for v in pts}
-    scale = max((abs(m) for m in mapped.values()), default=1.0)
-    allowed = tol.slack(scale)
+    allowed = tol.allowed(mapped.values())
     ok = True
     for u, w in zip(pts, pts[1:]):
         if mapped[u] > mapped[w] + allowed:
@@ -121,10 +126,13 @@ def _require_convex(name: str, a: SeqLike, tol: Tolerance) -> None:
         )
 
 
-def _at_least(big: float, small: float, tol: Tolerance) -> tuple[float, bool]:
-    """``(big - small, holds)``: one-sided verdict at the scale of the two sides."""
+def _at_least(big: float, small: float, tol: Tolerance) -> tuple[float, int | None]:
+    """``(big - small, first)``: a one-gap scan at the scale of the two sides.
+
+    ``first`` is 1 when ``big`` falls short of ``small`` beyond tolerance, else None.
+    """
     slack = big - small
-    return slack, slack >= -tol.slack(max(abs(big), abs(small)))
+    return slack, scan_margin((slack,), tol.allowed((big, small)))[0]
 
 
 def lupas_check(
@@ -152,16 +160,12 @@ def lupas_check(
         _require_convex_wrt("a", seq_a, wit, tol)
         _require_convex_wrt("b", seq_b, wit, tol)
     stt = cov_functional(wit, wit, pv)
-    # S(t,t) is a variance: measure it against the witness spread, not its
-    # magnitude, so that translating t cannot make it look degenerate
-    if stt <= tol.slack((wit[-1] - wit[0]) ** 2):
-        raise DegenerateWitness(
-            "S(t,t) is not positive: need positive weight on at least two indices"
-        )
+    _require_spread(stt, wit, tol,
+                    "S(t,t) is not positive: need positive weight on at least two indices")
     lhs = cov_functional(seq_a, seq_b, pv)
     rhs = cov_functional(seq_a, wit, pv) * cov_functional(seq_b, wit, pv) / stt
-    slack, holds = _at_least(lhs, rhs, tol)
-    return LupasReport(lhs, rhs, holds, slack, tol)
+    slack, first = _at_least(lhs, rhs, tol)
+    return LupasReport(lhs, rhs, first is None, slack, tol)
 
 
 def pecaric_check(
@@ -186,8 +190,8 @@ def pecaric_check(
     n = len(seq_a)
     rep = lupas_check(seq_a, seq_b, unit_witness(n), [1.0] * n, tol, skip_verify=True)
     lhs, rhs = n * rep.lhs, n * rep.rhs
-    slack, holds = _at_least(lhs, rhs, tol)
-    return LupasReport(lhs, rhs, holds, slack, tol)
+    slack, first = _at_least(lhs, rhs, tol)
+    return LupasReport(lhs, rhs, first is None, slack, tol)
 
 
 def hhf_bounds(
@@ -220,7 +224,7 @@ def hhf_bounds(
     if wit[-1] - wit[0] <= tol.abs:
         raise DegenerateWitness("witness endpoints coincide")
     total = pv.total
-    value = math.fsum(w * psi(x) for w, x in zip(pv, seq)) / total
+    value = _fsum([w * psi(x) for w, x in zip(pv, seq)]) / total
     mt = weighted_mean(wit.values, pv)
     m = min(floor_wrt(wit, mt, tol), n - 1)
     gamma = (mt - wit[m - 1]) / (wit[m] - wit[m - 1])
@@ -233,11 +237,11 @@ def hhf_bounds(
 
 
 def _sandwich(lower: float, value: float, upper: float, tol: Tolerance, **fields) -> BoundReport:
-    allowed = tol.slack(max(abs(value), abs(lower), abs(upper)))
+    """Two-sided verdict: both slacks judged at the scale of the three quantities."""
     slack_lower = value - lower
     slack_upper = upper - value
-    holds = slack_lower >= -allowed and slack_upper >= -allowed
-    return BoundReport(value=value, upper=upper, holds=holds, slack_upper=slack_upper,
+    first, _ = scan_margin((slack_lower, slack_upper), tol.allowed((value, lower, upper)))
+    return BoundReport(value=value, upper=upper, holds=first is None, slack_upper=slack_upper,
                        lower=lower, slack_lower=slack_lower, tolerance=tol, **fields)
 
 
@@ -275,8 +279,8 @@ def niezgoda_bound(
     total, rep = _unit_hhf(a, p, psi, tol, skip_verify)
     value = total * rep.value
     upper = total * rep.upper
-    slack_upper, holds = _at_least(upper, value, tol)
-    return BoundReport(value=value, upper=upper, holds=holds, slack_upper=slack_upper, tolerance=tol)
+    slack_upper, first = _at_least(upper, value, tol)
+    return BoundReport(value=value, upper=upper, holds=first is None, slack_upper=slack_upper, tolerance=tol)
 
 
 def convex_hhf_bounds(
@@ -357,8 +361,8 @@ def majorization_inequality_check(
     q_floor, q_frac = _floor_pieces(seq, wit, qv, tol)
     lhs = p_floor - q_floor
     rhs = q_frac - p_frac
-    margin, holds = _at_least(rhs, lhs, tol)
-    return CheckReport(holds, None, margin, tol)
+    margin, first = _at_least(rhs, lhs, tol)
+    return CheckReport(first is None, first, margin, tol)
 
 
 def integer_majorization_check(
@@ -372,26 +376,26 @@ def integer_majorization_check(
 
     For 1-based index vectors with pidx majorized by qidx,
     sum a[pidx] <= sum a[qidx].  The smallest instance, (2,2) vs (1,3),
-    is the defining convexity inequality 2 a_2 <= a_1 + a_3.
+    is the defining convexity inequality 2 a_2 <= a_1 + a_3.  Indices may be
+    integral floats such as 2.0; any other value raises IndexOutOfRange.
     """
     seq = RealSeq.of(a)
     n = len(seq)
-    pi = [int(i) for i in pidx]
-    qi = [int(i) for i in qidx]
+    pi, qi = tuple(pidx), tuple(qidx)
     for name, vec in (("pidx", pi), ("qidx", qi)):
         for k, i in enumerate(vec):
-            if not 1 <= i <= n:
-                raise IndexOutOfRange(f"{name}[{k + 1}] = {i} outside 1..{n}")
+            if not (float(i).is_integer() and 1 <= i <= n):
+                raise IndexOutOfRange(f"{name}[{k + 1}] = {i!r} is not an integer index in 1..{n}")
     if len(pi) != len(qi):
         raise LengthMismatch(f"|pidx| = {len(pi)} but |qidx| = {len(qi)}")
-    if not majorizes([float(i) for i in pi], [float(i) for i in qi], tol):
+    if not majorizes(pi, qi, tol):
         raise PreconditionViolation("pidx is not majorized by qidx")
     if not skip_verify:
         _require_convex("a", seq, tol)
-    lhs = math.fsum(seq[i - 1] for i in pi)
-    rhs = math.fsum(seq[i - 1] for i in qi)
-    margin, holds = _at_least(rhs, lhs, tol)
-    return CheckReport(holds, None, margin, tol)
+    lhs = _fsum(seq[int(i) - 1] for i in pi)
+    rhs = _fsum(seq[int(i) - 1] for i in qi)
+    margin, first = _at_least(rhs, lhs, tol)
+    return CheckReport(first is None, first, margin, tol)
 
 
 # Builtin maps for the CLI and the test suites; library callers can pass any

@@ -24,6 +24,7 @@ from .errors import (
     LengthError,
     LengthMismatch,
     MonotoneError,
+    NonFiniteArithmetic,
     ShapeError,
     SignError,
     WitnessNotIncreasing,
@@ -40,6 +41,12 @@ class Tolerance:
     ``abs`` is the unconditional slack; ``rel`` is multiplied by the scale
     of the quantities being compared.  Both default to the package-wide
     values needed for transcendental inputs (ln, arctan, ...).
+
+    Every verdict measures its slacks against :meth:`allowed`, at the scale
+    of the operands it compares.  Comparisons of a quantity with zero or
+    with a fixed point use ``abs`` alone: the step signs of
+    :func:`classify_shape`, the witness gaps, the domain and range clamps
+    and the endpoint check of ``hhf_bounds``.
     """
 
     abs: float = 1e-9
@@ -53,6 +60,18 @@ class Tolerance:
         """Total allowed slack for quantities of magnitude ``scale``."""
         return self.abs + self.rel * abs(scale)
 
+    def allowed(self, operands: Iterable[float]) -> float:
+        """:meth:`slack` at the largest |operand|; NonFiniteArithmetic if an operand is inf or NaN."""
+        if not isinstance(operands, (list, tuple)):
+            operands = tuple(operands)
+        scale = max(map(abs, operands), default=0.0)
+        # max passes over a NaN that does not come first; the sum is NaN whenever one is present
+        if math.isnan(sum(operands)):
+            scale = math.nan
+        if not scale < math.inf:
+            raise NonFiniteArithmetic(f"compared quantities reach {scale!r}")
+        return self.slack(scale)
+
 
 DEFAULT_TOL = Tolerance()
 
@@ -65,19 +84,27 @@ def _to_floats(values) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class _Floats:
-    """At least 2 finite floats, read-only; shared by :class:`RealSeq` and :class:`Witness`."""
+    """Finite floats, read-only; the one validation path of :class:`RealSeq`,
+    :class:`Witness` and ``WeightVec``."""
 
     values: tuple[float, ...]
     _what = "sequence"
+    _min_len = 2
 
     def __post_init__(self) -> None:
         vals = tuple(map(float, self.values))
         object.__setattr__(self, "values", vals)
-        if len(vals) < 2:
-            raise LengthError(f"{self._what} needs at least 2 entries, got {len(vals)}")
+        if len(vals) < self._min_len:
+            raise LengthError(f"{self._what} needs at least {self._min_len} entries, got {len(vals)}")
         if not all(map(math.isfinite, vals)):
             k = next(k for k, v in enumerate(vals) if not math.isfinite(v))
             raise ValueError(f"entry {k + 1} is not finite: {vals[k]!r}")
+
+    @classmethod
+    def of(cls, values):
+        if isinstance(values, cls):
+            return values
+        return cls(tuple(values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -94,12 +121,6 @@ class RealSeq(_Floats):
 
     Length must be at least 2 so the difference operators are defined.
     """
-
-    @classmethod
-    def of(cls, values: SeqLike) -> "RealSeq":
-        if isinstance(values, cls):
-            return values
-        return cls(tuple(values))
 
 
 class Witness(_Floats):
@@ -151,6 +172,17 @@ class ShapeKind(str, Enum):
 #: Variants that admit a witness (everything except the rejected case).
 RELATIVE_CONVEX_KINDS = frozenset(ShapeKind) - {ShapeKind.NOT_STRICTLY_V_SHAPED}
 
+#: The accepted profile for each (any decrease, any plateau, any increase) of a sorted sign run.
+_PROFILES = {
+    (False, True, False): ShapeKind.CONSTANT,
+    (False, False, True): ShapeKind.STRICTLY_INCREASING,
+    (True, False, False): ShapeKind.STRICTLY_DECREASING,
+    (True, True, False): ShapeKind.DEC_THEN_CONST,
+    (False, True, True): ShapeKind.CONST_THEN_INC,
+    (True, False, True): ShapeKind.DEC_THEN_INC,
+    (True, True, True): ShapeKind.DEC_CONST_INC,
+}
+
 
 @dataclass(frozen=True)
 class ShapeClass:
@@ -188,13 +220,16 @@ def scan_margin(gaps: Iterable[float], allowed: float, labels: Iterable | None =
     ``margin`` is the smallest gap (``inf`` when there is none); ``first`` is
     the label of the first gap below ``-allowed``, or None.  Labels default
     to the 1-based positions 1, 2, ...  Deriving both from the one threshold
-    makes every report satisfy ``holds == (first is None)``.
+    makes every report satisfy ``holds == (first is None)``.  This is the
+    only place a gap is judged; a NaN gap raises :class:`NonFiniteArithmetic`.
     """
     margin = math.inf
     first = None
     for label, gap in zip(count(1) if labels is None else labels, gaps):
-        # the first gap below -allowed is always a new minimum
-        if gap < margin:
+        # the first gap below -allowed is always a new minimum; NaN fails >= too
+        if not gap >= margin:
+            if gap != gap:
+                raise NonFiniteArithmetic(f"gap {label!r} is NaN")
             margin = gap
             if first is None and gap < -allowed:
                 first = label
@@ -231,7 +266,7 @@ def is_convex_wrt(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> C
     seq, wit = paired(a, t, tol)
     av, tv = seq.values, wit.values
     ratios = [(av[i + 1] - av[i]) / (tv[i + 1] - tv[i]) for i in range(len(av) - 1)]
-    allowed = tol.slack(max(abs(r) for r in ratios))
+    allowed = tol.allowed(ratios)
     first, margin = scan_margin((r1 - r0 for r0, r1 in zip(ratios, ratios[1:])), allowed)
     return CheckReport(first is None, first, margin, tol)
 
@@ -250,7 +285,8 @@ def is_convex(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     if len(seq) == 2:
         return rep
     av = seq.values
-    margin = min((av[i - 1] + av[i + 1]) / 2.0 - av[i] for i in range(1, len(av) - 1))
+    # halving first rounds the same for normal floats, and cannot overflow
+    margin = min(av[i - 1] / 2.0 + av[i + 1] / 2.0 - av[i] for i in range(1, len(av) - 1))
     first = None if rep.first_violation is None else rep.first_violation + 1
     return CheckReport(rep.holds, first, margin, tol)
 
@@ -264,36 +300,14 @@ def classify_shape(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> ShapeClass:
     a run of increases; anything else (re-descent after an ascent, plateau
     away from the minimum) is rejected.
     """
-    seq = RealSeq.of(a)
-    signs = []
-    for i in range(len(seq) - 1):
-        d = seq[i + 1] - seq[i]
-        if d > tol.abs:
-            signs.append(1)
-        elif d < -tol.abs:
-            signs.append(-1)
-        else:
-            signs.append(0)
+    signs = [1 if d > tol.abs else -1 if d < -tol.abs else 0 for d in forward_diff(a)]
     if signs != sorted(signs):
         return ShapeClass(ShapeKind.NOT_STRICTLY_V_SHAPED, None)
     n_dec = signs.count(-1)
     n_flat = signs.count(0)
     n_inc = signs.count(1)
-    m = n_dec + 1
-    breakpoints = (m, n_flat)
-    if n_dec == 0 and n_inc == 0:
-        return ShapeClass(ShapeKind.CONSTANT, breakpoints)
-    if n_dec == 0 and n_flat == 0:
-        return ShapeClass(ShapeKind.STRICTLY_INCREASING, breakpoints)
-    if n_inc == 0 and n_flat == 0:
-        return ShapeClass(ShapeKind.STRICTLY_DECREASING, breakpoints)
-    if n_inc == 0:
-        return ShapeClass(ShapeKind.DEC_THEN_CONST, breakpoints)
-    if n_dec == 0:
-        return ShapeClass(ShapeKind.CONST_THEN_INC, breakpoints)
-    if n_flat == 0:
-        return ShapeClass(ShapeKind.DEC_THEN_INC, breakpoints)
-    return ShapeClass(ShapeKind.DEC_CONST_INC, breakpoints)
+    breakpoints = (n_dec + 1, n_flat)
+    return ShapeClass(_PROFILES[n_dec > 0, n_flat > 0, n_inc > 0], breakpoints)
 
 
 def is_relative_convex(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> bool:
