@@ -17,6 +17,7 @@ from .errors import (
     RelConvexError,
     ShapeError,
     SignError,
+    WitnessLostConvexity,
     WitnessNotIncreasing,
     ZeroTotalWeight,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "ShapeError", "SignError", "MonotoneError", "IntervalError", "OutOfDomain",
     "ZeroTotalWeight", "DegenerateWitness", "PreconditionViolation",
     "IndexOutOfRange", "NotStrictlyIncreasing", "InfeasibleShape", "NonFiniteArithmetic",
+    "WitnessLostConvexity",
     # seqcore
     "Tolerance", "DEFAULT_TOL", "RealSeq", "Witness", "ShapeKind", "ShapeClass",
     "CheckReport", "forward_diff", "is_convex", "is_convex_wrt", "classify_shape",

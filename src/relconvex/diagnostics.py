@@ -195,9 +195,10 @@ def bounded_monotone_diagnostic(
 
     When the witness gaps stay at or above ``alpha`` (the finite surrogate
     for a divergent witness), a bounded witnessed sequence must be
-    non-increasing over the prefix.  If the gap condition fails the
-    dichotomy is uninformative here and the report comes back with
-    ``applicable=False`` (a shrinking witness may converge instead).
+    non-increasing over the prefix.  A gap below ``alpha`` makes the
+    dichotomy uninformative (a shrinking witness may converge instead): the
+    report has ``applicable=False``, the first such gap as ``first_violation``
+    and the smallest gap minus ``alpha`` as ``margin``.
     """
     seq, wit = paired(a, t, tol)
     _require_convex_wrt("a", seq, wit, tol)
@@ -205,9 +206,9 @@ def bounded_monotone_diagnostic(
         raise PreconditionViolation(
             f"max(a) = {max(seq.values)!r} exceeds the stated bound {bound!r}"
         )
-    dt = forward_diff(wit.values)
-    if any(g < alpha for g in dt):
-        return CheckReport(False, None, math.nan, tol, applicable=False)
+    short, gap = scan_margin((g - alpha for g in forward_diff(wit.values)), 0.0)
+    if short is not None:
+        return CheckReport(False, short, gap, tol, applicable=False)
     da = forward_diff(seq)
     first, margin = scan_margin((-d for d in da), tol.allowed(da))
     return CheckReport(first is None, first, margin, tol)

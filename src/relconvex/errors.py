@@ -17,6 +17,10 @@ class WitnessNotIncreasing(RelConvexError):
     """Witness abscissae are not strictly increasing."""
 
 
+class WitnessLostConvexity(RelConvexError):
+    """A constructed witness fails the slope test it was built to pass (rounding)."""
+
+
 class ShapeError(RelConvexError):
     """The sequence does not have one of the strictly V-shaped profiles."""
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, repeat
+from operator import mul, sub
 from typing import Sequence, Union
 
 from .errors import DegenerateWitness, LengthMismatch, NonFiniteArithmetic, ZeroTotalWeight
@@ -55,9 +55,16 @@ def weighted_mean(x: Sequence[float], p: WeightLike) -> float:
     return _fsum(map(mul, pv.weights, xv)) / pv.total
 
 
-def cov_functional(x: Sequence[float], y: Sequence[float], p: WeightLike) -> float:
-    """Weighted covariance-type functional: mean(xy) - mean(x) mean(y).
+def _centred(x: Sequence[float], mx: float, y: Sequence[float], my: float, w, total: float = 1.0) -> float:
+    """sum w_i (x_i - mx)(y_i - my) / total, the deviations streamed: no n-long list is stored."""
+    return _fsum(map(mul, map(mul, w, map(sub, x, repeat(mx))), map(sub, y, repeat(my)))) / total
 
+
+def cov_functional(x: Sequence[float], y: Sequence[float], p: WeightLike) -> float:
+    """Weighted covariance-type functional mean((x - mean x)(y - mean y)).
+
+    Summed in the centred two-pass form, so its rounding error is set by the
+    deviations from the means, however far x and y sit from the origin.
     Symmetric in (x, y); vanishes when either argument is constant; the
     diagonal is the weighted variance, hence non-negative.
     """
@@ -66,12 +73,9 @@ def cov_functional(x: Sequence[float], y: Sequence[float], p: WeightLike) -> flo
     pv = WeightVec.of(p)
     if not len(xv) == len(yv) == len(pv):
         raise LengthMismatch(f"|x| = {len(xv)}, |y| = {len(yv)}, |p| = {len(pv)}")
-    total = pv.total
-    wx = tuple(map(mul, pv.weights, xv))
-    mxy = _fsum(map(mul, wx, yv)) / total
-    mx = _fsum(wx) / total
-    my = _fsum(map(mul, pv.weights, yv)) / total
-    return mxy - mx * my
+    w, total = pv.weights, pv.total
+    mx, my = (_fsum(map(mul, w, v)) / total for v in (xv, yv))
+    return _centred(xv, mx, yv, my, w, total)
 
 
 def _require_spread(variance: float, wit: Witness, tol: Tolerance, message: str) -> None:
@@ -92,8 +96,7 @@ def lupas_constant(t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> float:
     """
     wit = Witness.of(t, tol)
     mean = _fsum(wit.values) / len(wit)
-    dev = [v - mean for v in wit.values]
-    denom = _fsum(map(mul, dev, dev))
+    denom = _centred(wit.values, mean, wit.values, mean, repeat(1.0))
     _require_spread(denom, wit, tol, f"centered square sum {denom!r} is not positive")
     return 1.0 / denom
 

@@ -23,9 +23,9 @@ from .errors import (
     PreconditionViolation,
 )
 from .functionals import (
-    WeightLike, WeightVec, _fsum, _require_spread, cov_functional, majorizes, weighted_mean,
+    WeightLike, WeightVec, _centred, _fsum, _require_spread, majorizes, weighted_mean,
 )
-from .polyext import floor_wrt
+from .polyext import build_extension, floor_wrt
 from .seqcore import (
     DEFAULT_TOL,
     CheckReport,
@@ -145,7 +145,8 @@ def lupas_check(
 ) -> LupasReport:
     """Covariance bound for two sequences sharing a witness.
 
-    Verifies S(a,b) >= S(a,t) S(b,t) / S(t,t) in the weighted functionals;
+    Verifies S(a,b) >= S(a,t) S(b,t) / S(t,t) in the weighted functionals
+    of :func:`relconvex.functionals.cov_functional`, each mean taken once;
     equality is attained when either sequence is affine in t.
     """
     seq_a = RealSeq.of(a)
@@ -159,11 +160,13 @@ def lupas_check(
     if not skip_verify:
         _require_convex_wrt("a", seq_a, wit, tol)
         _require_convex_wrt("b", seq_b, wit, tol)
-    stt = cov_functional(wit, wit, pv)
+    w, total = pv.weights, pv.total
+    ma, mb, mt = (weighted_mean(v, pv) for v in (seq_a, seq_b, wit))
+    stt = _centred(wit, mt, wit, mt, w, total)
     _require_spread(stt, wit, tol,
                     "S(t,t) is not positive: need positive weight on at least two indices")
-    lhs = cov_functional(seq_a, seq_b, pv)
-    rhs = cov_functional(seq_a, wit, pv) * cov_functional(seq_b, wit, pv) / stt
+    lhs = _centred(seq_a, ma, seq_b, mb, w, total)
+    rhs = _centred(seq_a, ma, wit, mt, w, total) * _centred(seq_b, mb, wit, mt, w, total) / stt
     slack, first = _at_least(lhs, rhs, tol)
     return LupasReport(lhs, rhs, first is None, slack, tol)
 
@@ -304,22 +307,6 @@ def convex_hhf_bounds(
     return _sandwich(total * rep.lower, total * rep.value, total * rep.upper, tol, m=rep.m)
 
 
-def _floor_pieces(
-    seq: RealSeq, wit: Witness, points: Sequence[float], tol: Tolerance
-) -> tuple[float, float]:
-    """Split sum of extension values into (floor-ordinate sum, frac-term sum)."""
-    n = len(seq)
-    floor_sum = 0.0
-    frac_sum = 0.0
-    for x in points:
-        m = floor_wrt(wit, x, tol)
-        floor_sum += seq[m - 1]
-        if m < n:
-            frac = x - wit[m - 1]
-            frac_sum += frac * (seq[m] - seq[m - 1]) / (wit[m] - wit[m - 1])
-    return floor_sum, frac_sum
-
-
 def majorization_inequality_check(
     a: SeqLike,
     t: WitnessLike,
@@ -330,13 +317,12 @@ def majorization_inequality_check(
 ) -> CheckReport:
     """Majorization inequality for a witnessed sequence.
 
-    For pvec majorized by qvec inside [t_1, t_n], floor/frac expansion gives
+    For pvec majorized by qvec inside [t_1, t_n], the compared sides are the
+    polygonal extension sums: sum ext(p_i) <= sum ext(q_i), and ``margin``
+    is RHS - LHS.  As ext(x) = a_floor(x) + frac(x) slope_floor(x), this is
 
         sum(a_floor(p) - a_floor(q))
-            <= sum(frac(q) slope_floor(q) - frac(p) slope_floor(p)),
-
-    equivalently: the polygonal extension sums satisfy
-    sum ext(p_i) <= sum ext(q_i).  ``margin`` is RHS - LHS.
+            <= sum(frac(q) slope_floor(q) - frac(p) slope_floor(p)).
 
     ``skip_verify`` disables the convexity precondition only; the
     majorization relation between pvec and qvec is always enforced.
@@ -357,10 +343,9 @@ def majorization_inequality_check(
         raise PreconditionViolation("pvec is not majorized by qvec")
     if not skip_verify:
         _require_convex_wrt("a", seq, wit, tol)
-    p_floor, p_frac = _floor_pieces(seq, wit, pv, tol)
-    q_floor, q_frac = _floor_pieces(seq, wit, qv, tol)
-    lhs = p_floor - q_floor
-    rhs = q_frac - p_frac
+    ext = build_extension(seq, wit, tol)
+    lhs = _fsum(ext.eval(x, tol) for x in pv)
+    rhs = _fsum(ext.eval(x, tol) for x in qv)
     margin, first = _at_least(rhs, lhs, tol)
     return CheckReport(first is None, first, margin, tol)
 
@@ -378,6 +363,8 @@ def integer_majorization_check(
     sum a[pidx] <= sum a[qidx].  The smallest instance, (2,2) vs (1,3),
     is the defining convexity inequality 2 a_2 <= a_1 + a_3.  Indices may be
     integral floats such as 2.0; any other value raises IndexOutOfRange.
+    Computed as :func:`majorization_inequality_check` at t = (1..n), where
+    the extension is a_i at i exactly; the precondition is :func:`is_convex`.
     """
     seq = RealSeq.of(a)
     n = len(seq)
@@ -386,16 +373,10 @@ def integer_majorization_check(
         for k, i in enumerate(vec):
             if not (float(i).is_integer() and 1 <= i <= n):
                 raise IndexOutOfRange(f"{name}[{k + 1}] = {i!r} is not an integer index in 1..{n}")
-    if len(pi) != len(qi):
-        raise LengthMismatch(f"|pidx| = {len(pi)} but |qidx| = {len(qi)}")
-    if not majorizes(pi, qi, tol):
-        raise PreconditionViolation("pidx is not majorized by qidx")
+    rep = majorization_inequality_check(seq, unit_witness(n), pi, qi, tol, skip_verify=True)
     if not skip_verify:
         _require_convex("a", seq, tol)
-    lhs = _fsum(seq[int(i) - 1] for i in pi)
-    rhs = _fsum(seq[int(i) - 1] for i in qi)
-    margin, first = _at_least(rhs, lhs, tol)
-    return CheckReport(first is None, first, margin, tol)
+    return rep
 
 
 # Builtin maps for the CLI and the test suites; library callers can pass any

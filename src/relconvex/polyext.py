@@ -38,15 +38,15 @@ class PolygonalExtension:
     def eval(self, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
         """Value of the polygonal line at ``x`` in [t_1, t_n].
 
-        Breakpoints reproduce their ordinates exactly, including the right
-        endpoint (the last segment is taken closed).  Points within
+        Breakpoints, the right endpoint included, return their ordinates
+        exactly (no slope term is added there).  Points within
         ``tol.abs`` of the domain are clamped; beyond that OutOfDomain.
         """
         t = self.breakpoints_t
         x = _clamp_to_domain(t, float(x), tol)
-        if x == t[-1]:
-            return self.breakpoints_a[-1]
         i = bisect.bisect_right(t, x) - 1
+        if x == t[i]:
+            return self.breakpoints_a[i]
         return self.breakpoints_a[i] + self.slopes[i] * (x - t[i])
 
     def __call__(self, x: float) -> float:
@@ -56,10 +56,9 @@ class PolygonalExtension:
 def build_extension(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> PolygonalExtension:
     """Assemble the polygonal extension of (a, t)."""
     seq, wit = paired(a, t, tol)
-    slopes = tuple(
-        (seq[i + 1] - seq[i]) / (wit[i + 1] - wit[i]) for i in range(len(seq) - 1)
-    )
-    return PolygonalExtension(wit.values, seq.values, slopes)
+    av, tv = seq.values, wit.values
+    slopes = tuple((av[i + 1] - av[i]) / (tv[i + 1] - tv[i]) for i in range(len(av) - 1))
+    return PolygonalExtension(tv, av, slopes)
 
 
 def _clamp_to_domain(t: Sequence[float], q: float, tol: Tolerance) -> float:

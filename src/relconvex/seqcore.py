@@ -27,6 +27,7 @@ from .errors import (
     NonFiniteArithmetic,
     ShapeError,
     SignError,
+    WitnessLostConvexity,
     WitnessNotIncreasing,
 )
 
@@ -428,7 +429,8 @@ def construct_witness_on_interval(
     Monotone runs use the midpoint slope policy of :func:`_subdivide_increasing`;
     a V profile splits the interval at its midpoint; plateaus get an even
     subdivision of their share (the interval is split equally among the
-    segments present).
+    segments present).  Long runs can round consecutive slopes out of order:
+    a result that fails :func:`is_convex_wrt` raises WitnessLostConvexity.
     """
     seq = RealSeq.of(a)
     alpha = float(alpha)
@@ -458,4 +460,8 @@ def construct_witness_on_interval(
     if j_min < n - 1:
         seg = _subdivide_increasing(vals[j_min:], cuts[k], cuts[k + 1])
         t.extend(seg if not t else seg[1:])
-    return Witness.of(t, tol)
+    wit = Witness.of(t, tol)
+    bad = is_convex_wrt(seq, wit, tol).first_violation
+    if bad is not None:
+        raise WitnessLostConvexity(f"constructed witness fails the slope test at slope pair {bad}")
+    return wit

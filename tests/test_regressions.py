@@ -1,6 +1,7 @@
 """Regression tests: self-consistent scan reports, translation-safe degeneracy
-guard, CLI robustness on arithmetic overflow and non-finite values, and the
-pair generator at large n."""
+guard and covariance sums, CLI robustness on arithmetic overflow and
+non-finite values, the pair generator at large n, the finite "not
+applicable" report and the checked interval witness."""
 
 import hashlib
 import json
@@ -9,11 +10,16 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from relconvex import (
+    WitnessLostConvexity,
     anchored_slope_check,
     anchored_slope_check_all,
     bounded_monotone_diagnostic,
     collinearity_determinant_check,
+    construct_witness_on_interval,
+    cov_functional,
     increment_growth_check,
     is_convex_wrt,
     lupas_check,
@@ -25,7 +31,7 @@ from relconvex.oracles import gen_relative_convex_pair
 
 
 def scan_reports(a, t):
-    """Every applicable report of the six margin scans on (a, t)."""
+    """Every report of the six margin scans on (a, t)."""
     reports = [
         is_convex_wrt(a, t),
         neighbor_chord_check(a, t),
@@ -39,7 +45,7 @@ def scan_reports(a, t):
             reports.append(probe(a, t))
         except RelConvexError:
             pass  # hypotheses not met on this input
-    return [rep for rep in reports if rep.applicable]
+    return reports
 
 
 def test_determinant_check_agrees_with_itself_and_the_slope_test():
@@ -130,3 +136,58 @@ def test_pair_generator_unchanged_for_small_n():
             a, t = gen_relative_convex_pair(n, seed)
             digest.update(repr((a.values, t.values)).encode())
     assert digest.hexdigest() == "90784ef5e1a696047e3f77152e6bfaa122342248807dccb1264d3de42917f3f8"
+
+
+# -- centred covariance sums on translated witnesses --------------------------
+
+UNIT7 = [float(i) for i in range(1, 8)]
+P7 = [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0]
+VAR7 = 3.3017751479289945  # weighted variance of 1..7 under P7: 558/169
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e7, 3e8, 1e9])
+def test_lupas_check_is_right_on_translated_witnesses(offset):
+    # a = b = t - offset is affine in t, so lhs = rhs = the variance;
+    # the one-pass E[xy] - E[x]E[y] gave rhs 0.681 at 3e8 and S(t,t) = -256 at 1e9
+    t = [offset + x for x in UNIT7]
+    assert cov_functional(t, t, P7) == pytest.approx(VAR7, rel=1e-12)
+    rep = lupas_check(UNIT7, UNIT7, t, P7)
+    assert rep.lhs == pytest.approx(VAR7, rel=1e-12)
+    assert rep.rhs == pytest.approx(VAR7, rel=1e-12)
+    assert rep.holds
+
+
+# -- bounded_monotone_diagnostic: a finite "not applicable" report -----------
+
+
+def test_not_applicable_report_is_finite_and_names_the_short_gap():
+    rep = bounded_monotone_diagnostic([3.0, 2.0, 1.0], [0.0, 0.5, 1.0], 3.0, 1.0)
+    assert not rep.applicable and not rep.holds
+    assert rep.first_violation == 1 and rep.margin == -0.5
+    # first short gap 0.5 at step 2; the margin is the smallest gap 0.25 minus alpha
+    rep = bounded_monotone_diagnostic([3.0, 1.0, 0.5, 0.25], [0.0, 2.0, 2.5, 2.75], 3.0, 1.0)
+    assert not rep.applicable and rep.first_violation == 2 and rep.margin == -0.75
+    # a gap equal to alpha is not short
+    assert bounded_monotone_diagnostic([3.0, 2.0, 1.0], [0.0, 1.0, 2.0], 3.0, 1.0).applicable
+
+
+# -- construct_witness_on_interval: the result is checked ---------------------
+
+SQUARE_2000 = [float((i - 1000) ** 2) for i in range(2000)]
+
+
+def test_interval_witness_that_rounding_broke_is_an_error():
+    # the midpoint policy drives consecutive slopes together until rounding
+    # reverses them; before the check this returned a non-witness
+    with pytest.raises(WitnessLostConvexity, match="slope pair"):
+        construct_witness_on_interval(SQUARE_2000, 0.0, 1.0)
+    wit = construct_witness_on_interval(SQUARE_2000[900:1100], 0.0, 1.0)
+    assert is_convex_wrt(SQUARE_2000[900:1100], wit).holds
+
+
+def test_cli_subdivide_reports_a_broken_witness_as_an_error(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, tmp_path, ["subdivide", "--alpha", "0", "--beta", "1"], {"a": SQUARE_2000})
+    assert code == 2
+    report = strict_json(out)
+    assert report["verdict"] == "error"
+    assert "slope pair" in report["margin_or_slacks"]["message"]

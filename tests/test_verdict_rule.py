@@ -202,8 +202,6 @@ def calls(a, b, t, p, psi):
 
 
 def assert_no_verdict_from_non_finite(rep):
-    if not getattr(rep, "applicable", True):
-        return  # the documented "not applicable" report of bounded_monotone_diagnostic
     fields = dataclasses.asdict(rep)
     for name, value in fields.items():
         assert not (isinstance(value, float) and math.isnan(value)), (name, rep)
