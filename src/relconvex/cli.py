@@ -5,6 +5,9 @@ Every command prints a single-line JSON report with the keys
 non-finite floats are written as null.  Exit codes: 0 = holds/success,
 1 = inequality violated or profile rejected, 2 = parse or precondition
 error, or floating-point overflow.
+
+``fuzz`` is the only command that loads numpy; every other command runs
+without it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import os
 import sys
 from dataclasses import asdict
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import __version__
 from .diagnostics import (
@@ -39,7 +40,6 @@ from .inequalities import (
     parse_psi,
     pecaric_check,
 )
-from .oracles import gen_majorized_pair, gen_relative_convex_pair
 from .polyext import build_extension, sample
 from .seqcore import (
     ShapeKind,
@@ -252,6 +252,11 @@ def _diagnose(args, a, t):
 
 
 def _fuzz(args):
+    # the one command that needs numpy, so the one place it is imported
+    import numpy as np
+
+    from .oracles import gen_majorized_pair, gen_relative_convex_pair
+
     seeds = range(args.seed, args.seed + args.trials)
     reps = []
     for seed in seeds:
@@ -350,10 +355,12 @@ def main(argv=None) -> int:
         elif args.output != "-":
             _emit(report)
         return code
-    except (RelConvexError, ValueError, ArithmeticError, OSError) as exc:
+    except (RelConvexError, ValueError, ArithmeticError, ImportError, OSError) as exc:
         # ArithmeticError: overflow or division by zero in the floating-point
-        # arithmetic, which says nothing about whether the inequality holds
-        message = f"{type(exc).__name__}: {exc}" if isinstance(exc, ArithmeticError) else str(exc)
+        # arithmetic, which says nothing about whether the inequality holds;
+        # ImportError: numpy missing where ``fuzz`` needs it
+        named = isinstance(exc, (ArithmeticError, ImportError))
+        message = f"{type(exc).__name__}: {exc}" if named else str(exc)
         _emit(_report(args, "error", {"message": message}, {}, Tolerance()))
         print(f"error: {message}", file=sys.stderr)
         return 2

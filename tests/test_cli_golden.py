@@ -7,15 +7,24 @@ compared structurally (keys, verdict, ints and None exactly, floats to
 rel 1e-12).  Every other case must match byte for byte.
 
 Regenerate the recorded file only when an output change is intended:
-``PYTHONPATH=src python tests/test_cli_golden.py``.
+``PYTHONPATH=src python tests/test_cli_golden.py [case ...]`` re-records the
+named cases, or all of them when none is named.  A ``REWRITTEN`` case whose
+new stdout is within the tolerance of the recorded one keeps the recorded
+stdout, so a regeneration without an intended change leaves the file as it is.
 """
 
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import relconvex
 from relconvex.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -95,10 +104,17 @@ def assert_close(got, want, path="report"):
         assert type(got) is type(want) and got == want, path
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_matches_golden(name, tmp_path, capsys):
-    want = json.loads(GOLDEN.read_text())[name]
-    got = run_case(name, tmp_path, lambda: capsys.readouterr().out)
+def record(names, tmp):
+    """Run the named cases through ``main`` in this process: name -> result."""
+    results = {}
+    for name in names:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            results[name] = run_case(name, Path(tmp), buf.getvalue)
+    return results
+
+
+def assert_matches(name, got, want):
     assert got["code"] == want["code"]
     assert got.get("file") == want.get("file")
     if name in REWRITTEN:
@@ -107,15 +123,53 @@ def test_cli_matches_golden(name, tmp_path, capsys):
         assert got["stdout"] == want["stdout"]
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_matches_golden(name, tmp_path, capsys):
+    want = json.loads(GOLDEN.read_text())[name]
+    assert_matches(name, run_case(name, tmp_path, lambda: capsys.readouterr().out), want)
+
+
+# One interpreter with numpy blocked before relconvex.cli loads, which runs
+# every case through ``main`` and prints the results as one JSON object.
+WITHOUT_NUMPY = """
+import json, sys, tempfile
+sys.modules["numpy"] = None
+from test_cli_golden import CASES, record
+with tempfile.TemporaryDirectory() as tmp:
+    print(json.dumps(record(sorted(CASES), tmp)))
+"""
+
+
+def test_cli_runs_without_numpy():
+    paths = [str(Path(relconvex.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    golden = json.loads(GOLDEN.read_text())
+    for name in sorted(set(CASES) - {"fuzz"}):
+        assert_matches(name, got[name], golden[name])
+    # fuzz needs numpy: an error report and exit 2, not a traceback
+    fuzz = json.loads(got["fuzz"]["stdout"])
+    assert got["fuzz"]["code"] == 2 and fuzz["verdict"] == "error"
+    assert fuzz["margin_or_slacks"]["message"].startswith("ModuleNotFoundError: ")
+    assert "numpy" in fuzz["margin_or_slacks"]["message"]
+
+
 if __name__ == "__main__":
-    import contextlib
-    import io
     import tempfile
 
-    recorded = {}
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown case(s): {', '.join(unknown)}")
+    recorded = {k: v for k, v in json.loads(GOLDEN.read_text()).items() if k in CASES}
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                recorded[case] = run_case(case, Path(tmp), buf.getvalue)
+        for name, got in record(names, tmp).items():
+            if name in REWRITTEN and name in recorded:
+                with contextlib.suppress(AssertionError):
+                    assert_matches(name, got, recorded[name])
+                    got["stdout"] = recorded[name]["stdout"]
+            recorded[name] = got
     GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
