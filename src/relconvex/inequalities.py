@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import groupby, islice, repeat
+from operator import add, gt, lt, truediv
 from typing import Callable, Sequence
 
 from .errors import (
@@ -54,26 +56,34 @@ def spot_check_map(psi: ConvexMap, values: Sequence[float], tol: Tolerance = DEF
 
     Checks midpoint convexity on consecutive value triples u < v < w and
     monotonicity on adjacent pairs.  Returns True when every sample passed.
-    The hypothesis remains the caller's responsibility; a failed spot check
-    warns instead of raising.
+    ψ is called once per distinct value and once per midpoint; the warnings
+    of a failed check are worded from those stored results.  The hypothesis
+    remains the caller's responsibility; a failed spot check warns instead
+    of raising.
     """
-    pts = sorted({float(v) for v in values})
-    mapped = {v: float(psi(v)) for v in pts}
-    allowed = tol.allowed(mapped.values())
-    ok = True
-    for u, w in zip(pts, pts[1:]):
-        if mapped[u] > mapped[w] + allowed:
-            warnings.warn(
-                f"map not non-decreasing on [{u!r}, {w!r}]", ConvexMapWarning, stacklevel=2
-            )
-            ok = False
-    for u, w in zip(pts, pts[2:]):
-        if psi((u + w) / 2.0) > (mapped[u] + mapped[w]) / 2.0 + allowed:
-            warnings.warn(
-                f"map not midpoint-convex on [{u!r}, {w!r}]", ConvexMapWarning, stacklevel=2
-            )
-            ok = False
-    return ok
+    pts = sorted(map(float, values))
+    if not all(map(lt, pts, islice(pts, 1, None))):
+        # groupby keeps the first of equal values: 0.0 or -0.0, whichever came first
+        pts = [v for v, _ in groupby(pts)]
+    mapped = list(map(float, map(psi, pts)))
+    allowed = tol.allowed(mapped)
+    monotone = not any(map(gt, mapped, map(add, islice(mapped, 1, None), repeat(allowed))))
+    if not monotone:
+        for u, w, fu, fw in zip(pts, pts[1:], mapped, mapped[1:]):
+            if fu > fw + allowed:
+                warnings.warn(
+                    f"map not non-decreasing on [{u!r}, {w!r}]", ConvexMapWarning, stacklevel=2
+                )
+    mids = list(map(psi, map(truediv, map(add, pts, islice(pts, 2, None)), repeat(2.0))))
+    chords = map(truediv, map(add, mapped, islice(mapped, 2, None)), repeat(2.0))
+    convex = not any(map(gt, mids, map(add, chords, repeat(allowed))))
+    if not convex:
+        for u, w, fu, fw, fm in zip(pts, pts[2:], mapped, mapped[2:], mids):
+            if fm > (fu + fw) / 2.0 + allowed:
+                warnings.warn(
+                    f"map not midpoint-convex on [{u!r}, {w!r}]", ConvexMapWarning, stacklevel=2
+                )
+    return monotone and convex
 
 
 @dataclass(frozen=True)
@@ -118,8 +128,10 @@ def _require_convex_wrt(name: str, a: SeqLike, t: WitnessLike, tol: Tolerance) -
 
 
 def _require_convex(name: str, a: SeqLike, tol: Tolerance) -> None:
-    rep = is_convex(a, tol)
-    if not rep.holds:
+    # the slope test at 1..n is is_convex's verdict; is_convex only words the error
+    seq = RealSeq.of(a)
+    if not is_convex_wrt(seq, unit_witness(len(seq)), tol).holds:
+        rep = is_convex(seq, tol)
         raise PreconditionViolation(
             f"{name} is not convex: interior index {rep.first_violation} "
             f"sits above its neighbour midpoint (margin {rep.margin!r})"

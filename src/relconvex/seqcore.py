@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count
+from functools import lru_cache
+from itertools import accumulate, count, islice, repeat
+from operator import add, gt, lt, sub, truediv
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -137,7 +139,7 @@ class Witness(_Floats):
     def __post_init__(self) -> None:
         super().__post_init__()
         vals = self.values
-        if not all(map(float.__lt__, vals, vals[1:])):
+        if not all(map(lt, vals, islice(vals, 1, None))):
             k = next(k for k in range(len(vals) - 1) if not vals[k + 1] > vals[k])
             raise WitnessNotIncreasing(
                 f"t[{k + 2}] = {vals[k + 1]!r} does not exceed t[{k + 1}] = {vals[k]!r}"
@@ -148,6 +150,9 @@ class Witness(_Floats):
         if isinstance(values, cls):
             return values
         vals = _to_floats(values)
+        # all(gt), not min: a NaN gap fails gt and takes the loop, which names it
+        if all(map(gt, map(sub, islice(vals, 1, None), vals), repeat(tol.abs))):
+            return cls(vals)
         for k in range(len(vals) - 1):
             if not vals[k + 1] - vals[k] > tol.abs:
                 raise WitnessNotIncreasing(
@@ -223,7 +228,15 @@ def scan_margin(gaps: Iterable[float], allowed: float, labels: Iterable | None =
     to the 1-based positions 1, 2, ...  Deriving both from the one threshold
     makes every report satisfy ``holds == (first is None)``.  This is the
     only place a gap is judged; a NaN gap raises :class:`NonFiniteArithmetic`.
+
+    A ``list`` of gaps is judged at C level (``min`` keeps the first of equal
+    gaps, as the loop does) and falls back to the loop only to label a
+    violation or a NaN; any other iterable streams through the loop.
     """
+    if isinstance(gaps, list) and not any(map(math.isnan, gaps)):
+        margin = min(gaps, default=math.inf)
+        if not margin < -allowed:
+            return None, margin
     margin = math.inf
     first = None
     for label, gap in zip(count(1) if labels is None else labels, gaps):
@@ -237,8 +250,12 @@ def scan_margin(gaps: Iterable[float], allowed: float, labels: Iterable | None =
     return first, margin
 
 
+@lru_cache(maxsize=1)
 def unit_witness(n: int) -> "Witness":
-    """The arithmetic witness 1..n, against which ordinary convexity is measured."""
+    """The arithmetic witness 1..n, against which ordinary convexity is measured.
+
+    The last n is cached: a :class:`Witness` is frozen, so callers share it.
+    """
     return Witness(tuple(map(float, range(1, n + 1))))
 
 
@@ -266,9 +283,10 @@ def is_convex_wrt(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> C
     """
     seq, wit = paired(a, t, tol)
     av, tv = seq.values, wit.values
-    ratios = [(av[i + 1] - av[i]) / (tv[i + 1] - tv[i]) for i in range(len(av) - 1)]
+    rises = map(sub, islice(av, 1, None), av)
+    ratios = list(map(truediv, rises, map(sub, islice(tv, 1, None), tv)))
     allowed = tol.allowed(ratios)
-    first, margin = scan_margin((r1 - r0 for r0, r1 in zip(ratios, ratios[1:])), allowed)
+    first, margin = scan_margin(list(map(sub, islice(ratios, 1, None), ratios)), allowed)
     return CheckReport(first is None, first, margin, tol)
 
 
@@ -287,7 +305,9 @@ def is_convex(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
         return rep
     av = seq.values
     # halving first rounds the same for normal floats, and cannot overflow
-    margin = min(av[i - 1] / 2.0 + av[i + 1] / 2.0 - av[i] for i in range(1, len(av) - 1))
+    halves = map(truediv, av, repeat(2.0))
+    later_halves = map(truediv, islice(av, 2, None), repeat(2.0))
+    margin = min(map(sub, map(add, halves, later_halves), islice(av, 1, None)))
     first = None if rep.first_violation is None else rep.first_violation + 1
     return CheckReport(rep.holds, first, margin, tol)
 
@@ -408,10 +428,25 @@ def _subdivide_increasing(vals: Sequence[float], lo: float, hi: float) -> list[f
     return t
 
 
-def _subdivide_decreasing(vals: Sequence[float], lo: float, hi: float) -> list[float]:
+def _subdivide_proportional(vals: Sequence[float], lo: float, hi: float) -> list[float]:
+    """Witness for a strictly increasing segment with slopes s_i = c i, t[0]=lo, t[-1]=hi exact.
+
+    The gaps are d_i / (c i), with d_i = vals[i] - vals[i-1] and
+    c = sum(d_i / i) / (hi - lo), so they fill the interval.  Consecutive
+    slopes differ by the factor (i+1)/i, far above the rounding of t, at
+    any length.
+    """
+    d = list(map(sub, islice(vals, 1, None), vals))
+    c = math.fsum(map(truediv, d, count(1))) / (hi - lo)
+    t = list(accumulate((di / (c * i) for i, di in enumerate(d[:-1], 1)), initial=lo))
+    t.append(hi)
+    return t
+
+
+def _subdivide_decreasing(increasing, vals: Sequence[float], lo: float, hi: float) -> list[float]:
     # Reverse-and-reflect: the reversed segment is increasing, and the map
     # x -> lo + hi - x reverses a witness while preserving slope monotonicity.
-    rev = _subdivide_increasing(list(reversed(vals)), lo, hi)
+    rev = increasing(list(reversed(vals)), lo, hi)
     t = [lo + hi - x for x in reversed(rev)]
     t[0] = lo
     t[-1] = hi
@@ -429,8 +464,11 @@ def construct_witness_on_interval(
     Monotone runs use the midpoint slope policy of :func:`_subdivide_increasing`;
     a V profile splits the interval at its midpoint; plateaus get an even
     subdivision of their share (the interval is split equally among the
-    segments present).  Long runs can round consecutive slopes out of order:
-    a result that fails :func:`is_convex_wrt` raises WitnessLostConvexity.
+    segments present).  Long runs can round consecutive midpoint slopes out
+    of order or together; when that result is not a witness, the monotone
+    runs are rebuilt with the slopes of :func:`_subdivide_proportional`.
+    When that fails too, the midpoint result's failure is raised:
+    WitnessNotIncreasing or WitnessLostConvexity.
     """
     seq = RealSeq.of(a)
     alpha = float(alpha)
@@ -448,20 +486,28 @@ def construct_witness_on_interval(
     j_min = i_min + ell    # 0-based end of the minimal block
     nseg = (1 if i_min > 0 else 0) + (1 if ell > 0 else 0) + (1 if j_min < n - 1 else 0)
     cuts = _linspace(alpha, beta, nseg + 1)
-    t: list[float] = []
-    k = 0
-    if i_min > 0:
-        t.extend(_subdivide_decreasing(vals[: i_min + 1], cuts[k], cuts[k + 1]))
-        k += 1
-    if ell > 0:
-        seg = _linspace(cuts[k], cuts[k + 1], ell + 1)
-        t.extend(seg if not t else seg[1:])
-        k += 1
-    if j_min < n - 1:
-        seg = _subdivide_increasing(vals[j_min:], cuts[k], cuts[k + 1])
-        t.extend(seg if not t else seg[1:])
-    wit = Witness.of(t, tol)
-    bad = is_convex_wrt(seq, wit, tol).first_violation
-    if bad is not None:
-        raise WitnessLostConvexity(f"constructed witness fails the slope test at slope pair {bad}")
-    return wit
+    failures = []
+    for increasing in (_subdivide_increasing, _subdivide_proportional):
+        t: list[float] = []
+        k = 0
+        if i_min > 0:
+            t.extend(_subdivide_decreasing(increasing, vals[: i_min + 1], cuts[k], cuts[k + 1]))
+            k += 1
+        if ell > 0:
+            seg = _linspace(cuts[k], cuts[k + 1], ell + 1)
+            t.extend(seg if not t else seg[1:])
+            k += 1
+        if j_min < n - 1:
+            seg = increasing(vals[j_min:], cuts[k], cuts[k + 1])
+            t.extend(seg if not t else seg[1:])
+        try:
+            wit = Witness.of(t, tol)
+        except WitnessNotIncreasing as err:
+            failures.append(err)
+            continue
+        bad = is_convex_wrt(seq, wit, tol).first_violation
+        if bad is None:
+            return wit
+        failures.append(WitnessLostConvexity(
+            f"constructed witness fails the slope test at slope pair {bad}"))
+    raise failures[0]

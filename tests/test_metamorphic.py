@@ -7,6 +7,9 @@
 * Scaling a (and b) by a power of two k scales the majorization margin by k
   and the Lupas sides by k^2.
 * Index-form majorization is the witnessed check at t = (1..n), field for field.
+* Reversing a and mapping t to -reversed(t) reverses the slope increments
+  (the same floating-point operations, in reverse order): the convexity
+  margin is bit-identical and the first violation is the last one mirrored.
 """
 
 import math
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from relconvex import (
     RelConvexError,
+    Tolerance,
     integer_majorization_check,
     is_convex_wrt,
     lupas_check,
@@ -146,3 +150,30 @@ def test_index_majorization_is_the_witnessed_check_at_unit_witness(data, skip):
     index = outcome(integer_majorization_check, a, p, q, skip_verify=skip)
     witnessed = outcome(majorization_inequality_check, a, t, p, q, skip_verify=skip)
     assert index == witnessed
+
+
+@st.composite
+def convex_on_grid(draw, t):
+    """Multiples of 1/8 with integer slopes against a grid witness, drawn non-decreasing."""
+    slopes = sorted(draw(st.lists(st.integers(-50, 50), min_size=len(t) - 1, max_size=len(t) - 1)))
+    a = [draw(st.integers(-800, 800)) / 8]
+    for s, lo, hi in zip(slopes, t, t[1:]):
+        a.append(a[-1] + s * (hi - lo))
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reversing_the_indices_mirrors_the_slope_test(data):
+    t = data.draw(grid_witness())
+    n = len(t)
+    grid = st.integers(-800, 800).map(lambda k: k / 8)
+    a = data.draw(st.one_of(convex_on_grid(t), st.lists(grid, min_size=n, max_size=n)))
+    slopes = [(y1 - y0) / (u1 - u0) for y0, y1, u0, u1 in zip(a, a[1:], t, t[1:])]
+    allowed = Tolerance().allowed(slopes)
+    bad = [j for j in range(1, n - 1) if slopes[j] - slopes[j - 1] < -allowed]
+    base = is_convex_wrt(a, t)
+    mirrored = is_convex_wrt(a[::-1], [-x for x in reversed(t)])
+    assert repr(mirrored.margin) == repr(base.margin)
+    assert base.first_violation == (bad[0] if bad else None)
+    assert mirrored.first_violation == (n - 1 - bad[-1] if bad else None)

@@ -1,7 +1,7 @@
 """Regression tests: self-consistent scan reports, translation-safe degeneracy
 guard and covariance sums, CLI robustness on arithmetic overflow and
 non-finite values, the pair generator at large n, the finite "not
-applicable" report and the checked interval witness."""
+applicable" report and the interval witness at every length."""
 
 import hashlib
 import json
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import pytest
 
 from relconvex import (
-    WitnessLostConvexity,
     anchored_slope_check,
     anchored_slope_check_all,
     bounded_monotone_diagnostic,
@@ -171,23 +170,28 @@ def test_not_applicable_report_is_finite_and_names_the_short_gap():
     assert bounded_monotone_diagnostic([3.0, 2.0, 1.0], [0.0, 1.0, 2.0], 3.0, 1.0).applicable
 
 
-# -- construct_witness_on_interval: the result is checked ---------------------
+# -- construct_witness_on_interval: a witness at every length ----------------
 
 SQUARE_2000 = [float((i - 1000) ** 2) for i in range(2000)]
 
 
-def test_interval_witness_that_rounding_broke_is_an_error():
+def test_interval_witness_that_rounding_broke_is_rebuilt():
     # the midpoint policy drives consecutive slopes together until rounding
-    # reverses them; before the check this returned a non-witness
-    with pytest.raises(WitnessLostConvexity, match="slope pair"):
-        construct_witness_on_interval(SQUARE_2000, 0.0, 1.0)
+    # reverses them; the runs are then rebuilt with slopes proportional to
+    # the index, whose consecutive ratios (i+1)/i rounding cannot reverse
+    for a in (SQUARE_2000, SQUARE_2000[1000:], SQUARE_2000[:1001]):
+        wit = construct_witness_on_interval(a, 0.0, 1.0)
+        assert wit[0] == 0.0 and wit[-1] == 1.0
+        assert is_convex_wrt(a, wit).holds
     wit = construct_witness_on_interval(SQUARE_2000[900:1100], 0.0, 1.0)
     assert is_convex_wrt(SQUARE_2000[900:1100], wit).holds
 
 
-def test_cli_subdivide_reports_a_broken_witness_as_an_error(capsys, tmp_path):
+def test_cli_subdivide_returns_the_rebuilt_witness(capsys, tmp_path):
     code, out, _ = run_cli(capsys, tmp_path, ["subdivide", "--alpha", "0", "--beta", "1"], {"a": SQUARE_2000})
-    assert code == 2
+    assert code == 0
     report = strict_json(out)
-    assert report["verdict"] == "error"
-    assert "slope pair" in report["margin_or_slacks"]["message"]
+    assert report["verdict"] == "holds"
+    wit = report["margin_or_slacks"]["witness"]
+    assert len(wit) == 2000 and wit[0] == 0.0 and wit[-1] == 1.0
+    assert is_convex_wrt(SQUARE_2000, wit).holds
