@@ -42,6 +42,7 @@ from .inequalities import (
 )
 from .polyext import build_extension, sample
 from .seqcore import (
+    RealSeq,
     ShapeKind,
     Tolerance,
     classify_shape,
@@ -49,9 +50,18 @@ from .seqcore import (
     construct_witness_on_interval,
     is_convex,
     is_convex_wrt,
+    paired,
 )
 
 ENV_TOL_ABS = "RELCONVEX_TOL_ABS"
+
+
+def _number(name: str, k: int, value) -> float:
+    """A JSON entry as a float; null, a list or an object is a ValueError naming it."""
+    try:
+        return float(value)
+    except TypeError:
+        raise ValueError(f"entry {k} of {name!r} is not a number: {json.dumps(value)}") from None
 
 
 def _load_inputs(path: str) -> dict[str, list[float]]:
@@ -67,7 +77,7 @@ def _load_inputs(path: str) -> dict[str, list[float]]:
         if not isinstance(data, dict):
             raise ValueError("JSON input must be an object of named sequences")
         return {
-            str(k): [float(v) for v in vals]
+            str(k): [_number(str(k), i, v) for i, v in enumerate(vals, 1)]
             for k, vals in data.items()
             if isinstance(vals, list)
         }
@@ -186,6 +196,7 @@ def _check(args, a):
 
 
 def _witness(args, a):
+    a = RealSeq.of(a)
     sched = args.inputs.get("s") or _default_schedule(a, args.tol)
     wit = construct_witness(a, sched, t1=args.t1, plateau_step=args.plateau_step, tol=args.tol)
     args.params["s"] = sched
@@ -193,6 +204,7 @@ def _witness(args, a):
 
 
 def _subdivide(args, a):
+    a = RealSeq.of(a)
     wit = construct_witness_on_interval(a, args.alpha, args.beta, args.tol)
     args.params.update(alpha=args.alpha, beta=args.beta)
     return _witnessed(args, a, wit)
@@ -233,6 +245,7 @@ def _majorize(args, a, pvec, qvec):
 
 def _diagnose(args, a, t):
     tol = args.tol
+    a, t = paired(a, t, tol)
     slope = is_convex_wrt(a, t, tol)
     chord = neighbor_chord_check(a, t, tol)
     det = collinearity_determinant_check(a, t, tol)

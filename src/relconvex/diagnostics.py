@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, count, starmap
+from itertools import accumulate, chain, combinations, count, starmap
+from operator import mul, truediv
 
 from .errors import (
     IndexOutOfRange,
@@ -25,6 +26,7 @@ from .seqcore import (
     SeqLike,
     Tolerance,
     WitnessLike,
+    _steps,
     forward_diff,
     is_convex_wrt,
     paired,
@@ -76,14 +78,13 @@ def increment_growth_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_
     """
     seq, wit = paired(a, t, tol)
     da = forward_diff(seq)
-    dt = forward_diff(wit.values)
+    dt = forward_diff(wit)
     for k, d in enumerate(da):
         if not d > tol.abs:
             raise NotStrictlyIncreasing(
                 f"a must be strictly increasing: step {k + 1} has gap {d!r}"
             )
-    lhs = [(da[i + 1] - da[i]) / da[i] for i in range(len(da) - 1)]
-    rhs = [(dt[i + 1] - dt[i]) / dt[i] for i in range(len(dt) - 1)]
+    lhs, rhs = (list(map(truediv, _steps(d), d)) for d in (da, dt))
     allowed = tol.allowed(lhs + rhs)
     first, margin = scan_margin((x - y for x, y in zip(lhs, rhs)), allowed)
     return CheckReport(first is None, first, margin, tol)
@@ -149,19 +150,22 @@ def anchored_slope_check(
     n = len(seq)
     if not 1 <= anchor < n:
         raise IndexOutOfRange(f"anchor {anchor} outside 1..{n - 1}")
-    s0 = anchor - 1
-    av, tv = seq.values, wit.values
-    slopes = [(av[i] - av[s0]) / (tv[i] - tv[s0]) for i in range(s0 + 1, n)]
+    return _anchored(seq.values, wit.values, anchor - 1, tol)
+
+
+def _anchored(av, tv, s0: int, tol: Tolerance) -> CheckReport:
+    """:func:`anchored_slope_check` at the 0-based anchor ``s0`` of a validated pair."""
+    slopes = [(av[i] - av[s0]) / (tv[i] - tv[s0]) for i in range(s0 + 1, len(av))]
     allowed = tol.allowed(slopes)
     # label: 1-based index of the later point of each pair
-    first, margin = scan_margin((y - x for x, y in zip(slopes, slopes[1:])), allowed, count(s0 + 3))
+    first, margin = scan_margin(list(_steps(slopes)), allowed, count(s0 + 3))
     return CheckReport(first is None, first, margin, tol)
 
 
 def anchored_slope_check_all(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Conjunction of :func:`anchored_slope_check` over every anchor."""
     seq, wit = paired(a, t, tol)
-    reps = [anchored_slope_check(seq, wit, anchor, tol) for anchor in range(1, len(seq))]
+    reps = [_anchored(seq.values, wit.values, s0, tol) for s0 in range(len(seq) - 1)]
     first = next((rep.first_violation for rep in reps if not rep.holds), None)
     return CheckReport(first is None, first, min(rep.margin for rep in reps), tol)
 
@@ -206,7 +210,7 @@ def bounded_monotone_diagnostic(
         raise PreconditionViolation(
             f"max(a) = {max(seq.values)!r} exceeds the stated bound {bound!r}"
         )
-    short, gap = scan_margin((g - alpha for g in forward_diff(wit.values)), 0.0)
+    short, gap = scan_margin((g - alpha for g in forward_diff(wit)), 0.0)
     if short is not None:
         return CheckReport(False, short, gap, tol, applicable=False)
     da = forward_diff(seq)
@@ -235,23 +239,15 @@ def rate_diagnostic(
         raise PreconditionViolation(
             f"a must be non-increasing over the prefix: step {rise} rises by {da[rise - 1]!r}"
         )
-    dt = forward_diff(wit.values)
     if alpha is not None:
-        for k, g in enumerate(dt):
+        for k, g in enumerate(forward_diff(wit)):
             if g < alpha:
                 raise PreconditionViolation(
                     f"witness gap {k + 1} = {g!r} is below alpha = {alpha!r}"
                 )
-    ratios = [d / g for d, g in zip(da, dt)]
+    ratios = list(_steps(seq.values, wit.values))
     terms = tuple(k * r for k, r in enumerate(ratios, start=1))
-    increments = [
-        k * (ratios[k] - ratios[k - 1]) for k in range(1, len(ratios))
-    ]
-    partial = []
-    acc = 0.0
-    for v in increments:
-        acc += v
-        partial.append(acc)
+    partial = tuple(accumulate(map(mul, count(1), _steps(ratios)), initial=0.0))[1:]
     tail = max(1, math.ceil(len(terms) / 4))
     max_tail = max(abs(v) for v in terms[-tail:])
-    return RateReport(terms, tuple(partial), max_tail)
+    return RateReport(terms, partial, max_tail)

@@ -8,8 +8,8 @@ from itertools import accumulate, repeat
 from operator import mul, sub
 from typing import Sequence, Union
 
-from .errors import DegenerateWitness, LengthMismatch, NonFiniteArithmetic, ZeroTotalWeight
-from .seqcore import DEFAULT_TOL, Tolerance, Witness, WitnessLike, _Floats, _to_floats
+from .errors import DegenerateWitness, NonFiniteArithmetic, ZeroTotalWeight
+from .seqcore import DEFAULT_TOL, Tolerance, Witness, WitnessLike, _Floats, _same_length
 
 WeightLike = Union["WeightVec", Sequence[float]]
 
@@ -18,7 +18,6 @@ class WeightVec(_Floats):
     """Non-negative weights with a strictly positive total; one weight suffices."""
 
     _what = "weights"
-    _min_len = 0  # an empty vector has zero total
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -48,11 +47,10 @@ def _fsum(terms) -> float:
 
 def weighted_mean(x: Sequence[float], p: WeightLike) -> float:
     """Weighted average sum(p_i x_i) / sum(p_i)."""
-    xv = _to_floats(x)
+    xv = _Floats.of(x)
     pv = WeightVec.of(p)
-    if len(xv) != len(pv):
-        raise LengthMismatch(f"|x| = {len(xv)} but |p| = {len(pv)}")
-    return _fsum(map(mul, pv.weights, xv)) / pv.total
+    _same_length("x p", xv, pv)
+    return _fsum(map(mul, pv.weights, xv.values)) / pv.total
 
 
 def _centred(x: Sequence[float], mx: float, y: Sequence[float], my: float, w, total: float = 1.0) -> float:
@@ -68,14 +66,12 @@ def cov_functional(x: Sequence[float], y: Sequence[float], p: WeightLike) -> flo
     Symmetric in (x, y); vanishes when either argument is constant; the
     diagonal is the weighted variance, hence non-negative.
     """
-    xv = _to_floats(x)
-    yv = _to_floats(y)
+    xv, yv = _Floats.of(x), _Floats.of(y)
     pv = WeightVec.of(p)
-    if not len(xv) == len(yv) == len(pv):
-        raise LengthMismatch(f"|x| = {len(xv)}, |y| = {len(yv)}, |p| = {len(pv)}")
+    _same_length("x y p", xv, yv, pv)
     w, total = pv.weights, pv.total
-    mx, my = (_fsum(map(mul, w, v)) / total for v in (xv, yv))
-    return _centred(xv, mx, yv, my, w, total)
+    mx, my = (_fsum(map(mul, w, v)) / total for v in (xv.values, yv.values))
+    return _centred(xv.values, mx, yv.values, my, w, total)
 
 
 def _require_spread(variance: float, wit: Witness, tol: Tolerance, message: str) -> None:
@@ -109,13 +105,11 @@ def majorizes(x: Sequence[float], y: Sequence[float], tol: Tolerance = DEFAULT_T
     Comparisons allow ``tol.allowed((sum|y|,))`` of slack.  Sorting is
     stable, so ties keep their original order (irrelevant to the verdict).
     """
-    xv = _to_floats(x)
-    yv = _to_floats(y)
-    if len(xv) != len(yv):
-        raise LengthMismatch(f"|x| = {len(xv)} but |y| = {len(yv)}")
-    allowed = tol.allowed((_fsum(map(abs, yv)),))
-    xs = sorted(xv, reverse=True)
-    ys = sorted(yv, reverse=True)
+    xv, yv = _Floats.of(x), _Floats.of(y)
+    _same_length("x y", xv, yv)
+    allowed = tol.allowed((_fsum(map(abs, yv.values)),))
+    xs = sorted(xv.values, reverse=True)
+    ys = sorted(yv.values, reverse=True)
     if any(px > py + allowed for px, py in zip(accumulate(xs[:-1]), accumulate(ys[:-1]))):
         return False
     return abs(_fsum(xs) - _fsum(ys)) <= allowed

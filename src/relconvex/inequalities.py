@@ -18,12 +18,7 @@ from itertools import groupby, islice, repeat
 from operator import add, gt, lt, truediv
 from typing import Callable, Sequence
 
-from .errors import (
-    DegenerateWitness,
-    IndexOutOfRange,
-    LengthMismatch,
-    PreconditionViolation,
-)
+from .errors import DegenerateWitness, IndexOutOfRange, PreconditionViolation
 from .functionals import (
     WeightLike, WeightVec, _centred, _fsum, _require_spread, majorizes, weighted_mean,
 )
@@ -36,6 +31,7 @@ from .seqcore import (
     Tolerance,
     Witness,
     WitnessLike,
+    _same_length,
     is_convex,
     is_convex_wrt,
     paired,
@@ -165,10 +161,7 @@ def lupas_check(
     seq_b = RealSeq.of(b)
     wit = Witness.of(t, tol)
     pv = WeightVec.of(p)
-    if not len(seq_a) == len(seq_b) == len(wit) == len(pv):
-        raise LengthMismatch(
-            f"|a| = {len(seq_a)}, |b| = {len(seq_b)}, |t| = {len(wit)}, |p| = {len(pv)}"
-        )
+    _same_length("a b t p", seq_a, seq_b, wit, pv)
     if not skip_verify:
         _require_convex_wrt("a", seq_a, wit, tol)
         _require_convex_wrt("b", seq_b, wit, tol)
@@ -197,8 +190,7 @@ def pecaric_check(
     """
     seq_a = RealSeq.of(a)
     seq_b = RealSeq.of(b)
-    if len(seq_a) != len(seq_b):
-        raise LengthMismatch(f"|a| = {len(seq_a)} but |b| = {len(seq_b)}")
+    _same_length("a b", seq_a, seq_b)
     if not skip_verify:
         _require_convex("a", seq_a, tol)
         _require_convex("b", seq_b, tol)
@@ -230,8 +222,7 @@ def hhf_bounds(
     seq = RealSeq.of(a)
     wit = Witness.of(t, tol)
     pv = WeightVec.of(p)
-    if not len(seq) == len(wit) == len(pv):
-        raise LengthMismatch(f"|a| = {len(seq)}, |t| = {len(wit)}, |p| = {len(pv)}")
+    _same_length("a t p", seq, wit, pv)
     if not skip_verify:
         _require_convex_wrt("a", seq, wit, tol)
         spot_check_map(psi, seq.values, tol)
@@ -240,7 +231,7 @@ def hhf_bounds(
         raise DegenerateWitness("witness endpoints coincide")
     total = pv.total
     value = _fsum([w * psi(x) for w, x in zip(pv, seq)]) / total
-    mt = weighted_mean(wit.values, pv)
+    mt = weighted_mean(wit, pv)
     m = min(floor_wrt(wit, mt, tol), n - 1)
     gamma = (mt - wit[m - 1]) / (wit[m] - wit[m - 1])
     gamma = min(max(gamma, 0.0), 1.0)
@@ -266,8 +257,7 @@ def _unit_hhf(
     """(P_n, :func:`hhf_bounds` at t = (1..n)) for a sequence that must be convex."""
     seq = RealSeq.of(a)
     pv = WeightVec.of(p)
-    if len(seq) != len(pv):
-        raise LengthMismatch(f"|a| = {len(seq)} but |p| = {len(pv)}")
+    _same_length("a p", seq, pv)
     if not skip_verify:
         _require_convex("a", seq, tol)
         spot_check_map(psi, seq.values, tol)
@@ -342,12 +332,12 @@ def majorization_inequality_check(
     seq, wit = paired(a, t, tol)
     pv = tuple(float(v) for v in pvec)
     qv = tuple(float(v) for v in qvec)
-    if len(pv) != len(qv):
-        raise LengthMismatch(f"|pvec| = {len(pv)} but |qvec| = {len(qv)}")
+    _same_length("pvec qvec", pv, qv)
     lo, hi = wit[0], wit[-1]
     for name, vec in (("pvec", pv), ("qvec", qv)):
         for k, x in enumerate(vec):
-            if x < lo - tol.abs or x > hi + tol.abs:
+            # chained, so that a NaN fails it the way an infinity does
+            if not lo - tol.abs <= x <= hi + tol.abs:
                 raise PreconditionViolation(
                     f"{name}[{k + 1}] = {x!r} lies outside the witness range [{lo!r}, {hi!r}]"
                 )

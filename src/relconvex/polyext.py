@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import OutOfDomain
-from .seqcore import DEFAULT_TOL, SeqLike, Tolerance, Witness, WitnessLike, _linspace, paired
+from .seqcore import DEFAULT_TOL, SeqLike, Tolerance, Witness, WitnessLike, _linspace, _steps, paired
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,7 @@ class PolygonalExtension:
 def build_extension(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> PolygonalExtension:
     """Assemble the polygonal extension of (a, t)."""
     seq, wit = paired(a, t, tol)
-    av, tv = seq.values, wit.values
-    slopes = tuple((av[i + 1] - av[i]) / (tv[i + 1] - tv[i]) for i in range(len(av) - 1))
-    return PolygonalExtension(tv, av, slopes)
+    return PolygonalExtension(wit.values, seq.values, tuple(_steps(seq.values, wit.values)))
 
 
 def _clamp_to_domain(t: Sequence[float], q: float, tol: Tolerance) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, count, islice, repeat
-from operator import add, gt, lt, sub, truediv
+from operator import add, gt, lt, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -79,20 +79,14 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _to_floats(values) -> tuple[float, ...]:
-    if isinstance(values, _Floats):
-        return values.values
-    return tuple(map(float, values))
-
-
 @dataclass(frozen=True)
 class _Floats:
-    """Finite floats, read-only; the one validation path of :class:`RealSeq`,
-    :class:`Witness` and ``WeightVec``."""
+    """Finite floats of any length, read-only: the one validation path of every input
+    vector, the data vectors of the functionals included; :meth:`of` passes one through."""
 
     values: tuple[float, ...]
     _what = "sequence"
-    _min_len = 2
+    _min_len = 0
 
     def __post_init__(self) -> None:
         vals = tuple(map(float, self.values))
@@ -125,13 +119,17 @@ class RealSeq(_Floats):
     Length must be at least 2 so the difference operators are defined.
     """
 
+    _min_len = 2
 
-class Witness(_Floats):
+
+class Witness(RealSeq):
     """Strictly increasing abscissae that a sequence's convexity is measured against.
 
-    The type-level invariant is genuine strict increase; operations that
-    take a tolerance additionally require gaps above ``tol.abs`` via
-    :meth:`of`.
+    The type-level invariant is genuine strict increase.  :meth:`of` builds a
+    witness from raw values only when every gap is above ``tol.abs``, but it
+    returns a ``Witness`` instance unchanged, without judging its gaps at the
+    call's tolerance: the engines for ordinary convexity measure against the
+    unit witness 1..n, whose unit gaps must be accepted at any tolerance.
     """
 
     _what = "witness"
@@ -149,16 +147,13 @@ class Witness(_Floats):
     def of(cls, values: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> "Witness":
         if isinstance(values, cls):
             return values
-        vals = _to_floats(values)
-        # all(gt), not min: a NaN gap fails gt and takes the loop, which names it
-        if all(map(gt, map(sub, islice(vals, 1, None), vals), repeat(tol.abs))):
-            return cls(vals)
-        for k in range(len(vals) - 1):
-            if not vals[k + 1] - vals[k] > tol.abs:
-                raise WitnessNotIncreasing(
-                    f"gap t[{k + 2}] - t[{k + 1}] = {vals[k + 1] - vals[k]!r} "
-                    f"is not above the strictness tolerance {tol.abs!r}"
-                )
+        vals = tuple(map(float, values))
+        # all(gt), not min: a NaN gap fails gt, so next() names it too
+        if not all(map(gt, _steps(vals), repeat(tol.abs))):
+            k, gap = next((k, g) for k, g in enumerate(_steps(vals), 1) if not g > tol.abs)
+            raise WitnessNotIncreasing(
+                f"gap t[{k + 1}] - t[{k}] = {gap!r} is not above the strictness tolerance {tol.abs!r}"
+            )
         return cls(vals)
 
 
@@ -259,18 +254,33 @@ def unit_witness(n: int) -> "Witness":
     return Witness(tuple(map(float, range(1, n + 1))))
 
 
+def _steps(v: Sequence[float], over: Sequence[float] | None = None) -> Iterator[float]:
+    """The one per-step kernel, at C level: the differences ``v[i+1] - v[i]``,
+    or with ``over`` the slopes ``(v[i+1] - v[i]) / (over[i+1] - over[i])``."""
+    rises = map(sub, islice(v, 1, None), v)
+    return rises if over is None else map(truediv, rises, _steps(over))
+
+
+def _same_length(names: str, first, *rest) -> None:
+    """The one length rule: LengthMismatch unless the vectors, named by the words of ``names``,
+    have equal lengths; worded ``|x| = 2 but |y| = 3`` for two and comma-joined for more."""
+    n = len(first)
+    for v in rest:
+        if len(v) != n:
+            parts = [f"|{name}| = {len(vec)}" for name, vec in zip(names.split(), (first, *rest))]
+            raise LengthMismatch((" but " if len(parts) == 2 else ", ").join(parts))
+
+
 def forward_diff(a: SeqLike) -> tuple[float, ...]:
     """First forward differences ``a[i+1] - a[i]``; output length n-1."""
-    vals = RealSeq.of(a).values
-    return tuple(vals[i + 1] - vals[i] for i in range(len(vals) - 1))
+    return tuple(_steps(RealSeq.of(a).values))
 
 
 def paired(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> tuple[RealSeq, Witness]:
     """Validate a sequence and its witness together; they must have equal length."""
     seq = RealSeq.of(a)
     wit = Witness.of(t, tol)
-    if len(seq) != len(wit):
-        raise LengthMismatch(f"|a| = {len(seq)} but |t| = {len(wit)}")
+    _same_length("a t", seq, wit)
     return seq, wit
 
 
@@ -282,11 +292,8 @@ def is_convex_wrt(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> C
     Length-2 input is vacuously convex (single slope).
     """
     seq, wit = paired(a, t, tol)
-    av, tv = seq.values, wit.values
-    rises = map(sub, islice(av, 1, None), av)
-    ratios = list(map(truediv, rises, map(sub, islice(tv, 1, None), tv)))
-    allowed = tol.allowed(ratios)
-    first, margin = scan_margin(list(map(sub, islice(ratios, 1, None), ratios)), allowed)
+    ratios = list(_steps(seq.values, wit.values))
+    first, margin = scan_margin(list(_steps(ratios)), tol.allowed(ratios))
     return CheckReport(first is None, first, margin, tol)
 
 
@@ -370,8 +377,7 @@ def construct_witness(
             )
     t = [float(t1)]
     k = 0
-    for i in range(len(seq) - 1):
-        d = seq[i + 1] - seq[i]
+    for i, d in enumerate(_steps(seq.values)):
         if abs(d) <= tol.abs:
             t.append(t[-1] + plateau_step)
             continue
@@ -429,16 +435,18 @@ def _subdivide_increasing(vals: Sequence[float], lo: float, hi: float) -> list[f
 
 
 def _subdivide_proportional(vals: Sequence[float], lo: float, hi: float) -> list[float]:
-    """Witness for a strictly increasing segment with slopes s_i = c i, t[0]=lo, t[-1]=hi exact.
+    """Witness for a strictly increasing segment with slopes s_i = c i M_i, t[0]=lo, t[-1]=hi exact.
 
-    The gaps are d_i / (c i), with d_i = vals[i] - vals[i-1] and
-    c = sum(d_i / i) / (hi - lo), so they fill the interval.  Consecutive
-    slopes differ by the factor (i+1)/i, far above the rounding of t, at
-    any length.
+    M_i is the largest of the first i increments d_i = vals[i] - vals[i-1].
+    The gaps are d_i / s_i with c = sum(d_i / (i M_i)) / (hi - lo), so they
+    fill the interval.  Consecutive slopes differ by at least the factor
+    (i+1)/i, far above the rounding of t, at any length; dividing by M_i
+    gives small increments ahead of large ones their share of the room.
     """
-    d = list(map(sub, islice(vals, 1, None), vals))
-    c = math.fsum(map(truediv, d, count(1))) / (hi - lo)
-    t = list(accumulate((di / (c * i) for i, di in enumerate(d[:-1], 1)), initial=lo))
+    d = list(_steps(vals))
+    scale = list(map(mul, count(1), accumulate(d, max)))
+    c = math.fsum(map(truediv, d, scale)) / (hi - lo)
+    t = list(accumulate((di / (c * si) for di, si in zip(d[:-1], scale)), initial=lo))
     t.append(hi)
     return t
 

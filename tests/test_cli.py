@@ -114,6 +114,27 @@ def test_witness_and_subdivide(tmp_path, capsys):
     assert wit[0] == 0.0 and wit[-1] == 1.0
 
 
+def test_witness_of_a_rejected_profile_is_an_error(tmp_path, capsys):
+    # no default schedule fits a non-V profile; construct_witness names the shape
+    path = write_json(tmp_path, "w.json", {"a": [1, 3, 2]})
+    code, out = run_cli(capsys, ["witness", "--input", path])
+    assert code == 2
+    report = json.loads(out)
+    assert report["verdict"] == "error"
+    assert "not strictly V-shaped" in report["margin_or_slacks"]["message"]
+
+
+def test_report_to_output_file(tmp_path, capsys):
+    path = write_json(tmp_path, "c.json", {"a": [4, 1, 0, 2, 6]})
+    dest = tmp_path / "report.json"
+    code, out = run_cli(capsys, ["check", "--input", path, "--output", str(dest)])
+    assert code == 0 and out == ""
+    text = dest.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    report = json.loads(text)
+    assert set(report) == SCHEMA_KEYS and report["verdict"] == "holds"
+
+
 def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     # a coarse absolute tolerance flattens this wobble into a plateau
     path = write_json(tmp_path, "tol.json", {"a": [1.0, 1.0 + 1e-6, 1.0, 2.0]})

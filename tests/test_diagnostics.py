@@ -255,6 +255,11 @@ class TestRateDiagnostic:
         with pytest.raises(PreconditionViolation):
             rate_diagnostic(a, t, alpha=0.5)
 
+    def test_witnessed_gap_below_alpha_rejected(self):
+        # (a, t) is witnessed and non-increasing; only the alpha floor fails
+        with pytest.raises(PreconditionViolation, match=r"witness gap 1 = 1\.0 is below alpha = 1\.5"):
+            rate_diagnostic((3.0, 2.0, 1.5), (0.0, 1.0, 2.0), alpha=1.5)
+
     def test_magnitudes_decay_after_scaling(self):
         # -slope_n is non-negative and non-increasing for a witnessed
         # non-increasing sequence, i.e. |terms|/n never grows

@@ -1,7 +1,7 @@
 """Regression tests: self-consistent scan reports, translation-safe degeneracy
 guard and covariance sums, CLI robustness on arithmetic overflow and
 non-finite values, the pair generator at large n, the finite "not
-applicable" report and the interval witness at every length."""
+applicable" report and the interval witness at every length and on steep runs."""
 
 import hashlib
 import json
@@ -185,6 +185,17 @@ def test_interval_witness_that_rounding_broke_is_rebuilt():
         assert is_convex_wrt(a, wit).holds
     wit = construct_witness_on_interval(SQUARE_2000[900:1100], 0.0, 1.0)
     assert is_convex_wrt(SQUARE_2000[900:1100], wit).holds
+
+
+@pytest.mark.parametrize("seed", [6, 12, 22, 36])
+def test_interval_witness_for_steep_runs(seed):
+    # exp-family pairs whose increments grow from ~1e-8 to ~1e7: slopes c*i
+    # left the first gap below the strictness tolerance; c*i*M_i, with M_i
+    # the running maximum of the increments, gives the small steps their room
+    a, _ = gen_relative_convex_pair(64, seed)
+    wit = construct_witness_on_interval(a, 0.0, 1.0)
+    assert wit[0] == 0.0 and wit[-1] == 1.0
+    assert is_convex_wrt(a, wit).holds
 
 
 def test_cli_subdivide_returns_the_rebuilt_witness(capsys, tmp_path):

@@ -243,6 +243,16 @@ class TestSubdivision:
         with pytest.raises(IntervalError):
             construct_witness_on_interval((1, 2, 3), 1.0, 1.0)
 
+    def test_shape_error(self):
+        with pytest.raises(ShapeError):
+            construct_witness_on_interval((1, 3, 2), 0.0, 1.0)
+
+    def test_both_policies_failing_raises_the_first_failure(self):
+        # the second step is a thousand-billionth of the first: every gap
+        # policy leaves it less room than the strictness tolerance
+        with pytest.raises(WitnessNotIncreasing):
+            construct_witness_on_interval((0.0, 1e6, 1e6 + 2e-9), 0.0, 1.0)
+
     def test_steep_early_rise_stays_inside(self):
         # the plain midpoint slope would land t_2 on beta here; the
         # feasibility tightening must keep the subdivision strictly interior
