@@ -57,11 +57,10 @@ ENV_TOL_ABS = "RELCONVEX_TOL_ABS"
 
 
 def _number(name: str, k: int, value) -> float:
-    """A JSON entry as a float; null, a list or an object is a ValueError naming it."""
-    try:
-        return float(value)
-    except TypeError:
-        raise ValueError(f"entry {k} of {name!r} is not a number: {json.dumps(value)}") from None
+    """A JSON number as a float; any other entry (null, true, "4", a list) is a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"entry {k} of {name!r} is not a number: {json.dumps(value)}")
+    return float(value)
 
 
 def _load_inputs(path: str) -> dict[str, list[float]]:
@@ -74,8 +73,6 @@ def _load_inputs(path: str) -> dict[str, list[float]]:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("JSON input must be an object of named sequences")
         return {
             str(k): [_number(str(k), i, v) for i, v in enumerate(vals, 1)]
             for k, vals in data.items()
@@ -88,9 +85,17 @@ def _load_inputs(path: str) -> dict[str, list[float]]:
     for name in reader.fieldnames:
         out[name.strip()] = []
     for row in reader:
+        # rows are numbered as in the file, the header being row 1
+        if None in row:
+            raise ValueError(f"row {reader.line_num} has more cells than the header has names")
         for name, cell in row.items():
             if cell is not None and cell.strip() != "":
-                out[name.strip()].append(float(cell))
+                try:
+                    out[name.strip()].append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"row {reader.line_num} of column {name.strip()!r} is not a number: {cell!r}"
+                    ) from None
     return {k: v for k, v in out.items() if v}
 
 

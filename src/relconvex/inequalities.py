@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import groupby, islice, repeat
+from itertools import compress, count, groupby, islice, repeat
 from operator import add, gt, lt, truediv
 from typing import Callable, Sequence
 
@@ -52,10 +52,11 @@ def spot_check_map(psi: ConvexMap, values: Sequence[float], tol: Tolerance = DEF
 
     Checks midpoint convexity on consecutive value triples u < v < w and
     monotonicity on adjacent pairs.  Returns True when every sample passed.
-    ψ is called once per distinct value and once per midpoint; the warnings
-    of a failed check are worded from those stored results.  The hypothesis
-    remains the caller's responsibility; a failed spot check warns instead
-    of raising.
+    ψ is called once per distinct value and once per midpoint.  Each
+    comparison is written once, as a lazy ``above(values, bounds)``: the
+    verdict is a C-level ``any`` over it, and only a failed check walks it
+    again to warn at each offending pair.  The hypothesis remains the
+    caller's responsibility; a failed spot check warns instead of raising.
     """
     pts = sorted(map(float, values))
     if not all(map(lt, pts, islice(pts, 1, None))):
@@ -63,22 +64,21 @@ def spot_check_map(psi: ConvexMap, values: Sequence[float], tol: Tolerance = DEF
         pts = [v for v, _ in groupby(pts)]
     mapped = list(map(float, map(psi, pts)))
     allowed = tol.allowed(mapped)
-    monotone = not any(map(gt, mapped, map(add, islice(mapped, 1, None), repeat(allowed))))
-    if not monotone:
-        for u, w, fu, fw in zip(pts, pts[1:], mapped, mapped[1:]):
-            if fu > fw + allowed:
-                warnings.warn(
-                    f"map not non-decreasing on [{u!r}, {w!r}]", ConvexMapWarning, stacklevel=2
-                )
+
+    def above(values, bounds):
+        return map(gt, values, map(add, bounds, repeat(allowed)))
+
+    def passes(offenders, span: int, what: str) -> bool:
+        if not any(offenders()):
+            return True
+        for k in compress(count(), offenders()):
+            warnings.warn(f"map not {what} on [{pts[k]!r}, {pts[k + span]!r}]", ConvexMapWarning, stacklevel=3)
+        return False
+
+    monotone = passes(lambda: above(mapped, islice(mapped, 1, None)), 1, "non-decreasing")
     mids = list(map(psi, map(truediv, map(add, pts, islice(pts, 2, None)), repeat(2.0))))
-    chords = map(truediv, map(add, mapped, islice(mapped, 2, None)), repeat(2.0))
-    convex = not any(map(gt, mids, map(add, chords, repeat(allowed))))
-    if not convex:
-        for u, w, fu, fw, fm in zip(pts, pts[2:], mapped, mapped[2:], mids):
-            if fm > (fu + fw) / 2.0 + allowed:
-                warnings.warn(
-                    f"map not midpoint-convex on [{u!r}, {w!r}]", ConvexMapWarning, stacklevel=2
-                )
+    convex = passes(lambda: above(mids, map(truediv, map(add, mapped, islice(mapped, 2, None)), repeat(2.0))),
+                    2, "midpoint-convex")
     return monotone and convex
 
 
@@ -124,10 +124,8 @@ def _require_convex_wrt(name: str, a: SeqLike, t: WitnessLike, tol: Tolerance) -
 
 
 def _require_convex(name: str, a: SeqLike, tol: Tolerance) -> None:
-    # the slope test at 1..n is is_convex's verdict; is_convex only words the error
-    seq = RealSeq.of(a)
-    if not is_convex_wrt(seq, unit_witness(len(seq)), tol).holds:
-        rep = is_convex(seq, tol)
+    rep = is_convex(a, tol)
+    if not rep.holds:
         raise PreconditionViolation(
             f"{name} is not convex: interior index {rep.first_violation} "
             f"sits above its neighbour midpoint (margin {rep.margin!r})"

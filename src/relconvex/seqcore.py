@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, count, islice, repeat
-from operator import add, gt, lt, mul, sub, truediv
+from operator import gt, lt, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -300,23 +300,18 @@ def is_convex_wrt(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> C
 def is_convex(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Check ordinary convexity: each a_i at most the midpoint of its neighbours.
 
-    The verdict is computed exactly as :func:`is_convex_wrt` against the
-    arithmetic witness 1..n (unit gaps make the slopes equal the forward
-    differences bit-for-bit).  The reported ``margin`` is the midpoint form
-    ``(a[i-1]+a[i+1])/2 - a[i]``, i.e. half the difference-increment slack;
-    ``first_violation`` is the 1-based interior index.
+    This is :func:`is_convex_wrt` against the arithmetic witness 1..n, whose
+    unit gaps make the slopes the forward differences bit-for-bit, in one
+    pass.  The reported ``margin`` is half of that report's margin, the
+    smallest ``((a[i+1]-a[i]) - (a[i]-a[i-1])) / 2``: the midpoint form
+    ``(a[i-1]+a[i+1])/2 - a[i]`` up to rounding, and ±inf where a difference
+    increment overflows.  ``first_violation`` is the 1-based interior index,
+    one more than the slope pair's.
     """
     seq = RealSeq.of(a)
     rep = is_convex_wrt(seq, unit_witness(len(seq)), tol)
-    if len(seq) == 2:
-        return rep
-    av = seq.values
-    # halving first rounds the same for normal floats, and cannot overflow
-    halves = map(truediv, av, repeat(2.0))
-    later_halves = map(truediv, islice(av, 2, None), repeat(2.0))
-    margin = min(map(sub, map(add, halves, later_halves), islice(av, 1, None)))
     first = None if rep.first_violation is None else rep.first_violation + 1
-    return CheckReport(rep.holds, first, margin, tol)
+    return CheckReport(rep.holds, first, rep.margin / 2, tol)
 
 
 def classify_shape(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> ShapeClass:
@@ -414,6 +409,8 @@ def _subdivide_increasing(vals: Sequence[float], lo: float, hi: float) -> list[f
     (previous slope, remaining-rise / remaining-room); when the plain
     midpoint would already use up the room before the last point, the lower
     end is tightened to the single-step feasibility bound d_i / room.
+    Room that rounds to zero, or a slope that is not positive (it
+    underflowed, or the room overflowed), is WitnessNotIncreasing.
     """
     n = len(vals)
     if n == 2:
@@ -422,12 +419,16 @@ def _subdivide_increasing(vals: Sequence[float], lo: float, hi: float) -> list[f
     s_prev = 0.0
     for i in range(n - 2):
         room = hi - t[-1]
+        if not room > 0:
+            raise WitnessNotIncreasing(f"no room left between t = {t[-1]!r} and the segment end {hi!r}")
         d = vals[i + 1] - vals[i]
         cap = (vals[-1] - vals[i]) / room
         feasible = d / room
         mid = 0.5 * (s_prev + cap)
         if mid <= feasible:
             mid = 0.5 * (feasible + cap)
+        if not mid > 0:
+            raise WitnessNotIncreasing(f"slope {mid!r} after t = {t[-1]!r} is not positive")
         t.append(t[-1] + d / mid)
         s_prev = mid
     t.append(hi)
@@ -442,10 +443,15 @@ def _subdivide_proportional(vals: Sequence[float], lo: float, hi: float) -> list
     fill the interval.  Consecutive slopes differ by at least the factor
     (i+1)/i, far above the rounding of t, at any length; dividing by M_i
     gives small increments ahead of large ones their share of the room.
+    A width that rounds to zero or overflows, or a slope that underflows,
+    is WitnessNotIncreasing.
     """
     d = list(_steps(vals))
     scale = list(map(mul, count(1), accumulate(d, max)))
-    c = math.fsum(map(truediv, d, scale)) / (hi - lo)
+    c = math.fsum(map(truediv, d, scale)) / (hi - lo) if hi > lo else 0.0
+    # scale is non-decreasing, so c * scale[0] is the smallest slope a gap is divided by
+    if len(d) > 1 and not c * scale[0] > 0:
+        raise WitnessNotIncreasing(f"smallest slope {c * scale[0]!r} on [{lo!r}, {hi!r}] is not positive")
     t = list(accumulate((di / (c * si) for di, si in zip(d[:-1], scale)), initial=lo))
     t.append(hi)
     return t
@@ -476,7 +482,9 @@ def construct_witness_on_interval(
     of order or together; when that result is not a witness, the monotone
     runs are rebuilt with the slopes of :func:`_subdivide_proportional`.
     When that fails too, the midpoint result's failure is raised:
-    WitnessNotIncreasing or WitnessLostConvexity.
+    WitnessNotIncreasing or WitnessLostConvexity.  A policy fails with
+    WitnessNotIncreasing, never a ZeroDivisionError, where a room or a
+    segment rounds to zero width or a slope underflows.
     """
     seq = RealSeq.of(a)
     alpha = float(alpha)
@@ -498,17 +506,17 @@ def construct_witness_on_interval(
     for increasing in (_subdivide_increasing, _subdivide_proportional):
         t: list[float] = []
         k = 0
-        if i_min > 0:
-            t.extend(_subdivide_decreasing(increasing, vals[: i_min + 1], cuts[k], cuts[k + 1]))
-            k += 1
-        if ell > 0:
-            seg = _linspace(cuts[k], cuts[k + 1], ell + 1)
-            t.extend(seg if not t else seg[1:])
-            k += 1
-        if j_min < n - 1:
-            seg = increasing(vals[j_min:], cuts[k], cuts[k + 1])
-            t.extend(seg if not t else seg[1:])
         try:
+            if i_min > 0:
+                t.extend(_subdivide_decreasing(increasing, vals[: i_min + 1], cuts[k], cuts[k + 1]))
+                k += 1
+            if ell > 0:
+                seg = _linspace(cuts[k], cuts[k + 1], ell + 1)
+                t.extend(seg if not t else seg[1:])
+                k += 1
+            if j_min < n - 1:
+                seg = increasing(vals[j_min:], cuts[k], cuts[k + 1])
+                t.extend(seg if not t else seg[1:])
             wit = Witness.of(t, tol)
         except WitnessNotIncreasing as err:
             failures.append(err)

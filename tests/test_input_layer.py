@@ -145,6 +145,10 @@ def test_cli_validates_each_input_once(built, capsys, tmp_path, argv, payload, o
         ('{"a": [null, 1, 2]}', "entry 1 of 'a' is not a number: null"),
         ('{"a": [[1], 2, 3]}', "entry 1 of 'a' is not a number: [1]"),
         ('{"a": [0, 1, 2], "t": [0, {"x": 1}, 2]}', "entry 2 of 't' is not a number: {\"x\": 1}"),
+        # JSON booleans and numeric strings are not numbers
+        ('{"a": [true, 1, 2]}', "entry 1 of 'a' is not a number: true"),
+        ('{"a": [4, 1, false]}', "entry 3 of 'a' is not a number: false"),
+        ('{"a": ["4", "1", "0"]}', "entry 1 of 'a' is not a number: \"4\""),
     ],
 )
 def test_cli_non_numeric_json_entry_is_an_error_report(capsys, tmp_path, payload, message):
@@ -155,4 +159,23 @@ def test_cli_non_numeric_json_entry_is_an_error_report(capsys, tmp_path, payload
     report = json.loads(captured.out)
     assert report["verdict"] == "error"
     assert report["margin_or_slacks"]["message"] == message
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # rows are numbered as in the file, the header being row 1
+        ("a,t\n4,1\nx,2\n", "row 3 of column 'a' is not a number: 'x'"),
+        ("a, t\n4,1\n\n1,2\n0,three\n", "row 5 of column 't' is not a number: 'three'"),
+        ("a,t\n4,1\n1,2,3\n", "row 3 has more cells than the header has names"),
+    ],
+    ids=["bad_cell", "after_a_blank_line", "extra_cell"],
+)
+def test_cli_bad_csv_cell_names_its_column_and_row(capsys, tmp_path, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    assert main(["classify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["margin_or_slacks"]["message"] == message
     assert captured.err == f"error: {message}\n"

@@ -1,11 +1,13 @@
 """Regression tests: self-consistent scan reports, translation-safe degeneracy
 guard and covariance sums, CLI robustness on arithmetic overflow and
 non-finite values, the pair generator at large n, the finite "not
-applicable" report and the interval witness at every length and on steep runs."""
+applicable" report and the interval witness at every length, on steep runs
+and on intervals too narrow or too wide to subdivide."""
 
 import hashlib
 import json
 import math
+import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,8 +26,9 @@ from relconvex import (
     lupas_check,
     neighbor_chord_check,
 )
+from relconvex.seqcore import Tolerance
 from relconvex.cli import main
-from relconvex.errors import RelConvexError
+from relconvex.errors import RelConvexError, WitnessNotIncreasing
 from relconvex.oracles import gen_relative_convex_pair
 
 
@@ -206,3 +209,66 @@ def test_cli_subdivide_returns_the_rebuilt_witness(capsys, tmp_path):
     wit = report["margin_or_slacks"]["witness"]
     assert len(wit) == 2000 and wit[0] == 0.0 and wit[-1] == 1.0
     assert is_convex_wrt(SQUARE_2000, wit).holds
+
+
+# rounding left the midpoint policy no room (first) or made two cut points equal (second)
+NO_ROOM = ([0.0, 140671238.63299277, 140671262.2398647, 140671270.20787212,
+            140671270.20787224, 140671270.20787254], 0.0, 1.0)
+CUTS_TOGETHER = ([3.0, 1.0, 1.0, 2.0], 1e16, 1e16 + 2)
+
+
+@pytest.mark.parametrize("a, alpha, beta", [NO_ROOM, CUTS_TOGETHER])
+def test_interval_too_narrow_to_subdivide_is_witness_not_increasing(a, alpha, beta):
+    with pytest.raises(WitnessNotIncreasing):
+        construct_witness_on_interval(a, alpha, beta)
+
+
+def test_interval_slopes_that_underflow_or_room_that_overflows_is_witness_not_increasing():
+    with pytest.raises(WitnessNotIncreasing, match="is not positive"):
+        construct_witness_on_interval([0.0, 1e-300, 3e-300, 7e-300], 0.0, 1e300, Tolerance(0.0, 0.0))
+    with pytest.raises(WitnessNotIncreasing, match="is not positive"):
+        construct_witness_on_interval([0.0, 1.0, 3.0], -1e308, 1e308)
+    # one gap needs no slope: the whole interval is the witness
+    assert construct_witness_on_interval([1.0, 2.0], -1e308, 1e308).values == (-1e308, 1e308)
+
+
+def test_interval_witness_raises_only_package_errors():
+    # V profiles with increments spanning 18 decades on intervals from 1e-20
+    # to 1e308 wide, at the default tolerance and at none
+    rng = random.Random(20261018)
+    for _ in range(1500):
+        tol = rng.choice([Tolerance(), Tolerance(0.0, 0.0)])
+        low = -9 if tol.abs else -320
+        a = [0.0]
+        for _ in range(rng.randint(0, 6)):
+            a.insert(0, a[0] + 10 ** rng.uniform(low, 9))
+        a += [0.0] * rng.choice([0, 0, 1, 2])
+        for _ in range(rng.randint(1, 6)):
+            a.append(a[-1] + 10 ** rng.uniform(low, 9))
+        alpha = rng.choice([0.0, rng.uniform(-1, 1) * 10 ** rng.uniform(-5, 300)])
+        beta = alpha + 10 ** rng.uniform(-20, 308.25)
+        try:
+            wit = construct_witness_on_interval(a, alpha, beta, tol)
+        except RelConvexError:
+            continue
+        assert wit[0] == alpha and wit[-1] == beta
+
+
+@pytest.mark.parametrize("a, alpha, beta", [NO_ROOM, CUTS_TOGETHER])
+def test_cli_subdivide_too_narrow_is_an_error_report(capsys, tmp_path, a, alpha, beta):
+    code, out, err = run_cli(capsys, tmp_path, ["subdivide", "--alpha", repr(alpha), "--beta", repr(beta)],
+                             {"a": a})
+    assert code == 2
+    message = strict_json(out)["margin_or_slacks"]["message"]
+    assert not message.startswith("ZeroDivisionError")
+    assert err == f"error: {message}\n"
+
+
+def test_cli_check_margin_of_an_overflowing_increment_is_null(capsys, tmp_path):
+    # the difference increment -1.7e308 - 1.7e308 overflows: the margin is
+    # -inf, written as null, and the verdict stands
+    code, out, _ = run_cli(capsys, tmp_path, ["check"], {"a": [-1e308, 7e307, -1e308]})
+    assert code == 1
+    report = strict_json(out)
+    assert report["verdict"] == "violated"
+    assert report["margin_or_slacks"] == {"first_violation": 2, "margin": None}

@@ -107,14 +107,21 @@ class TestIsConvexWrt:
         assert is_convex_wrt(a, t).holds
 
     def test_unit_witness_matches_is_convex_exactly(self):
-        # arithmetic witness has unit gaps, so the slopes equal the forward
-        # differences bit-for-bit and the two verdicts cannot diverge
+        # is_convex is the slope test at the arithmetic witness, whose unit
+        # gaps make the slopes the forward differences bit-for-bit: the same
+        # verdict, the interior index one past the slope pair, half the margin
         rng = np.random.default_rng(20240815)
-        for _ in range(200):
-            n = int(rng.integers(3, 12))
-            vals = rng.normal(0, 3, n)
-            unit = list(range(1, n + 1))
-            assert is_convex(vals).holds == is_convex_wrt(vals, unit).holds
+        # a midpoint form gave -0.04999999999999982 here, not half the slope margin
+        inputs = [[0.1, 0.7, 1.9, 3.0]]
+        inputs += [list(rng.normal(0, 3, int(rng.integers(2, 12)))) for _ in range(200)]
+        for vals in inputs:
+            rep = is_convex(vals)
+            wrt = is_convex_wrt(vals, list(range(1, len(vals) + 1)))
+            assert rep.holds == wrt.holds
+            assert rep.first_violation == (None if wrt.holds else wrt.first_violation + 1)
+            assert math.copysign(1.0, rep.margin) == math.copysign(1.0, wrt.margin)
+            assert rep.margin == wrt.margin / 2
+        assert is_convex([0.1, 0.7, 1.9, 3.0]).margin == -0.04999999999999993
 
     def test_samples_of_square_map(self):
         rng = np.random.default_rng(7)
