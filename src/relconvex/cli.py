@@ -4,7 +4,8 @@ Every command prints a single-line JSON report with the keys
 {command, verdict, margin_or_slacks, parameters, tolerance, version};
 non-finite floats are written as null.  Exit codes: 0 = holds/success,
 1 = inequality violated or profile rejected, 2 = parse or precondition
-error, or floating-point overflow.
+error, or floating-point overflow.  Besides the shared flags, a command
+takes only the flags its call reads, listed in its ``Command.flags``.
 
 ``fuzz`` is the only command that loads numpy; every other command runs
 without it.
@@ -63,38 +64,52 @@ def _number(name: str, k: int, value) -> float:
     return float(value)
 
 
+def _named(pairs) -> dict:
+    """``(name, value)`` pairs as a dict; a repeated non-blank name is a ValueError naming it."""
+    out = {}
+    for name, value in pairs:
+        if name and name in out:
+            raise ValueError(f"input name {name!r} appears twice")
+        out[name] = value
+    return out
+
+
 def _load_inputs(path: str) -> dict[str, list[float]]:
-    """Read named sequences from a JSON object or a CSV with named columns."""
+    """Named sequences from a JSON object, or from CSV columns that end at their first blank cell."""
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        data = json.loads(text)
+    if text.lstrip().startswith("{"):
+        data = json.loads(text, object_pairs_hook=_named)
         return {
             str(k): [_number(str(k), i, v) for i, v in enumerate(vals, 1)]
             for k, vals in data.items()
             if isinstance(vals, list)
         }
-    out: dict[str, list[float]] = {}
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         raise ValueError("CSV input needs a header row of sequence names")
-    for name in reader.fieldnames:
-        out[name.strip()] = []
+    # trailing commas give a CSV header blank names, which may repeat
+    reader.fieldnames = [name.strip() for name in reader.fieldnames]
+    out: dict[str, list[float]] = _named((name, []) for name in reader.fieldnames)
+    ended = set()  # the columns that had a blank cell
     for row in reader:
         # rows are numbered as in the file, the header being row 1
         if None in row:
             raise ValueError(f"row {reader.line_num} has more cells than the header has names")
         for name, cell in row.items():
-            if cell is not None and cell.strip() != "":
+            if cell is None or not cell.strip():
+                ended.add(name)
+            elif name in ended:
+                raise ValueError(f"row {reader.line_num} of column {name!r} lies below a blank cell")
+            else:
                 try:
-                    out[name.strip()].append(float(cell))
+                    out[name].append(float(cell))
                 except ValueError:
                     raise ValueError(
-                        f"row {reader.line_num} of column {name.strip()!r} is not a number: {cell!r}"
+                        f"row {reader.line_num} of column {name!r} is not a number: {cell!r}"
                     ) from None
     return {k: v for k, v in out.items() if v}
 
@@ -229,23 +244,30 @@ def _extend(args, a, t):
     return True, "holds", {"samples": len(rows), "slopes": list(ext.slopes)}
 
 
-def _weighted(engine: Callable) -> Callable:
-    """Call of a psi-weighted bound ``engine(a, [t,] p, psi, tol, skip_verify=...)``."""
+# flags that several subcommands take, each only where its call reads it
+_SKIP_VERIFY = ("--skip-verify", dict(action="store_true",
+                                      help="skip precondition verification (for probing converses)"))
+_PSI = ("--psi", dict(default="identity", help="builtin map: identity, exp, relu@c, square"))
+
+_SIDES = _judged("lhs", "rhs", "slack")
+_BOUNDS = _judged("lower", "value", "upper", "slack_lower", "slack_upper", "m", "gamma_t", "lambda_t")
+
+
+def _weighted(what: str, needs: tuple[str, ...], engine: Callable) -> Command:
+    """The command of a psi-weighted bound ``engine(a, [t,] p, psi, tol, skip_verify=...)``."""
 
     def call(args, a, *t):
         p = _weights(args, len(a))
         args.params["psi"] = args.psi
         return engine(a, *t, p, parse_psi(args.psi), args.tol, skip_verify=args.skip_verify)
 
-    return call
+    return Command(what, needs, call, _BOUNDS, flags=(_SKIP_VERIFY, _PSI))
 
 
 def _majorize(args, a, pvec, qvec):
-    if "t" in args.inputs:
-        return majorization_inequality_check(
-            a, args.inputs["t"], pvec, qvec, args.tol, skip_verify=args.skip_verify
-        )
-    return integer_majorization_check(a, pvec, qvec, args.tol, skip_verify=args.skip_verify)
+    t = (args.inputs["t"],) if "t" in args.inputs else ()
+    engine = majorization_inequality_check if t else integer_majorization_check
+    return engine(a, *t, pvec, qvec, args.tol, skip_verify=args.skip_verify)
 
 
 def _diagnose(args, a, t):
@@ -291,9 +313,6 @@ def _fuzz(args):
     })
 
 
-_SIDES = _judged("lhs", "rhs", "slack")
-_BOUNDS = _judged("lower", "value", "upper", "slack_lower", "slack_upper", "m", "gamma_t", "lambda_t")
-
 COMMANDS = {
     "classify": Command("monotonicity profile of a", ("a",),
                         lambda args, a: classify_shape(a, args.tol), _classified),
@@ -307,21 +326,20 @@ COMMANDS = {
     "subdivide": Command("witness subdividing [alpha, beta]", ("a",), _subdivide,
                          flags=(("--alpha", dict(type=float, required=True)),
                                 ("--beta", dict(type=float, required=True)))),
-    "extend": Command("sample the polygonal extension as CSV", ("a", "t"), _extend,
-                      artifact=True),
+    "extend": Command("sample the polygonal extension as CSV", ("a", "t"), _extend, artifact=True,
+                      flags=(("--resolution", dict(type=int, default=256, help="sample count for extend")),)),
     "lupas": Command("covariance bound for a, b sharing witness t", ("a", "b", "t"),
                      lambda args, a, b, t: lupas_check(a, b, t, _weights(args, len(a)), args.tol,
                                                        skip_verify=args.skip_verify),
-                     _SIDES),
+                     _SIDES, flags=(_SKIP_VERIFY,)),
     "pecaric": Command("raw-sum covariance bound for convex a, b", ("a", "b"),
                        lambda args, a, b: pecaric_check(a, b, args.tol, skip_verify=args.skip_verify),
-                       _SIDES),
-    "hhf": Command("sandwich bounds for a witnessed sequence", ("a", "t"), _weighted(hhf_bounds), _BOUNDS),
-    "niezgoda": Command("one-sided endpoint bound, convex a", ("a",), _weighted(niezgoda_bound), _BOUNDS),
-    "hhf-convex": Command("two-sided bounds for convex a, raw sums", ("a",),
-                          _weighted(convex_hhf_bounds), _BOUNDS),
+                       _SIDES, flags=(_SKIP_VERIFY,)),
+    "hhf": _weighted("sandwich bounds for a witnessed sequence", ("a", "t"), hhf_bounds),
+    "niezgoda": _weighted("one-sided endpoint bound, convex a", ("a",), niezgoda_bound),
+    "hhf-convex": _weighted("two-sided bounds for convex a, raw sums", ("a",), convex_hhf_bounds),
     "majorize": Command("majorization inequality (witness mode with t, index mode without)",
-                        ("a", "pvec", "qvec"), _majorize, _judged("margin")),
+                        ("a", "pvec", "qvec"), _majorize, _judged("margin"), flags=(_SKIP_VERIFY,)),
     "diagnose": Command("run the characterization battery on (a, t)", ("a", "t"), _diagnose),
     "fuzz": Command("randomized majorization fuzzing", (), _fuzz,
                     flags=(("--trials", dict(type=int, default=100)),)),
@@ -345,12 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"absolute tolerance (default 1e-9; env {ENV_TOL_ABS} overrides)")
     common.add_argument("--tol-rel", type=float, default=1e-12, help="relative tolerance")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
-    common.add_argument("--skip-verify", action="store_true",
-                        help="skip precondition verification (for probing converses)")
     common.add_argument("--output", default="-", help="destination for CSV artifacts / report")
-    common.add_argument("--psi", default="identity",
-                        help="builtin map: identity, exp, relu@c, square")
-    common.add_argument("--resolution", type=int, default=256, help="sample count for extend")
 
     parser = argparse.ArgumentParser(
         prog="relconvex",

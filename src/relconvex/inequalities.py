@@ -2,7 +2,8 @@
 
 Each engine evaluates both sides of its inequality, reports the slack, and
 verifies the documented preconditions up front (pass ``skip_verify=True``
-to probe converse directions).  Verdicts use one-sided tolerance: a bound
+to probe converse directions); the engines at t = 1..n leave that to the
+witnessed engine they call.  Verdicts use one-sided tolerance: a bound
 "holds" when its slack is at least ``-tol.allowed(sides)``, judged by
 :func:`relconvex.seqcore.scan_margin` at the scale of the compared sides.
 Sides that overflow to inf or NaN raise
@@ -32,7 +33,6 @@ from .seqcore import (
     Witness,
     WitnessLike,
     _same_length,
-    is_convex,
     is_convex_wrt,
     paired,
     scan_margin,
@@ -114,21 +114,17 @@ class BoundReport:
     tolerance: Tolerance = DEFAULT_TOL
 
 
-def _require_convex_wrt(name: str, a: SeqLike, t: WitnessLike, tol: Tolerance) -> None:
+def _require_convex_wrt(name: str, a: RealSeq, t: Witness, tol: Tolerance) -> None:
     rep = is_convex_wrt(a, t, tol)
     if not rep.holds:
+        if t.values == unit_witness(len(t)).values:  # worded as is_convex reports it
+            raise PreconditionViolation(
+                f"{name} is not convex: interior index {rep.first_violation + 1} "
+                f"sits above its neighbour midpoint (margin {rep.margin / 2!r})"
+            )
         raise PreconditionViolation(
             f"{name} is not convex w.r.t. t: slope pair {rep.first_violation} "
             f"decreases (margin {rep.margin!r})"
-        )
-
-
-def _require_convex(name: str, a: SeqLike, tol: Tolerance) -> None:
-    rep = is_convex(a, tol)
-    if not rep.holds:
-        raise PreconditionViolation(
-            f"{name} is not convex: interior index {rep.first_violation} "
-            f"sits above its neighbour midpoint (margin {rep.margin!r})"
         )
 
 
@@ -186,14 +182,10 @@ def pecaric_check(
     t = (1..n) with uniform weights (raw sums here, means there).  Equality
     when either sequence is arithmetic.
     """
-    seq_a = RealSeq.of(a)
-    seq_b = RealSeq.of(b)
+    seq_a, seq_b = RealSeq.of(a), RealSeq.of(b)
     _same_length("a b", seq_a, seq_b)
-    if not skip_verify:
-        _require_convex("a", seq_a, tol)
-        _require_convex("b", seq_b, tol)
     n = len(seq_a)
-    rep = lupas_check(seq_a, seq_b, unit_witness(n), [1.0] * n, tol, skip_verify=True)
+    rep = lupas_check(seq_a, seq_b, unit_witness(n), [1.0] * n, tol, skip_verify=skip_verify)
     lhs, rhs = n * rep.lhs, n * rep.rhs
     slack, first = _at_least(lhs, rhs, tol)
     return LupasReport(lhs, rhs, first is None, slack, tol)
@@ -256,10 +248,7 @@ def _unit_hhf(
     seq = RealSeq.of(a)
     pv = WeightVec.of(p)
     _same_length("a p", seq, pv)
-    if not skip_verify:
-        _require_convex("a", seq, tol)
-        spot_check_map(psi, seq.values, tol)
-    return pv.total, hhf_bounds(seq, unit_witness(len(seq)), pv, psi, tol, skip_verify=True)
+    return pv.total, hhf_bounds(seq, unit_witness(len(seq)), pv, psi, tol, skip_verify=skip_verify)
 
 
 def niezgoda_bound(
@@ -363,8 +352,8 @@ def integer_majorization_check(
     sum a[pidx] <= sum a[qidx].  The smallest instance, (2,2) vs (1,3),
     is the defining convexity inequality 2 a_2 <= a_1 + a_3.  Indices may be
     integral floats such as 2.0; any other value raises IndexOutOfRange.
-    Computed as :func:`majorization_inequality_check` at t = (1..n), where
-    the extension is a_i at i exactly; the precondition is :func:`is_convex`.
+    Computed as :func:`majorization_inequality_check` at t = (1..n), which
+    verifies the preconditions and whose extension is a_i at i exactly.
     """
     seq = RealSeq.of(a)
     n = len(seq)
@@ -373,10 +362,7 @@ def integer_majorization_check(
         for k, i in enumerate(vec):
             if not (float(i).is_integer() and 1 <= i <= n):
                 raise IndexOutOfRange(f"{name}[{k + 1}] = {i!r} is not an integer index in 1..{n}")
-    rep = majorization_inequality_check(seq, unit_witness(n), pi, qi, tol, skip_verify=True)
-    if not skip_verify:
-        _require_convex("a", seq, tol)
-    return rep
+    return majorization_inequality_check(seq, unit_witness(n), pi, qi, tol, skip_verify=skip_verify)
 
 
 # Builtin maps for the CLI and the test suites; library callers can pass any

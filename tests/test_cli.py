@@ -189,3 +189,36 @@ def test_niezgoda_and_convex_hhf_commands(tmp_path, capsys):
         code, out = run_cli(capsys, [cmd, "--input", path, "--psi", "relu@0.5"])
         assert code == 0
         assert json.loads(out)["verdict"] == "holds"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--psi", "exp"],
+        ["classify", "--psi", "bogus", "--resolution", "1", "--skip-verify"],
+        ["check", "--skip-verify"],
+        ["diagnose", "--resolution", "9"],
+        ["lupas", "--psi", "exp"],
+        ["extend", "--skip-verify"],
+        ["majorize", "--resolution", "9"],
+    ],
+)
+def test_a_flag_is_rejected_where_no_call_reads_it(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--input", "-"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_each_flag_is_taken_where_its_call_reads_it():
+    from relconvex.cli import COMMANDS, build_parser
+
+    parser = build_parser()
+    takers = {"--skip-verify": {"lupas", "pecaric", "hhf", "niezgoda", "hhf-convex", "majorize"},
+              "--psi": {"hhf", "niezgoda", "hhf-convex"},
+              "--resolution": {"extend"}}
+    for flag, names in takers.items():
+        assert {name for name, command in COMMANDS.items() if flag in dict(command.flags)} == names
+        for name in names:
+            argv = [name, flag] if flag == "--skip-verify" else [name, flag, "7"]
+            assert parser.parse_args(argv).command == name

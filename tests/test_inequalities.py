@@ -13,6 +13,7 @@ from relconvex import (
     convex_hhf_bounds,
     hhf_bounds,
     integer_majorization_check,
+    is_convex,
     lupas_check,
     majorization_inequality_check,
     make_relu,
@@ -393,3 +394,58 @@ class TestPsiContract:
         with pytest.warns(ConvexMapWarning):
             rep = hhf_bounds(a, (0, 1, 2, 3), (1, 1, 1, 1), lambda x: -x)
         assert rep.value == pytest.approx(-2.0)
+
+
+class TestOnePreconditionPath:
+    """The witnessed engines alone verify convexity; at t = 1..n they word
+    the error as ``is_convex`` reports it."""
+
+    @staticmethod
+    def ordinary(name, a):
+        rep = is_convex(a)
+        assert not rep.holds
+        return (f"{name} is not convex: interior index {rep.first_violation} "
+                f"sits above its neighbour midpoint (margin {rep.margin!r})")
+
+    @staticmethod
+    def raised(call):
+        with pytest.raises(PreconditionViolation) as info:
+            call()
+        return str(info.value)
+
+    def test_witnessed_engines_word_the_unit_witness_as_ordinary_convexity(self):
+        a, b, t = [0.0, 3.0, 1.0, 4.0, 9.0], [9.0, 4.0, 1.0, 0.0, 1.0], [1, 2, 3, 4, 5]
+        message = self.ordinary("a", a)
+        assert message.startswith("a is not convex: interior index 2 ")
+        assert self.raised(lambda: lupas_check(a, b, t, [1.0] * 5)) == message
+        assert self.raised(lambda: hhf_bounds(a, t, [1.0] * 5, psi_identity)) == message
+        assert self.raised(lambda: majorization_inequality_check(a, t, [2, 3], [1, 4])) == message
+
+    def test_other_witnesses_keep_the_slope_pair_wording(self):
+        a, t = [0.0, 3.0, 1.0, 4.0, 9.0], [0, 1, 2, 3, 4]
+        message = self.raised(lambda: hhf_bounds(a, t, [1.0] * 5, psi_identity))
+        assert message.startswith("a is not convex w.r.t. t: slope pair 1 decreases (margin ")
+
+    def test_wrappers_word_their_error_from_is_convex(self):
+        rng = np.random.default_rng(10)
+        seen = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 12))
+            a = list(rng.normal(0.0, 3.0, n))
+            if is_convex(a).holds:
+                continue
+            seen += 1
+            b = _convex_seq(rng, n)
+            p = list(rng.uniform(0.1, 2.0, n))
+            message = self.ordinary("a", a)
+            assert self.raised(lambda: pecaric_check(a, b)) == message
+            assert self.raised(lambda: pecaric_check(b, a)) == self.ordinary("b", a)
+            assert self.raised(lambda: niezgoda_bound(a, p, psi_identity)) == message
+            assert self.raised(lambda: convex_hhf_bounds(a, p, psi_identity)) == message
+            assert self.raised(lambda: integer_majorization_check(a, [2, 2], [1, 3])) == message
+        assert seen > 100
+
+    def test_integer_majorization_verifies_before_summing(self):
+        # the sums 1.5e308 + 1.5e308 overflow; the non-convex sequence is rejected first
+        with pytest.raises(PreconditionViolation, match="interior index 2 "):
+            integer_majorization_check([0, 1.5e308, 1.5e308, 0], [2, 3], [1, 4])

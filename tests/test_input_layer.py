@@ -149,6 +149,8 @@ def test_cli_validates_each_input_once(built, capsys, tmp_path, argv, payload, o
         ('{"a": [true, 1, 2]}', "entry 1 of 'a' is not a number: true"),
         ('{"a": [4, 1, false]}', "entry 3 of 'a' is not a number: false"),
         ('{"a": ["4", "1", "0"]}', "entry 1 of 'a' is not a number: \"4\""),
+        # a repeated key would silently drop one of the two sequences
+        ('{"a": [1, 2, 4], "a": [5, 3, 1]}', "input name 'a' appears twice"),
     ],
 )
 def test_cli_non_numeric_json_entry_is_an_error_report(capsys, tmp_path, payload, message):
@@ -169,8 +171,15 @@ def test_cli_non_numeric_json_entry_is_an_error_report(capsys, tmp_path, payload
         ("a,t\n4,1\nx,2\n", "row 3 of column 'a' is not a number: 'x'"),
         ("a, t\n4,1\n\n1,2\n0,three\n", "row 5 of column 't' is not a number: 'three'"),
         ("a,t\n4,1\n1,2,3\n", "row 3 has more cells than the header has names"),
+        # a column ends at its first blank cell, so no later cell shifts up into its place
+        ("a,t\n4,1\n,2\n0,3\n2,\n6,5\n", "row 4 of column 'a' lies below a blank cell"),
+        ("a,t\n4,1\n1,2\n0,\n2,4\n", "row 5 of column 't' lies below a blank cell"),
+        # a repeated name would silently drop one of the two columns
+        ("a,a\n1,5\n2,3\n4,1\n", "input name 'a' appears twice"),
+        ("a, a \n1,5\n", "input name 'a' appears twice"),
     ],
-    ids=["bad_cell", "after_a_blank_line", "extra_cell"],
+    ids=["bad_cell", "after_a_blank_line", "extra_cell", "value_below_a_blank", "value_below_a_short_row",
+         "duplicate_name", "duplicate_after_strip"],
 )
 def test_cli_bad_csv_cell_names_its_column_and_row(capsys, tmp_path, text, message):
     path = tmp_path / "in.csv"
@@ -179,3 +188,20 @@ def test_cli_bad_csv_cell_names_its_column_and_row(capsys, tmp_path, text, messa
     captured = capsys.readouterr()
     assert json.loads(captured.out)["margin_or_slacks"]["message"] == message
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        # trailing blank cells leave pvec and qvec shorter than a
+        (["majorize"], "a,pvec,qvec\n4,2,1\n1,2,3\n0,,\n2,,\n6,,\n"),
+        # trailing commas, as spreadsheet exports write them, give blank names that may repeat
+        (["check", "--wrt"], "a,t,,\n4,1,,\n1,2,,\n0,3,,\n2,4,,\n6,5,,\n"),
+    ],
+    ids=["short_columns", "blank_names"],
+)
+def test_cli_csv_blanks_that_stay_valid(capsys, tmp_path, argv, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    assert main(argv + ["--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["parameters"]["a"] == [4.0, 1.0, 0.0, 2.0, 6.0]
