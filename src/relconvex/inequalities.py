@@ -13,6 +13,8 @@ Sides that overflow to inf or NaN raise
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import compress, count, groupby, islice, repeat
@@ -39,26 +41,65 @@ from .seqcore import (
     unit_witness,
 )
 
-#: A caller-supplied non-decreasing convex map; spot-checked, never proven.
+#: A non-decreasing convex map.  The builtin maps below are proven so on the
+#: interval they declare (see :func:`_proven_interval`); any other callable is
+#: spot-checked, never proven.
 ConvexMap = Callable[[float], float]
+
+_REALS = (-math.inf, math.inf)
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 class ConvexMapWarning(UserWarning):
     """The supplied map failed a monotone-convexity spot check."""
 
 
-def spot_check_map(psi: ConvexMap, values: Sequence[float], tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Sample the map on the observed values and warn on contract violations.
+def _proven_interval(psi: ConvexMap) -> tuple[float, float] | None:
+    """The interval on which a builtin map is non-decreasing and convex; None for any other map."""
+    if psi is math.exp:
+        return _REALS
+    domain = getattr(psi, "_convex_on", None)
+    # an object that answers every attribute name (a mock, a proxy) declares nothing
+    return domain if type(domain) is tuple else None
 
-    Checks midpoint convexity on consecutive value triples u < v < w and
-    monotonicity on adjacent pairs.  Returns True when every sample passed.
-    ψ is called once per distinct value and once per midpoint.  Each
-    comparison is written once, as a lazy ``above(values, bounds)``: the
-    verdict is a C-level ``any`` over it, and only a failed check walks it
-    again to warn at each offending pair.  The hypothesis remains the
-    caller's responsibility; a failed spot check warns instead of raising.
+
+def _outside_stacklevel() -> int:
+    """The ``stacklevel`` that attributes a warning, issued by the caller of this
+    function, to the first frame outside the package (the 3.10 floor has no
+    ``skip_file_prefixes``)."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
+def spot_check_map(psi: ConvexMap, values: Sequence[float], tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Check the map on the observed values and warn on contract violations.
+
+    For a builtin map whose declared interval holds every value (all
+    finite), the contract is proven and the check is a range check: ψ is
+    called at the smallest and largest value only, so that an overflow
+    raises as the sampled check would, and True is returned.
+
+    Any other map, or values outside the interval, is sampled: midpoint
+    convexity on consecutive value triples u < v < w and monotonicity on
+    adjacent pairs.  Returns True when every sample passed.  ψ is called
+    once per distinct value and once per midpoint.  Each comparison is
+    written once, as a lazy ``above(values, bounds)``: the verdict is a
+    C-level ``any`` over it, and only a failed check walks it again to warn
+    at each offending pair, attributed to the first caller outside the
+    package.  The hypothesis remains the caller's responsibility; a failed
+    spot check warns instead of raising.
     """
-    pts = sorted(map(float, values))
+    pts = list(map(float, values))
+    domain = _proven_interval(psi)
+    if domain is not None and pts and all(map(math.isfinite, pts)):
+        lo, hi = min(pts), max(pts)
+        if domain[0] <= lo and hi <= domain[1]:
+            # non-decreasing: the extreme values carry the largest |psi| the samples would
+            tol.allowed((psi(lo), psi(hi)))
+            return True
+    pts.sort()
     if not all(map(lt, pts, islice(pts, 1, None))):
         # groupby keeps the first of equal values: 0.0 or -0.0, whichever came first
         pts = [v for v, _ in groupby(pts)]
@@ -71,8 +112,10 @@ def spot_check_map(psi: ConvexMap, values: Sequence[float], tol: Tolerance = DEF
     def passes(offenders, span: int, what: str) -> bool:
         if not any(offenders()):
             return True
+        level = _outside_stacklevel()
         for k in compress(count(), offenders()):
-            warnings.warn(f"map not {what} on [{pts[k]!r}, {pts[k + span]!r}]", ConvexMapWarning, stacklevel=3)
+            warnings.warn(f"map not {what} on [{pts[k]!r}, {pts[k + span]!r}]", ConvexMapWarning,
+                          stacklevel=level)
         return False
 
     monotone = passes(lambda: above(mapped, islice(mapped, 1, None)), 1, "non-decreasing")
@@ -366,7 +409,8 @@ def integer_majorization_check(
 
 
 # Builtin maps for the CLI and the test suites; library callers can pass any
-# re-entrant callable.
+# re-entrant callable.  Each declares, as ``_convex_on``, the interval where it
+# is non-decreasing and convex (``exp``, a C function, is listed in :func:`_proven_interval`).
 def psi_identity(x: float) -> float:
     return x
 
@@ -377,12 +421,17 @@ def make_relu(c: float) -> ConvexMap:
     def relu(x: float) -> float:
         return x if x > c else c
 
+    relu._convex_on = _REALS
     return relu
 
 
 def psi_square(x: float) -> float:
     """x -> x^2: convex everywhere, non-decreasing only on x >= 0."""
     return x * x
+
+
+psi_identity._convex_on = _REALS
+psi_square._convex_on = (0.0, math.inf)
 
 
 def parse_psi(name: str) -> ConvexMap:

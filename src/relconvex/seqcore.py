@@ -14,6 +14,7 @@ the usual subscript convention for sequences.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -111,6 +112,10 @@ class _Floats:
 
     def __getitem__(self, i):
         return self.values[i]
+
+    def __getstate__(self):
+        # the slope-test memo of is_convex_wrt holds weak references; a copy starts without it
+        return {"values": self.values}
 
 
 class RealSeq(_Floats):
@@ -290,11 +295,27 @@ def is_convex_wrt(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> C
     ``margin`` is the minimum slope increment; ``first_violation`` is the
     1-based index i of the first failing pair (slope i vs slope i+1).
     Length-2 input is vacuously convex (single slope).
+
+    Both inputs are frozen, so the test runs once per (sequence, witness,
+    tolerance): the report is remembered on the :class:`RealSeq`, keyed by
+    the :class:`Witness` object, held by weak reference, and by ``tol``,
+    and a later call with the same three returns it.  Inputs built here
+    from raw values are not remembered, nor is a raised error.
     """
     seq, wit = paired(a, t, tol)
+    memo = vars(seq).get("_slope_tests", {})
+    ref, rep = memo.get((id(wit), tol), (None, None))
+    if ref is not None and ref() is wit:  # a dead witness's id may be reused
+        return rep
     ratios = list(_steps(seq.values, wit.values))
     first, margin = scan_margin(list(_steps(ratios)), tol.allowed(ratios))
-    return CheckReport(first is None, first, margin, tol)
+    rep = CheckReport(first is None, first, margin, tol)
+    if seq is a and wit is t:
+        # entries of dead witnesses go, so a sequence outliving many witnesses keeps a small memo
+        memo = {key: entry for key, entry in memo.items() if entry[0]() is not None}
+        memo[id(wit), tol] = (weakref.ref(wit), rep)
+        object.__setattr__(seq, "_slope_tests", memo)
+    return rep
 
 
 def is_convex(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:

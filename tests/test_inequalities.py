@@ -1,6 +1,7 @@
 """Inequality engine tests: examples frozen from independent oracles, then properties."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from relconvex import (
     parse_psi,
     pecaric_check,
     psi_identity,
+    psi_preservation_check,
     spot_check_map,
 )
 from relconvex.oracles import (
@@ -394,6 +396,18 @@ class TestPsiContract:
         with pytest.warns(ConvexMapWarning):
             rep = hhf_bounds(a, (0, 1, 2, 3), (1, 1, 1, 1), lambda x: -x)
         assert rep.value == pytest.approx(-2.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda psi: hhf_bounds((4, 1, 0, 2, 6), (1, 2, 3, 4, 5), (1, 1, 1, 1, 1), psi),
+        lambda psi: niezgoda_bound((4, 1, 0, 2, 6), (1, 1, 1, 1, 1), psi),
+        lambda psi: psi_preservation_check((4, 1, 0, 2, 6), (1, 2, 3, 4, 5), psi),
+    ], ids=["hhf_bounds", "niezgoda_bound", "psi_preservation_check"])
+    def test_warnings_name_the_first_caller_outside_the_package(self, call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(lambda x: -x)
+        assert caught and all(w.category is ConvexMapWarning for w in caught)
+        assert {w.filename for w in caught} == {__file__}
 
 
 class TestOnePreconditionPath:
