@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from operator import mul, sub
 from typing import Sequence, Union
 
 from .errors import DegenerateWitness, NonFiniteArithmetic, ZeroTotalWeight
-from .seqcore import DEFAULT_TOL, Tolerance, Witness, WitnessLike, _Floats, _same_length
+from .seqcore import DEFAULT_TOL, Tolerance, Witness, WitnessLike, _Floats, _remembered, _same_length
 
 WeightLike = Union["WeightVec", Sequence[float]]
 
@@ -45,12 +45,29 @@ def _fsum(terms) -> float:
         raise NonFiniteArithmetic(str(exc)) from None
 
 
+@lru_cache(maxsize=1)
+def unit_weights(n: int) -> WeightVec:
+    """The uniform weights of length n; the last n is cached, its moments with it (it is frozen)."""
+    return WeightVec((1.0,) * n)
+
+
+def _mean(x: _Floats, pv: WeightVec, keep: bool) -> float:
+    """sum(p_i x_i) / P, remembered on ``pv`` per ``x`` object when ``keep``."""
+    return _remembered(keep, pv, "_moments", (x,), None,
+                       lambda: _fsum(map(mul, pv.weights, x.values)) / pv.total)
+
+
+def _cov(x: _Floats, mx: float, y: _Floats, my: float, pv: WeightVec, keep: bool) -> float:
+    """S(x, y) = sum p_i (x_i - mx)(y_i - my) / P at the means of x and y, likewise remembered."""
+    return _remembered(keep, pv, "_moments", (x, y), None,
+                       lambda: _centred(x.values, mx, y.values, my, pv.weights, pv.total))
+
+
 def weighted_mean(x: Sequence[float], p: WeightLike) -> float:
     """Weighted average sum(p_i x_i) / sum(p_i)."""
-    xv = _Floats.of(x)
-    pv = WeightVec.of(p)
+    xv, pv = _Floats.of(x), WeightVec.of(p)
     _same_length("x p", xv, pv)
-    return _fsum(map(mul, pv.weights, xv.values)) / pv.total
+    return _mean(xv, pv, xv is x and pv is p)
 
 
 def _centred(x: Sequence[float], mx: float, y: Sequence[float], my: float, w, total: float = 1.0) -> float:
@@ -64,14 +81,14 @@ def cov_functional(x: Sequence[float], y: Sequence[float], p: WeightLike) -> flo
     Summed in the centred two-pass form, so its rounding error is set by the
     deviations from the means, however far x and y sit from the origin.
     Symmetric in (x, y); vanishes when either argument is constant; the
-    diagonal is the weighted variance, hence non-negative.
+    diagonal is the weighted variance, hence non-negative.  On x, y and p
+    passed as objects, the means and the sum are remembered on p for later calls.
     """
-    xv, yv = _Floats.of(x), _Floats.of(y)
-    pv = WeightVec.of(p)
+    xv, yv, pv = _Floats.of(x), _Floats.of(y), WeightVec.of(p)
     _same_length("x y p", xv, yv, pv)
-    w, total = pv.weights, pv.total
-    mx, my = (_fsum(map(mul, w, v)) / total for v in (xv.values, yv.values))
-    return _centred(xv.values, mx, yv.values, my, w, total)
+    keep = xv is x and yv is y and pv is p
+    mx, my = _mean(xv, pv, keep), _mean(yv, pv, keep)
+    return _cov(xv, mx, yv, my, pv, keep)
 
 
 def _require_spread(variance: float, wit: Witness, tol: Tolerance, message: str) -> None:

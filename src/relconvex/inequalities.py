@@ -23,9 +23,9 @@ from typing import Callable, Sequence
 
 from .errors import DegenerateWitness, IndexOutOfRange, PreconditionViolation
 from .functionals import (
-    WeightLike, WeightVec, _centred, _fsum, _require_spread, majorizes, weighted_mean,
+    WeightLike, WeightVec, _cov, _fsum, _mean, _require_spread, majorizes, unit_weights,
 )
-from .polyext import build_extension, floor_wrt
+from .polyext import _value_at, floor_wrt
 from .seqcore import (
     DEFAULT_TOL,
     CheckReport,
@@ -192,23 +192,27 @@ def lupas_check(
 
     Verifies S(a,b) >= S(a,t) S(b,t) / S(t,t) in the weighted functionals
     of :func:`relconvex.functionals.cov_functional`, each mean taken once;
-    equality is attained when either sequence is affine in t.
+    equality is attained when either sequence is affine in t.  On inputs
+    passed as objects, the means and sums are remembered on p, as there.
     """
-    seq_a = RealSeq.of(a)
-    seq_b = RealSeq.of(b)
-    wit = Witness.of(t, tol)
-    pv = WeightVec.of(p)
+    seq_a, seq_b, wit, pv = RealSeq.of(a), RealSeq.of(b), Witness.of(t, tol), WeightVec.of(p)
     _same_length("a b t p", seq_a, seq_b, wit, pv)
+    keep = seq_a is a and seq_b is b and wit is t and pv is p
+    return _lupas(seq_a, seq_b, wit, pv, tol, skip_verify, keep)
+
+
+def _lupas(seq_a: RealSeq, seq_b: RealSeq, wit: Witness, pv: WeightVec, tol: Tolerance,
+           skip_verify: bool, keep: bool) -> LupasReport:
+    """:func:`lupas_check` on validated inputs; ``keep`` when the caller passed a and b as objects."""
     if not skip_verify:
         _require_convex_wrt("a", seq_a, wit, tol)
         _require_convex_wrt("b", seq_b, wit, tol)
-    w, total = pv.weights, pv.total
-    ma, mb, mt = (weighted_mean(v, pv) for v in (seq_a, seq_b, wit))
-    stt = _centred(wit, mt, wit, mt, w, total)
+    ma, mb, mt = (_mean(v, pv, keep) for v in (seq_a, seq_b, wit))
+    stt = _cov(wit, mt, wit, mt, pv, keep)
     _require_spread(stt, wit, tol,
                     "S(t,t) is not positive: need positive weight on at least two indices")
-    lhs = _centred(seq_a, ma, seq_b, mb, w, total)
-    rhs = _centred(seq_a, ma, wit, mt, w, total) * _centred(seq_b, mb, wit, mt, w, total) / stt
+    lhs = _cov(seq_a, ma, seq_b, mb, pv, keep)
+    rhs = _cov(seq_a, ma, wit, mt, pv, keep) * _cov(seq_b, mb, wit, mt, pv, keep) / stt
     slack, first = _at_least(lhs, rhs, tol)
     return LupasReport(lhs, rhs, first is None, slack, tol)
 
@@ -222,13 +226,14 @@ def pecaric_check(
     """Raw-sum covariance bound for two convex sequences against indices 1..n.
 
     Both sides are n times those of :func:`lupas_check` at the unit witness
-    t = (1..n) with uniform weights (raw sums here, means there).  Equality
-    when either sequence is arithmetic.
+    t = (1..n) with uniform weights, both cached per n (raw sums here, means
+    there).  Equality when either sequence is arithmetic.
     """
     seq_a, seq_b = RealSeq.of(a), RealSeq.of(b)
     _same_length("a b", seq_a, seq_b)
     n = len(seq_a)
-    rep = lupas_check(seq_a, seq_b, unit_witness(n), [1.0] * n, tol, skip_verify=skip_verify)
+    rep = _lupas(seq_a, seq_b, unit_witness(n), unit_weights(n), tol, skip_verify,
+                 seq_a is a and seq_b is b)
     lhs, rhs = n * rep.lhs, n * rep.rhs
     slack, first = _at_least(lhs, rhs, tol)
     return LupasReport(lhs, rhs, first is None, slack, tol)
@@ -252,9 +257,7 @@ def hhf_bounds(
         gamma psi(a_{m+1}) + (1-gamma) psi(a_m)  <=  value
         value  <=  lambda psi(a_1) + (1-lambda) psi(a_n)
     """
-    seq = RealSeq.of(a)
-    wit = Witness.of(t, tol)
-    pv = WeightVec.of(p)
+    seq, wit, pv = RealSeq.of(a), Witness.of(t, tol), WeightVec.of(p)
     _same_length("a t p", seq, wit, pv)
     if not skip_verify:
         _require_convex_wrt("a", seq, wit, tol)
@@ -262,9 +265,8 @@ def hhf_bounds(
     n = len(seq)
     if wit[-1] - wit[0] <= tol.abs:
         raise DegenerateWitness("witness endpoints coincide")
-    total = pv.total
-    value = _fsum([w * psi(x) for w, x in zip(pv, seq)]) / total
-    mt = weighted_mean(wit, pv)
+    value = _fsum([w * psi(x) for w, x in zip(pv, seq)]) / pv.total
+    mt = _mean(wit, pv, wit is t and pv is p)
     m = min(floor_wrt(wit, mt, tol), n - 1)
     gamma = (mt - wit[m - 1]) / (wit[m] - wit[m - 1])
     gamma = min(max(gamma, 0.0), 1.0)
@@ -288,8 +290,7 @@ def _unit_hhf(
     a: SeqLike, p: WeightLike, psi: ConvexMap, tol: Tolerance, skip_verify: bool
 ) -> tuple[float, BoundReport]:
     """(P_n, :func:`hhf_bounds` at t = (1..n)) for a sequence that must be convex."""
-    seq = RealSeq.of(a)
-    pv = WeightVec.of(p)
+    seq, pv = RealSeq.of(a), WeightVec.of(p)
     _same_length("a p", seq, pv)
     return pv.total, hhf_bounds(seq, unit_witness(len(seq)), pv, psi, tol, skip_verify=skip_verify)
 
@@ -356,6 +357,9 @@ def majorization_inequality_check(
         sum(a_floor(p) - a_floor(q))
             <= sum(frac(q) slope_floor(q) - frac(p) slope_floor(p)).
 
+    Each point costs a binary search and the one slope of its segment, as in
+    :meth:`PolygonalExtension.eval`: the n slopes of the extension are not built.
+
     ``skip_verify`` disables the convexity precondition only; the
     majorization relation between pvec and qvec is always enforced.
     """
@@ -375,9 +379,7 @@ def majorization_inequality_check(
         raise PreconditionViolation("pvec is not majorized by qvec")
     if not skip_verify:
         _require_convex_wrt("a", seq, wit, tol)
-    ext = build_extension(seq, wit, tol)
-    lhs = _fsum(ext.eval(x, tol) for x in pv)
-    rhs = _fsum(ext.eval(x, tol) for x in qv)
+    lhs, rhs = (_fsum(_value_at(wit.values, seq.values, x, tol) for x in v) for v in (pv, qv))
     margin, first = _at_least(rhs, lhs, tol)
     return CheckReport(first is None, first, margin, tol)
 

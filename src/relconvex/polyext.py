@@ -42,12 +42,7 @@ class PolygonalExtension:
         exactly (no slope term is added there).  Points within
         ``tol.abs`` of the domain are clamped; beyond that OutOfDomain.
         """
-        t = self.breakpoints_t
-        x = _clamp_to_domain(t, float(x), tol)
-        i = bisect.bisect_right(t, x) - 1
-        if x == t[i]:
-            return self.breakpoints_a[i]
-        return self.breakpoints_a[i] + self.slopes[i] * (x - t[i])
+        return _value_at(self.breakpoints_t, self.breakpoints_a, x, tol)
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
@@ -57,6 +52,15 @@ def build_extension(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) ->
     """Assemble the polygonal extension of (a, t)."""
     seq, wit = paired(a, t, tol)
     return PolygonalExtension(wit.values, seq.values, tuple(_steps(seq.values, wit.values)))
+
+
+def _value_at(t: Sequence[float], a: Sequence[float], x: float, tol: Tolerance) -> float:
+    """The polygonal line through (t_i, a_i) at ``x``, from the one slope of its segment."""
+    x = _clamp_to_domain(t, float(x), tol)
+    i = bisect.bisect_right(t, x) - 1
+    if x == t[i]:
+        return a[i]
+    return a[i] + (a[i + 1] - a[i]) / (t[i + 1] - t[i]) * (x - t[i])
 
 
 def _clamp_to_domain(t: Sequence[float], q: float, tol: Tolerance) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, count, islice, repeat
-from operator import gt, lt, mul, sub, truediv
+from operator import gt, is_, lt, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -89,9 +89,12 @@ class _Floats:
     _what = "sequence"
     _min_len = 0
 
+    def __init__(self, values: Iterable[float]) -> None:
+        object.__setattr__(self, "values", tuple(map(float, values)))
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        vals = tuple(map(float, self.values))
-        object.__setattr__(self, "values", vals)
+        vals = self.values
         if len(vals) < self._min_len:
             raise LengthError(f"{self._what} needs at least {self._min_len} entries, got {len(vals)}")
         if not all(map(math.isfinite, vals)):
@@ -114,7 +117,7 @@ class _Floats:
         return self.values[i]
 
     def __getstate__(self):
-        # the slope-test memo of is_convex_wrt holds weak references; a copy starts without it
+        # the memos (slope tests, moments) hold weak references; a copy starts without them
         return {"values": self.values}
 
 
@@ -131,10 +134,10 @@ class Witness(RealSeq):
     """Strictly increasing abscissae that a sequence's convexity is measured against.
 
     The type-level invariant is genuine strict increase.  :meth:`of` builds a
-    witness from raw values only when every gap is above ``tol.abs``, but it
-    returns a ``Witness`` instance unchanged, without judging its gaps at the
-    call's tolerance: the engines for ordinary convexity measure against the
-    unit witness 1..n, whose unit gaps must be accepted at any tolerance.
+    witness from raw values only when every gap is above ``tol.abs``, which
+    implies it, but returns a ``Witness`` instance unchanged, not judging its
+    gaps at the call's tolerance: the engines for ordinary convexity measure
+    against the unit witness 1..n, whose unit gaps pass at any tolerance.
     """
 
     _what = "witness"
@@ -159,7 +162,10 @@ class Witness(RealSeq):
             raise WitnessNotIncreasing(
                 f"gap t[{k + 1}] - t[{k}] = {gap!r} is not above the strictness tolerance {tol.abs!r}"
             )
-        return cls(vals)
+        wit = object.__new__(cls)
+        object.__setattr__(wit, "values", vals)
+        _Floats.__post_init__(wit)  # gaps above tol.abs >= 0 are a strict increase
+        return wit
 
 
 class ShapeKind(str, Enum):
@@ -250,6 +256,25 @@ def scan_margin(gaps: Iterable[float], allowed: float, labels: Iterable | None =
     return first, margin
 
 
+def _remembered(keep: bool, owner: _Floats, memo: str, objs: tuple, key, compute):
+    """``compute()``, remembered in the dict ``memo`` on the frozen ``owner`` per (``objs``, ``key``)
+    unless ``keep`` is false (an input was built from raw values in the call) or it raises.
+    An entry holds ``objs`` by weak reference, and a hit must find those very objects
+    alive, as a dead object's id may be reused; entries of dead objects go on insert."""
+    if not keep:
+        return compute()
+    entries = vars(owner).get(memo, {})
+    slot = (*map(id, objs), key)
+    refs, value = entries.get(slot, ((), None))
+    if refs and all(map(is_, [ref() for ref in refs], objs)):
+        return value
+    value = compute()
+    entries = {k: e for k, e in entries.items() if None not in [ref() for ref in e[0]]}
+    entries[slot] = (tuple(map(weakref.ref, objs)), value)
+    object.__setattr__(owner, memo, entries)
+    return value
+
+
 @lru_cache(maxsize=1)
 def unit_witness(n: int) -> "Witness":
     """The arithmetic witness 1..n, against which ordinary convexity is measured.
@@ -297,25 +322,17 @@ def is_convex_wrt(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> C
     Length-2 input is vacuously convex (single slope).
 
     Both inputs are frozen, so the test runs once per (sequence, witness,
-    tolerance): the report is remembered on the :class:`RealSeq`, keyed by
-    the :class:`Witness` object, held by weak reference, and by ``tol``,
-    and a later call with the same three returns it.  Inputs built here
-    from raw values are not remembered, nor is a raised error.
+    tolerance): the report is remembered on the :class:`RealSeq` per witness
+    object and ``tol`` by :func:`_remembered`, unless an input is built here.
     """
     seq, wit = paired(a, t, tol)
-    memo = vars(seq).get("_slope_tests", {})
-    ref, rep = memo.get((id(wit), tol), (None, None))
-    if ref is not None and ref() is wit:  # a dead witness's id may be reused
-        return rep
-    ratios = list(_steps(seq.values, wit.values))
-    first, margin = scan_margin(list(_steps(ratios)), tol.allowed(ratios))
-    rep = CheckReport(first is None, first, margin, tol)
-    if seq is a and wit is t:
-        # entries of dead witnesses go, so a sequence outliving many witnesses keeps a small memo
-        memo = {key: entry for key, entry in memo.items() if entry[0]() is not None}
-        memo[id(wit), tol] = (weakref.ref(wit), rep)
-        object.__setattr__(seq, "_slope_tests", memo)
-    return rep
+
+    def test() -> CheckReport:
+        ratios = list(_steps(seq.values, wit.values))
+        first, margin = scan_margin(list(_steps(ratios)), tol.allowed(ratios))
+        return CheckReport(first is None, first, margin, tol)
+
+    return _remembered(seq is a and wit is t, seq, "_slope_tests", (wit,), tol, test)
 
 
 def is_convex(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:

@@ -26,6 +26,7 @@ from relconvex import (
     weighted_mean,
 )
 from relconvex.cli import main
+from relconvex.functionals import unit_weights
 from relconvex.seqcore import _Floats, unit_witness
 
 A3 = [4.0, 1.0, 0.0]
@@ -98,9 +99,9 @@ P5 = [1.0, 2.0, 3.0, 2.0, 1.0]
 @pytest.mark.parametrize(
     "engine, args, from_lists, from_objects",
     [
-        # one object per list argument; pecaric_check adds its uniform weights
+        # one object per list argument
         (lupas_check, (A5, B5, T5, P5), 4, 0),
-        (pecaric_check, (A5, B5), 3, 1),
+        (pecaric_check, (A5, B5), 2, 0),
         (hhf_bounds, (A5, T5, P5, psi_identity), 3, 0),
         (niezgoda_bound, (A5, P5, psi_identity), 2, 0),
         (convex_hhf_bounds, (A5, P5, psi_identity), 2, 0),
@@ -109,7 +110,9 @@ P5 = [1.0, 2.0, 3.0, 2.0, 1.0]
     ],
 )
 def test_engines_validate_each_input_once(built, engine, args, from_lists, from_objects):
-    unit_witness(len(A5))  # the cached unit witness is built once per n, not per call
+    # the cached unit witness and uniform weights are built once per n, not per call
+    unit_witness(len(A5))
+    unit_weights(len(A5))
     built[0] = 0
     engine(*args)
     assert built[0] == from_lists
