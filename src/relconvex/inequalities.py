@@ -203,7 +203,7 @@ def lupas_check(
 
 def _lupas(seq_a: RealSeq, seq_b: RealSeq, wit: Witness, pv: WeightVec, tol: Tolerance,
            skip_verify: bool, keep: bool) -> LupasReport:
-    """:func:`lupas_check` on validated inputs; ``keep`` when the caller passed a and b as objects."""
+    """:func:`lupas_check` on validated inputs, remembering its moments on ``pv`` when ``keep``."""
     if not skip_verify:
         _require_convex_wrt("a", seq_a, wit, tol)
         _require_convex_wrt("b", seq_b, wit, tol)
@@ -232,8 +232,7 @@ def pecaric_check(
     seq_a, seq_b = RealSeq.of(a), RealSeq.of(b)
     _same_length("a b", seq_a, seq_b)
     n = len(seq_a)
-    rep = _lupas(seq_a, seq_b, unit_witness(n), unit_weights(n), tol, skip_verify,
-                 seq_a is a and seq_b is b)
+    rep = _lupas(seq_a, seq_b, unit_witness(n), unit_weights(n), tol, skip_verify, seq_a is a and seq_b is b)
     lhs, rhs = n * rep.lhs, n * rep.rhs
     slack, first = _at_least(lhs, rhs, tol)
     return LupasReport(lhs, rhs, first is None, slack, tol)
@@ -358,7 +357,7 @@ def majorization_inequality_check(
             <= sum(frac(q) slope_floor(q) - frac(p) slope_floor(p)).
 
     Each point costs a binary search and the one slope of its segment, as in
-    :meth:`PolygonalExtension.eval`: the n slopes of the extension are not built.
+    :meth:`PolygonalExtension.eval`; the n slopes of the extension are not built.
 
     ``skip_verify`` disables the convexity precondition only; the
     majorization relation between pvec and qvec is always enforced.

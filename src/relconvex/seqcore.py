@@ -258,20 +258,21 @@ def scan_margin(gaps: Iterable[float], allowed: float, labels: Iterable | None =
 
 def _remembered(keep: bool, owner: _Floats, memo: str, objs: tuple, key, compute):
     """``compute()``, remembered in the dict ``memo`` on the frozen ``owner`` per (``objs``, ``key``)
-    unless ``keep`` is false (an input was built from raw values in the call) or it raises.
-    An entry holds ``objs`` by weak reference, and a hit must find those very objects
-    alive, as a dead object's id may be reused; entries of dead objects go on insert."""
+    unless ``keep`` is false (an input was built from raw values in the call) or it raises.  An entry
+    holds ``objs`` by weak reference; a hit must find them alive, as a dead object's id may be reused.
+    An insert finding 8, 16, 32, ... entries drops those of dead objects (O(1) amortised)."""
     if not keep:
         return compute()
     entries = vars(owner).get(memo, {})
     slot = (*map(id, objs), key)
     refs, value = entries.get(slot, ((), None))
-    if refs and all(map(is_, [ref() for ref in refs], objs)):
+    if refs and all(map(is_, map(weakref.ref.__call__, refs), objs)):
         return value
     value = compute()
-    entries = {k: e for k, e in entries.items() if None not in [ref() for ref in e[0]]}
-    entries[slot] = (tuple(map(weakref.ref, objs)), value)
-    object.__setattr__(owner, memo, entries)
+    if len(entries) >= 8 and not len(entries) & (len(entries) - 1):
+        entries = {k: e for k, e in entries.items() if None not in map(weakref.ref.__call__, e[0])}
+    # a published memo is never mutated, so a concurrent caller never iterates a changing dict
+    object.__setattr__(owner, memo, {**entries, slot: (tuple(map(weakref.ref, objs)), value)})
     return value
 
 
