@@ -53,14 +53,14 @@ def unit_weights(n: int) -> WeightVec:
 
 def _mean(x: _Floats, pv: WeightVec, keep: bool) -> float:
     """sum(p_i x_i) / P, remembered on ``pv`` per ``x`` object when ``keep``."""
-    return _remembered(keep, pv, "_moments", (x,), None,
-                       lambda: _fsum(map(mul, pv.weights, x.values)) / pv.total)
+    return _remembered(keep, pv, "_moments", "mean",
+                       lambda: _fsum(map(mul, pv.weights, x.values)) / pv.total, x, x)
 
 
 def _cov(x: _Floats, mx: float, y: _Floats, my: float, pv: WeightVec, keep: bool) -> float:
     """S(x, y) = sum p_i (x_i - mx)(y_i - my) / P at the means of x and y, likewise remembered."""
-    return _remembered(keep, pv, "_moments", (x, y), None,
-                       lambda: _centred(x.values, mx, y.values, my, pv.weights, pv.total))
+    return _remembered(keep, pv, "_moments", "cov",
+                       lambda: _centred(x.values, mx, y.values, my, pv.weights, pv.total), x, y)
 
 
 def weighted_mean(x: Sequence[float], p: WeightLike) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, count, islice, repeat
-from operator import gt, is_, lt, mul, sub, truediv
+from operator import gt, lt, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -256,23 +256,23 @@ def scan_margin(gaps: Iterable[float], allowed: float, labels: Iterable | None =
     return first, margin
 
 
-def _remembered(keep: bool, owner: _Floats, memo: str, objs: tuple, key, compute):
-    """``compute()``, remembered in the dict ``memo`` on the frozen ``owner`` per (``objs``, ``key``)
-    unless ``keep`` is false (an input was built from raw values in the call) or it raises.  An entry
-    holds ``objs`` by weak reference; a hit must find them alive, as a dead object's id may be reused.
-    An insert finding 8, 16, 32, ... entries drops those of dead objects (O(1) amortised)."""
+def _remembered(keep: bool, owner: _Floats, memo: str, key, compute, x, y):
+    """``compute()``, remembered in the dict ``memo`` on the frozen ``owner`` per (``key``, x, y),
+    y = x for one object, unless ``keep`` is false (an input was built from raw values in the call)
+    or it raises.  An entry holds x and y by weak reference; a hit must find them alive, as a dead
+    object's id may be reused.  An insert finding 8, 16, 32, ... entries drops those of dead objects."""
     if not keep:
         return compute()
     entries = vars(owner).get(memo, {})
-    slot = (*map(id, objs), key)
-    refs, value = entries.get(slot, ((), None))
-    if refs and all(map(is_, map(weakref.ref.__call__, refs), objs)):
-        return value
+    slot = (key, id(x), id(y))
+    hit = entries.get(slot)
+    if hit is not None and hit[0]() is x and hit[1]() is y:
+        return hit[2]
     value = compute()
     if len(entries) >= 8 and not len(entries) & (len(entries) - 1):
-        entries = {k: e for k, e in entries.items() if None not in map(weakref.ref.__call__, e[0])}
+        entries = {k: e for k, e in entries.items() if e[0]() is not None and e[1]() is not None}
     # a published memo is never mutated, so a concurrent caller never iterates a changing dict
-    object.__setattr__(owner, memo, {**entries, slot: (tuple(map(weakref.ref, objs)), value)})
+    object.__setattr__(owner, memo, {**entries, slot: (weakref.ref(x), weakref.ref(y), value)})
     return value
 
 
@@ -333,7 +333,7 @@ def is_convex_wrt(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> C
         first, margin = scan_margin(list(_steps(ratios)), tol.allowed(ratios))
         return CheckReport(first is None, first, margin, tol)
 
-    return _remembered(seq is a and wit is t, seq, "_slope_tests", (wit,), tol, test)
+    return _remembered(seq is a and wit is t, seq, "_slope_tests", tol, test, wit, wit)
 
 
 def is_convex(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:

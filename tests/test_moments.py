@@ -50,7 +50,7 @@ def outcome(fn, *args, **kwargs):
 def live_entries(obj):
     """The memo entries of ``obj`` whose objects are all alive, and the number of all entries."""
     entries = vars(obj).get("_moments", {})
-    return [e for e in entries.values() if all(ref() is not None for ref in e[0])], len(entries)
+    return [e for e in entries.values() if e[0]() is not None and e[1]() is not None], len(entries)
 
 
 # -- remembered moments equal fresh ones ------------------------------------------
@@ -191,7 +191,7 @@ def test_calls_on_raw_lists_leave_no_entry_behind():
     convex_hhf_bounds(a, p, psi)
     gc.collect()
     live, stored = live_entries(p)
-    assert stored == len(live) == 1 and live[0][0][0]() is unit_witness(len(a))
+    assert stored == len(live) == 1 and live[0][0]() is unit_witness(len(a))
 
 
 def test_pecaric_shares_the_cached_unit_weights():
