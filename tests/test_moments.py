@@ -329,7 +329,7 @@ def test_witness_of_errors(values, tol, error, message):
     assert type(err.value) is error and str(err.value) == message
 
 
-def test_witness_of_converts_once_and_equals_the_constructor():
+def test_witness_of_equals_the_constructor():
     wit = Witness.of([0, 1, 2.5])
     assert type(wit) is Witness and wit == Witness((0.0, 1.0, 2.5))
     assert all(type(v) is float for v in wit.values)
