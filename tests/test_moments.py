@@ -58,18 +58,18 @@ def live_entries(obj):
 
 @st.composite
 def instances(draw):
-    """(a, b, t, p, ac, bc) of one length n <= 40: t increasing, a and b arbitrary."""
+    """(a, b, t, p, ac, bc) of one length n <= 40: t increasing, the sequences convex or arbitrary."""
     n = draw(st.integers(2, 40))
     gaps = draw(st.lists(st.floats(1e-2, 1e3), min_size=n - 1, max_size=n - 1))
     t = [draw(st.floats(-1e3, 1e3))]
     for g in gaps:
         t.append(t[-1] + g)
     vec = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
-    # convex against t and against 1..n half the time, so that the sums are reached
-    convex = draw(st.booleans())
-    a, b = (sorted(draw(vec), key=abs) if not convex else [(x - t[n // 2]) ** 2 for x in t],
-            draw(vec) if not convex else [abs(x - t[0]) for x in t])
-    ac, bc = ([float((i - n // 2) ** 2) for i in range(n)], draw(vec)) if convex else (draw(vec), draw(vec))
+    if draw(st.booleans()):  # convex against t and against 1..n, so that the sums are reached
+        a, b = [(x - t[n // 2]) ** 2 for x in t], [abs(x - t[0]) for x in t]
+        ac, bc = [float((i - n // 2) ** 2) for i in range(n)], [abs(i - n / 3) for i in range(n)]
+    else:
+        a, b, ac, bc = draw(vec), draw(vec), draw(vec), draw(vec)
     p = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=n, max_size=n))
     if not sum(p) > 0:
         p[0] = 1.0
