@@ -46,6 +46,7 @@ from .seqcore import (
     RealSeq,
     ShapeKind,
     Tolerance,
+    _minimal_block,
     classify_shape,
     construct_witness,
     construct_witness_on_interval,
@@ -162,13 +163,9 @@ def _emit(report: dict, destination: str = "-") -> None:
 
 
 def _default_schedule(a, tol):
-    """Canonical slope schedule (-k..-1 then 1..m) for a V-shaped sequence."""
-    shape = classify_shape(a, tol)
-    if shape.breakpoints is None:
-        return []  # no schedule fits; construct_witness rejects the profile
-    m, ell = shape.breakpoints
-    n_dec, n_inc = m - 1, len(a) - m - ell
-    return [float(-k) for k in range(n_dec, 0, -1)] + [float(k) for k in range(1, n_inc + 1)]
+    """Canonical slope schedule (-k..-1 then 1..m) for a V-shaped sequence; ShapeError otherwise."""
+    first, last = _minimal_block(a, tol)
+    return [float(-k) for k in range(first, 0, -1)] + [float(k) for k in range(1, len(a) - last)]
 
 
 class Command(NamedTuple):

@@ -372,6 +372,17 @@ def classify_shape(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> ShapeClass:
     return ShapeClass(_PROFILES[n_dec > 0, n_flat > 0, n_inc > 0], breakpoints)
 
 
+def _minimal_block(a: SeqLike, tol: Tolerance) -> tuple[int, int]:
+    """The 0-based first and last index of the minimal block that :func:`classify_shape`
+    reads in ``a``: steps ``first..last-1`` are the plateau, the steps before it decrease
+    and those after it increase.  ShapeError when the profile is rejected."""
+    breakpoints = classify_shape(a, tol).breakpoints
+    if breakpoints is None:
+        raise ShapeError("sequence is not strictly V-shaped; no witness exists")
+    m, ell = breakpoints
+    return m - 1, m - 1 + ell
+
+
 def is_relative_convex(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when some strictly increasing witness makes ``a`` convex.
 
@@ -398,9 +409,7 @@ def construct_witness(
     ``s`` interleaved with zeros on the plateau, hence non-decreasing.
     """
     seq = RealSeq.of(a)
-    shape = classify_shape(seq, tol)
-    if shape.variant is ShapeKind.NOT_STRICTLY_V_SHAPED:
-        raise ShapeError("sequence is not strictly V-shaped; no witness exists")
+    first, last = _minimal_block(seq, tol)
     if not plateau_step > tol.abs:
         raise ValueError(f"plateau_step must exceed the strictness tolerance, got {plateau_step!r}")
     sched = tuple(float(v) for v in s)
@@ -412,7 +421,7 @@ def construct_witness(
     t = [float(t1)]
     k = 0
     for i, d in enumerate(_steps(seq.values)):
-        if abs(d) <= tol.abs:
+        if first <= i < last:
             t.append(t[-1] + plateau_step)
             continue
         if k >= len(sched):
@@ -530,32 +539,24 @@ def construct_witness_on_interval(
     beta = float(beta)
     if not alpha < beta:
         raise IntervalError(f"need alpha < beta, got [{alpha!r}, {beta!r}]")
-    shape = classify_shape(seq, tol)
-    if shape.variant is ShapeKind.NOT_STRICTLY_V_SHAPED:
-        raise ShapeError("sequence is not strictly V-shaped; no witness exists")
+    first, last = _minimal_block(seq, tol)
     vals = seq.values
-    n = len(vals)
-    # monotone and constant profiles are the one-segment case of the split below
-    m, ell = shape.breakpoints
-    i_min = m - 1          # 0-based start of the minimal block
-    j_min = i_min + ell    # 0-based end of the minimal block
-    nseg = (1 if i_min > 0 else 0) + (1 if ell > 0 else 0) + (1 if j_min < n - 1 else 0)
-    cuts = _linspace(alpha, beta, nseg + 1)
+    # the decreasing run, the minimal block and the increasing run that are present,
+    # each on an equal share of the interval; a monotone or constant profile is one run
+    runs = [(sign, run) for sign, run in ((-1, vals[: first + 1]), (0, vals[first : last + 1]), (1, vals[last:]))
+            if len(run) > 1]
+    cuts = _linspace(alpha, beta, len(runs) + 1)
     failures = []
     for increasing in (_subdivide_increasing, _subdivide_proportional):
-        t: list[float] = []
-        k = 0
+        t = [alpha]
         try:
-            if i_min > 0:
-                t.extend(_subdivide_decreasing(increasing, vals[: i_min + 1], cuts[k], cuts[k + 1]))
-                k += 1
-            if ell > 0:
-                seg = _linspace(cuts[k], cuts[k + 1], ell + 1)
-                t.extend(seg if not t else seg[1:])
-                k += 1
-            if j_min < n - 1:
-                seg = increasing(vals[j_min:], cuts[k], cuts[k + 1])
-                t.extend(seg if not t else seg[1:])
+            for (sign, run), lo, hi in zip(runs, cuts, cuts[1:]):
+                if sign < 0:
+                    t.extend(_subdivide_decreasing(increasing, run, lo, hi)[1:])
+                elif sign > 0:
+                    t.extend(increasing(run, lo, hi)[1:])
+                else:
+                    t.extend(_linspace(lo, hi, len(run))[1:])
             wit = Witness.of(t, tol)
         except WitnessNotIncreasing as err:
             failures.append(err)
