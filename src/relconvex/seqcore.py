@@ -48,8 +48,8 @@ class Tolerance:
 
     Every verdict measures its slacks against :meth:`allowed`, at the scale
     of the operands it compares.  Comparisons of a quantity with zero or
-    with a fixed point use ``abs`` alone: the step signs of
-    :func:`classify_shape`, the witness gaps, the domain and range clamps
+    with a fixed point use ``abs`` alone: the plateau steps at the minimum
+    in :func:`classify_shape`, the witness gaps, the domain and range clamps
     and the endpoint check of ``hhf_bounds``.
     """
 
@@ -184,7 +184,7 @@ class ShapeKind(str, Enum):
 #: Variants that admit a witness (everything except the rejected case).
 RELATIVE_CONVEX_KINDS = frozenset(ShapeKind) - {ShapeKind.NOT_STRICTLY_V_SHAPED}
 
-#: The accepted profile for each (any decrease, any plateau, any increase) of a sorted sign run.
+#: The accepted profile for each (any decrease, any plateau, any increase) around the minimal block.
 _PROFILES = {
     (False, True, False): ShapeKind.CONSTANT,
     (False, False, True): ShapeKind.STRICTLY_INCREASING,
@@ -201,8 +201,8 @@ class ShapeClass:
     """Classification result.
 
     ``breakpoints = (m, ell)`` locates the minimal block: ``m`` is the
-    1-based index where the minimum is first attained and ``ell`` is the
-    number of constant steps following it.  ``None`` for the rejected case.
+    1-based index where it starts and ``ell`` is the number of plateau
+    steps in it.  ``None`` for the rejected case.
     """
 
     variant: ShapeKind
@@ -356,26 +356,28 @@ def is_convex(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
 def classify_shape(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> ShapeClass:
     """Classify the monotonicity profile of ``a``.
 
-    Step comparisons: strict means a gap above ``tol.abs``, equal means
-    within ``tol.abs``.  The profile is accepted exactly when the step signs
-    read as a (possibly empty) run of decreases, then a single plateau, then
-    a run of increases; anything else (re-descent after an ascent, plateau
-    away from the minimum) is rejected.
+    The minimal block starts at the first minimum and extends over the
+    adjoining steps within ``tol.abs``: those steps are the plateau.  Every
+    other step is read by its exact sign.  The profile is accepted exactly
+    when every step before the block decreases and every step after it
+    increases; anything else (re-descent after an ascent, a plateau away
+    from the minimum) is rejected.
     """
-    signs = [1 if d > tol.abs else -1 if d < -tol.abs else 0 for d in forward_diff(a)]
-    if signs != sorted(signs):
+    vals = RealSeq.of(a).values
+    d = list(_steps(vals))
+    first = last = vals.index(min(vals))
+    while first > 0 and abs(d[first - 1]) <= tol.abs:
+        first -= 1
+    while last < len(d) and abs(d[last]) <= tol.abs:
+        last += 1
+    if not max(d[:first], default=-1.0) < 0 < min(d[last:], default=1.0):
         return ShapeClass(ShapeKind.NOT_STRICTLY_V_SHAPED, None)
-    n_dec = signs.count(-1)
-    n_flat = signs.count(0)
-    n_inc = signs.count(1)
-    breakpoints = (n_dec + 1, n_flat)
-    return ShapeClass(_PROFILES[n_dec > 0, n_flat > 0, n_inc > 0], breakpoints)
+    return ShapeClass(_PROFILES[first > 0, last > first, last < len(d)], (first + 1, last - first))
 
 
 def _minimal_block(a: SeqLike, tol: Tolerance) -> tuple[int, int]:
-    """The 0-based first and last index of the minimal block that :func:`classify_shape`
-    reads in ``a``: steps ``first..last-1`` are the plateau, the steps before it decrease
-    and those after it increase.  ShapeError when the profile is rejected."""
+    """0-based (first, last) of the minimal block :func:`classify_shape` reads in ``a``: steps
+    first..last-1 are its plateau.  ShapeError when the profile is rejected."""
     breakpoints = classify_shape(a, tol).breakpoints
     if breakpoints is None:
         raise ShapeError("sequence is not strictly V-shaped; no witness exists")
@@ -415,9 +417,7 @@ def construct_witness(
     sched = tuple(float(v) for v in s)
     for k in range(len(sched) - 1):
         if not sched[k + 1] > sched[k]:
-            raise MonotoneError(
-                f"slope schedule not strictly increasing at entry {k + 2}"
-            )
+            raise MonotoneError(f"slope schedule not strictly increasing at entry {k + 2}")
     t = [float(t1)]
     k = 0
     for i, d in enumerate(_steps(seq.values)):
@@ -425,9 +425,7 @@ def construct_witness(
             t.append(t[-1] + plateau_step)
             continue
         if k >= len(sched):
-            raise LengthMismatch(
-                f"slope schedule exhausted at step {i + 1}: need one entry per strict step"
-            )
+            raise LengthMismatch(f"slope schedule exhausted at step {i + 1}: need one entry per strict step")
         sk = sched[k]
         if d > 0 and not sk > 0:
             raise SignError(f"schedule entry {k + 1} = {sk!r} must be positive on an increase step")
@@ -436,9 +434,7 @@ def construct_witness(
         t.append(t[-1] + d / sk)
         k += 1
     if k != len(sched):
-        raise LengthMismatch(
-            f"slope schedule has {len(sched) - k} unused entries; need one per strict step"
-        )
+        raise LengthMismatch(f"slope schedule has {len(sched) - k} unused entries; need one per strict step")
     return Witness.of(t, tol)
 
 
@@ -529,10 +525,12 @@ def construct_witness_on_interval(
     segments present).  Long runs can round consecutive midpoint slopes out
     of order or together; when that result is not a witness, the monotone
     runs are rebuilt with the slopes of :func:`_subdivide_proportional`.
-    When that fails too, the midpoint result's failure is raised:
-    WitnessNotIncreasing or WitnessLostConvexity.  A policy fails with
-    WitnessNotIncreasing, never a ZeroDivisionError, where a room or a
-    segment rounds to zero width or a slope underflows.
+    Both policies stay because each solves runs the other cannot: the
+    proportional slopes leave tiny steps after a huge one gaps below the
+    rounding of t on wide intervals.  When both fail, the midpoint result's
+    failure is raised: WitnessNotIncreasing or WitnessLostConvexity.  A
+    policy fails with WitnessNotIncreasing, never a ZeroDivisionError,
+    where a room or a segment rounds to zero width or a slope underflows.
     """
     seq = RealSeq.of(a)
     alpha = float(alpha)
@@ -543,8 +541,8 @@ def construct_witness_on_interval(
     vals = seq.values
     # the decreasing run, the minimal block and the increasing run that are present,
     # each on an equal share of the interval; a monotone or constant profile is one run
-    runs = [(sign, run) for sign, run in ((-1, vals[: first + 1]), (0, vals[first : last + 1]), (1, vals[last:]))
-            if len(run) > 1]
+    runs = ((-1, vals[: first + 1]), (0, vals[first : last + 1]), (1, vals[last:]))
+    runs = [(sign, run) for sign, run in runs if len(run) > 1]
     cuts = _linspace(alpha, beta, len(runs) + 1)
     failures = []
     for increasing in (_subdivide_increasing, _subdivide_proportional):

@@ -190,12 +190,36 @@ def test_interval_witness_that_rounding_broke_is_rebuilt():
     assert is_convex_wrt(SQUARE_2000[900:1100], wit).holds
 
 
+# increments from 1.5e-8 to 8.8e7 in one run: the proportional slopes, scaled by
+# the running maximum 8.8e7, leave the small steps after it gaps below the
+# rounding of t near 1e9; the midpoint slopes give them room
+WIDE_RUN = [0.0, 1.7626978309402585e-05, 3.263879824934022e-05, 0.00019673171566727282, 88407043.55311684,
+            88407043.55311699, 88407043.553117, 88407102.20240784, 122468230.18075901]
+
+
+def test_interval_witness_that_only_midpoint_slopes_give_room():
+    wit = construct_witness_on_interval(WIDE_RUN, 0.0, 1e9)
+    assert wit[0] == 0.0 and wit[-1] == 1e9
+    assert is_convex_wrt(WIDE_RUN, wit).holds
+
+
 @pytest.mark.parametrize("seed", [6, 12, 22, 36])
 def test_interval_witness_for_steep_runs(seed):
     # exp-family pairs whose increments grow from ~1e-8 to ~1e7: slopes c*i
     # left the first gap below the strictness tolerance; c*i*M_i, with M_i
     # the running maximum of the increments, gives the small steps their room
     a, _ = gen_relative_convex_pair(64, seed)
+    wit = construct_witness_on_interval(a, 0.0, 1.0)
+    assert wit[0] == 0.0 and wit[-1] == 1.0
+    assert is_convex_wrt(a, wit).holds
+
+
+@pytest.mark.parametrize("n, seed", [(100, 15), (100, 35), (200, 1), (300, 5), (300, 7), (300, 10), (300, 13), (300, 34)])
+def test_interval_witness_for_runs_with_sub_tolerance_steps(n, seed):
+    # increasing runs with 4 to 109 steps within the tolerance, some of them
+    # past the first larger step: those are read by their signs, not as a
+    # plateau away from the minimum
+    a, _ = gen_relative_convex_pair(n, seed)
     wit = construct_witness_on_interval(a, 0.0, 1.0)
     assert wit[0] == 0.0 and wit[-1] == 1.0
     assert is_convex_wrt(a, wit).holds

@@ -178,6 +178,17 @@ class TestClassifyShape:
         # a 1e-12 wobble reads as a plateau under the default tolerance
         assert classify_shape((1.0, 1.0 + 1e-12, 1.0, 2.0)).variant is ShapeKind.CONST_THEN_INC
 
+    def test_sub_tolerance_step_away_from_the_minimum_keeps_its_sign(self):
+        # the 8e-10 step lies within the tolerance but not at the minimum
+        shape = classify_shape((0.0, 2e-9, 2.8e-9, 2.58e-8))
+        assert shape.variant is ShapeKind.STRICTLY_INCREASING
+        assert shape.breakpoints == (1, 0)
+        w = construct_witness_on_interval((0.0, 2e-9, 2.8e-9, 2.58e-8), 0.0, 1.0)
+        assert is_convex_wrt((0.0, 2e-9, 2.8e-9, 2.58e-8), w).holds
+
+    def test_sub_tolerance_descent_after_an_ascent_is_rejected(self):
+        assert classify_shape((1.0, 2.0, 2.0 - 1e-12, 3.0)).variant is ShapeKind.NOT_STRICTLY_V_SHAPED
+
 
 class TestIsRelativeConvex:
     def test_arctan_prefix(self):
