@@ -405,8 +405,9 @@ def construct_witness(
 
     Starting at ``t1``, each strict step advances by ``(a[i+1]-a[i])/s_k``
     (consuming the next schedule entry, which must be negative on decrease
-    steps and positive on increase steps), and each plateau step advances by
-    the fixed ``plateau_step``.  The schedule must be strictly increasing and
+    steps and positive on increase steps), and each plateau step, a step of
+    the minimal block of :func:`classify_shape`, advances by the fixed
+    ``plateau_step``.  The schedule must be strictly increasing and
     have exactly one entry per strict step.  The result's slope sequence is
     ``s`` interleaved with zeros on the plateau, hence non-decreasing.
     """
@@ -417,25 +418,28 @@ def construct_witness(
     sched = tuple(float(v) for v in s)
     for k in range(len(sched) - 1):
         if not sched[k + 1] > sched[k]:
-            raise MonotoneError(f"slope schedule not strictly increasing at entry {k + 2}")
-    t = [float(t1)]
-    k = 0
-    for i, d in enumerate(_steps(seq.values)):
-        if first <= i < last:
-            t.append(t[-1] + plateau_step)
-            continue
-        if k >= len(sched):
-            raise LengthMismatch(f"slope schedule exhausted at step {i + 1}: need one entry per strict step")
-        sk = sched[k]
+            raise MonotoneError(
+                f"slope schedule not strictly increasing at entry {k + 2}"
+            )
+    rises = list(_steps(seq.values))
+    strict = rises[:first] + rises[last:]  # the steps outside the block, one schedule entry each
+    for k, (d, sk) in enumerate(zip(strict, sched)):
         if d > 0 and not sk > 0:
             raise SignError(f"schedule entry {k + 1} = {sk!r} must be positive on an increase step")
         if d < 0 and not sk < 0:
             raise SignError(f"schedule entry {k + 1} = {sk!r} must be negative on a decrease step")
-        t.append(t[-1] + d / sk)
-        k += 1
-    if k != len(sched):
-        raise LengthMismatch(f"slope schedule has {len(sched) - k} unused entries; need one per strict step")
-    return Witness.of(t, tol)
+    if len(sched) < len(strict):
+        step = len(sched) + 1 + (last - first if len(sched) >= first else 0)
+        raise LengthMismatch(
+            f"slope schedule exhausted at step {step}: need one entry per strict step"
+        )
+    if len(sched) > len(strict):
+        raise LengthMismatch(
+            f"slope schedule has {len(sched) - len(strict)} unused entries; need one per strict step"
+        )
+    gaps = list(map(truediv, strict, sched))
+    gaps[first:first] = repeat(plateau_step, last - first)
+    return Witness.of(list(accumulate(gaps, initial=float(t1))), tol)
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:
@@ -539,8 +543,7 @@ def construct_witness_on_interval(
         raise IntervalError(f"need alpha < beta, got [{alpha!r}, {beta!r}]")
     first, last = _minimal_block(seq, tol)
     vals = seq.values
-    # the decreasing run, the minimal block and the increasing run that are present,
-    # each on an equal share of the interval; a monotone or constant profile is one run
+    # the runs present, in order: decreasing, the minimal block, increasing
     runs = ((-1, vals[: first + 1]), (0, vals[first : last + 1]), (1, vals[last:]))
     runs = [(sign, run) for sign, run in runs if len(run) > 1]
     cuts = _linspace(alpha, beta, len(runs) + 1)
