@@ -429,7 +429,7 @@ def construct_witness(
         if d < 0 and not sk < 0:
             raise SignError(f"schedule entry {k + 1} = {sk!r} must be negative on a decrease step")
     if len(sched) < len(strict):
-        step = len(sched) + 1 + (last - first if len(sched) >= first else 0)
+        step = len(sched) + 1 + (last - first if len(sched) >= first else 0)  # numbered among all steps
         raise LengthMismatch(
             f"slope schedule exhausted at step {step}: need one entry per strict step"
         )

@@ -180,11 +180,11 @@ class TestClassifyShape:
 
     def test_sub_tolerance_step_away_from_the_minimum_keeps_its_sign(self):
         # the 8e-10 step lies within the tolerance but not at the minimum
-        shape = classify_shape((0.0, 2e-9, 2.8e-9, 2.58e-8))
+        a = (0.0, 2e-9, 2.8e-9, 2.58e-8)
+        shape = classify_shape(a)
         assert shape.variant is ShapeKind.STRICTLY_INCREASING
         assert shape.breakpoints == (1, 0)
-        w = construct_witness_on_interval((0.0, 2e-9, 2.8e-9, 2.58e-8), 0.0, 1.0)
-        assert is_convex_wrt((0.0, 2e-9, 2.8e-9, 2.58e-8), w).holds
+        assert is_convex_wrt(a, construct_witness_on_interval(a, 0.0, 1.0)).holds
 
     def test_sub_tolerance_descent_after_an_ascent_is_rejected(self):
         assert classify_shape((1.0, 2.0, 2.0 - 1e-12, 3.0)).variant is ShapeKind.NOT_STRICTLY_V_SHAPED
