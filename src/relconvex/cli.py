@@ -214,7 +214,7 @@ def _check(args, a):
 
 def _witness(args, a):
     a = RealSeq.of(a)
-    sched = args.inputs.get("s") or _default_schedule(a, args.tol)
+    sched = args.inputs["s"] if "s" in args.inputs else _default_schedule(a, args.tol)
     wit = construct_witness(a, sched, t1=args.t1, plateau_step=args.plateau_step, tol=args.tol)
     args.params["s"] = sched
     return _witnessed(args, a, wit)

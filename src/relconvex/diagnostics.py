@@ -24,9 +24,11 @@ from .seqcore import (
     DEFAULT_TOL,
     CheckReport,
     SeqLike,
+    ShapeKind,
     Tolerance,
     WitnessLike,
     _steps,
+    classify_shape,
     forward_diff,
     is_convex_wrt,
     paired,
@@ -73,17 +75,16 @@ def neighbor_chord_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TO
 def increment_growth_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Second-to-first difference ratios of a must dominate those of t.
 
-    Only defined for strictly increasing a (the ratios divide by its
-    increments).  Equivalent to the slope test on that domain.
+    Only defined for a that :func:`relconvex.seqcore.classify_shape` calls
+    ``strictly_increasing`` (the ratios divide by its increments); any other
+    profile raises NotStrictlyIncreasing.  Equivalent to the slope test there.
     """
     seq, wit = paired(a, t, tol)
+    shape = classify_shape(seq, tol).variant
+    if shape is not ShapeKind.STRICTLY_INCREASING:
+        raise NotStrictlyIncreasing(f"a must be strictly increasing, but its profile is {shape.value}")
     da = forward_diff(seq)
     dt = forward_diff(wit)
-    for k, d in enumerate(da):
-        if not d > tol.abs:
-            raise NotStrictlyIncreasing(
-                f"a must be strictly increasing: step {k + 1} has gap {d!r}"
-            )
     lhs, rhs = (list(map(truediv, _steps(d), d)) for d in (da, dt))
     allowed = tol.allowed(lhs + rhs)
     first, margin = scan_margin((x - y for x, y in zip(lhs, rhs)), allowed)
@@ -226,25 +227,20 @@ def rate_diagnostic(
 ) -> RateReport:
     """Decay data n * slope_n for a bounded non-increasing witnessed prefix.
 
-    Preconditions: (a, t) witnessed and a non-increasing within tolerance;
-    when ``alpha`` is given every witness gap must reach it.  Terms are
+    Preconditions: :func:`bounded_monotone_diagnostic` at bound max(a) and
+    gap floor ``alpha`` (0 when None) is applicable, then holds.  Terms are
     non-positive under the preconditions; the partial sums accumulate
     n * (slope increments) and should be Cauchy-like on well-behaved input.
     """
     seq, wit = paired(a, t, tol)
-    _require_convex_wrt("a", seq, wit, tol)
-    da = forward_diff(seq)
-    rise, _ = scan_margin((-d for d in da), tol.allowed(da))
-    if rise is not None:
+    rep = bounded_monotone_diagnostic(seq, wit, max(seq.values), 0.0 if alpha is None else alpha, tol)
+    k = rep.first_violation
+    if not rep.applicable:
+        raise PreconditionViolation(f"witness gap {k} = {wit[k] - wit[k - 1]!r} is below alpha = {alpha!r}")
+    if not rep.holds:
         raise PreconditionViolation(
-            f"a must be non-increasing over the prefix: step {rise} rises by {da[rise - 1]!r}"
+            f"a must be non-increasing over the prefix: step {k} rises by {seq[k] - seq[k - 1]!r}"
         )
-    if alpha is not None:
-        for k, g in enumerate(forward_diff(wit)):
-            if g < alpha:
-                raise PreconditionViolation(
-                    f"witness gap {k + 1} = {g!r} is below alpha = {alpha!r}"
-                )
     ratios = list(_steps(seq.values, wit.values))
     terms = tuple(k * r for k, r in enumerate(ratios, start=1))
     partial = tuple(accumulate(map(mul, count(1), _steps(ratios)), initial=0.0))[1:]

@@ -17,8 +17,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import compress, count, groupby, islice, repeat
-from operator import add, gt, lt, truediv
+from itertools import groupby
 from typing import Callable, Sequence
 
 from .errors import DegenerateWitness, IndexOutOfRange, PreconditionViolation
@@ -81,14 +80,12 @@ def spot_check_map(psi: ConvexMap, values: Sequence[float], tol: Tolerance = DEF
     called at the smallest and largest value only, so that an overflow
     raises as the sampled check would, and True is returned.
 
-    Any other map, or values outside the interval, is sampled: midpoint
-    convexity on consecutive value triples u < v < w and monotonicity on
-    adjacent pairs.  Returns True when every sample passed.  ψ is called
-    once per distinct value and once per midpoint.  Each comparison is
-    written once, as a lazy ``above(values, bounds)``: the verdict is a
-    C-level ``any`` over it, and only a failed check walks it again to warn
-    at each offending pair, attributed to the first caller outside the
-    package.  The hypothesis remains the caller's responsibility; a failed
+    Any other map, or values outside the interval, is sampled by two loops
+    over the sorted distinct values: monotonicity on adjacent pairs, then
+    midpoint convexity on consecutive triples u < v < w.  ψ is called once
+    per distinct value, then once per midpoint.  Each failed sample warns,
+    attributed to the first caller outside the package, and False is
+    returned.  The hypothesis remains the caller's responsibility; a failed
     spot check warns instead of raising.
     """
     pts = list(map(float, values))
@@ -99,30 +96,22 @@ def spot_check_map(psi: ConvexMap, values: Sequence[float], tol: Tolerance = DEF
             # non-decreasing: the extreme values carry the largest |psi| the samples would
             tol.allowed((psi(lo), psi(hi)))
             return True
-    pts.sort()
-    if not all(map(lt, pts, islice(pts, 1, None))):
-        # groupby keeps the first of equal values: 0.0 or -0.0, whichever came first
-        pts = [v for v, _ in groupby(pts)]
-    mapped = list(map(float, map(psi, pts)))
+    # groupby keeps the first of equal values: 0.0 or -0.0, whichever came first
+    pts = [v for v, _ in groupby(sorted(pts))]
+    mapped = [float(psi(v)) for v in pts]
     allowed = tol.allowed(mapped)
-
-    def above(values, bounds):
-        return map(gt, values, map(add, bounds, repeat(allowed)))
-
-    def passes(offenders, span: int, what: str) -> bool:
-        if not any(offenders()):
-            return True
-        level = _outside_stacklevel()
-        for k in compress(count(), offenders()):
-            warnings.warn(f"map not {what} on [{pts[k]!r}, {pts[k + span]!r}]", ConvexMapWarning,
-                          stacklevel=level)
-        return False
-
-    monotone = passes(lambda: above(mapped, islice(mapped, 1, None)), 1, "non-decreasing")
-    mids = list(map(psi, map(truediv, map(add, pts, islice(pts, 2, None)), repeat(2.0))))
-    convex = passes(lambda: above(mids, map(truediv, map(add, mapped, islice(mapped, 2, None)), repeat(2.0))),
-                    2, "midpoint-convex")
-    return monotone and convex
+    level = _outside_stacklevel()
+    ok = True
+    for k, (u, w) in enumerate(zip(pts, pts[1:])):
+        if mapped[k] > mapped[k + 1] + allowed:
+            warnings.warn(f"map not non-decreasing on [{u!r}, {w!r}]", ConvexMapWarning, stacklevel=level)
+            ok = False
+    mids = [psi((u + w) / 2.0) for u, w in zip(pts, pts[2:])]
+    for k, (u, w) in enumerate(zip(pts, pts[2:])):
+        if mids[k] > (mapped[k] + mapped[k + 2]) / 2.0 + allowed:
+            warnings.warn(f"map not midpoint-convex on [{u!r}, {w!r}]", ConvexMapWarning, stacklevel=level)
+            ok = False
+    return ok
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,8 @@ def _value_at(t: Sequence[float], a: Sequence[float], x: float, tol: Tolerance) 
 
 def _clamp_to_domain(t: Sequence[float], q: float, tol: Tolerance) -> float:
     lo, hi = t[0], t[-1]
-    if q < lo - tol.abs or q > hi + tol.abs:
+    # chained, so that a NaN fails it the way an infinity does
+    if not lo - tol.abs <= q <= hi + tol.abs:
         raise OutOfDomain(f"{q!r} outside [{lo!r}, {hi!r}] beyond tolerance {tol.abs!r}")
     return min(max(q, lo), hi)
 
@@ -78,8 +79,7 @@ def floor_wrt(t: WitnessLike, q: float, tol: Tolerance = DEFAULT_TOL) -> int:
     """
     wit = Witness.of(t, tol)
     q = _clamp_to_domain(wit.values, float(q), tol)
-    i = bisect.bisect_right(wit.values, q) - 1
-    return min(i, len(wit) - 1) + 1
+    return bisect.bisect_right(wit.values, q)
 
 
 def frac_wrt(t: WitnessLike, q: float, tol: Tolerance = DEFAULT_TOL) -> float:

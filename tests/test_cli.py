@@ -124,6 +124,17 @@ def test_witness_of_a_rejected_profile_is_an_error(tmp_path, capsys):
     assert "not strictly V-shaped" in report["margin_or_slacks"]["message"]
 
 
+def test_witness_with_an_empty_schedule_is_an_error(tmp_path, capsys):
+    # an explicit empty s is a schedule with no entries, not a request for the default one
+    path = write_json(tmp_path, "w.json", {"a": [3, 1, 2], "s": []})
+    code, out = run_cli(capsys, ["witness", "--input", path])
+    assert code == 2
+    report = json.loads(out)
+    assert report["verdict"] == "error"
+    assert report["margin_or_slacks"]["message"] == (
+        "slope schedule exhausted at step 1: need one entry per strict step")
+
+
 def test_report_to_output_file(tmp_path, capsys):
     path = write_json(tmp_path, "c.json", {"a": [4, 1, 0, 2, 6]})
     dest = tmp_path / "report.json"

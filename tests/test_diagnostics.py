@@ -1,17 +1,24 @@
 """Characterization-equivalence and finite-prefix diagnostic tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relconvex import (
     IndexOutOfRange,
+    NonFiniteArithmetic,
     NotStrictlyIncreasing,
     PreconditionViolation,
+    RelConvexError,
+    ShapeKind,
     anchored_slope_check,
     anchored_slope_check_all,
     bounded_monotone_diagnostic,
+    classify_shape,
     collinearity_determinant_check,
     construct_witness,
     increment_growth_check,
@@ -22,7 +29,7 @@ from relconvex import (
     psi_preservation_check,
     rate_diagnostic,
 )
-from relconvex.oracles import gen_relative_convex_pair
+from relconvex.oracles import gen_relative_convex_pair, gen_shape
 
 
 def perturbed_pair(seed, n_lo=4, n_hi=12):
@@ -105,6 +112,26 @@ class TestIncrementGrowth:
             assert increment_growth_check(a, t).holds == is_convex_wrt(a, t).holds
             agree += 1
         assert agree == 300
+
+    @pytest.mark.parametrize("a", [(0.0, 2e-9, 2.8e-9, 2.58e-8), (0.0, 1.0, 1.0000000005, 3.0)])
+    def test_reports_on_later_steps_within_the_tolerance(self, a):
+        # classify_shape reads a step within tol.abs away from the minimum by its sign
+        t = (0.0, 1.0, 2.0, 3.0)
+        assert classify_shape(a).variant is ShapeKind.STRICTLY_INCREASING
+        assert increment_growth_check(a, t).holds == is_convex_wrt(a, t).holds
+
+    @pytest.mark.parametrize("kind", list(ShapeKind))
+    def test_raises_exactly_off_the_strictly_increasing_profile(self, kind):
+        for seed in range(20):
+            n = 6 + seed % 5
+            a = gen_shape(kind, n, seed)
+            t = list(range(n))
+            assert classify_shape(a).variant is kind
+            if kind is ShapeKind.STRICTLY_INCREASING:
+                assert increment_growth_check(a, t).holds == is_convex_wrt(a, t).holds
+            else:
+                with pytest.raises(NotStrictlyIncreasing, match=f"its profile is {kind.value}$"):
+                    increment_growth_check(a, t)
 
 
 class TestCollinearityDeterminant:
@@ -260,6 +287,18 @@ class TestRateDiagnostic:
         with pytest.raises(PreconditionViolation, match=r"witness gap 1 = 1\.0 is below alpha = 1\.5"):
             rate_diagnostic((3.0, 2.0, 1.5), (0.0, 1.0, 2.0), alpha=1.5)
 
+    def test_gap_below_alpha_wins_over_a_rise(self):
+        # (a, t) is witnessed; the alpha floor fails at gap 1 and a rises at step 2
+        with pytest.raises(PreconditionViolation, match=r"witness gap 1 = 1\.0 is below alpha = 1\.5"):
+            rate_diagnostic((3.0, 2.0, 2.5), (0.0, 1.0, 2.0), alpha=1.5)
+
+    def test_nan_alpha_is_non_finite_arithmetic(self):
+        a, t = (3.0, 2.0, 1.5), (0.0, 1.0, 2.0)
+        with pytest.raises(NonFiniteArithmetic):
+            bounded_monotone_diagnostic(a, t, 3.0, math.nan)
+        with pytest.raises(NonFiniteArithmetic):
+            rate_diagnostic(a, t, alpha=math.nan)
+
     def test_magnitudes_decay_after_scaling(self):
         # -slope_n is non-negative and non-increasing for a witnessed
         # non-increasing sequence, i.e. |terms|/n never grows
@@ -273,3 +312,38 @@ class TestRateDiagnostic:
             rep = rate_diagnostic(a, t)
             scaled = [abs(v) / (k + 1) for k, v in enumerate(rep.terms)]
             assert all(x >= y - 1e-12 for x, y in zip(scaled, scaled[1:]))
+
+
+@st.composite
+def decay_prefixes(draw):
+    """(a, t, alpha): a convex w.r.t. t by construction, mostly non-increasing; reversed slopes bend it."""
+    gaps = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]) | st.floats(0.01, 3.0), min_size=1, max_size=8))
+    slopes = sorted(draw(st.lists(st.floats(-5.0, 1.0), min_size=len(gaps), max_size=len(gaps))))
+    if draw(st.integers(0, 4)) == 0:
+        slopes.reverse()
+    t, a = [draw(st.floats(-10.0, 10.0))], [draw(st.floats(-10.0, 10.0))]
+    for g, s in zip(gaps, slopes):
+        t.append(t[-1] + g)
+        a.append(a[-1] + s * g)
+    alpha = draw(st.none() | st.just(math.nan) | st.sampled_from(gaps) | st.floats(0.0, 3.0))
+    return a, t, alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(decay_prefixes())
+def test_rate_raises_exactly_when_the_dichotomy_report_fails(case):
+    a, t, alpha = case
+    try:
+        rep = bounded_monotone_diagnostic(a, t, max(a), 0.0 if alpha is None else alpha)
+    except RelConvexError as err:
+        if alpha != alpha and is_convex_wrt(a, t).holds:
+            assert isinstance(err, NonFiniteArithmetic)
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            rate_diagnostic(a, t, alpha=alpha)
+        return
+    assert alpha == alpha  # a NaN floor never gives a report
+    if rep.applicable and rep.holds:
+        assert len(rate_diagnostic(a, t, alpha=alpha).terms) == len(a) - 1
+    else:
+        with pytest.raises(PreconditionViolation):
+            rate_diagnostic(a, t, alpha=alpha)

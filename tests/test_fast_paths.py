@@ -1,4 +1,5 @@
-"""The C-level fast paths agree with the loops they shortcut.
+"""The C-level fast paths agree with the loops they shortcut, and the ψ spot
+check agrees with its reference loop.
 
 * ``scan_margin`` judges a list at C level and an iterator in its loop; both
   give the same ``(first, margin)``, bit for bit (-0.0 ties included), and
@@ -6,9 +7,9 @@
 * ``Witness.of`` accepts in one C-level pass and otherwise takes its loop, so
   NaN entries, sub-tolerance gaps and non-increasing input raise as the loop
   alone does (kept here as ``witness_of_loop``).
-* ``spot_check_map`` returns and warns as the two-loop version it replaced
-  (kept here as ``spot_check_loop``), and calls the map once per distinct
-  value and once per midpoint.
+* ``spot_check_map`` samples a map in the two plain loops kept here as
+  ``spot_check_loop``: it returns and warns as they do, and calls the map
+  once per distinct value and once per midpoint.
 * ``is_convex_wrt`` remembers its report per (sequence, witness, tolerance):
   a remembered report equals a fresh test on equal copies, anything else
   misses, a raise is never remembered, and the memo neither aliases a dead

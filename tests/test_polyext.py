@@ -68,6 +68,16 @@ def test_eval_domain_clamp_and_error():
         ext.eval(-0.1)
 
 
+@pytest.mark.parametrize("probe", [
+    lambda t, q: build_extension((4.0, 1.0, 0.0), t).eval(q),
+    floor_wrt,
+    frac_wrt,
+], ids=["eval", "floor_wrt", "frac_wrt"])
+def test_nan_is_out_of_domain(probe):
+    with pytest.raises(OutOfDomain):
+        probe((0.0, 1.0, 3.0), math.nan)
+
+
 class TestFloorWrt:
     def test_shifted_integers(self):
         t = [i - 1 for i in range(1, 7)]
