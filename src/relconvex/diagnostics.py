@@ -75,9 +75,11 @@ def neighbor_chord_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TO
 def increment_growth_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Second-to-first difference ratios of a must dominate those of t.
 
-    Only defined for a that :func:`relconvex.seqcore.classify_shape` calls
-    ``strictly_increasing`` (the ratios divide by its increments); any other
-    profile raises NotStrictlyIncreasing.  Equivalent to the slope test there.
+    Defined for a that :func:`relconvex.seqcore.classify_shape` calls
+    ``strictly_increasing``; any other profile raises NotStrictlyIncreasing
+    naming it (its ``breakpoints`` locate the minimal block).  Ratio gap k is
+    (slope_{k+1} - slope_k) * dt_{k+1} / da_k, so it is judged in slope units
+    at the slope test's scale; ``margin`` is the smallest ratio gap.
     """
     seq, wit = paired(a, t, tol)
     shape = classify_shape(seq, tol).variant
@@ -86,9 +88,10 @@ def increment_growth_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_
     da = forward_diff(seq)
     dt = forward_diff(wit)
     lhs, rhs = (list(map(truediv, _steps(d), d)) for d in (da, dt))
-    allowed = tol.allowed(lhs + rhs)
-    first, margin = scan_margin((x - y for x, y in zip(lhs, rhs)), allowed)
-    return CheckReport(first is None, first, margin, tol)
+    gaps = [x - y for x, y in zip(lhs, rhs)]
+    in_slope_units = [g * d / e for g, d, e in zip(gaps, da, dt[1:])]
+    first, _ = scan_margin(in_slope_units, tol.allowed(_steps(seq.values, wit.values)))
+    return CheckReport(first is None, first, min(gaps, default=math.inf), tol)
 
 
 def collinearity_determinant_check(

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relconvex import (
@@ -113,12 +113,35 @@ class TestIncrementGrowth:
             agree += 1
         assert agree == 300
 
-    @pytest.mark.parametrize("a", [(0.0, 2e-9, 2.8e-9, 2.58e-8), (0.0, 1.0, 1.0000000005, 3.0)])
+    @pytest.mark.parametrize(
+        "a",
+        [
+            (0.0, 2e-9, 2.8e-9, 2.58e-8),
+            (0.0, 1.0, 1.0000000005, 3.0),
+            (0.0, 1.0, 1.0000000001, 1001.0),  # the next ratio, 1e13, must not hide gap 1
+            (-1.0, 0.0, 5e-324, 1.0),  # the next ratio overflows
+        ],
+    )
     def test_reports_on_later_steps_within_the_tolerance(self, a):
         # classify_shape reads a step within tol.abs away from the minimum by its sign
         t = (0.0, 1.0, 2.0, 3.0)
         assert classify_shape(a).variant is ShapeKind.STRICTLY_INCREASING
-        assert increment_growth_check(a, t).holds == is_convex_wrt(a, t).holds
+        rep, slope = increment_growth_check(a, t), is_convex_wrt(a, t)
+        assert (rep.holds, rep.first_violation) == (slope.holds, slope.first_violation)
+
+    @pytest.mark.parametrize(
+        "a, first, margin",
+        [
+            ((-1.0, 0.0, 1e-8, 1e4), 1, -0.99999999),  # a later ratio of 1e12 hid this gap
+            ((0.0, 1e-8, 1.95e-8, 1.0), None, -0.05),  # slope gap -5e-10, within tol.abs
+        ],
+    )
+    def test_each_gap_is_judged_at_the_slope_scale(self, a, first, margin):
+        t = (0.0, 1.0, 2.0, 3.0)
+        rep = increment_growth_check(a, t)
+        assert (rep.holds, rep.first_violation) == (first is None, first)
+        assert rep.first_violation == is_convex_wrt(a, t).first_violation
+        assert rep.margin == pytest.approx(margin, rel=1e-9)
 
     @pytest.mark.parametrize("kind", list(ShapeKind))
     def test_raises_exactly_off_the_strictly_increasing_profile(self, kind):
@@ -292,13 +315,6 @@ class TestRateDiagnostic:
         with pytest.raises(PreconditionViolation, match=r"witness gap 1 = 1\.0 is below alpha = 1\.5"):
             rate_diagnostic((3.0, 2.0, 2.5), (0.0, 1.0, 2.0), alpha=1.5)
 
-    def test_nan_alpha_is_non_finite_arithmetic(self):
-        a, t = (3.0, 2.0, 1.5), (0.0, 1.0, 2.0)
-        with pytest.raises(NonFiniteArithmetic):
-            bounded_monotone_diagnostic(a, t, 3.0, math.nan)
-        with pytest.raises(NonFiniteArithmetic):
-            rate_diagnostic(a, t, alpha=math.nan)
-
     def test_magnitudes_decay_after_scaling(self):
         # -slope_n is non-negative and non-increasing for a witnessed
         # non-increasing sequence, i.e. |terms|/n never grows
@@ -331,6 +347,7 @@ def decay_prefixes(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(decay_prefixes())
+@example(((3.0, 2.0, 1.5), (0.0, 1.0, 2.0), math.nan))
 def test_rate_raises_exactly_when_the_dichotomy_report_fails(case):
     a, t, alpha = case
     try:
