@@ -2,8 +2,12 @@
 
 The first three checks are alternative characterizations of witnessed
 convexity (neighbour chords, increment growth for increasing sequences,
-collinearity determinants); they must agree with the slope test on every
-input.  The remaining diagnostics probe finite-prefix consequences of the
+collinearity determinants), as is the anchored scan; they must agree with
+the slope test outside the tolerance band.  Inside it they may not: on
+a = [0, 7.5e-10, 0], t = [0, 1, 2] the slope test is violated (margin
+-1.5e-9 against ``tol.abs`` = 1e-9) while the chord and anchored checks hold
+(margin -7.5e-10), and ``relconvex diagnose`` prints ``"agree": false``.
+The remaining diagnostics probe finite-prefix consequences of the
 boundedness results: they report data rather than asserting limits.
 """
 
@@ -35,6 +39,9 @@ from .seqcore import (
     scan_margin,
 )
 
+#: Judges a gap against zero itself: no slack at any scale.
+_EXACT = Tolerance(abs=0.0, rel=0.0)
+
 
 @dataclass(frozen=True)
 class RateReport:
@@ -56,8 +63,8 @@ def neighbor_chord_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TO
 
     The chord value at t_i weights the neighbours by the opposite gaps:
     (right_gap * a[i-1] + left_gap * a[i+1]) / (left_gap + right_gap).
-    Agrees with :func:`relconvex.seqcore.is_convex_wrt` on every input;
-    with an arithmetic witness this is the ordinary midpoint test.
+    Agrees with :func:`relconvex.seqcore.is_convex_wrt` outside the tolerance
+    band; with an arithmetic witness this is the ordinary midpoint test.
     """
     seq, wit = paired(a, t, tol)
     av, tv = seq.values, wit.values
@@ -67,8 +74,7 @@ def neighbor_chord_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TO
         right = tv[i + 1] - tv[i]
         return (right * av[i - 1] + left * av[i + 1]) / (left + right) - av[i]
 
-    allowed = tol.allowed(av)
-    first, margin = scan_margin(map(gap, range(1, len(av) - 1)), allowed, count(2))
+    first, margin = scan_margin(list(map(gap, range(1, len(av) - 1))), tol, av, count(2))
     return CheckReport(first is None, first, margin, tol)
 
 
@@ -90,7 +96,7 @@ def increment_growth_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_
     lhs, rhs = (list(map(truediv, _steps(d), d)) for d in (da, dt))
     gaps = [x - y for x, y in zip(lhs, rhs)]
     in_slope_units = [g * d / e for g, d, e in zip(gaps, da, dt[1:])]
-    first, _ = scan_margin(in_slope_units, tol.allowed(_steps(seq.values, wit.values)))
+    first, _ = scan_margin(in_slope_units, tol, list(_steps(seq.values, wit.values)))
     return CheckReport(first is None, first, min(gaps, default=math.inf), tol)
 
 
@@ -131,9 +137,8 @@ def collinearity_determinant_check(
         )
     else:
         peaks = map(abs, chain.from_iterable(starmap(terms, triples())))
-    allowed = tol.allowed(chain(peaks, (1.0,)))
     dets = (p1 - p2 + p3 for p1, p2, p3 in starmap(terms, triples()))
-    first, margin = scan_margin(dets, allowed, triples())
+    first, margin = scan_margin(dets, tol, chain(peaks, (1.0,)), triples())
     if first is not None:
         first = tuple(i + 1 for i in first)
     return CheckReport(first is None, first, margin, tol)
@@ -160,9 +165,8 @@ def anchored_slope_check(
 def _anchored(av, tv, s0: int, tol: Tolerance) -> CheckReport:
     """:func:`anchored_slope_check` at the 0-based anchor ``s0`` of a validated pair."""
     slopes = [(av[i] - av[s0]) / (tv[i] - tv[s0]) for i in range(s0 + 1, len(av))]
-    allowed = tol.allowed(slopes)
     # label: 1-based index of the later point of each pair
-    first, margin = scan_margin(list(_steps(slopes)), allowed, count(s0 + 3))
+    first, margin = scan_margin(list(_steps(slopes)), tol, slopes, count(s0 + 3))
     return CheckReport(first is None, first, margin, tol)
 
 
@@ -214,11 +218,11 @@ def bounded_monotone_diagnostic(
         raise PreconditionViolation(
             f"max(a) = {max(seq.values)!r} exceeds the stated bound {bound!r}"
         )
-    short, gap = scan_margin((g - alpha for g in forward_diff(wit)), 0.0)
+    short, gap = scan_margin([g - alpha for g in forward_diff(wit)], _EXACT, ())
     if short is not None:
         return CheckReport(False, short, gap, tol, applicable=False)
     da = forward_diff(seq)
-    first, margin = scan_margin((-d for d in da), tol.allowed(da))
+    first, margin = scan_margin([-d for d in da], tol, da)
     return CheckReport(first is None, first, margin, tol)
 
 

@@ -105,13 +105,18 @@ def lupas_constant(t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> float:
     For t = (1, ..., n) this equals 12 / (n (n^2 - 1)).  Strictly positive
     for any strictly increasing t; guarded anyway.  The denominator is
     summed in the centred form sum (t_i - mean t)^2, so it is exact to
-    rounding at the scale of the spread, whatever the offset of t.
+    rounding at the scale of the spread, whatever the offset of t.  On a
+    ``Witness`` passed as an object, the constant is remembered on it per ``tol``.
     """
     wit = Witness.of(t, tol)
-    mean = _fsum(wit.values) / len(wit)
-    denom = _centred(wit.values, mean, wit.values, mean, repeat(1.0))
-    _require_spread(denom, wit, tol, f"centered square sum {denom!r} is not positive")
-    return 1.0 / denom
+
+    def constant() -> float:
+        mean = _fsum(wit.values) / len(wit)
+        denom = _centred(wit.values, mean, wit.values, mean, repeat(1.0))
+        _require_spread(denom, wit, tol, f"centered square sum {denom!r} is not positive")
+        return 1.0 / denom
+
+    return _remembered(wit is t, wit, "_moments", ("lupas", tol), constant, wit, wit)
 
 
 def majorizes(x: Sequence[float], y: Sequence[float], tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -33,6 +33,7 @@ from .seqcore import (
     Tolerance,
     Witness,
     WitnessLike,
+    _remembered,
     _same_length,
     is_convex_wrt,
     paired,
@@ -166,7 +167,7 @@ def _at_least(big: float, small: float, tol: Tolerance) -> tuple[float, int | No
     ``first`` is 1 when ``big`` falls short of ``small`` beyond tolerance, else None.
     """
     slack = big - small
-    return slack, scan_margin((slack,), tol.allowed((big, small)))[0]
+    return slack, scan_margin([slack], tol, (big, small))[0]
 
 
 def lupas_check(
@@ -247,14 +248,24 @@ def hhf_bounds(
     """
     seq, wit, pv = RealSeq.of(a), Witness.of(t, tol), WeightVec.of(p)
     _same_length("a t p", seq, wit, pv)
+    return _hhf(seq, wit, pv, psi, tol, skip_verify, seq is a and pv is p, wit is t and pv is p)
+
+
+def _hhf(seq: RealSeq, wit: Witness, pv: WeightVec, psi: ConvexMap, tol: Tolerance, skip_verify: bool,
+         keep_value: bool, keep_mean: bool) -> BoundReport:
+    """:func:`hhf_bounds` on validated inputs.  The value sum(p_i psi(a_i)) / P is remembered on
+    ``pv`` per (sequence, map) when ``keep_value`` and the map is a builtin one (pure, and declaring
+    its interval); any other callable is called anew.  The mean of ``wit`` is remembered when
+    ``keep_mean``."""
     if not skip_verify:
         _require_convex_wrt("a", seq, wit, tol)
         spot_check_map(psi, seq.values, tol)
     n = len(seq)
     if wit[-1] - wit[0] <= tol.abs:
         raise DegenerateWitness("witness endpoints coincide")
-    value = _fsum([w * psi(x) for w, x in zip(pv, seq)]) / pv.total
-    mt = _mean(wit, pv, wit is t and pv is p)
+    value = _remembered(keep_value and _proven_interval(psi) is not None, pv, "_moments", "psi",
+                        lambda: _fsum([w * psi(x) for w, x in zip(pv, seq)]) / pv.total, seq, psi)
+    mt = _mean(wit, pv, keep_mean)
     m = min(floor_wrt(wit, mt, tol), n - 1)
     gamma = (mt - wit[m - 1]) / (wit[m] - wit[m - 1])
     gamma = min(max(gamma, 0.0), 1.0)
@@ -269,7 +280,7 @@ def _sandwich(lower: float, value: float, upper: float, tol: Tolerance, **fields
     """Two-sided verdict: both slacks judged at the scale of the three quantities."""
     slack_lower = value - lower
     slack_upper = upper - value
-    first, _ = scan_margin((slack_lower, slack_upper), tol.allowed((value, lower, upper)))
+    first, _ = scan_margin([slack_lower, slack_upper], tol, (value, lower, upper))
     return BoundReport(value=value, upper=upper, holds=first is None, slack_upper=slack_upper,
                        lower=lower, slack_lower=slack_lower, tolerance=tol, **fields)
 
@@ -280,7 +291,8 @@ def _unit_hhf(
     """(P_n, :func:`hhf_bounds` at t = (1..n)) for a sequence that must be convex."""
     seq, pv = RealSeq.of(a), WeightVec.of(p)
     _same_length("a p", seq, pv)
-    return pv.total, hhf_bounds(seq, unit_witness(len(seq)), pv, psi, tol, skip_verify=skip_verify)
+    wit = unit_witness(len(seq))
+    return pv.total, _hhf(seq, wit, pv, psi, tol, skip_verify, seq is a and pv is p, pv is p)
 
 
 def niezgoda_bound(

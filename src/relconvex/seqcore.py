@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, count, islice, repeat
-from operator import gt, lt, mul, sub, truediv
+from operator import gt, indexOf, lt, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -47,10 +47,13 @@ class Tolerance:
     values needed for transcendental inputs (ln, arctan, ...).
 
     Every verdict measures its slacks against :meth:`allowed`, at the scale
-    of the operands it compares.  Comparisons of a quantity with zero or
-    with a fixed point use ``abs`` alone: the plateau steps at the minimum
-    in :func:`classify_shape`, the witness gaps, the domain and range clamps
-    and the endpoint check of ``hhf_bounds``.
+    of the operands it compares.  :func:`scan_margin` takes that scale only
+    when the smallest slack is negative or an operand is non-finite: the
+    allowance is never negative, so a non-negative slack never needs it.
+    Comparisons of a quantity with zero or with a fixed point use ``abs``
+    alone: the plateau steps at the minimum in :func:`classify_shape`, the
+    witness gaps, the domain and range clamps and the endpoint check of
+    ``hhf_bounds``.
     """
 
     abs: float = 1e-9
@@ -68,7 +71,8 @@ class Tolerance:
         """:meth:`slack` at the largest |operand|; NonFiniteArithmetic if an operand is inf or NaN."""
         if not isinstance(operands, (list, tuple)):
             operands = tuple(operands)
-        scale = max(map(abs, operands), default=0.0)
+        # the largest |x| is max or -min; slack() takes abs, so the sign of a zero scale is immaterial
+        scale = max(max(operands, default=0.0), -min(operands, default=0.0))
         # max passes over a NaN that does not come first; the sum is NaN whenever one is present
         if math.isnan(sum(operands)):
             scale = math.nan
@@ -226,23 +230,41 @@ class CheckReport:
     applicable: bool = True
 
 
-def scan_margin(gaps: Iterable[float], allowed: float, labels: Iterable | None = None):
-    """One streaming pass: ``(first, margin)`` over the signed slacks ``gaps``.
+def scan_margin(gaps: Iterable[float], tol: Tolerance, operands: Iterable[float],
+                labels: Iterable | None = None):
+    """``(first, margin)`` over the signed slacks ``gaps``, judged at ``tol.allowed(operands)``.
 
     ``margin`` is the smallest gap (``inf`` when there is none); ``first`` is
-    the label of the first gap below ``-allowed``, or None.  Labels default
-    to the 1-based positions 1, 2, ...  Deriving both from the one threshold
-    makes every report satisfy ``holds == (first is None)``.  This is the
-    only place a gap is judged; a NaN gap raises :class:`NonFiniteArithmetic`.
+    the label of the first gap below the negated allowance, or None.  Labels
+    default to the 1-based positions 1, 2, ...  Deriving both from the one
+    threshold makes every report satisfy ``holds == (first is None)``.  This
+    is the only place a gap is judged and the only place its scale is taken:
+    an inf or NaN operand raises :class:`NonFiniteArithmetic` as
+    :meth:`Tolerance.allowed` does, before a NaN gap raises it.
 
-    A ``list`` of gaps is judged at C level (``min`` keeps the first of equal
-    gaps, as the loop does) and falls back to the loop only to label a
-    violation or a NaN; any other iterable streams through the loop.
+    A ``list`` of gaps is judged at C level (``min`` and the first gap below
+    the threshold, as the loop finds them), and the scale is taken only when
+    the smallest gap is negative: the allowance is never negative, so a
+    non-negative gap is never a violation.  One sum screens the operands for
+    inf and NaN and one the gaps for NaN; a screen that fires (an overflowing
+    sum of finite operands, inf + -inf among the gaps included) sends the list
+    through the loop, which raises only on a real NaN.  Any other iterable
+    streams through the loop at the scale taken first.
     """
-    if isinstance(gaps, list) and not any(map(math.isnan, gaps)):
-        margin = min(gaps, default=math.inf)
-        if not margin < -allowed:
-            return None, margin
+    if isinstance(gaps, list):
+        if not isinstance(operands, (list, tuple)):
+            operands = tuple(operands)
+        # a sum of floats is inf or NaN whenever a term is, compensated (3.12+) or not
+        if math.isfinite(sum(operands)) and not math.isnan(sum(gaps)):
+            margin = min(gaps, default=math.inf)
+            if margin >= 0:
+                return None, margin
+            threshold = -tol.allowed(operands)
+            if not margin < threshold:
+                return None, margin
+            k = indexOf(map(lt, gaps, repeat(threshold)), True)
+            return (k + 1 if labels is None else next(islice(labels, k, None))), margin
+    allowed = tol.allowed(operands)
     margin = math.inf
     first = None
     for label, gap in zip(count(1) if labels is None else labels, gaps):
@@ -260,7 +282,8 @@ def _remembered(keep: bool, owner: _Floats, memo: str, key, compute, x, y):
     """``compute()``, remembered in the dict ``memo`` on the frozen ``owner`` per (``key``, x, y),
     y = x for one object, unless ``keep`` is false (an input was built from raw values in the call)
     or it raises.  An entry holds x and y by weak reference; a hit must find them alive, as a dead
-    object's id may be reused.  An insert finding 8, 16, 32, ... entries drops those of dead objects."""
+    object's id may be reused, and an object that takes no weak reference is not remembered.  An
+    insert finding 8, 16, 32, ... entries drops those of dead objects."""
     if not keep:
         return compute()
     entries = vars(owner).get(memo, {})
@@ -269,10 +292,14 @@ def _remembered(keep: bool, owner: _Floats, memo: str, key, compute, x, y):
     if hit is not None and hit[0]() is x and hit[1]() is y:
         return hit[2]
     value = compute()
+    try:
+        refs = weakref.ref(x), weakref.ref(y)
+    except TypeError:  # a map object with __slots__, say
+        return value
     if len(entries) >= 8 and not len(entries) & (len(entries) - 1):
         entries = {k: e for k, e in entries.items() if e[0]() is not None and e[1]() is not None}
     # a published memo is never mutated, so a concurrent caller never iterates a changing dict
-    object.__setattr__(owner, memo, {**entries, slot: (weakref.ref(x), weakref.ref(y), value)})
+    object.__setattr__(owner, memo, {**entries, slot: (*refs, value)})
     return value
 
 
@@ -330,7 +357,7 @@ def is_convex_wrt(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> C
 
     def test() -> CheckReport:
         ratios = list(_steps(seq.values, wit.values))
-        first, margin = scan_margin(list(_steps(ratios)), tol.allowed(ratios))
+        first, margin = scan_margin(list(_steps(ratios)), tol, ratios)
         return CheckReport(first is None, first, margin, tol)
 
     return _remembered(seq is a and wit is t, seq, "_slope_tests", tol, test, wit, wit)

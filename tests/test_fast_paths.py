@@ -17,25 +17,33 @@ check agrees with its reference loop.
 * A builtin map whose declared interval holds the values is proven, not
   sampled: the range check observes what the sampled check of the same map
   behind a plain lambda observes, and any other case is that sampled check.
+* ``scan_margin`` takes the tolerance scale only when a gap is negative; it
+  reports and raises as the eager rule kept here (``eager_rule``: the scale
+  first, then every gap in order) on edge gaps, operands and tolerances, and
+  so do its callers against loops that keep their formulas
+  (``REFERENCES``) on a seeded corpus.
 """
 
 import copy
 import gc
 import math
 import pickle
+import random
 import warnings
 import weakref
+from itertools import accumulate, combinations, count
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relconvex import (
-    ConvexMapWarning, RealSeq, Tolerance, Witness, is_convex, is_convex_wrt, make_relu, parse_psi,
-    spot_check_map,
+    CheckReport, ConvexMapWarning, RealSeq, ShapeKind, Tolerance, Witness, anchored_slope_check_all,
+    classify_shape, collinearity_determinant_check, increment_growth_check, is_convex, is_convex_wrt,
+    make_relu, neighbor_chord_check, parse_psi, spot_check_map,
 )
-from relconvex.errors import NonFiniteArithmetic, WitnessNotIncreasing
-from relconvex.seqcore import DEFAULT_TOL, scan_margin
+from relconvex.errors import NonFiniteArithmetic, NotStrictlyIncreasing, WitnessNotIncreasing
+from relconvex.seqcore import DEFAULT_TOL, paired, scan_margin
 
 
 def outcome(fn, *args):
@@ -63,17 +71,18 @@ def test_scan_margin_list_equals_stream(gaps, allowed, labelled, with_nan):
     if with_nan and gaps:
         gaps[len(gaps) // 2] = math.nan
     labels = [f"pair {k}" for k in range(len(gaps))] if labelled else None
-    fast = outcome(scan_margin, list(gaps), allowed, labels)
-    loop = outcome(scan_margin, iter(gaps), allowed, None if labels is None else iter(labels))
+    tol = Tolerance(abs=allowed, rel=0.0)
+    fast = outcome(scan_margin, list(gaps), tol, (), labels)
+    loop = outcome(scan_margin, iter(gaps), tol, (), None if labels is None else iter(labels))
     assert fast == loop
     if with_nan and gaps:
         assert fast[0][0] is NonFiniteArithmetic
 
 
 def test_scan_margin_keeps_the_first_of_tied_zeros():
-    assert repr(scan_margin([0.0, -0.0], 1e-9)[1]) == "0.0"
-    assert repr(scan_margin([-0.0, 0.0], 1e-9)[1]) == "-0.0"
-    assert scan_margin([], 1e-9) == (None, math.inf)
+    assert repr(scan_margin([0.0, -0.0], DEFAULT_TOL, ())[1]) == "0.0"
+    assert repr(scan_margin([-0.0, 0.0], DEFAULT_TOL, ())[1]) == "-0.0"
+    assert scan_margin([], DEFAULT_TOL, ()) == (None, math.inf)
 
 
 # -- Witness.of ---------------------------------------------------------------
@@ -334,3 +343,182 @@ def test_square_past_overflow_raises_as_the_sampled_check():
     values = [1.0, 1e200]
     assert outcome(spot_check_map, psi, values) == outcome(spot_check_map, sampled(psi), values)
     assert outcome(spot_check_map, psi, values)[0][0] is NonFiniteArithmetic
+
+
+# -- the lazy kernel: the scale only for a negative gap ------------------------------
+
+KERNEL_TOLS = [Tolerance(), Tolerance(0.0, 0.0), Tolerance(1e-3, 1e-12)]
+edge_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-9, -1e-9, -1.5e-9]),
+)
+
+
+def eager_rule(gaps, tol, operands, labels=None):
+    """The rule the kernel shortcuts: the scale taken first, then every gap judged in order."""
+    allowed = tol.allowed(operands)
+    first, margin = None, math.inf
+    for label, gap in zip(count(1) if labels is None else labels, gaps):
+        if math.isnan(gap):
+            raise NonFiniteArithmetic(f"gap {label!r} is NaN")
+        if gap < margin:
+            margin = gap
+        if first is None and gap < -allowed:
+            first = label
+    return first, margin
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(edge_floats, max_size=10), st.lists(edge_floats, max_size=6), st.sampled_from(KERNEL_TOLS),
+       st.booleans(), st.sampled_from([list, tuple, iter]))
+# finite operands whose sum overflows, judged at their true scale (1e296 here)
+@example([-1e-3, 2.0], [1e308, 1e308, -1e308], KERNEL_TOLS[2], False, list)
+@example([5.0, -1e300], [1e308, 1e308, -1e308], KERNEL_TOLS[2], True, tuple)
+# gaps whose sum is NaN without a NaN among them
+@example([math.inf, -1.0, -math.inf], [1.0], KERNEL_TOLS[0], True, list)
+def test_lazy_kernel_equals_the_eager_rule(gaps, operands, tol, labelled, form):
+    labels = [f"pair {k}" for k in range(len(gaps))] if labelled else None
+    lazy = outcome(scan_margin, list(gaps), tol, form(operands), labels)
+    assert lazy == outcome(eager_rule, gaps, tol, operands, labels)
+
+
+@pytest.mark.parametrize("operands, error", [
+    ([1.0, math.inf], "compared quantities reach inf"),
+    ([-math.inf, 1.0], "compared quantities reach inf"),
+    ([1.0, math.nan], "compared quantities reach nan"),
+    ([math.inf, -math.inf], "compared quantities reach nan"),
+])
+def test_a_non_finite_operand_raises_before_a_nan_gap(operands, error):
+    # as the eager rule: the scale is taken first, whatever the gaps are
+    for gaps in ([1.0, 2.0], [math.nan], [-5.0, math.nan]):
+        with pytest.raises(NonFiniteArithmetic, match=error):
+            scan_margin(gaps, DEFAULT_TOL, operands)
+
+
+# Loops that keep each caller's formulas, judged by eager_rule.  Validation and
+# classify_shape are the library's: they are not what the kernel changes.
+
+def ref_slope_test(a, t, tol):
+    seq, wit = paired(a, t, tol)
+    av, tv = seq.values, wit.values
+    ratios = [(av[i + 1] - av[i]) / (tv[i + 1] - tv[i]) for i in range(len(av) - 1)]
+    first, margin = eager_rule([ratios[i + 1] - ratios[i] for i in range(len(ratios) - 1)], tol, ratios)
+    return CheckReport(first is None, first, margin, tol)
+
+
+def ref_is_convex(a, t, tol):
+    rep = ref_slope_test(a, [float(i) for i in range(1, len(a) + 1)], tol)
+    first = None if rep.first_violation is None else rep.first_violation + 1
+    return CheckReport(rep.holds, first, rep.margin / 2, tol)
+
+
+def ref_chord(a, t, tol):
+    seq, wit = paired(a, t, tol)
+    av, tv = seq.values, wit.values
+    gaps = []
+    for i in range(1, len(av) - 1):
+        left, right = tv[i] - tv[i - 1], tv[i + 1] - tv[i]
+        gaps.append((right * av[i - 1] + left * av[i + 1]) / (left + right) - av[i])
+    first, margin = eager_rule(gaps, tol, av, count(2))
+    return CheckReport(first is None, first, margin, tol)
+
+
+def ref_anchored_all(a, t, tol):
+    seq, wit = paired(a, t, tol)
+    av, tv = seq.values, wit.values
+    first, margin = None, math.inf
+    for s0 in range(len(av) - 1):
+        slopes = [(av[i] - av[s0]) / (tv[i] - tv[s0]) for i in range(s0 + 1, len(av))]
+        row_first, row_margin = eager_rule(
+            [slopes[k + 1] - slopes[k] for k in range(len(slopes) - 1)], tol, slopes, count(s0 + 3))
+        first = row_first if first is None else first
+        margin = min(margin, row_margin)
+    return CheckReport(first is None, first, margin, tol)
+
+
+def ref_determinants(a, t, tol, all_triples):
+    seq, wit = paired(a, t, tol)
+    av, tv = seq.values, wit.values
+    n = len(av)
+    triples = list(combinations(range(n), 3)) if all_triples else [(i, i + 1, i + 2) for i in range(n - 2)]
+    terms = [((tv[k] - tv[m]) * av[l], (tv[k] - tv[l]) * av[m], (tv[m] - tv[l]) * av[k])
+             for l, m, k in triples]
+    if all_triples:
+        peaks = ([(tv[-1] - tv[l + 1]) * abs(av[l]) for l in range(n - 2)]
+                 + [(tv[-1] - tv[0]) * abs(av[m]) for m in range(1, n - 1)]
+                 + [(tv[k - 1] - tv[0]) * abs(av[k]) for k in range(2, n)])
+    else:
+        peaks = [abs(x) for term in terms for x in term]
+    first, margin = eager_rule([p1 - p2 + p3 for p1, p2, p3 in terms], tol, peaks + [1.0], triples)
+    first = None if first is None else tuple(i + 1 for i in first)
+    return CheckReport(first is None, first, margin, tol)
+
+
+def ref_growth(a, t, tol):
+    seq, wit = paired(a, t, tol)
+    shape = classify_shape(seq, tol).variant
+    if shape is not ShapeKind.STRICTLY_INCREASING:
+        raise NotStrictlyIncreasing(f"a must be strictly increasing, but its profile is {shape.value}")
+    av, tv = seq.values, wit.values
+    da = [av[i + 1] - av[i] for i in range(len(av) - 1)]
+    dt = [tv[i + 1] - tv[i] for i in range(len(tv) - 1)]
+    gaps = [(da[k + 1] - da[k]) / da[k] - (dt[k + 1] - dt[k]) / dt[k] for k in range(len(da) - 1)]
+    units = [g * da[k] / dt[k + 1] for k, g in enumerate(gaps)]
+    first, _ = eager_rule(units, tol, [d / e for d, e in zip(da, dt)])
+    return CheckReport(first is None, first, min(gaps, default=math.inf), tol)
+
+
+REFERENCES = {
+    "slope test": (is_convex_wrt, ref_slope_test),
+    "ordinary": (lambda a, t, tol: is_convex(a, tol), ref_is_convex),
+    "chord": (neighbor_chord_check, ref_chord),
+    "anchored": (anchored_slope_check_all, ref_anchored_all),
+    "determinants": (collinearity_determinant_check, lambda a, t, tol: ref_determinants(a, t, tol, False)),
+    "all triples": (lambda a, t, tol: collinearity_determinant_check(a, t, tol, all_triples=True),
+                    lambda a, t, tol: ref_determinants(a, t, tol, True)),
+    "growth": (increment_growth_check, ref_growth),
+}
+
+
+def corpus_pair(rng):
+    """A seeded (a, t) with n <= 40: convex, increasing (convex or concave), lifted in or beyond the
+    tolerance band, noise, constant, signed zeros, or magnitudes that overflow; t unit, mixed, wide
+    or tiny."""
+    n = rng.randint(2, 40)
+    spacing = rng.choice(["unit", "mixed", "wide", "tiny"])
+    if spacing == "unit":
+        t = [float(i) for i in range(1, n + 1)]
+    else:
+        lo, hi = {"mixed": (1e-2, 10.0), "wide": (1e100, 1e300), "tiny": (1e-8, 1e-6)}[spacing]
+        t = list(accumulate((rng.uniform(lo, hi) for _ in range(n - 1)), initial=rng.uniform(-100.0, 100.0)))
+    kind = rng.choice(["convex", "increasing", "concave", "lifted", "huge", "noise", "flat", "zeros",
+                       "overflow"])
+    if kind in ("convex", "increasing", "concave", "lifted", "huge"):
+        rising = kind in ("increasing", "concave") or kind == "lifted" and rng.random() < 0.5
+        slopes = sorted((rng.uniform(0.01 if rising else -5.0, 5.0) for _ in range(n - 1)),
+                        reverse=kind == "concave")
+        rises = (s * (t[k + 1] - t[k]) for k, s in enumerate(slopes))
+        a = list(accumulate(rises, initial=rng.uniform(-10, 10)))
+        if kind == "lifted" and n > 2:
+            a[rng.randrange(1, n - 1)] += rng.choice([1.0, 1e-3, 2e-9, 7.5e-10, -7.5e-10, 5e-10])
+        if kind == "huge":
+            a = [x * 1e300 for x in a]
+    elif kind == "noise":
+        a = [rng.uniform(-1e3, 1e3) for _ in range(n)]
+    elif kind == "flat":
+        a = [rng.choice([0.0, 1.0, -2.5])] * n
+    elif kind == "zeros":
+        a = [rng.choice([0.0, -0.0]) for _ in range(n)]
+    else:
+        a = [rng.choice([0.0, 1e308, -1e308, 1.7e308]) for _ in range(n)]
+    return a, t
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_callers_equal_the_loops_that_keep_their_formulas(name):
+    check, reference = REFERENCES[name]
+    rng = random.Random(20261019)
+    for _ in range(150):
+        a, t = corpus_pair(rng)
+        tol = rng.choice(KERNEL_TOLS)
+        assert outcome(check, a, t, tol) == outcome(reference, a, t, tol), (a, t, tol)

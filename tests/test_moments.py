@@ -6,6 +6,10 @@
   a copy or pickle starts empty, the memo makes no reference cycle, and
   calls on raw lists leave no entry behind.
 * ``pecaric_check`` shares the cached ``unit_weights(n)``.
+* The value sum p_i ψ(a_i) of the HHF engines is remembered on the
+  ``WeightVec`` per (sequence, map) for a builtin map only; any other
+  callable is called anew.  ``lupas_constant`` is remembered on its
+  ``Witness`` per tolerance.  Neither remembers a raise.
 * The majorization engines evaluate the polygonal line point by point, bit
   for bit as the extension's slopes did, and never build the extension.
 * ``Witness.of`` judges the gaps once, with the same errors as before.
@@ -25,12 +29,14 @@ from hypothesis import strategies as st
 import relconvex
 from relconvex import (
     RealSeq, Tolerance, WeightVec, Witness, build_extension, convex_hhf_bounds, cov_functional,
-    hhf_bounds, integer_majorization_check, lupas_check, majorization_inequality_check,
+    hhf_bounds, integer_majorization_check, lupas_check, lupas_constant, majorization_inequality_check,
     niezgoda_bound, parse_psi, pecaric_check, weighted_mean,
 )
 from relconvex import polyext
+from relconvex import functionals
 from relconvex.errors import (
-    LengthError, NonFiniteArithmetic, OutOfDomain, PreconditionViolation, WitnessNotIncreasing,
+    DegenerateWitness, LengthError, NonFiniteArithmetic, OutOfDomain, PreconditionViolation,
+    WitnessNotIncreasing,
 )
 from relconvex.functionals import _fsum, unit_weights
 from relconvex.seqcore import unit_witness
@@ -179,6 +185,7 @@ def test_calls_on_raw_lists_leave_no_entry_behind():
     a, b, t = [4.0, 1.0, 0.0, 2.0, 6.0], [9.0, 4.0, 1.0, 0.0, 1.0], [1.0, 2.0, 3.0, 4.0, 5.0]
     p = WeightVec([1.0, 2.0, 3.0, 2.0, 1.0])
     psi = parse_psi("identity")
+    unit_weights.cache_clear()  # a test before may have left moments on the cached instance
     units = unit_weights(len(a))
     weighted_mean(t, p)
     cov_functional(a, t, p)
@@ -202,6 +209,76 @@ def test_pecaric_shares_the_cached_unit_weights():
     assert len(live_entries(units)[0]) == 7  # means of a, b, 1..n; S(t,t), S(a,b), S(a,t), S(b,t)
     assert pecaric_check(a, b) == report
     assert repr(report) == repr(pecaric_check(list(a), list(b)))
+
+
+class CountingMap:
+    """The identity, counting its calls; ``builtin`` declares the interval a builtin map declares."""
+
+    def __init__(self, builtin):
+        self.calls = 0
+        if builtin:
+            self._convex_on = (-math.inf, math.inf)
+
+    def __call__(self, x):
+        self.calls += 1
+        return x
+
+
+@pytest.mark.parametrize("builtin", [True, False])
+def test_the_psi_sum_is_remembered_for_a_builtin_map_only(builtin):
+    a, p = RealSeq([4.0, 1.0, 0.0, 2.0, 6.0]), WeightVec([1.0, 2.0, 3.0, 2.0, 1.0])
+    psi = CountingMap(builtin)
+    reports = []
+    for engine in (niezgoda_bound, convex_hhf_bounds, convex_hhf_bounds):
+        before = psi.calls
+        reports.append(outcome(engine, a, p, psi))
+        # the range check (builtin) or the samples (any other map), lower and upper, then the sum
+        spot = 2 if builtin else 5 + 3
+        summed = builtin and engine is not niezgoda_bound
+        assert psi.calls - before == spot + 4 + (0 if summed else len(a))
+    fresh = [outcome(engine, list(a), list(p), CountingMap(builtin))
+             for engine in (niezgoda_bound, convex_hhf_bounds, convex_hhf_bounds)]
+    assert reports == fresh
+
+
+class SlottedIdentity:
+    """A map declaring the builtin interval that takes no weak reference."""
+
+    __slots__ = ()
+    _convex_on = (-math.inf, math.inf)
+
+    def __call__(self, x):
+        return x
+
+
+def test_a_map_without_weak_references_is_called_anew():
+    a, p = RealSeq([4.0, 1.0, 0.0, 2.0, 6.0]), WeightVec([1.0, 2.0, 3.0, 2.0, 1.0])
+    for engine in (niezgoda_bound, convex_hhf_bounds):
+        assert outcome(engine, a, p, SlottedIdentity()) == outcome(engine, a, p, parse_psi("identity"))
+
+
+def test_a_raising_psi_sum_is_not_remembered():
+    a, p = RealSeq([0.0, 400.0, 800.0]), WeightVec([1.0, 1.0, 1.0])
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            niezgoda_bound(a, p, math.exp, skip_verify=True)
+    assert live_entries(p)[1] == 0  # the sum raised, before the mean of the witness is taken
+
+
+def test_lupas_constant_is_remembered_per_witness_and_tolerance(monkeypatch):
+    sums = []
+    centred = functionals._centred
+    monkeypatch.setattr(functionals, "_centred", lambda *args: sums.append(1) or centred(*args))
+    t = Witness([0.0, 1.0, 2.0])
+    loose = Tolerance(abs=10.0)  # above the centred square sum 2: degenerate at this tolerance
+    for _ in range(3):
+        with pytest.raises(DegenerateWitness):
+            lupas_constant(t, loose)
+        assert lupas_constant(t) == 0.5
+    assert len(sums) == 3 + 1  # every raise again, the constant once
+    clone = copy.copy(t)
+    assert "_moments" not in vars(clone) and lupas_constant(clone) == 0.5
+    assert lupas_constant([0.0, 1.0, 2.0]) == 0.5 and len(sums) == 6
 
 
 # -- the point evaluator -------------------------------------------------------

@@ -49,6 +49,7 @@ from relconvex.seqcore import _Floats, scan_margin
 SLOPE_OVERFLOW = {"a": [-1e308, 1e308, 1e308], "t": [0.0, 1.0, 2.0]}
 LUPAS_HUGE = {"a": [1e200, 0.0, 1e200], "b": [1e200, 0.0, 1e200], "t": [1.0, 2.0, 3.0]}
 HHF_HUGE = {"a": [1e200, 0.0, 1e200], "t": [1.0, 2.0, 3.0]}
+EXACT = Tolerance(abs=0.0, rel=0.0)
 
 
 # -- Tolerance.allowed and scan_margin ---------------------------------------
@@ -84,15 +85,16 @@ def test_non_finite_arithmetic_is_both_a_package_and_an_arithmetic_error():
 
 def test_scan_margin_raises_on_a_nan_gap():
     with pytest.raises(NonFiniteArithmetic):
-        scan_margin([1.0, math.nan, 2.0], 0.0)
+        scan_margin([1.0, math.nan, 2.0], EXACT, ())
     # a NaN after a larger gap is caught too, not skipped by the comparison
     with pytest.raises(NonFiniteArithmetic):
-        scan_margin([-1.0, math.nan], 0.0)
+        scan_margin([-1.0, math.nan], EXACT, ())
 
 
 def test_scan_margin_keeps_infinite_gaps_as_margins():
-    assert scan_margin([math.inf], 1.0) == (None, math.inf)
-    assert scan_margin([1.0, -math.inf], 1.0) == (2, -math.inf)
+    unit = Tolerance(abs=1.0, rel=0.0)
+    assert scan_margin([math.inf], unit, ()) == (None, math.inf)
+    assert scan_margin([1.0, -math.inf], unit, ()) == (2, -math.inf)
 
 
 # -- the three non-finite inputs: library ------------------------------------
