@@ -9,13 +9,27 @@ a = [0, 7.5e-10, 0], t = [0, 1, 2] the slope test is violated (margin
 (margin -7.5e-10), and ``relconvex diagnose`` prints ``"agree": false``.
 The remaining diagnostics probe finite-prefix consequences of the
 boundedness results: they report data rather than asserting limits.
+
+The two super-linear scans, :func:`anchored_slope_check_all` (O(n^2)) and
+:func:`collinearity_determinant_check` with ``all_triples`` (O(n^3)), compute
+their rows with numpy when it pays, and with stdlib loops otherwise: from
+2**14 gaps when numpy is already imported, and from 2**19 gaps when the scan
+would import it first (about 0.1 s), so a scan of fewer than 2**14 gaps
+never loads numpy and a scan without numpy runs its loops at any size.
+Measured on 2 shared vCPUs, numpy rows overtake the loops at about 4e3 gaps
+(anchored, n ~ 90) and 4e2 (all triples, n ~ 14), and pay for numpy's import
+from about 5e5 gaps (anchored, n ~ 1,000) and 3e5 (all triples, n ~ 120).
+Each numpy row takes the IEEE operations of its loop in the same order, and
+every row that does not plainly hold is judged by ``scan_margin``, so the
+reports and errors are the same on either path.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, count, starmap
+from itertools import accumulate, chain, combinations, count, repeat
 from operator import mul, truediv
 
 from .errors import (
@@ -41,6 +55,11 @@ from .seqcore import (
 
 #: Judges a gap against zero itself: no slack at any scale.
 _EXACT = Tolerance(abs=0.0, rel=0.0)
+
+#: Gap counts from which the two super-linear scans take their rows from
+#: numpy: when it is already imported, and when the scan would import it.
+_NUMPY_LOADED_CUTOFF = 2**14
+_NUMPY_IMPORT_CUTOFF = 2**19
 
 
 @dataclass(frozen=True)
@@ -115,33 +134,80 @@ def collinearity_determinant_check(
     ``first_violation`` is the lexicographically first bad 1-based triple.
     The tolerance scale is the largest |term| over the scanned triples (at
     least 1: the floor is one more operand), so the verdict and the
-    violation come from one threshold.
+    violation come from one threshold.  All triples are scanned in blocks
+    that share their first index, from numpy past the cutoffs of the module
+    docstring (C(n, 3) >= 2**14 gaps when numpy is loaded, n >= 48; >= 2**19
+    when it must be imported, n >= 148), with the same report either way.
     """
     seq, wit = paired(a, t, tol)
     av, tv = seq.values, wit.values
     n = len(av)
-
-    def terms(l, m, k):
-        return (tv[k] - tv[m]) * av[l], (tv[k] - tv[l]) * av[m], (tv[m] - tv[l]) * av[k]
-
-    def triples():
-        return combinations(range(n), 3) if all_triples else ((i, i + 1, i + 2) for i in range(n - 2))
-
-    if all_triples:
+    if not all_triples:
+        triples = [(i, i + 1, i + 2) for i in range(n - 2)]
+        # each triple's three products, built once for both the scale and the determinant
+        terms = [((tv[k] - tv[m]) * av[l], (tv[k] - tv[l]) * av[m], (tv[m] - tv[l]) * av[k])
+                 for l, m, k in triples]
+        peaks = map(abs, chain.from_iterable(terms))
+        dets = [p1 - p2 + p3 for p1, p2, p3 in terms]
+        first, margin = scan_margin(dets, tol, [*peaks, 1.0], triples)
+        rep = CheckReport(first is None, first, margin, tol)
+    else:
         # each term is largest at the widest witness span its position allows
         # (rounding is monotone, so these are the exact maxima of the scan)
-        peaks = chain(
-            ((tv[-1] - tv[l + 1]) * abs(av[l]) for l in range(n - 2)),
-            ((tv[-1] - tv[0]) * abs(av[m]) for m in range(1, n - 1)),
-            ((tv[k - 1] - tv[0]) * abs(av[k]) for k in range(2, n)),
+        peaks = (
+            *((tv[-1] - tv[l + 1]) * abs(av[l]) for l in range(n - 2)),
+            *((tv[-1] - tv[0]) * abs(av[m]) for m in range(1, n - 1)),
+            *((tv[k - 1] - tv[0]) * abs(av[k]) for k in range(2, n)),
+            1.0,
         )
-    else:
-        peaks = map(abs, chain.from_iterable(starmap(terms, triples())))
-    dets = (p1 - p2 + p3 for p1, p2, p3 in starmap(terms, triples()))
-    first, margin = scan_margin(dets, tol, chain(peaks, (1.0,)), triples())
-    if first is not None:
-        first = tuple(i + 1 for i in first)
+        # the scale first: an inf or NaN peak raises before any determinant is
+        # judged; the peaks are non-negative, so the largest is the scale of all
+        tol.allowed(peaks)
+        scale = (max(peaks),)
+        np = _numpy_for(n * (n - 1) * (n - 2) // 6)
+        if np is None:
+            rep = _fold([_triple_block(av, tv, tol, scale, l) for l in range(n - 2)], tol)
+        else:
+            with np.errstate(all="ignore"):
+                rep = _fold(list(_triple_rows(np, av, tv, tol, scale)), tol)
+    if rep.first_violation is None:
+        return rep
+    return CheckReport(False, tuple(i + 1 for i in rep.first_violation), rep.margin, tol)
+
+
+def _triple_block(av, tv, tol: Tolerance, scale, l: int) -> CheckReport:
+    """The determinants of the 0-based triples (l, m, k), m < k, in combinations order."""
+    pairs = combinations(range(l + 1, len(av)), 2)
+    dets = ((tv[k] - tv[m]) * av[l] - (tv[k] - tv[l]) * av[m] + (tv[m] - tv[l]) * av[k] for m, k in pairs)
+    labels = ((l, m, k) for m, k in combinations(range(l + 1, len(av)), 2))
+    first, margin = scan_margin(dets, tol, scale, labels)
     return CheckReport(first is None, first, margin, tol)
+
+
+def _triple_rows(np, av, tv, tol: Tolerance, scale):
+    """:func:`_triple_block` for every first index, each block a few numpy
+    operations: the IEEE operations of the loop, in the same order.  Every
+    block works in the same buffers: blocks of their own sizes would leave
+    one freed buffer per size in numpy's cache of small allocations."""
+    n = len(av)
+    A, T = np.array(av), np.array(tv)
+    # the pairs m < k in combinations order: those with m > l are a suffix
+    M, K = np.triu_indices(n, 1)
+    am, ak, tm, tk = A[M], A[K], T[M], T[K]
+    span = tk - tm
+    dets_buf, term_buf, work = np.empty(span.size), np.empty(span.size), np.empty(span.size, bool)
+    start = 0
+    for l in range(n - 2):
+        start += n - 1 - l
+        w = span.size - start
+        dets, term = dets_buf[:w], term_buf[:w]
+        np.multiply(span[start:], A[l], out=dets)
+        np.multiply(np.subtract(tk[start:], T[l], out=term), am[start:], out=term)
+        dets -= term
+        np.multiply(np.subtract(tm[start:], T[l], out=term), ak[start:], out=term)
+        dets += term
+        yield _vector_report(np, dets, work[:w], tol, scale,
+                             lambda at: zip(repeat(l), M[start + at].tolist(), K[start + at].tolist()))
 
 
 def anchored_slope_check(
@@ -170,12 +236,83 @@ def _anchored(av, tv, s0: int, tol: Tolerance) -> CheckReport:
     return CheckReport(first is None, first, margin, tol)
 
 
+def _anchored_rows(np, av, tv, tol: Tolerance):
+    """:func:`_anchored` at every anchor, each row a few numpy operations (the
+    IEEE operations of the loop, in the same order) in buffers that every row
+    shares, as :func:`_triple_rows` does."""
+    n = len(av)
+    A, T = np.array(av), np.array(tv)
+    slopes_buf, runs_buf, gaps_buf, work = np.empty(n), np.empty(n), np.empty(n), np.empty(n, bool)
+    for s0 in range(n - 1):
+        w = n - 1 - s0
+        slopes = np.subtract(A[s0 + 1:], A[s0], out=slopes_buf[:w])
+        np.divide(slopes, np.subtract(T[s0 + 1:], T[s0], out=runs_buf[:w]), out=slopes)
+        gaps = np.subtract(slopes[1:], slopes[:-1], out=gaps_buf[:w - 1])
+        # the extremes give the scale of all slopes, a NaN among them included
+        extremes = float(slopes.max()), float(slopes.min())
+        yield _vector_report(np, gaps, work[:w - 1], tol, extremes, lambda at: (at + (s0 + 3)).tolist())
+
+
 def anchored_slope_check_all(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Conjunction of :func:`anchored_slope_check` over every anchor."""
+    """Conjunction of :func:`anchored_slope_check` over every anchor.
+
+    The rows come from numpy past the cutoffs of the module docstring
+    ((n - 1)(n - 2)/2 gaps >= 2**14 when numpy is loaded, n >= 183; >= 2**19
+    when it must be imported, n >= 1,026), with the same report either way.
+    Like the chord check, it may hold inside the tolerance band where the
+    slope test is violated (see the module docstring).
+    """
     seq, wit = paired(a, t, tol)
-    reps = [_anchored(seq.values, wit.values, s0, tol) for s0 in range(len(seq) - 1)]
-    first = next((rep.first_violation for rep in reps if not rep.holds), None)
-    return CheckReport(first is None, first, min(rep.margin for rep in reps), tol)
+    av, tv = seq.values, wit.values
+    n = len(av)
+    np = _numpy_for((n - 1) * (n - 2) // 2)
+    if np is None:
+        return _fold([_anchored(av, tv, s0, tol) for s0 in range(n - 1)], tol)
+    with np.errstate(all="ignore"):
+        return _fold(list(_anchored_rows(np, av, tv, tol)), tol)
+
+
+def _numpy_for(gaps: int):
+    """numpy for a scan of ``gaps`` gaps when its rows pay for it, else None.
+
+    A loaded numpy pays from ``_NUMPY_LOADED_CUTOFF`` gaps; importing it first
+    (about 0.1 s) only from ``_NUMPY_IMPORT_CUTOFF``.  Without numpy the
+    stdlib rows run at any size.
+    """
+    np = sys.modules.get("numpy")
+    if np is None and gaps >= _NUMPY_IMPORT_CUTOFF:
+        try:
+            import numpy as np
+        except ImportError:
+            return None
+    return np if gaps >= _NUMPY_LOADED_CUTOFF else None
+
+
+def _vector_report(np, gaps, work, tol: Tolerance, operands, labels) -> CheckReport:
+    """A numpy row of gaps judged as :func:`relconvex.seqcore.scan_margin` judges it as a list.
+
+    ``work`` is a boolean buffer of the row's length and ``labels(at)`` labels
+    the gaps at the positions ``at``.  With finite ``operands`` a row whose
+    smallest gap is non-negative holds at any scale.  Any other row goes to
+    ``scan_margin`` as its negative and NaN gaps only: they alone can be the
+    margin, a violation or a NaN error, and a non-finite operand raises
+    whatever the gaps are.
+    """
+    if gaps.size and all(map(math.isfinite, operands)):
+        # argmin finds the first of equal minima, as min() keeps it (-0.0 ties included)
+        margin = float(gaps[gaps.argmin()])
+        if margin >= 0:
+            return CheckReport(True, None, margin, tol)
+    at = np.logical_not(np.greater_equal(gaps, 0.0, out=work), out=work).nonzero()[0]
+    first, margin = scan_margin(gaps[at].tolist(), tol, operands, labels(at))
+    return CheckReport(first is None, first, margin, tol)
+
+
+def _fold(reports: list[CheckReport], tol: Tolerance) -> CheckReport:
+    """The conjunction of a scan's row reports, one per row in scan order: the
+    first row violation and the smallest margin (the first of equal ones)."""
+    first = next((rep.first_violation for rep in reports if not rep.holds), None)
+    return CheckReport(first is None, first, min((rep.margin for rep in reports), default=math.inf), tol)
 
 
 def psi_preservation_check(

@@ -22,26 +22,37 @@ check agrees with its reference loop.
   first, then every gap in order) on edge gaps, operands and tolerances, and
   so do its callers against loops that keep their formulas
   (``REFERENCES``) on a seeded corpus.
+* The two super-linear scans (``anchored_slope_check_all`` and the
+  all-triples determinants) report and raise alike whether their rows come
+  from numpy or from the stdlib loops, and fall back to the loops when numpy
+  is blocked; a small ``diagnose`` never imports numpy.
 """
 
 import copy
 import gc
+import json
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 import warnings
 import weakref
+from pathlib import Path
 from itertools import accumulate, combinations, count
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import relconvex
 from relconvex import (
     CheckReport, ConvexMapWarning, RealSeq, ShapeKind, Tolerance, Witness, anchored_slope_check_all,
     classify_shape, collinearity_determinant_check, increment_growth_check, is_convex, is_convex_wrt,
     make_relu, neighbor_chord_check, parse_psi, spot_check_map,
 )
+from relconvex import diagnostics
 from relconvex.errors import NonFiniteArithmetic, NotStrictlyIncreasing, WitnessNotIncreasing
 from relconvex.seqcore import DEFAULT_TOL, paired, scan_margin
 
@@ -522,3 +533,107 @@ def test_callers_equal_the_loops_that_keep_their_formulas(name):
         a, t = corpus_pair(rng)
         tol = rng.choice(KERNEL_TOLS)
         assert outcome(check, a, t, tol) == outcome(reference, a, t, tol), (a, t, tol)
+
+
+# -- numpy rows of the super-linear scans ------------------------------------------
+
+SCANS = {
+    "anchored": anchored_slope_check_all,
+    "all triples": lambda a, t, tol: collinearity_determinant_check(a, t, tol, all_triples=True),
+}
+
+
+def with_cutoffs(cutoff, check, *args):
+    """``outcome(check, *args)`` with both numpy cutoffs at ``cutoff``: 0 takes the
+    numpy rows, inf the stdlib ones."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagnostics, "_NUMPY_LOADED_CUTOFF", cutoff)
+        mp.setattr(diagnostics, "_NUMPY_IMPORT_CUTOFF", cutoff)
+        return outcome(check, *args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(sorted(SCANS)))
+def test_numpy_rows_equal_the_stdlib_rows(rng, name):
+    # corpus_pair: convex, lifted, noisy, 1e300-scaled and overflowing data, n <= 40
+    a, t = corpus_pair(rng)
+    tol = rng.choice(KERNEL_TOLS)
+    assert with_cutoffs(0, SCANS[name], a, t, tol) == with_cutoffs(math.inf, SCANS[name], a, t, tol)
+
+
+@pytest.mark.parametrize("name, a, t, error", [
+    # a violation at anchor 1, then an infinite slope from anchor 4
+    ("anchored", [0.0, 1.0, 0.0, 1e308, -1e308], [0.0, 1.0, 2.0, 3.0, 4.0], "compared quantities reach inf"),
+    # slopes over a witness span that overflows: inf / inf is NaN
+    ("anchored", [-1e308, 0.0, 1e308], [-1e308, 0.0, 1e308], "compared quantities reach nan"),
+    # a zero value times an overflowing witness span: a NaN peak
+    ("all triples", [1.0, 0.0, 2.0, 0.0, 5.0], [-1e308, -5e307, 0.0, 5e307, 1e308],
+     "compared quantities reach nan"),
+    ("all triples", [1e308, -1e308, 1e308, 0.0], [0.0, 1.0, 2.0, 3.0], "compared quantities reach inf"),
+])
+def test_numpy_rows_raise_as_the_stdlib_rows(name, a, t, error):
+    vector = with_cutoffs(0, SCANS[name], a, t, DEFAULT_TOL)
+    assert vector == with_cutoffs(math.inf, SCANS[name], a, t, DEFAULT_TOL)
+    assert vector == ((NonFiniteArithmetic, error), [])
+
+
+def test_a_nan_row_after_a_violating_row_raises():
+    # every row is judged, so a NaN after an earlier violation still raises; the
+    # scans reach a NaN gap only past a non-finite operand, so the judge is tested here
+    np = pytest.importorskip("numpy")
+    rows = ([-5.0, 1.0], [2.0, math.nan, -1.0])
+
+    def judged(row):
+        return diagnostics._vector_report(np, np.array(row), np.empty(len(row), bool), DEFAULT_TOL, (1.0,),
+                                          lambda at: (at + 1).tolist())
+
+    with pytest.raises(NonFiniteArithmetic, match="gap 2 is NaN"):
+        diagnostics._fold([judged(row) for row in rows], DEFAULT_TOL)
+    with pytest.raises(NonFiniteArithmetic, match="gap 2 is NaN"):
+        [scan_margin(row, DEFAULT_TOL, (1.0,)) for row in rows]
+    assert judged(rows[0]) == CheckReport(False, 1, -5.0, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("a, margin", [
+    # anchor 1 has the slopes [0.0, 0.0, -0.0], so the gaps [0.0, -0.0]; then the reverse
+    ([0.0, 0.0, 0.0, -0.0], "margin=0.0,"),
+    ([0.0, 0.0, -0.0, 0.0], "margin=-0.0,"),
+])
+def test_numpy_rows_keep_the_first_of_tied_zero_margins(a, margin):
+    t = [1.0, 2.0, 3.0, 4.0]
+    for name, check in SCANS.items():
+        vector = with_cutoffs(0, check, a, t, DEFAULT_TOL)
+        assert vector == with_cutoffs(math.inf, check, a, t, DEFAULT_TOL), name
+    assert margin in with_cutoffs(0, anchored_slope_check_all, a, t, DEFAULT_TOL)[0]
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+@pytest.mark.parametrize("seed", [9, 11])  # a lifted pair that the all-triples scan rejects; a convex one
+def test_blocked_numpy_falls_back_to_the_stdlib_rows(name, seed, monkeypatch):
+    a, t = corpus_pair(random.Random(seed))
+    stdlib = with_cutoffs(math.inf, SCANS[name], a, t, DEFAULT_TOL)
+    assert stdlib[0].startswith("CheckReport(")
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert with_cutoffs(0, SCANS[name], a, t, DEFAULT_TOL) == stdlib
+
+
+SMALL_DIAGNOSE = """
+import json, sys
+import relconvex
+from relconvex.cli import main
+assert main(["diagnose", "--input", sys.argv[1]]) == 0
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "numpy")))
+"""
+
+
+def test_a_small_diagnose_leaves_numpy_unloaded(tmp_path):
+    n = 64
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"a": [(i - 20.5) ** 2 for i in range(n)], "t": [float(i) for i in range(n)]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(relconvex.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", SMALL_DIAGNOSE, str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report, loaded = proc.stdout.splitlines()
+    assert json.loads(report)["margin_or_slacks"]["agree"] is True
+    assert json.loads(loaded) == []
