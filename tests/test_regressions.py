@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import random
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -203,12 +204,18 @@ def test_interval_witness_that_only_midpoint_slopes_give_room():
     assert is_convex_wrt(WIDE_RUN, wit).holds
 
 
+# Sequences drawn by the earlier numpy-based gen_relative_convex_pair(n, seed),
+# keyed "n/seed" and kept repr-exact, so that these tests keep their inputs
+# whatever the generator draws now.
+DRAWS = json.loads(Path(__file__).with_name("interval_witness_draws.json").read_text())
+
+
 @pytest.mark.parametrize("seed", [6, 12, 22, 36])
 def test_interval_witness_for_steep_runs(seed):
     # exp-family pairs whose increments grow from ~1e-8 to ~1e7: slopes c*i
     # left the first gap below the strictness tolerance; c*i*M_i, with M_i
     # the running maximum of the increments, gives the small steps their room
-    a, _ = gen_relative_convex_pair(64, seed)
+    a = DRAWS[f"64/{seed}"]
     wit = construct_witness_on_interval(a, 0.0, 1.0)
     assert wit[0] == 0.0 and wit[-1] == 1.0
     assert is_convex_wrt(a, wit).holds
@@ -219,7 +226,7 @@ def test_interval_witness_for_runs_with_sub_tolerance_steps(n, seed):
     # increasing runs with 4 to 109 steps within the tolerance, some of them
     # past the first larger step: those are read by their signs, not as a
     # plateau away from the minimum
-    a, _ = gen_relative_convex_pair(n, seed)
+    a = DRAWS[f"{n}/{seed}"]
     wit = construct_witness_on_interval(a, 0.0, 1.0)
     assert wit[0] == 0.0 and wit[-1] == 1.0
     assert is_convex_wrt(a, wit).holds
