@@ -2,8 +2,6 @@
 
 __version__ = "0.1.0"
 
-import importlib
-
 from .errors import (
     DegenerateWitness,
     IndexOutOfRange,
@@ -70,24 +68,7 @@ from .diagnostics import (
     psi_preservation_check,
     rate_diagnostic,
 )
-
-# The oracles import numpy, so they load on first access (PEP 562): importing
-# relconvex, or running any CLI command but ``fuzz``, leaves numpy unloaded.
-_ORACLES = ("Seeded", "brute_reeval", "gen_majorized_pair", "gen_relative_convex_pair", "gen_shape")
-
-
-def __getattr__(name):
-    if name != "oracles" and name not in _ORACLES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    oracles = importlib.import_module(".oracles", __name__)  # also binds relconvex.oracles
-    if name in _ORACLES:
-        globals()[name] = getattr(oracles, name)
-    return globals()[name]
-
-
-def __dir__():
-    return sorted(set(globals()) | {"oracles", *_ORACLES})
-
+from .oracles import Seeded, brute_reeval, gen_majorized_pair, gen_relative_convex_pair, gen_shape
 
 __all__ = [
     "__version__",

@@ -6,9 +6,6 @@ non-finite floats are written as null.  Exit codes: 0 = holds/success,
 1 = inequality violated or profile rejected, 2 = parse or precondition
 error, or floating-point overflow.  Besides the shared flags, a command
 takes only the flags its call reads, listed in its ``Command.flags``.
-
-``fuzz`` is the only command that loads numpy; every other command runs
-without it.
 """
 
 from __future__ import annotations
@@ -19,6 +16,7 @@ import io
 import json
 import math
 import os
+import random
 import sys
 from dataclasses import asdict
 from typing import Callable, NamedTuple
@@ -41,6 +39,7 @@ from .inequalities import (
     parse_psi,
     pecaric_check,
 )
+from .oracles import gen_majorized_pair, gen_relative_convex_pair
 from .polyext import build_extension, sample
 from .seqcore import (
     RealSeq,
@@ -288,17 +287,21 @@ def _diagnose(args, a, t):
     return _verdict(slope.holds, margins)
 
 
+def non_negative_int(text: str) -> int:
+    """A non-negative integer flag value; anything else is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _fuzz(args):
-    # the one command that needs numpy, so the one place it is imported
-    import numpy as np
-
-    from .oracles import gen_majorized_pair, gen_relative_convex_pair
-
     seeds = range(args.seed, args.seed + args.trials)
     reps = []
     for seed in seeds:
         a, t = gen_relative_convex_pair(5 + seed % 8, seed)
-        q = list(np.random.default_rng(seed + 10_000).uniform(t[0], t[-1], 4))
+        rng = random.Random(seed + 10_000)
+        q = [rng.uniform(t[0], t[-1]) for _ in range(4)]
         pv = list(gen_majorized_pair(q, 8, seed + 20_000))
         reps.append(majorization_inequality_check(a, t, pv, q, args.tol))
     violating = [seed for seed, rep in zip(seeds, reps) if not rep.holds]
@@ -339,7 +342,7 @@ COMMANDS = {
                         ("a", "pvec", "qvec"), _majorize, _judged("margin"), flags=(_SKIP_VERIFY,)),
     "diagnose": Command("run the characterization battery on (a, t)", ("a", "t"), _diagnose),
     "fuzz": Command("randomized majorization fuzzing", (), _fuzz,
-                    flags=(("--trials", dict(type=int, default=100)),)),
+                    flags=(("--trials", dict(type=non_negative_int, default=100)),)),
 }
 
 
@@ -383,11 +386,10 @@ def main(argv=None) -> int:
         elif args.output != "-":
             _emit(report)
         return code
-    except (RelConvexError, ValueError, ArithmeticError, ImportError, OSError) as exc:
+    except (RelConvexError, ValueError, ArithmeticError, OSError) as exc:
         # ArithmeticError: overflow or division by zero in the floating-point
-        # arithmetic, which says nothing about whether the inequality holds;
-        # ImportError: numpy missing where ``fuzz`` needs it
-        named = isinstance(exc, (ArithmeticError, ImportError))
+        # arithmetic, which says nothing about whether the inequality holds
+        named = isinstance(exc, ArithmeticError)
         message = f"{type(exc).__name__}: {exc}" if named else str(exc)
         _emit(_report(args, "error", {"message": message}, {}, Tolerance()))
         print(f"error: {message}", file=sys.stderr)

@@ -1,18 +1,20 @@
 """Seeded instance generators and naive re-evaluators for the property suites.
 
-Generators are pure functions of (seed, parameters).  The brute_* helpers
-recompute inequality sides by direct summation / scanning in code paths
-that share nothing with the engines (different formulas where possible,
-plain accumulation instead of compensated sums, numpy.interp instead of the
+Generators are pure functions of (seed, parameters), drawn from the
+stdlib's ``random.Random(seed)``.  The brute_* helpers recompute inequality
+sides by direct summation / scanning in code paths that share nothing with
+the engines (different formulas where possible, plain accumulation instead
+of compensated sums, a linear scan and interpolation instead of the
 slope-table evaluation); they exist purely to cross-validate.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .errors import InfeasibleShape, LengthError
 from .seqcore import RealSeq, ShapeKind, Witness
@@ -25,9 +27,12 @@ class Seeded:
     seed: int
 
 
-def _rng(seeded) -> np.random.Generator:
+def _rng(seeded) -> random.Random:
     seed = seeded.seed if isinstance(seeded, Seeded) else int(seeded)
-    return np.random.default_rng(seed)
+    if seed < 0:
+        # random.Random(-s) would silently replay the stream of s
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return random.Random(seed)
 
 
 _MIN_LEN = {
@@ -52,42 +57,39 @@ def gen_shape(shape, n: int, seeded) -> RealSeq:
     if n < _MIN_LEN[kind]:
         raise InfeasibleShape(f"{kind.value} needs length >= {_MIN_LEN[kind]}, got {n}")
     rng = _rng(seeded)
-    base = float(rng.uniform(-5.0, 5.0))
+    base = rng.uniform(-5.0, 5.0)
 
-    def gaps(k):
-        return rng.uniform(0.1, 2.0, k)
+    def gaps(k, sign=1.0):
+        return [sign * rng.uniform(0.1, 2.0) for _ in range(k)]
 
     steps: list[float]
     if kind is ShapeKind.CONSTANT:
         steps = [0.0] * (n - 1)
     elif kind is ShapeKind.STRICTLY_INCREASING:
-        steps = list(gaps(n - 1))
+        steps = gaps(n - 1)
     elif kind is ShapeKind.STRICTLY_DECREASING:
-        steps = list(-gaps(n - 1))
+        steps = gaps(n - 1, -1.0)
     elif kind is ShapeKind.NOT_STRICTLY_V_SHAPED:
         # ascend then descend: never V-shaped
-        k_up = int(rng.integers(1, n - 1))
-        steps = list(gaps(k_up)) + list(-gaps(n - 1 - k_up))
+        k_up = rng.randrange(1, n - 1)
+        steps = gaps(k_up) + gaps(n - 1 - k_up, -1.0)
     else:
         k_dec = k_flat = k_inc = 0
         if kind is ShapeKind.DEC_THEN_CONST:
-            k_dec = int(rng.integers(1, n - 1))
+            k_dec = rng.randrange(1, n - 1)
             k_flat = n - 1 - k_dec
         elif kind is ShapeKind.CONST_THEN_INC:
-            k_flat = int(rng.integers(1, n - 1))
+            k_flat = rng.randrange(1, n - 1)
             k_inc = n - 1 - k_flat
         elif kind is ShapeKind.DEC_THEN_INC:
-            k_dec = int(rng.integers(1, n - 1))
+            k_dec = rng.randrange(1, n - 1)
             k_inc = n - 1 - k_dec
         else:  # DEC_CONST_INC
-            k_dec = int(rng.integers(1, n - 2))
-            k_flat = int(rng.integers(1, n - 1 - k_dec))
+            k_dec = rng.randrange(1, n - 2)
+            k_flat = rng.randrange(1, n - 1 - k_dec)
             k_inc = n - 1 - k_dec - k_flat
-        steps = list(-gaps(k_dec)) + [0.0] * k_flat + list(gaps(k_inc))
-    vals = [base]
-    for s in steps:
-        vals.append(vals[-1] + s)
-    return RealSeq(tuple(vals))
+        steps = gaps(k_dec, -1.0) + [0.0] * k_flat + gaps(k_inc)
+    return RealSeq(tuple(accumulate(steps, initial=base)))
 
 
 # Largest exponent of the ``exp`` family: keeps a, its differences and its
@@ -103,32 +105,32 @@ def gen_relative_convex_pair(n: int, seeded) -> tuple[RealSeq, Witness]:
     parabola, or an affine line (the zero-margin edge case).
     """
     rng = _rng(seeded)
-    t0 = float(rng.uniform(-3.0, 3.0))
-    t = t0 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.5, n - 1))])
-    family = rng.choice(["pwl", "exp", "quad", "affine"], p=[0.55, 0.15, 0.15, 0.15])
+    t0 = rng.uniform(-3.0, 3.0)
+    t = [t0 + x for x in accumulate((rng.uniform(0.05, 1.5) for _ in range(n - 1)), initial=0.0)]
+    family = rng.choices(("pwl", "exp", "quad", "affine"), (0.55, 0.15, 0.15, 0.15))[0]
     if family == "pwl":
-        slopes = np.sort(rng.normal(0.0, 2.0, n - 1))
-        a = [float(rng.uniform(-5.0, 5.0))]
+        slopes = sorted(rng.gauss(0.0, 2.0) for _ in range(n - 1))
+        a = [rng.uniform(-5.0, 5.0)]
         for k in range(n - 1):
-            a.append(a[-1] + float(slopes[k]) * float(t[k + 1] - t[k]))
+            a.append(a[-1] + slopes[k] * (t[k + 1] - t[k]))
     elif family == "exp":
-        rate = float(rng.uniform(0.2, 0.8))
-        amp = float(rng.uniform(0.5, 2.0))
-        mid = float(t.mean())
-        span = float(np.max(np.abs(t - mid)))
+        rate = rng.uniform(0.2, 0.8)
+        amp = rng.uniform(0.5, 2.0)
+        mid = math.fsum(t) / n
+        span = max(mid - t[0], t[-1] - mid)
         if rate * span > _EXP_CAP:  # never below n = 64: 0.8 * 63 * 1.5 < _EXP_CAP
             rate = _EXP_CAP / span
-        a = [amp * float(np.exp(rate * (x - mid))) for x in t]
+        a = [amp * math.exp(rate * (x - mid)) for x in t]
     elif family == "quad":
-        c = float(rng.uniform(0.1, 1.5))
-        vertex = float(rng.uniform(t[0], t[-1]))
-        off = float(rng.uniform(-2.0, 2.0))
+        c = rng.uniform(0.1, 1.5)
+        vertex = rng.uniform(t[0], t[-1])
+        off = rng.uniform(-2.0, 2.0)
         a = [c * (x - vertex) ** 2 + off for x in t]
     else:
-        c = float(rng.uniform(-2.0, 2.0))
-        d = float(rng.uniform(-5.0, 5.0))
+        c = rng.uniform(-2.0, 2.0)
+        d = rng.uniform(-5.0, 5.0)
         a = [c * x + d for x in t]
-    return RealSeq(tuple(float(v) for v in a)), Witness(tuple(float(v) for v in t))
+    return RealSeq(tuple(a)), Witness(tuple(t))
 
 
 def gen_majorized_pair(y: Sequence[float], k_transforms: int, seeded) -> tuple[float, ...]:
@@ -142,8 +144,8 @@ def gen_majorized_pair(y: Sequence[float], k_transforms: int, seeded) -> tuple[f
         raise LengthError("need at least 2 entries to transform")
     rng = _rng(seeded)
     for _ in range(k_transforms):
-        i, j = rng.choice(len(vals), size=2, replace=False)
-        lam = float(rng.uniform())
+        i, j = rng.sample(range(len(vals)), 2)
+        lam = rng.random()
         vi, vj = vals[i], vals[j]
         vals[i] = lam * vi + (1.0 - lam) * vj
         vals[j] = (1.0 - lam) * vi + lam * vj
@@ -263,11 +265,23 @@ def brute_convex_hhf_bounds(a, p, psi):
 
 
 def brute_majorization_sides(a, t, pvec, qvec):
-    """Extension sums via numpy's own interpolation routine."""
-    ta = np.asarray(t, dtype=float)
-    aa = np.asarray(a, dtype=float)
-    sp = float(np.sum(np.interp(np.asarray(pvec, dtype=float), ta, aa)))
-    sq = float(np.sum(np.interp(np.asarray(qvec, dtype=float), ta, aa)))
+    """Extension sums by interpolation between the scanned floor node and the
+    next, clamped to the end values outside [t_1, t_n]."""
+
+    def ext(x):
+        if x <= t[0]:
+            return a[0]
+        if x >= t[-1]:
+            return a[-1]
+        k = _scan_floor(t, x)
+        return a[k] + (a[k + 1] - a[k]) / (t[k + 1] - t[k]) * (x - t[k])
+
+    sp = 0.0
+    sq = 0.0
+    for x in pvec:
+        sp += ext(x)
+    for x in qvec:
+        sq += ext(x)
     return sp, sq
 
 

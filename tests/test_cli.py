@@ -194,6 +194,25 @@ def test_diagnose_and_fuzz(tmp_path, capsys):
     assert report["margin_or_slacks"]["violations"] == 0
 
 
+@pytest.mark.parametrize("trials", ["-2", "-1", "2.5", "many"])
+def test_fuzz_trials_must_be_a_non_negative_integer(capsys, trials):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fuzz", "--trials", trials])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --trials" in err and "Traceback" not in err
+
+
+def test_fuzz_rejects_a_negative_seed(capsys):
+    # random.Random(-3) would silently replay seed 3
+    code, out = run_cli(capsys, ["fuzz", "--trials", "3", "--seed", "-3"])
+    report = json.loads(out)
+    assert code == 2 and report["verdict"] == "error"
+    assert report["margin_or_slacks"]["message"] == "seed must be a non-negative integer, got -3"
+    code, out = run_cli(capsys, ["fuzz", "--trials", "0"])
+    assert code == 0 and json.loads(out)["margin_or_slacks"]["trials"] == 0
+
+
 def test_niezgoda_and_convex_hhf_commands(tmp_path, capsys):
     path = write_json(tmp_path, "n.json", {"a": [4, 1, 0, 2, 6], "p": [1, 2, 3, 2, 1]})
     for cmd in ("niezgoda", "hhf-convex"):

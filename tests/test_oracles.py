@@ -24,9 +24,10 @@ ALL_KINDS = list(ShapeKind)
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_gen_shape_classifies_back(kind):
-    rng = np.random.default_rng(abs(hash(kind.value)) % 2**32)
+    # seeded by the kind's position, so a failing draw replays in any process
+    rng = np.random.default_rng(ALL_KINDS.index(kind))
     for _ in range(50):
-        n = int(rng.integers(4, 15))
+        n = int(rng.integers(4, 65))
         seq = gen_shape(kind, n, int(rng.integers(0, 2**31)))
         assert classify_shape(seq).variant is kind
 
@@ -48,7 +49,7 @@ def test_gen_shape_infeasible_lengths():
 
 def test_gen_pair_always_witnessed():
     for seed in range(400):
-        n = 2 + seed % 11
+        n = 2 + seed % 63
         a, t = gen_relative_convex_pair(n, seed)
         assert len(a) == len(t) == n
         assert is_convex_wrt(a, t).margin >= -1e-9
@@ -84,7 +85,19 @@ def test_gen_majorized_pair_half_average():
             out = cand
             break
     assert out is not None
-    assert majorizes((2.0, 2.0), (0.0, 4.0))
+    assert majorizes(out, (0.0, 4.0))
+
+
+@pytest.mark.parametrize("seed", [-1, -3, Seeded(-3), -(2**40)])
+@pytest.mark.parametrize("generate", [
+    lambda seed: gen_shape(ShapeKind.DEC_THEN_INC, 5, seed),
+    lambda seed: gen_relative_convex_pair(5, seed),
+    lambda seed: gen_majorized_pair([1.0, 2.0], 1, seed),
+])
+def test_negative_seeds_are_rejected(generate, seed):
+    # random.Random(-s) would silently replay the stream of s
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        generate(seed)
 
 
 def test_gen_majorized_pair_short_input():
@@ -104,5 +117,9 @@ def test_brute_reeval_dispatch():
         {"kind": "majorization", "a": a, "t": t, "pvec": [2.5, 3.5], "qvec": [2.0, 4.0]}
     )
     assert sp <= sq
+    # points outside [t_1, t_n] take the end values; nodes take their own
+    assert brute_reeval(
+        {"kind": "majorization", "a": a, "t": t, "pvec": [0.0, 2.5, 9.0], "qvec": [1.0, 4.0, 5.0]}
+    ) == (10.5, 12.0)
     with pytest.raises(ValueError):
         brute_reeval({"kind": "nope"})

@@ -131,14 +131,22 @@ def test_pair_generator_valid_at_large_n():
         assert is_convex_wrt(a, t).holds
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_pair_generator_valid_at_the_largest_benchmark_n(seed):
+    # the benchmark draws pairs at n = 10^5 and counts an invalid one as a wrong output
+    a, t = gen_relative_convex_pair(100_000, seed)
+    assert len(a) == len(t) == 100_000
+    assert is_convex_wrt(a, t).holds
+
+
 def test_pair_generator_unchanged_for_small_n():
-    # recorded before the exponent cap: instances up to n = 64 are bit-identical
+    # recorded from the stdlib random.Random streams: instances up to n = 64 are bit-identical
     digest = hashlib.sha256()
     for n in (2, 5, 17, 64):
         for seed in range(40):
             a, t = gen_relative_convex_pair(n, seed)
             digest.update(repr((a.values, t.values)).encode())
-    assert digest.hexdigest() == "90784ef5e1a696047e3f77152e6bfaa122342248807dccb1264d3de42917f3f8"
+    assert digest.hexdigest() == "ad1b41ed2e2e7dd69adea1cef1d64b11d50d0a29e84573c3b166ad112915defb"
 
 
 # -- centred covariance sums on translated witnesses --------------------------
