@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, count, islice, repeat
-from operator import gt, indexOf, lt, mul, sub, truediv
+from operator import gt, indexOf, lt, sub, truediv
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -477,69 +477,33 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
     return pts
 
 
-def _subdivide_increasing(vals: Sequence[float], lo: float, hi: float) -> list[float]:
-    """Witness for a strictly increasing segment with t[0]=lo, t[-1]=hi exact.
-
-    Slopes are chosen as the midpoint of the admissible interval
-    (previous slope, remaining-rise / remaining-room); when the plain
-    midpoint would already use up the room before the last point, the lower
-    end is tightened to the single-step feasibility bound d_i / room.
-    Room that rounds to zero, or a slope that is not positive (it
-    underflowed, or the room overflowed), is WitnessNotIncreasing.
-    """
-    n = len(vals)
-    if n == 2:
-        return [lo, hi]
-    t = [lo]
-    s_prev = 0.0
-    for i in range(n - 2):
-        room = hi - t[-1]
-        if not room > 0:
-            raise WitnessNotIncreasing(f"no room left between t = {t[-1]!r} and the segment end {hi!r}")
-        d = vals[i + 1] - vals[i]
-        cap = (vals[-1] - vals[i]) / room
-        feasible = d / room
-        mid = 0.5 * (s_prev + cap)
-        if mid <= feasible:
-            mid = 0.5 * (feasible + cap)
-        if not mid > 0:
-            raise WitnessNotIncreasing(f"slope {mid!r} after t = {t[-1]!r} is not positive")
-        t.append(t[-1] + d / mid)
-        s_prev = mid
-    t.append(hi)
-    return t
+# the growth factors g that construct_witness_on_interval tries, largest first;
+# (1 + 2**-52)**m stays below 2**52 for any run of m steps that fits in memory
+_GROWTH = (2.0**-1, 2.0**-4, 2.0**-8, 2.0**-16, 2.0**-24, 2.0**-32, 2.0**-40, 2.0**-52)
 
 
-def _subdivide_proportional(vals: Sequence[float], lo: float, hi: float) -> list[float]:
-    """Witness for a strictly increasing segment with slopes s_i = c i M_i, t[0]=lo, t[-1]=hi exact.
+def _subdivide_increasing(vals: Sequence[float], lo: float, hi: float, g: float) -> list[float]:
+    """Gaps d_i / s_i that subdivide [lo, hi] for a strictly increasing run.
 
-    M_i is the largest of the first i increments d_i = vals[i] - vals[i-1].
-    The gaps are d_i / s_i with c = sum(d_i / (i M_i)) / (hi - lo), so they
-    fill the interval.  Consecutive slopes differ by at least the factor
-    (i+1)/i, far above the rounding of t, at any length; dividing by M_i
-    gives small increments ahead of large ones their share of the room.
-    A width that rounds to zero or overflows, or a slope that underflows,
-    is WitnessNotIncreasing.
+    The slopes are s_i = c (1+g)^i m_i, counting from i = 0, with d_i the
+    increments vals[i+1] - vals[i] and m_i = min(d_i, d_{i+1}, ...) their
+    suffix minimum.  m_i never decreases, so each slope is at least 1+g
+    times the one before, and no slope is raised by a larger step earlier
+    in the run.  c = fsum(d_i / ((1+g)^i m_i)) / (hi - lo), so the gaps
+    fill the interval.  A single gap is the whole width.  A width that
+    rounds to zero or overflows, or a slope that underflows, is
+    WitnessNotIncreasing.
     """
     d = list(_steps(vals))
-    scale = list(map(mul, count(1), accumulate(d, max)))
+    if len(d) == 1:
+        return [hi - lo]
+    suffix_min = list(accumulate(reversed(d), min))[::-1]
+    scale = [m * (1 + g) ** i for i, m in enumerate(suffix_min)]
     c = math.fsum(map(truediv, d, scale)) / (hi - lo) if hi > lo else 0.0
-    # scale is non-decreasing, so c * scale[0] is the smallest slope a gap is divided by
-    if len(d) > 1 and not c * scale[0] > 0:
+    # scale is non-decreasing, so c * scale[0] is the smallest slope
+    if not c * scale[0] > 0:
         raise WitnessNotIncreasing(f"smallest slope {c * scale[0]!r} on [{lo!r}, {hi!r}] is not positive")
-    t = list(accumulate((di / (c * si) for di, si in zip(d[:-1], scale)), initial=lo))
-    t.append(hi)
-    return t
-
-
-def _subdivide_decreasing(increasing, vals: Sequence[float], lo: float, hi: float) -> list[float]:
-    # Reverse-and-reflect: the reversed segment is increasing, and the map
-    # x -> lo + hi - x reverses a witness while preserving slope monotonicity.
-    rev = increasing(list(reversed(vals)), lo, hi)
-    t = [lo + hi - x for x in reversed(rev)]
-    t[0] = lo
-    t[-1] = hi
-    return t
+    return [di / (c * si) for di, si in zip(d, scale)]
 
 
 def construct_witness_on_interval(
@@ -550,22 +514,28 @@ def construct_witness_on_interval(
 ) -> Witness:
     """Witness subdividing [alpha, beta]: t[0] = alpha and t[-1] = beta bit-exactly.
 
-    Monotone runs use the midpoint slope policy of :func:`_subdivide_increasing`;
-    a V profile splits the interval at its midpoint; plateaus get an even
-    subdivision of their share (the interval is split equally among the
-    segments present).  Long runs can round consecutive midpoint slopes out
-    of order or together; when that result is not a witness, the monotone
-    runs are rebuilt with the slopes of :func:`_subdivide_proportional`.
-    Both policies stay because each solves runs the other cannot: the
-    proportional slopes leave tiny steps after a huge one gaps below the
-    rounding of t on wide intervals.  When both fail, the midpoint result's
-    failure is raised: WitnessNotIncreasing or WitnessLostConvexity.  A
-    policy fails with WitnessNotIncreasing, never a ZeroDivisionError,
-    where a room or a segment rounds to zero width or a slope underflows.
+    A V profile splits the interval evenly among the segments present
+    (decreasing run, plateau, increasing run), and a plateau gets an even
+    subdivision of its share.  A monotone run gets the gaps of the
+    suffix-minimum slopes of :func:`_subdivide_increasing`, summed from the
+    left end of its share; a decreasing run takes the gaps of its reversal
+    in reverse order.  A large growth factor g keeps consecutive slopes
+    apart after rounding; a small one keeps the late gaps of a long run
+    above the rounding of t, which (1+g)^m >= 2^52 on a run of m steps
+    rules out.  So the factors of ``_GROWTH`` are tried in turn, from the
+    largest with (1+g)^m < 2^52 on the longest monotone run, and the first
+    result that passes the slope test is returned.  When none does, the
+    first factor's failure is raised: WitnessNotIncreasing or
+    WitnessLostConvexity.  A share that rounds to zero width or overflows,
+    or a slope that underflows, is WitnessNotIncreasing, never a
+    ZeroDivisionError.  A non-finite alpha or beta is an IntervalError.
     """
     seq = RealSeq.of(a)
     alpha = float(alpha)
     beta = float(beta)
+    for name, end in (("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(end):
+            raise IntervalError(f"{name} must be finite, got {end!r}")
     if not alpha < beta:
         raise IntervalError(f"need alpha < beta, got [{alpha!r}, {beta!r}]")
     first, last = _minimal_block(seq, tol)
@@ -574,15 +544,17 @@ def construct_witness_on_interval(
     runs = ((-1, vals[: first + 1]), (0, vals[first : last + 1]), (1, vals[last:]))
     runs = [(sign, run) for sign, run in runs if len(run) > 1]
     cuts = _linspace(alpha, beta, len(runs) + 1)
+    steps = max((len(run) - 1 for sign, run in runs if sign), default=0)
     failures = []
-    for increasing in (_subdivide_increasing, _subdivide_proportional):
+    for g in [g for g in _GROWTH if steps * math.log2(1 + g) < 52]:
         t = [alpha]
         try:
             for (sign, run), lo, hi in zip(runs, cuts, cuts[1:]):
-                if sign < 0:
-                    t.extend(_subdivide_decreasing(increasing, run, lo, hi)[1:])
-                elif sign > 0:
-                    t.extend(increasing(run, lo, hi)[1:])
+                if sign:
+                    # the last gap is what is left up to hi, so both ends are exact
+                    gaps = _subdivide_increasing(run[::sign], lo, hi, g)[::sign]
+                    t.extend(islice(accumulate(gaps[:-1], initial=lo), 1, None))
+                    t.append(hi)
                 else:
                     t.extend(_linspace(lo, hi, len(run))[1:])
             wit = Witness.of(t, tol)

@@ -351,7 +351,7 @@ def test_criterion_9_oracle_independence():
     ok &= construct_witness((1, 2, 4), (1, 2), t1=0.0).values == (0.0, 1.0, 2.0)
     ok &= construct_witness((4, 2, 1), (-2, -1), t1=0.0).values == (0.0, 1.0, 2.0)
     w = construct_witness_on_interval((0, 1, 3), 0.0, 1.0)
-    ok &= abs(w.values[1] - 2.0 / 3.0) <= 1e-15 and is_convex_wrt((0, 1, 3), w).holds
+    ok &= abs(w.values[1] - 3.0 / 5.0) <= 1e-15 and is_convex_wrt((0, 1, 3), w).holds
 
     # extension evaluation and generalized parts
     ext = build_extension((4, 1, 0), (1, 2, 3))

@@ -2,7 +2,8 @@
 guard and covariance sums, CLI robustness on arithmetic overflow and
 non-finite values, the pair generator at large n, the finite "not
 applicable" report and the interval witness at every length, on steep runs
-and on intervals too narrow or too wide to subdivide."""
+and on intervals too narrow or too wide to subdivide or with an end that is
+not finite."""
 
 import hashlib
 import json
@@ -29,7 +30,7 @@ from relconvex import (
 )
 from relconvex.seqcore import Tolerance
 from relconvex.cli import main
-from relconvex.errors import RelConvexError, WitnessNotIncreasing
+from relconvex.errors import IntervalError, RelConvexError, WitnessNotIncreasing
 from relconvex.oracles import gen_relative_convex_pair
 
 
@@ -188,9 +189,8 @@ SQUARE_2000 = [float((i - 1000) ** 2) for i in range(2000)]
 
 
 def test_interval_witness_that_rounding_broke_is_rebuilt():
-    # the midpoint policy drives consecutive slopes together until rounding
-    # reverses them; the runs are then rebuilt with slopes proportional to
-    # the index, whose consecutive ratios (i+1)/i rounding cannot reverse
+    # a thousand steps in one run: consecutive slopes must stay apart after
+    # rounding, which the growth factor 1+g of each step's slope ensures
     for a in (SQUARE_2000, SQUARE_2000[1000:], SQUARE_2000[:1001]):
         wit = construct_witness_on_interval(a, 0.0, 1.0)
         assert wit[0] == 0.0 and wit[-1] == 1.0
@@ -199,9 +199,9 @@ def test_interval_witness_that_rounding_broke_is_rebuilt():
     assert is_convex_wrt(SQUARE_2000[900:1100], wit).holds
 
 
-# increments from 1.5e-8 to 8.8e7 in one run: the proportional slopes, scaled by
-# the running maximum 8.8e7, leave the small steps after it gaps below the
-# rounding of t near 1e9; the midpoint slopes give them room
+# increments from 1.5e-8 to 8.8e7 in one run: the small steps after the huge
+# one need gaps above the rounding of t near 1e9, so their slopes must not be
+# scaled by the earlier huge step; suffix-minimum slopes are not
 WIDE_RUN = [0.0, 1.7626978309402585e-05, 3.263879824934022e-05, 0.00019673171566727282, 88407043.55311684,
             88407043.55311699, 88407043.553117, 88407102.20240784, 122468230.18075901]
 
@@ -220,9 +220,9 @@ DRAWS = json.loads(Path(__file__).with_name("interval_witness_draws.json").read_
 
 @pytest.mark.parametrize("seed", [6, 12, 22, 36])
 def test_interval_witness_for_steep_runs(seed):
-    # exp-family pairs whose increments grow from ~1e-8 to ~1e7: slopes c*i
-    # left the first gap below the strictness tolerance; c*i*M_i, with M_i
-    # the running maximum of the increments, gives the small steps their room
+    # exp-family pairs whose increments grow from ~1e-8 to ~1e7: slopes that
+    # ignore the increments leave the first gap below the strictness
+    # tolerance; slopes scaled by the increments give the small steps their room
     a = DRAWS[f"64/{seed}"]
     wit = construct_witness_on_interval(a, 0.0, 1.0)
     assert wit[0] == 0.0 and wit[-1] == 1.0
@@ -240,6 +240,44 @@ def test_interval_witness_for_runs_with_sub_tolerance_steps(n, seed):
     assert is_convex_wrt(a, wit).holds
 
 
+# small steps beside large ones: a step's slope must not be raised by a larger
+# step before it, or the first case's last gap falls below the strictness
+# tolerance; and a decreasing run's gaps are summed from its left end, where t
+# is precise enough for the second case's small first steps
+SMALL_BESIDE_LARGE = [
+    ([4950.051578977428, 4950.040355919495, 4.375222905898025e-05, 0.0, 0.31625681726136234,
+      0.31625682260105964, 556.2930563572604], 0.0, 0.22414523796908084),
+    ([526582461.50412786, 526582461.5041278, 92112368.2827856, 0.0016108307534876886, 0.0,
+      0.00024199104825968338, 26.701024938771038, 896088.3108017151, 896088.3108188579, 896088.3210979588,
+      896088.3211010293, 896088.3211052879, 14998430.175328583, 14998430.175328584, 14998430.175356459,
+      14998430.17543805, 14998430.175439999], 1.119829414095029e+41, 4.4146975419472294e+164),
+]
+
+
+@pytest.mark.parametrize("a, alpha, beta", SMALL_BESIDE_LARGE)
+def test_interval_witness_for_small_steps_beside_large_ones(a, alpha, beta):
+    wit = construct_witness_on_interval(a, alpha, beta)
+    assert wit[0] == alpha and wit[-1] == beta
+    assert is_convex_wrt(a, wit).holds
+
+
+@pytest.mark.parametrize("alpha, beta, end", [(0.0, math.inf, "beta"), (-math.inf, 1.0, "alpha"),
+                                              (math.nan, 1.0, "alpha")])
+def test_interval_with_a_non_finite_end_is_an_interval_error(alpha, beta, end):
+    with pytest.raises(IntervalError, match=f"^{end} must be finite, got"):
+        construct_witness_on_interval([3.0, 1.0, 0.0, 2.0, 5.0], alpha, beta)
+
+
+def test_cli_subdivide_with_an_infinite_end_is_an_error_report(capsys, tmp_path):
+    code, out, err = run_cli(capsys, tmp_path, ["subdivide", "--alpha", "0", "--beta", "inf"],
+                             {"a": [3, 1, 0, 2, 5]})
+    assert code == 2
+    report = strict_json(out)
+    assert report["verdict"] == "error"
+    assert report["margin_or_slacks"]["message"] == "beta must be finite, got inf"
+    assert err == "error: beta must be finite, got inf\n"
+
+
 def test_cli_subdivide_returns_the_rebuilt_witness(capsys, tmp_path):
     code, out, _ = run_cli(capsys, tmp_path, ["subdivide", "--alpha", "0", "--beta", "1"], {"a": SQUARE_2000})
     assert code == 0
@@ -250,7 +288,7 @@ def test_cli_subdivide_returns_the_rebuilt_witness(capsys, tmp_path):
     assert is_convex_wrt(SQUARE_2000, wit).holds
 
 
-# rounding left the midpoint policy no room (first) or made two cut points equal (second)
+# rounding leaves a step no room at any growth factor (first) or makes two cut points equal (second)
 NO_ROOM = ([0.0, 140671238.63299277, 140671262.2398647, 140671270.20787212,
             140671270.20787224, 140671270.20787254], 0.0, 1.0)
 CUTS_TOGETHER = ([3.0, 1.0, 1.0, 2.0], 1e16, 1e16 + 2)

@@ -245,7 +245,7 @@ class TestSubdivision:
     def test_increasing_example(self):
         w = construct_witness_on_interval((0, 1, 3), 0.0, 1.0)
         assert w.values[0] == 0.0 and w.values[-1] == 1.0
-        assert w.values[1] == pytest.approx(2.0 / 3.0)
+        assert w.values[1] == pytest.approx(3.0 / 5.0)
         assert is_convex_wrt((0, 1, 3), w).holds
 
     def test_decreasing_example(self):
@@ -265,15 +265,15 @@ class TestSubdivision:
         with pytest.raises(ShapeError):
             construct_witness_on_interval((1, 3, 2), 0.0, 1.0)
 
-    def test_both_policies_failing_raises_the_first_failure(self):
-        # the second step is a thousand-billionth of the first: every gap
-        # policy leaves it less room than the strictness tolerance
+    def test_every_growth_factor_failing_raises_the_first_failure(self):
+        # the second step is a thousand-billionth of the first: every growth
+        # factor leaves it less room than the strictness tolerance
         with pytest.raises(WitnessNotIncreasing):
             construct_witness_on_interval((0.0, 1e6, 1e6 + 2e-9), 0.0, 1.0)
 
     def test_steep_early_rise_stays_inside(self):
-        # the plain midpoint slope would land t_2 on beta here; the
-        # feasibility tightening must keep the subdivision strictly interior
+        # a steep early rise must not push t_2 onto beta: the subdivision
+        # stays strictly interior
         a = (0.0, 10.0, 10.1, 20.0)
         w = construct_witness_on_interval(a, 0.0, 1.0)
         assert w.values[0] == 0.0 and w.values[-1] == 1.0
@@ -282,7 +282,8 @@ class TestSubdivision:
 
     @pytest.mark.parametrize("kind", [k for k in ShapeKind if k is not ShapeKind.NOT_STRICTLY_V_SHAPED])
     def test_endpoints_bit_exact_across_shapes(self, kind):
-        rng = np.random.default_rng(hash(kind.value) % 2**32)
+        # seeded by the kind's position, so a failing draw replays in any process
+        rng = np.random.default_rng(list(ShapeKind).index(kind))
         for trial in range(25):
             n = int(rng.integers(4, 12))
             a = gen_shape(kind, n, int(rng.integers(0, 2**31)))
