@@ -346,6 +346,28 @@ COMMANDS = {
 }
 
 
+def _is_negative_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text[:1] == "-"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number after a flag as its value, ``-1e5`` and ``-inf`` as argparse reads
+    ``-1``, not as an option: ``--alpha -1e5`` is parsed as ``--alpha=-1e5``."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            if joined and joined[-1][:2] == "--" and "=" not in joined[-1] and _is_negative_number(arg):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+
 def _run(args) -> tuple[int, dict]:
     # the engine calls read the tolerance and inputs from args and add to the report's parameters
     args.tol = _tolerance(args)
@@ -365,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
     common.add_argument("--output", default="-", help="destination for CSV artifacts / report")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relconvex",
         description="Checks, witness constructions, and inequality bounds for relative convex sequences.",
     )
@@ -391,7 +413,8 @@ def main(argv=None) -> int:
         # arithmetic, which says nothing about whether the inequality holds
         named = isinstance(exc, ArithmeticError)
         message = f"{type(exc).__name__}: {exc}" if named else str(exc)
-        _emit(_report(args, "error", {"message": message}, {}, Tolerance()))
+        # the tolerance the command ran at; the default when building it failed
+        _emit(_report(args, "error", {"message": message}, {}, vars(args).get("tol", Tolerance())))
         print(f"error: {message}", file=sys.stderr)
         return 2
 

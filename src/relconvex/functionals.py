@@ -51,15 +51,14 @@ def unit_weights(n: int) -> WeightVec:
     return WeightVec((1.0,) * n)
 
 
-def _mean(x: _Floats, pv: WeightVec, keep: bool) -> float:
-    """sum(p_i x_i) / P, remembered on ``pv`` per ``x`` object when ``keep``."""
-    return _remembered(keep, pv, "_moments", "mean",
-                       lambda: _fsum(map(mul, pv.weights, x.values)) / pv.total, x, x)
+def _mean(x: _Floats, pv: WeightVec) -> float:
+    """sum(p_i x_i) / P, remembered on ``pv`` per ``x`` object."""
+    return _remembered(pv, "_moments", "mean", lambda: _fsum(map(mul, pv.weights, x.values)) / pv.total, x, x)
 
 
-def _cov(x: _Floats, mx: float, y: _Floats, my: float, pv: WeightVec, keep: bool) -> float:
+def _cov(x: _Floats, mx: float, y: _Floats, my: float, pv: WeightVec) -> float:
     """S(x, y) = sum p_i (x_i - mx)(y_i - my) / P at the means of x and y, likewise remembered."""
-    return _remembered(keep, pv, "_moments", "cov",
+    return _remembered(pv, "_moments", "cov",
                        lambda: _centred(x.values, mx, y.values, my, pv.weights, pv.total), x, y)
 
 
@@ -67,7 +66,7 @@ def weighted_mean(x: Sequence[float], p: WeightLike) -> float:
     """Weighted average sum(p_i x_i) / sum(p_i)."""
     xv, pv = _Floats.of(x), WeightVec.of(p)
     _same_length("x p", xv, pv)
-    return _mean(xv, pv, xv is x and pv is p)
+    return _mean(xv, pv)
 
 
 def _centred(x: Sequence[float], mx: float, y: Sequence[float], my: float, w, total: float = 1.0) -> float:
@@ -81,14 +80,12 @@ def cov_functional(x: Sequence[float], y: Sequence[float], p: WeightLike) -> flo
     Summed in the centred two-pass form, so its rounding error is set by the
     deviations from the means, however far x and y sit from the origin.
     Symmetric in (x, y); vanishes when either argument is constant; the
-    diagonal is the weighted variance, hence non-negative.  On x, y and p
-    passed as objects, the means and the sum are remembered on p for later calls.
+    diagonal is the weighted variance, hence non-negative.  The means and
+    the sum are remembered on p for later calls on the same objects.
     """
     xv, yv, pv = _Floats.of(x), _Floats.of(y), WeightVec.of(p)
     _same_length("x y p", xv, yv, pv)
-    keep = xv is x and yv is y and pv is p
-    mx, my = _mean(xv, pv, keep), _mean(yv, pv, keep)
-    return _cov(xv, mx, yv, my, pv, keep)
+    return _cov(xv, _mean(xv, pv), yv, _mean(yv, pv), pv)
 
 
 def _require_spread(variance: float, wit: Witness, tol: Tolerance, message: str) -> None:
@@ -105,18 +102,13 @@ def lupas_constant(t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> float:
     For t = (1, ..., n) this equals 12 / (n (n^2 - 1)).  Strictly positive
     for any strictly increasing t; guarded anyway.  The denominator is
     summed in the centred form sum (t_i - mean t)^2, so it is exact to
-    rounding at the scale of the spread, whatever the offset of t.  On a
-    ``Witness`` passed as an object, the constant is remembered on it per ``tol``.
+    rounding at the scale of the spread, whatever the offset of t.
     """
     wit = Witness.of(t, tol)
-
-    def constant() -> float:
-        mean = _fsum(wit.values) / len(wit)
-        denom = _centred(wit.values, mean, wit.values, mean, repeat(1.0))
-        _require_spread(denom, wit, tol, f"centered square sum {denom!r} is not positive")
-        return 1.0 / denom
-
-    return _remembered(wit is t, wit, "_moments", ("lupas", tol), constant, wit, wit)
+    mean = _fsum(wit.values) / len(wit)
+    denom = _centred(wit.values, mean, wit.values, mean, repeat(1.0))
+    _require_spread(denom, wit, tol, f"centered square sum {denom!r} is not positive")
+    return 1.0 / denom
 
 
 def majorizes(x: Sequence[float], y: Sequence[float], tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -182,27 +182,20 @@ def lupas_check(
 
     Verifies S(a,b) >= S(a,t) S(b,t) / S(t,t) in the weighted functionals
     of :func:`relconvex.functionals.cov_functional`, each mean taken once;
-    equality is attained when either sequence is affine in t.  On inputs
-    passed as objects, the means and sums are remembered on p, as there.
+    equality is attained when either sequence is affine in t.  The means
+    and sums are remembered on p, as there.
     """
     seq_a, seq_b, wit, pv = RealSeq.of(a), RealSeq.of(b), Witness.of(t, tol), WeightVec.of(p)
     _same_length("a b t p", seq_a, seq_b, wit, pv)
-    keep = seq_a is a and seq_b is b and wit is t and pv is p
-    return _lupas(seq_a, seq_b, wit, pv, tol, skip_verify, keep)
-
-
-def _lupas(seq_a: RealSeq, seq_b: RealSeq, wit: Witness, pv: WeightVec, tol: Tolerance,
-           skip_verify: bool, keep: bool) -> LupasReport:
-    """:func:`lupas_check` on validated inputs, remembering its moments on ``pv`` when ``keep``."""
     if not skip_verify:
         _require_convex_wrt("a", seq_a, wit, tol)
         _require_convex_wrt("b", seq_b, wit, tol)
-    ma, mb, mt = (_mean(v, pv, keep) for v in (seq_a, seq_b, wit))
-    stt = _cov(wit, mt, wit, mt, pv, keep)
+    ma, mb, mt = (_mean(v, pv) for v in (seq_a, seq_b, wit))
+    stt = _cov(wit, mt, wit, mt, pv)
     _require_spread(stt, wit, tol,
                     "S(t,t) is not positive: need positive weight on at least two indices")
-    lhs = _cov(seq_a, ma, seq_b, mb, pv, keep)
-    rhs = _cov(seq_a, ma, wit, mt, pv, keep) * _cov(seq_b, mb, wit, mt, pv, keep) / stt
+    lhs = _cov(seq_a, ma, seq_b, mb, pv)
+    rhs = _cov(seq_a, ma, wit, mt, pv) * _cov(seq_b, mb, wit, mt, pv) / stt
     slack, first = _at_least(lhs, rhs, tol)
     return LupasReport(lhs, rhs, first is None, slack, tol)
 
@@ -222,7 +215,7 @@ def pecaric_check(
     seq_a, seq_b = RealSeq.of(a), RealSeq.of(b)
     _same_length("a b", seq_a, seq_b)
     n = len(seq_a)
-    rep = _lupas(seq_a, seq_b, unit_witness(n), unit_weights(n), tol, skip_verify, seq_a is a and seq_b is b)
+    rep = lupas_check(seq_a, seq_b, unit_witness(n), unit_weights(n), tol, skip_verify)
     lhs, rhs = n * rep.lhs, n * rep.rhs
     slack, first = _at_least(lhs, rhs, tol)
     return LupasReport(lhs, rhs, first is None, slack, tol)
@@ -245,32 +238,28 @@ def hhf_bounds(
 
         gamma psi(a_{m+1}) + (1-gamma) psi(a_m)  <=  value
         value  <=  lambda psi(a_1) + (1-lambda) psi(a_n)
+
+    The value is remembered on p per (sequence, map) for a builtin map only
+    (pure, and declaring its interval); any other callable is called anew.
+    The mean of the witness is remembered on p, as in :func:`lupas_check`.
     """
     seq, wit, pv = RealSeq.of(a), Witness.of(t, tol), WeightVec.of(p)
     _same_length("a t p", seq, wit, pv)
-    return _hhf(seq, wit, pv, psi, tol, skip_verify, seq is a and pv is p, wit is t and pv is p)
-
-
-def _hhf(seq: RealSeq, wit: Witness, pv: WeightVec, psi: ConvexMap, tol: Tolerance, skip_verify: bool,
-         keep_value: bool, keep_mean: bool) -> BoundReport:
-    """:func:`hhf_bounds` on validated inputs.  The value sum(p_i psi(a_i)) / P is remembered on
-    ``pv`` per (sequence, map) when ``keep_value`` and the map is a builtin one (pure, and declaring
-    its interval); any other callable is called anew.  The mean of ``wit`` is remembered when
-    ``keep_mean``."""
     if not skip_verify:
         _require_convex_wrt("a", seq, wit, tol)
         spot_check_map(psi, seq.values, tol)
-    n = len(seq)
     if wit[-1] - wit[0] <= tol.abs:
         raise DegenerateWitness("witness endpoints coincide")
-    value = _remembered(keep_value and _proven_interval(psi) is not None, pv, "_moments", "psi",
-                        lambda: _fsum([w * psi(x) for w, x in zip(pv, seq)]) / pv.total, seq, psi)
-    mt = _mean(wit, pv, keep_mean)
-    m = min(floor_wrt(wit, mt, tol), n - 1)
-    gamma = (mt - wit[m - 1]) / (wit[m] - wit[m - 1])
-    gamma = min(max(gamma, 0.0), 1.0)
-    lam = (wit[-1] - mt) / (wit[-1] - wit[0])
-    lam = min(max(lam, 0.0), 1.0)
+
+    def psi_sum() -> float:
+        return _fsum([w * psi(x) for w, x in zip(pv, seq)]) / pv.total
+
+    pure = _proven_interval(psi) is not None  # a builtin map; any other callable is called anew
+    value = _remembered(pv, "_moments", "psi", psi_sum, seq, psi) if pure else psi_sum()
+    mt = _mean(wit, pv)
+    m = min(floor_wrt(wit, mt, tol), len(seq) - 1)
+    gamma = min(max((mt - wit[m - 1]) / (wit[m] - wit[m - 1]), 0.0), 1.0)
+    lam = min(max((wit[-1] - mt) / (wit[-1] - wit[0]), 0.0), 1.0)
     lower = gamma * psi(seq[m]) + (1.0 - gamma) * psi(seq[m - 1])
     upper = lam * psi(seq[0]) + (1.0 - lam) * psi(seq[-1])
     return _sandwich(lower, value, upper, tol, m=m, gamma_t=gamma, lambda_t=lam)
@@ -285,14 +274,12 @@ def _sandwich(lower: float, value: float, upper: float, tol: Tolerance, **fields
                        lower=lower, slack_lower=slack_lower, tolerance=tol, **fields)
 
 
-def _unit_hhf(
-    a: SeqLike, p: WeightLike, psi: ConvexMap, tol: Tolerance, skip_verify: bool
-) -> tuple[float, BoundReport]:
+def _unit_hhf(a: SeqLike, p: WeightLike, psi: ConvexMap, tol: Tolerance,
+              skip_verify: bool) -> tuple[float, BoundReport]:
     """(P_n, :func:`hhf_bounds` at t = (1..n)) for a sequence that must be convex."""
     seq, pv = RealSeq.of(a), WeightVec.of(p)
     _same_length("a p", seq, pv)
-    wit = unit_witness(len(seq))
-    return pv.total, _hhf(seq, wit, pv, psi, tol, skip_verify, seq is a and pv is p, pv is p)
+    return pv.total, hhf_bounds(seq, unit_witness(len(seq)), pv, psi, tol, skip_verify)
 
 
 def niezgoda_bound(

@@ -278,14 +278,11 @@ def scan_margin(gaps: Iterable[float], tol: Tolerance, operands: Iterable[float]
     return first, margin
 
 
-def _remembered(keep: bool, owner: _Floats, memo: str, key, compute, x, y):
-    """``compute()``, remembered in the dict ``memo`` on the frozen ``owner`` per (``key``, x, y),
-    y = x for one object, unless ``keep`` is false (an input was built from raw values in the call)
-    or it raises.  An entry holds x and y by weak reference; a hit must find them alive, as a dead
-    object's id may be reused, and an object that takes no weak reference is not remembered.  An
-    insert finding 8, 16, 32, ... entries drops those of dead objects."""
-    if not keep:
-        return compute()
+def _remembered(owner: _Floats, memo: str, key, compute, x, y):
+    """``compute()``, remembered in the dict ``memo`` on the frozen ``owner`` per (``key``, x, y), y = x
+    for one object, unless it raises.  An entry holds x and y by weak reference; a hit must find them
+    alive, as a dead object's id may be reused, and an object taking no weak reference is not remembered.
+    An insert finding 8, 16, 32, ... entries drops those of dead objects, such as inputs built in a call."""
     entries = vars(owner).get(memo, {})
     slot = (key, id(x), id(y))
     hit = entries.get(slot)
@@ -351,7 +348,7 @@ def is_convex_wrt(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> C
 
     Both inputs are frozen, so the test runs once per (sequence, witness,
     tolerance): the report is remembered on the :class:`RealSeq` per witness
-    object and ``tol`` by :func:`_remembered`, unless an input is built here.
+    object and ``tol`` by :func:`_remembered`.
     """
     seq, wit = paired(a, t, tol)
 
@@ -360,7 +357,7 @@ def is_convex_wrt(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> C
         first, margin = scan_margin(list(_steps(ratios)), tol, ratios)
         return CheckReport(first is None, first, margin, tol)
 
-    return _remembered(seq is a and wit is t, seq, "_slope_tests", tol, test, wit, wit)
+    return _remembered(seq, "_slope_tests", tol, test, wit, wit)
 
 
 def is_convex(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:

@@ -252,3 +252,67 @@ def test_each_flag_is_taken_where_its_call_reads_it():
         for name in names:
             argv = [name, flag] if flag == "--skip-verify" else [name, flag, "7"]
             assert parser.parse_args(argv).command == name
+
+
+def test_an_error_report_names_the_tolerance_the_command_ran_at(tmp_path, capsys, monkeypatch):
+    path = write_json(tmp_path, "bad.json", {"a": [0, 3, 1, 4], "b": [9, 4, 1, 0]})
+    code, out = run_cli(capsys, ["pecaric", "--input", path, "--tol-abs", "1e-4", "--tol-rel", "1e-6"])
+    report = json.loads(out)
+    assert code == 2 and report["margin_or_slacks"]["message"].startswith("a is not convex")
+    assert report["tolerance"] == {"abs": 1e-4, "rel": 1e-6}
+    monkeypatch.setenv("RELCONVEX_TOL_ABS", "1e-3")
+    assert json.loads(run_cli(capsys, ["pecaric", "--input", path])[1])["tolerance"]["abs"] == 1e-3
+    # a tolerance that cannot be built is reported with the default one
+    code, out = run_cli(capsys, ["pecaric", "--input", path, "--tol-abs", "-1"])
+    report = json.loads(out)
+    assert code == 2 and report["margin_or_slacks"]["message"].startswith("tolerance components must be finite")
+    assert report["tolerance"] == {"abs": 1e-9, "rel": 1e-12}
+    monkeypatch.setenv("RELCONVEX_TOL_ABS", "coarse")
+    code, out = run_cli(capsys, ["pecaric", "--input", path])
+    report = json.loads(out)
+    assert code == 2 and report["margin_or_slacks"]["message"].endswith("to float: 'coarse'")
+    assert report["tolerance"] == {"abs": 1e-9, "rel": 1e-12}
+
+
+@pytest.mark.parametrize(
+    "argv, keys, value",
+    [
+        (["subdivide", "--alpha", "-1e5", "--beta", "1"], ("parameters", "alpha"), -1e5),
+        (["subdivide", "--alpha", "-2", "--beta", "-1E-3"], ("parameters", "beta"), -1e-3),
+        (["subdivide", "--alp", "-1e5", "--be", "1"], ("parameters", "alpha"), -1e5),  # abbreviated flags
+        (["subdivide", "--alpha=-1e5", "--beta", "1"], ("parameters", "alpha"), -1e5),
+        (["witness", "--t1", "-2.5e3"], ("margin_or_slacks", "witness", 0), -2.5e3),
+        (["witness", "--t1", "-1", "--tol-abs", "-0e0"], ("tolerance", "abs"), 0.0),
+    ],
+)
+def test_a_numeric_flag_takes_a_negative_value_after_a_space(tmp_path, capsys, argv, keys, value):
+    path = write_json(tmp_path, "v.json", {"a": [5, 3, 1, 1, 2, 4]})
+    code, out = run_cli(capsys, argv + ["--input", path])
+    got = json.loads(out)
+    for key in keys:
+        got = got[key]
+    assert code == 0 and got == value
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["subdivide", "--alpha", "0", "--beta", "-inf"], "beta must be finite, got -inf"),
+        (["subdivide", "--alpha", "-Infinity", "--beta", "1"], "alpha must be finite, got -inf"),
+        (["subdivide", "--alpha", "-nan", "--beta", "1"], "alpha must be finite, got nan"),
+        (["classify", "--tol-rel", "-1e-3"], "tolerance components must be finite and non-negative"),
+    ],
+)
+def test_a_negative_non_finite_or_invalid_value_is_an_error_report(tmp_path, capsys, argv, message):
+    path = write_json(tmp_path, "v.json", {"a": [5, 3, 1, 1, 2, 4]})
+    code, out = run_cli(capsys, argv + ["--input", path])
+    assert code == 2 and json.loads(out)["margin_or_slacks"]["message"] == message
+
+
+@pytest.mark.parametrize("argv", [["fuzz", "--seed", "-1e5"], ["extend", "--resolution", "-inf"],
+                                  ["fuzz", "--trials", "-1e2"]])
+def test_an_integer_flag_rejects_a_negative_float_as_its_value(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2 and f"argument {argv[1]}:" in err and "expected one argument" not in err

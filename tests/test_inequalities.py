@@ -5,11 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relconvex import (
     ConvexMapWarning,
     DegenerateWitness,
     PreconditionViolation,
+    RealSeq,
+    WeightVec,
     build_extension,
     convex_hhf_bounds,
     hhf_bounds,
@@ -25,6 +29,8 @@ from relconvex import (
     psi_preservation_check,
     spot_check_map,
 )
+from relconvex.errors import NonFiniteArithmetic
+from relconvex.functionals import unit_weights
 from relconvex.oracles import (
     brute_convex_hhf_bounds,
     brute_hhf_bounds,
@@ -35,6 +41,7 @@ from relconvex.oracles import (
     gen_majorized_pair,
     gen_relative_convex_pair,
 )
+from relconvex.seqcore import unit_witness
 
 
 def _convex_seq(rng, n):
@@ -463,3 +470,60 @@ class TestOnePreconditionPath:
         # the sums 1.5e308 + 1.5e308 overflow; the non-convex sequence is rejected first
         with pytest.raises(PreconditionViolation, match="interior index 2 "):
             integer_majorization_check([0, 1.5e308, 1.5e308, 0], [2, 3], [1, 4])
+
+
+# -- the engines at t = 1..n are the witnessed engines, scaled -------------------
+
+
+def sides_or_error(call, *names):
+    """The named fields of the report, or (error type, message) on a raise."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvexMapWarning)
+        try:
+            rep = call()
+        except Exception as err:  # noqa: BLE001 - the error itself is compared
+            return type(err), str(err)
+    return tuple(getattr(rep, name) for name in names)
+
+
+def assert_scaled(got, inner, factor):
+    """``got`` is ``inner`` with its float sides times ``factor``, and the same error on a raise.
+    A scaled side that overflows is the caller's own NonFiniteArithmetic: it judges its sides."""
+    want = inner
+    if not isinstance(inner[0], type):
+        want = tuple(v * factor if isinstance(v, float) else v for v in inner)
+        if not all(map(math.isfinite, want)):
+            want = (NonFiniteArithmetic, "compared quantities reach inf")
+    assert repr(got) == repr(want)
+
+
+@st.composite
+def unit_instances(draw):
+    """(a, b, p, psi, skip_verify, as_objects): n <= 12, convex or arbitrary sequences, huge ones included."""
+    n = draw(st.integers(2, 12))
+    convex = st.builds(lambda c, k, s: [k * (i - c) ** 2 + s * i for i in range(n)],
+                       st.floats(0, n), st.floats(0, 1e3), st.floats(-1e3, 1e3))
+    entries = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([1e308, -1e308, 700.0, 0.0]))
+    seq = st.one_of(convex, st.lists(entries, min_size=n, max_size=n))
+    p = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=n, max_size=n))
+    if not sum(p) > 0:
+        p[0] = 1.0
+    psi = parse_psi(draw(st.sampled_from(["identity", "exp", "relu@0.5", "square"])))
+    return draw(seq), draw(seq), p, psi, draw(st.booleans()), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_instances())
+def test_the_engines_at_unit_t_are_the_witnessed_engines_scaled(inst):
+    a, b, p, psi, sv, as_objects = inst
+    n = len(a)
+    if as_objects:
+        a, b, p = RealSeq(a), RealSeq(b), WeightVec(p)
+    total = WeightVec.of(p).total
+    t, units = unit_witness(n), unit_weights(n)
+    lupas = sides_or_error(lambda: lupas_check(a, b, t, units, skip_verify=sv), "lhs", "rhs")
+    assert_scaled(sides_or_error(lambda: pecaric_check(a, b, skip_verify=sv), "lhs", "rhs"), lupas, n)
+    for engine, sides in ((niezgoda_bound, ("value", "upper")),
+                          (convex_hhf_bounds, ("lower", "value", "upper", "m"))):
+        hhf = sides_or_error(lambda: hhf_bounds(a, t, p, psi, skip_verify=sv), *sides)
+        assert_scaled(sides_or_error(lambda: engine(a, p, psi, skip_verify=sv), *sides), hhf, total)
