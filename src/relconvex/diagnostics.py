@@ -16,18 +16,23 @@ their rows with numpy when it pays, and with stdlib loops otherwise: from
 2**14 gaps when numpy is already imported, and from 2**19 gaps when the scan
 would import it first (about 0.1 s), so a scan of fewer than 2**14 gaps
 never loads numpy and a scan without numpy runs its loops at any size.
-Measured on 2 shared vCPUs, numpy rows overtake the loops at about 4e3 gaps
-(anchored, n ~ 90) and 4e2 (all triples, n ~ 14), and pay for numpy's import
-from about 5e5 gaps (anchored, n ~ 1,000) and 3e5 (all triples, n ~ 120).
-Each numpy row takes the IEEE operations of its loop in the same order, and
-every row that does not plainly hold is judged by ``scan_margin``, so the
-reports and errors are the same on either path.
+numpy computes a block of consecutive rows (anchors, or first indices) at a
+time, as many as ``_BLOCK_ELEMENTS`` holds, in buffers that every block of
+the scan shares.  Each element takes the IEEE operations of its loop in the
+same order.  A block whose rows all plainly hold (finite operands, no
+negative or NaN gap) is one report; in any other block, every row that does
+not plainly hold is judged by ``scan_margin`` at its own scale, so the
+reports and errors are the same on either path.  Measured on 2 shared vCPUs,
+numpy blocks overtake the loops at about 1e2 gaps (anchored, n ~ 15) and
+2e2 (all triples, n ~ 12), and pay for numpy's import from about 4e5 gaps
+(anchored, n ~ 900) and 3e5 (all triples, n ~ 125).
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, count, repeat
 from operator import mul, truediv
@@ -60,6 +65,10 @@ _EXACT = Tolerance(abs=0.0, rel=0.0)
 #: numpy: when it is already imported, and when the scan would import it.
 _NUMPY_LOADED_CUTOFF = 2**14
 _NUMPY_IMPORT_CUTOFF = 2**19
+
+#: Elements in one block of consecutive rows of a numpy scan (one row at
+#: least), and in each of the buffers that every block of a scan shares.
+_BLOCK_ELEMENTS = 2**13
 
 
 @dataclass(frozen=True)
@@ -134,10 +143,11 @@ def collinearity_determinant_check(
     ``first_violation`` is the lexicographically first bad 1-based triple.
     The tolerance scale is the largest |term| over the scanned triples (at
     least 1: the floor is one more operand), so the verdict and the
-    violation come from one threshold.  All triples are scanned in blocks
-    that share their first index, from numpy past the cutoffs of the module
-    docstring (C(n, 3) >= 2**14 gaps when numpy is loaded, n >= 48; >= 2**19
-    when it must be imported, n >= 148), with the same report either way.
+    violation come from one threshold.  All triples are scanned in rows
+    that share their first index; past the cutoffs of the module docstring
+    (C(n, 3) >= 2**14 gaps when numpy is loaded, n >= 48; >= 2**19 when it
+    must be imported, n >= 148) numpy computes blocks of consecutive rows,
+    with the same report either way.
     """
     seq, wit = paired(a, t, tol)
     av, tv = seq.values, wit.values
@@ -168,8 +178,8 @@ def collinearity_determinant_check(
         if np is None:
             rep = _fold([_triple_block(av, tv, tol, scale, l) for l in range(n - 2)], tol)
         else:
-            with np.errstate(all="ignore"):
-                rep = _fold(list(_triple_rows(np, av, tv, tol, scale)), tol)
+            with _quiet_unbuffered(np):
+                rep = _fold(list(_triple_blocks(np, av, tv, tol, scale)), tol)
     if rep.first_violation is None:
         return rep
     return CheckReport(False, tuple(i + 1 for i in rep.first_violation), rep.margin, tol)
@@ -184,30 +194,43 @@ def _triple_block(av, tv, tol: Tolerance, scale, l: int) -> CheckReport:
     return CheckReport(first is None, first, margin, tol)
 
 
-def _triple_rows(np, av, tv, tol: Tolerance, scale):
-    """:func:`_triple_block` for every first index, each block a few numpy
-    operations: the IEEE operations of the loop, in the same order.  Every
-    block works in the same buffers: blocks of their own sizes would leave
-    one freed buffer per size in numpy's cache of small allocations."""
+def _triple_blocks(np, av, tv, tol: Tolerance, scale):
+    """:func:`_triple_block` for every first index l, in blocks of consecutive l.
+
+    The pairs m < k in combinations order are precomputed once; those of row l
+    (m > l) are a suffix of them, so a block's rows share the columns of its
+    first row's suffix.  Row l computes each of these determinants with the
+    IEEE operations of the loop in the same order, and the pairs m <= l before
+    its own suffix are masked (see :func:`_block_reports`).
+    """
     n = len(av)
     A, T = np.array(av), np.array(tv)
-    # the pairs m < k in combinations order: those with m > l are a suffix
     M, K = np.triu_indices(n, 1)
     am, ak, tm, tk = A[M], A[K], T[M], T[K]
     span = tk - tm
-    dets_buf, term_buf, work = np.empty(span.size), np.empty(span.size), np.empty(span.size, bool)
-    start = 0
-    for l in range(n - 2):
-        start += n - 1 - l
-        w = span.size - start
-        dets, term = dets_buf[:w], term_buf[:w]
-        np.multiply(span[start:], A[l], out=dets)
-        np.multiply(np.subtract(tk[start:], T[l], out=term), am[start:], out=term)
-        dets -= term
-        np.multiply(np.subtract(tm[start:], T[l], out=term), ak[start:], out=term)
-        dets += term
-        yield _vector_report(np, dets, work[:w], tol, scale,
-                             lambda at: zip(repeat(l), M[start + at].tolist(), K[start + at].tolist()))
+    pairs = span.size
+    # the suffix of row l starts after the n - 1 - j pairs of every first index j <= l
+    starts = list(accumulate(range(n - 1, 1, -1)))
+    size = max(_BLOCK_ELEMENTS, pairs - (n - 1))
+    dets_buf, term_buf, work = np.empty(size), np.empty(size), np.empty(size, bool)
+    cols = np.arange(_BLOCK_ELEMENTS)
+    for l0, l1 in _spans(n - 2, lambda l: pairs - starts[l]):
+        s = starts[l0]
+        shape = (l1 - l0, pairs - s)
+        a_l, t_l = _column(A, l0, l1), _column(T, l0, l1)
+        dets = np.multiply(span[None, s:], a_l, out=_rows(dets_buf, shape))
+        term = np.subtract(tk[None, s:], t_l, out=_rows(term_buf, shape))
+        dets -= np.multiply(term, am[None, s:], out=term)
+        np.subtract(tm[None, s:], t_l, out=term)
+        dets += np.multiply(term, ak[None, s:], out=term)
+
+        def judge(b):
+            l, start = l0 + b, starts[l0 + b]
+            return _vector_report(np, dets[b, start - s:], work[:pairs - start], tol, scale,
+                                  lambda at: zip(repeat(l), M[start + at].tolist(), K[start + at].tolist()))
+
+        offsets = [start - s for start in starts[l0:l1]]
+        yield from _block_reports(np, dets, offsets, [True] * (l1 - l0), tol, judge, work, cols)
 
 
 def anchored_slope_check(
@@ -236,29 +259,51 @@ def _anchored(av, tv, s0: int, tol: Tolerance) -> CheckReport:
     return CheckReport(first is None, first, margin, tol)
 
 
-def _anchored_rows(np, av, tv, tol: Tolerance):
-    """:func:`_anchored` at every anchor, each row a few numpy operations (the
-    IEEE operations of the loop, in the same order) in buffers that every row
-    shares, as :func:`_triple_rows` does."""
+def _anchored_blocks(np, av, tv, tol: Tolerance):
+    """:func:`_anchored` at every anchor, in blocks of consecutive anchors.
+
+    The anchors r0 <= s0 < r1 of a block share the columns i = r0+1 .. n-1:
+    row s0 computes (a_i - a_s0) / (t_i - t_s0) and the gaps between its
+    neighbouring slopes with the IEEE operations of the loop in the same
+    order, and the gaps of i <= s0 + 1, which are not its own, are masked
+    (see :func:`_block_reports`).  A per-gap weight that judges each gap at
+    the slope test's scale (ROADMAP.md, "One tolerance rule for every
+    characterization") must enter these blocks and :func:`_anchored`
+    together, as one more factor of each gap computed in the block.
+    """
     n = len(av)
     A, T = np.array(av), np.array(tv)
-    slopes_buf, runs_buf, gaps_buf, work = np.empty(n), np.empty(n), np.empty(n), np.empty(n, bool)
-    for s0 in range(n - 1):
-        w = n - 1 - s0
-        slopes = np.subtract(A[s0 + 1:], A[s0], out=slopes_buf[:w])
-        np.divide(slopes, np.subtract(T[s0 + 1:], T[s0], out=runs_buf[:w]), out=slopes)
-        gaps = np.subtract(slopes[1:], slopes[:-1], out=gaps_buf[:w - 1])
-        # the extremes give the scale of all slopes, a NaN among them included
-        extremes = float(slopes.max()), float(slopes.min())
-        yield _vector_report(np, gaps, work[:w - 1], tol, extremes, lambda at: (at + (s0 + 3)).tolist())
+    # a row of gaps >= 0 (none NaN) has only finite slopes when its first and last
+    # are finite: an inf or NaN slope between them makes a gap beside it negative or NaN
+    firsts, lasts = np.diff(A) / np.diff(T), (A[-1] - A[:-1]) / (T[-1] - T[:-1])
+    finite = (np.isfinite(firsts) & np.isfinite(lasts)).tolist()
+    size = max(_BLOCK_ELEMENTS, n - 1)
+    slopes_buf, gaps_buf, work = np.empty(size), np.empty(size), np.empty(size, bool)
+    cols = np.arange(_BLOCK_ELEMENTS)
+    for r0, r1 in _spans(n - 1, lambda r: n - 1 - r):
+        rows, w = r1 - r0, n - 1 - r0
+        slopes = np.subtract(A[None, r0 + 1:], _column(A, r0, r1), out=_rows(slopes_buf, (rows, w)))
+        runs = np.subtract(T[None, r0 + 1:], _column(T, r0, r1), out=_rows(gaps_buf, (rows, w)))
+        np.divide(slopes, runs, out=slopes)
+        gaps = np.subtract(slopes[:, 1:], slopes[:, :-1], out=_rows(gaps_buf, (rows, w - 1)))
+
+        def judge(b):
+            s0, row = r0 + b, slopes[b, b:]
+            # the extremes give the scale of all slopes, a NaN among them included
+            extremes = float(row.max()), float(row.min())
+            return _vector_report(np, gaps[b, b:], work[:w - 1 - b], tol, extremes,
+                                  lambda at: (at + (s0 + 3)).tolist())
+
+        yield from _block_reports(np, gaps, range(rows), finite[r0:r1], tol, judge, work, cols)
 
 
 def anchored_slope_check_all(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Conjunction of :func:`anchored_slope_check` over every anchor.
 
-    The rows come from numpy past the cutoffs of the module docstring
-    ((n - 1)(n - 2)/2 gaps >= 2**14 when numpy is loaded, n >= 183; >= 2**19
-    when it must be imported, n >= 1,026), with the same report either way.
+    Past the cutoffs of the module docstring ((n - 1)(n - 2)/2 gaps >= 2**14
+    when numpy is loaded, n >= 183; >= 2**19 when it must be imported,
+    n >= 1,026) numpy computes blocks of consecutive anchors, with the same
+    report either way.
     Like the chord check, it may hold inside the tolerance band where the
     slope test is violated (see the module docstring).
     """
@@ -268,12 +313,12 @@ def anchored_slope_check_all(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAUL
     np = _numpy_for((n - 1) * (n - 2) // 2)
     if np is None:
         return _fold([_anchored(av, tv, s0, tol) for s0 in range(n - 1)], tol)
-    with np.errstate(all="ignore"):
-        return _fold(list(_anchored_rows(np, av, tv, tol)), tol)
+    with _quiet_unbuffered(np):
+        return _fold(list(_anchored_blocks(np, av, tv, tol)), tol)
 
 
 def _numpy_for(gaps: int):
-    """numpy for a scan of ``gaps`` gaps when its rows pay for it, else None.
+    """numpy for a scan of ``gaps`` gaps when its blocks pay for it, else None.
 
     A loaded numpy pays from ``_NUMPY_LOADED_CUTOFF`` gaps; importing it first
     (about 0.1 s) only from ``_NUMPY_IMPORT_CUTOFF``.  Without numpy the
@@ -288,21 +333,80 @@ def _numpy_for(gaps: int):
     return np if gaps >= _NUMPY_LOADED_CUTOFF else None
 
 
+@contextmanager
+def _quiet_unbuffered(np):
+    """numpy as the blocks run: without floating-point warnings (the scans judge
+    their inf and NaN themselves) and with the smallest ufunc buffer.  numpy
+    copies the operands of a broadcast 2-D operation through its buffer when
+    the rows are narrower than about a third of it (8,192 elements by default),
+    at 3-4 times the cost of the operation in place."""
+    with np.errstate(all="ignore"):
+        size = np.setbufsize(16)
+        try:
+            yield
+        finally:
+            np.setbufsize(size)
+
+
+def _spans(rows: int, width):
+    """``(start, stop)`` of consecutive blocks of ``rows`` rows: as many rows as
+    ``_BLOCK_ELEMENTS`` holds at the width ``width(start)`` of the block's
+    first (widest) row, and one row at least."""
+    start = 0
+    while start < rows:
+        stop = min(rows, start + max(1, _BLOCK_ELEMENTS // width(start)))
+        yield start, stop
+        start = stop
+
+
+def _column(X, start, stop):
+    """``X[start:stop]`` as a column to broadcast along a block's rows; for one row a
+    scalar, so that numpy runs a one-row block as a 1-D operation, without an iterator."""
+    return X[start] if stop - start == 1 else X[start:stop, None]
+
+
+def _rows(buf, shape):
+    """The leading elements of the buffer ``buf`` as a C-contiguous array of ``shape``."""
+    return buf[:shape[0] * shape[1]].reshape(shape)
+
+
+def _block_reports(np, gaps, offsets, finite, tol: Tolerance, judge, work, cols) -> list[CheckReport]:
+    """The reports of a block of rows, row b being ``gaps[b, offsets[b]:]``.
+
+    The entries before a row's own are first set to +inf (through the boolean
+    buffer ``work`` and ``cols``, an ``arange`` as long as the widest such
+    prefix), so they are never a smallest gap.  A row plainly holds when its
+    operands are finite (``finite[b]``) and its first smallest gap is
+    non-negative (argmin finds the first of equal minima, ±0.0 ties included,
+    as ``min()`` keeps it).  When every row does, the block is one report
+    whose margin is the block's first smallest gap, as folding the rows would
+    keep it.  Otherwise each row that plainly holds is one report, and
+    ``judge(b)`` judges each other row with :func:`_vector_report`, in scan
+    order.
+    """
+    rows = len(gaps)
+    cut = offsets[-1]
+    if cut:
+        foreign = np.less(cols[:cut], np.array(offsets)[:, None], out=_rows(work, (rows, cut)))
+        np.copyto(gaps[:, :cut], math.inf, where=foreign)
+    # a block without columns is the anchored scan's last row alone, with one slope
+    margin = gaps.item(gaps.argmin()) if gaps.size else math.inf
+    if all(finite) and margin >= 0:
+        return [CheckReport(True, None, margin, tol)]
+    margins = gaps[range(rows), gaps.argmin(axis=1)].tolist() if rows > 1 else [margin]
+    return [CheckReport(True, None, row_margin, tol) if ok and row_margin >= 0 else judge(b)
+            for b, (ok, row_margin) in enumerate(zip(finite, margins))]
+
+
 def _vector_report(np, gaps, work, tol: Tolerance, operands, labels) -> CheckReport:
-    """A numpy row of gaps judged as :func:`relconvex.seqcore.scan_margin` judges it as a list.
+    """A numpy row of gaps that does not plainly hold (see :func:`_block_reports`),
+    judged as :func:`relconvex.seqcore.scan_margin` judges it as a list.
 
     ``work`` is a boolean buffer of the row's length and ``labels(at)`` labels
-    the gaps at the positions ``at``.  With finite ``operands`` a row whose
-    smallest gap is non-negative holds at any scale.  Any other row goes to
-    ``scan_margin`` as its negative and NaN gaps only: they alone can be the
-    margin, a violation or a NaN error, and a non-finite operand raises
-    whatever the gaps are.
+    the gaps at the positions ``at``.  The row goes to ``scan_margin`` as its
+    negative and NaN gaps only: they alone can be the margin, a violation or a
+    NaN error, and a non-finite operand raises whatever the gaps are.
     """
-    if gaps.size and all(map(math.isfinite, operands)):
-        # argmin finds the first of equal minima, as min() keeps it (-0.0 ties included)
-        margin = float(gaps[gaps.argmin()])
-        if margin >= 0:
-            return CheckReport(True, None, margin, tol)
     at = np.logical_not(np.greater_equal(gaps, 0.0, out=work), out=work).nonzero()[0]
     first, margin = scan_margin(gaps[at].tolist(), tol, operands, labels(at))
     return CheckReport(first is None, first, margin, tol)

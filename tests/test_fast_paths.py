@@ -24,8 +24,9 @@ check agrees with its reference loop.
   (``REFERENCES``) on a seeded corpus.
 * The two super-linear scans (``anchored_slope_check_all`` and the
   all-triples determinants) report and raise alike whether their rows come
-  from numpy or from the stdlib loops, and fall back to the loops when numpy
-  is blocked; a small ``diagnose`` never imports numpy.
+  from numpy blocks (at any block budget) or from the stdlib loops, and fall
+  back to the loops when numpy is blocked; a small ``diagnose`` never
+  imports numpy.
 """
 
 import copy
@@ -615,6 +616,62 @@ def test_blocked_numpy_falls_back_to_the_stdlib_rows(name, seed, monkeypatch):
     assert stdlib[0].startswith("CheckReport(")
     monkeypatch.setitem(sys.modules, "numpy", None)
     assert with_cutoffs(0, SCANS[name], a, t, DEFAULT_TOL) == stdlib
+
+
+def block_boundary_pairs():
+    """Pairs whose numpy scans span many blocks at tiny budgets: seeded ``corpus_pair`` draws, then at
+    n = 50 and 130 (t = 0..n-1 unless said otherwise):
+
+    * i² lifted by 2.5 at 0-based n - 5: only anchors n - 7 and n - 6, and first indices from n - 7,
+      are violated, so the first violation lies in a later block;
+    * i² lifted at 3, ending in -1e308, 1e308: early rows violate, and then the single-slope last
+      anchor row has an infinite slope and raises;
+    * i² lifted at 3, ending in 0, 1.7e308, -1.7e308, 0 at t steps of 0.25: anchor n - 4 has slopes
+      +inf and -inf (a NaN scale) and raises after the violating rows before it;
+    * zeros ending in -1e308, 0, 1e308: the rows before anchor n - 3 violate, and its slopes 1e308
+      and inf have a non-negative gap, so only its last slope says that it raises;
+    * ±0.0 patterns whose first zero margin is -0.0 (anchored, then all triples) in the first
+      block, or 0.0 in the first block and -0.0 first in a later one.
+    """
+    rng = random.Random(5)
+    pairs = [corpus_pair(rng) for _ in range(40)]
+    for n in (50, 130):
+        t = [float(i) for i in range(n)]
+        square = [float(i * i) for i in range(n)]
+        late, overflow, nan_row = list(square), list(square), list(square)
+        late[n - 5] += 2.5
+        overflow[3] += 50.0
+        overflow[-2:] = [-1e308, 1e308]
+        nan_row[3] += 50.0
+        nan_row[-4:] = [0.0, 1.7e308, -1.7e308, 0.0]
+        pairs += [(late, t), (overflow, t), (nan_row, t[:-3] + [n - 3.75, n - 3.5, n - 3.25]),
+                  ([0.0] * (n - 3) + [-1e308, 0.0, 1e308], t),
+                  ([0.0, 0.0, -0.0] + [0.0] * (n - 3), t), ([-0.0, 0.0, -0.0] + [0.0] * (n - 3), t),
+                  ([0.0] * (n - 3) + [-0.0, 0.0, -0.0], t)]
+    return pairs
+
+
+BLOCK_BOUNDARY_PAIRS = block_boundary_pairs()
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+def test_numpy_blocks_equal_the_stdlib_rows_at_any_block_budget(name, monkeypatch):
+    # a budget of 1 makes every row its own block (the last anchor row one slope and no gap);
+    # 7 and 64 join the short rows at the end of a scan into blocks of many rows
+    stdlib = [with_cutoffs(math.inf, SCANS[name], a, t, DEFAULT_TOL) for a, t in BLOCK_BOUNDARY_PAIRS]
+    for budget in (1, 7, 64):
+        monkeypatch.setattr(diagnostics, "_BLOCK_ELEMENTS", budget)
+        for (a, t), want in zip(BLOCK_BOUNDARY_PAIRS, stdlib):
+            assert with_cutoffs(0, SCANS[name], a, t, DEFAULT_TOL) == want, (budget, a, t)
+    late, overflow, nan_row, last_slope, *zeros = (result for result, _ in stdlib[40:47])
+    first = "47," if name == "anchored" else "(44,"
+    assert late.startswith("CheckReport(holds=False, first_violation=" + first)
+    if name == "anchored":
+        assert [overflow, nan_row, last_slope] == [(NonFiniteArithmetic, f"compared quantities reach {scale}")
+                                                   for scale in ("inf", "nan", "inf")]
+        assert ["margin=-0.0," in zero for zero in zeros] == [True, False, False]
+    else:
+        assert ["margin=-0.0," in zero for zero in zeros] == [False, True, False]
 
 
 SMALL_DIAGNOSE = """
