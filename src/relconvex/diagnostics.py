@@ -12,10 +12,10 @@ boundedness results: they report data rather than asserting limits.
 
 The two super-linear scans, :func:`anchored_slope_check_all` (O(n^2)) and
 :func:`collinearity_determinant_check` with ``all_triples`` (O(n^3)), compute
-their rows with numpy when it pays, and with stdlib loops otherwise: from
-2**14 gaps when numpy is already imported, and from 2**19 gaps when the scan
-would import it first (about 0.1 s), so a scan of fewer than 2**14 gaps
-never loads numpy and a scan without numpy runs its loops at any size.
+their rows with numpy whenever it is already imported, and with stdlib loops
+otherwise; a scan of 2**19 gaps or more imports numpy first (about 0.1 s),
+so a scan below that size never loads numpy and a scan without numpy runs
+its loops at any size.
 numpy computes a block of consecutive rows (anchors, or first indices) at a
 time, as many as ``_BLOCK_ELEMENTS`` holds, in buffers that every block of
 the scan shares.  Each element takes the IEEE operations of its loop in the
@@ -23,9 +23,8 @@ same order.  A block whose rows all plainly hold (finite operands, no
 negative or NaN gap) is one report; in any other block, every row that does
 not plainly hold is judged by ``scan_margin`` at its own scale, so the
 reports and errors are the same on either path.  Measured on 2 shared vCPUs,
-numpy blocks overtake the loops at about 1e2 gaps (anchored, n ~ 15) and
-2e2 (all triples, n ~ 12), and pay for numpy's import from about 4e5 gaps
-(anchored, n ~ 900) and 3e5 (all triples, n ~ 125).
+numpy's blocks pay for its import from about 4e5 gaps (anchored, n ~ 900)
+and 3e5 (all triples, n ~ 125).
 """
 
 from __future__ import annotations
@@ -61,9 +60,7 @@ from .seqcore import (
 #: Judges a gap against zero itself: no slack at any scale.
 _EXACT = Tolerance(abs=0.0, rel=0.0)
 
-#: Gap counts from which the two super-linear scans take their rows from
-#: numpy: when it is already imported, and when the scan would import it.
-_NUMPY_LOADED_CUTOFF = 2**14
+#: Gap count from which the two super-linear scans import numpy for their rows.
 _NUMPY_IMPORT_CUTOFF = 2**19
 
 #: Elements in one block of consecutive rows of a numpy scan (one row at
@@ -102,7 +99,7 @@ def neighbor_chord_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TO
         right = tv[i + 1] - tv[i]
         return (right * av[i - 1] + left * av[i + 1]) / (left + right) - av[i]
 
-    first, margin = scan_margin(list(map(gap, range(1, len(av) - 1))), tol, av, count(2))
+    first, margin = scan_margin(map(gap, range(1, len(av) - 1)), tol, av, count(2))
     return CheckReport(first is None, first, margin, tol)
 
 
@@ -144,10 +141,9 @@ def collinearity_determinant_check(
     The tolerance scale is the largest |term| over the scanned triples (at
     least 1: the floor is one more operand), so the verdict and the
     violation come from one threshold.  All triples are scanned in rows
-    that share their first index; past the cutoffs of the module docstring
-    (C(n, 3) >= 2**14 gaps when numpy is loaded, n >= 48; >= 2**19 when it
-    must be imported, n >= 148) numpy computes blocks of consecutive rows,
-    with the same report either way.
+    that share their first index; by the rule of the module docstring
+    (numpy loaded, or C(n, 3) >= 2**19 gaps, n >= 148) numpy computes
+    blocks of consecutive rows, with the same report either way.
     """
     seq, wit = paired(a, t, tol)
     av, tv = seq.values, wit.values
@@ -187,10 +183,9 @@ def collinearity_determinant_check(
 
 def _triple_block(av, tv, tol: Tolerance, scale, l: int) -> CheckReport:
     """The determinants of the 0-based triples (l, m, k), m < k, in combinations order."""
-    pairs = combinations(range(l + 1, len(av)), 2)
-    dets = ((tv[k] - tv[m]) * av[l] - (tv[k] - tv[l]) * av[m] + (tv[m] - tv[l]) * av[k] for m, k in pairs)
-    labels = ((l, m, k) for m, k in combinations(range(l + 1, len(av)), 2))
-    first, margin = scan_margin(dets, tol, scale, labels)
+    pairs = list(combinations(range(l + 1, len(av)), 2))
+    dets = [(tv[k] - tv[m]) * av[l] - (tv[k] - tv[l]) * av[m] + (tv[m] - tv[l]) * av[k] for m, k in pairs]
+    first, margin = scan_margin(dets, tol, scale, ((l, m, k) for m, k in pairs))
     return CheckReport(first is None, first, margin, tol)
 
 
@@ -242,20 +237,22 @@ def anchored_slope_check(
     """Divided differences from a fixed 1-based anchor must be non-decreasing.
 
     ``first_violation`` is the 1-based index of the later point at which
-    the divided-difference sequence first drops.
+    the divided-difference sequence first drops.  The anchor may be an
+    integral float such as 2.0; any other value, or one outside 1..n-1,
+    raises IndexOutOfRange.
     """
     seq, wit = paired(a, t, tol)
     n = len(seq)
-    if not 1 <= anchor < n:
-        raise IndexOutOfRange(f"anchor {anchor} outside 1..{n - 1}")
-    return _anchored(seq.values, wit.values, anchor - 1, tol)
+    if not (float(anchor).is_integer() and 1 <= anchor < n):
+        raise IndexOutOfRange(f"anchor {anchor!r} is not an integer index in 1..{n - 1}")
+    return _anchored(seq.values, wit.values, int(anchor) - 1, tol)
 
 
 def _anchored(av, tv, s0: int, tol: Tolerance) -> CheckReport:
     """:func:`anchored_slope_check` at the 0-based anchor ``s0`` of a validated pair."""
     slopes = [(av[i] - av[s0]) / (tv[i] - tv[s0]) for i in range(s0 + 1, len(av))]
     # label: 1-based index of the later point of each pair
-    first, margin = scan_margin(list(_steps(slopes)), tol, slopes, count(s0 + 3))
+    first, margin = scan_margin(_steps(slopes), tol, slopes, count(s0 + 3))
     return CheckReport(first is None, first, margin, tol)
 
 
@@ -300,10 +297,9 @@ def _anchored_blocks(np, av, tv, tol: Tolerance):
 def anchored_slope_check_all(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Conjunction of :func:`anchored_slope_check` over every anchor.
 
-    Past the cutoffs of the module docstring ((n - 1)(n - 2)/2 gaps >= 2**14
-    when numpy is loaded, n >= 183; >= 2**19 when it must be imported,
-    n >= 1,026) numpy computes blocks of consecutive anchors, with the same
-    report either way.
+    By the rule of the module docstring (numpy loaded, or (n - 1)(n - 2)/2
+    >= 2**19 gaps, n >= 1,026) numpy computes blocks of consecutive anchors,
+    with the same report either way.
     Like the chord check, it may hold inside the tolerance band where the
     slope test is violated (see the module docstring).
     """
@@ -318,11 +314,9 @@ def anchored_slope_check_all(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAUL
 
 
 def _numpy_for(gaps: int):
-    """numpy for a scan of ``gaps`` gaps when its blocks pay for it, else None.
-
-    A loaded numpy pays from ``_NUMPY_LOADED_CUTOFF`` gaps; importing it first
-    (about 0.1 s) only from ``_NUMPY_IMPORT_CUTOFF``.  Without numpy the
-    stdlib rows run at any size.
+    """numpy for a scan of ``gaps`` gaps, else None: a loaded numpy at any size,
+    and an import of it (about 0.1 s) only from ``_NUMPY_IMPORT_CUTOFF`` gaps.
+    Without numpy the stdlib rows run at any size.
     """
     np = sys.modules.get("numpy")
     if np is None and gaps >= _NUMPY_IMPORT_CUTOFF:
@@ -330,7 +324,7 @@ def _numpy_for(gaps: int):
             import numpy as np
         except ImportError:
             return None
-    return np if gaps >= _NUMPY_LOADED_CUTOFF else None
+    return np
 
 
 @contextmanager
@@ -451,8 +445,13 @@ def bounded_monotone_diagnostic(
     non-increasing over the prefix.  A gap below ``alpha`` makes the
     dichotomy uninformative (a shrinking witness may converge instead): the
     report has ``applicable=False``, the first such gap as ``first_violation``
-    and the smallest gap minus ``alpha`` as ``margin``.
+    and the smallest gap minus ``alpha`` as ``margin``.  An infinite
+    ``bound`` or ``alpha`` is a bound like any other; a NaN one is a
+    ValueError.
     """
+    for name, value in (("bound", bound), ("alpha", alpha)):
+        if math.isnan(value):
+            raise ValueError(f"{name} must not be NaN")
     seq, wit = paired(a, t, tol)
     _require_convex_wrt("a", seq, wit, tol)
     if max(seq.values) > bound + tol.abs:

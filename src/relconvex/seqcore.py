@@ -18,7 +18,7 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, islice, repeat
 from operator import gt, indexOf, lt, sub, truediv
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -242,40 +242,36 @@ def scan_margin(gaps: Iterable[float], tol: Tolerance, operands: Iterable[float]
     an inf or NaN operand raises :class:`NonFiniteArithmetic` as
     :meth:`Tolerance.allowed` does, before a NaN gap raises it.
 
-    A ``list`` of gaps is judged at C level (``min`` and the first gap below
-    the threshold, as the loop finds them), and the scale is taken only when
-    the smallest gap is negative: the allowance is never negative, so a
-    non-negative gap is never a violation.  One sum screens the operands for
-    inf and NaN and one the gaps for NaN; a screen that fires (an overflowing
-    sum of finite operands, inf + -inf among the gaps included) sends the list
-    through the loop, which raises only on a real NaN.  Any other iterable
-    streams through the loop at the scale taken first.
+    The gaps are judged at C level, as a list (any other iterable is made
+    one): ``min``, and the first gap below the threshold.  The scale is taken
+    only when the smallest gap is negative: the allowance is never negative,
+    so a non-negative gap is never a violation.  One sum screens the operands
+    for inf and NaN and one the gaps for NaN; a screen that fires takes the
+    scale first or finds the first NaN gap, so it raises only on a real inf or
+    NaN (an overflowing sum of finite operands, or inf + -inf among the gaps,
+    goes on to ``min``).
     """
-    if isinstance(gaps, list):
-        if not isinstance(operands, (list, tuple)):
-            operands = tuple(operands)
-        # a sum of floats is inf or NaN whenever a term is, compensated (3.12+) or not
-        if math.isfinite(sum(operands)) and not math.isnan(sum(gaps)):
-            margin = min(gaps, default=math.inf)
-            if margin >= 0:
-                return None, margin
-            threshold = -tol.allowed(operands)
-            if not margin < threshold:
-                return None, margin
-            k = indexOf(map(lt, gaps, repeat(threshold)), True)
-            return (k + 1 if labels is None else next(islice(labels, k, None))), margin
-    allowed = tol.allowed(operands)
-    margin = math.inf
-    first = None
-    for label, gap in zip(count(1) if labels is None else labels, gaps):
-        # the first gap below -allowed is always a new minimum; NaN fails >= too
-        if not gap >= margin:
-            if gap != gap:
-                raise NonFiniteArithmetic(f"gap {label!r} is NaN")
-            margin = gap
-            if first is None and gap < -allowed:
-                first = label
-    return first, margin
+    if not isinstance(gaps, list):
+        gaps = list(gaps)
+    if not isinstance(operands, (list, tuple)):
+        operands = tuple(operands)
+    # a sum of floats is inf or NaN whenever a term is, compensated (3.12+) or not
+    if not math.isfinite(sum(operands)):
+        tol.allowed(operands)
+    if math.isnan(sum(gaps)) and any(map(math.isnan, gaps)):
+        raise NonFiniteArithmetic(f"gap {_label(labels, indexOf(map(math.isnan, gaps), True))!r} is NaN")
+    margin = min(gaps, default=math.inf)
+    if margin >= 0:
+        return None, margin
+    threshold = -tol.allowed(operands)
+    if not margin < threshold:
+        return None, margin
+    return _label(labels, indexOf(map(lt, gaps, repeat(threshold)), True)), margin
+
+
+def _label(labels: Iterable | None, k: int):
+    """The label of the 0-based gap ``k``: its 1-based position when ``labels`` is None."""
+    return k + 1 if labels is None else next(islice(labels, k, None))
 
 
 def _remembered(owner: _Floats, memo: str, key, compute, x, y):
@@ -354,7 +350,7 @@ def is_convex_wrt(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> C
 
     def test() -> CheckReport:
         ratios = list(_steps(seq.values, wit.values))
-        first, margin = scan_margin(list(_steps(ratios)), tol, ratios)
+        first, margin = scan_margin(_steps(ratios), tol, ratios)
         return CheckReport(first is None, first, margin, tol)
 
     return _remembered(seq, "_slope_tests", tol, test, wit, wit)

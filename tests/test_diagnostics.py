@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from relconvex import (
     IndexOutOfRange,
-    NonFiniteArithmetic,
     NotStrictlyIncreasing,
     PreconditionViolation,
     RelConvexError,
@@ -205,6 +204,16 @@ class TestAnchoredSlopes:
         with pytest.raises(IndexOutOfRange):
             anchored_slope_check((1, 2, 3), (1, 2, 3), 0)
 
+    @pytest.mark.parametrize("anchor", [2.0, 1.5, math.nan, math.inf, 0.0, 5.0])
+    def test_anchor_index_rule_of_integer_majorization(self, anchor):
+        # integral floats are indices, as in integer_majorization_check; anything else is out of range
+        a, t = (4.0, 1.0, 0.0, 2.0, 6.0), (1.0, 2.0, 3.0, 4.0, 5.0)
+        if anchor == 2.0:
+            assert anchored_slope_check(a, t, anchor) == anchored_slope_check(a, t, 2)
+        else:
+            with pytest.raises(IndexOutOfRange, match=re.escape(f"anchor {anchor!r} is not an integer index")):
+                anchored_slope_check(a, t, anchor)
+
     def test_all_anchor_conjunction_equals_slope_test(self):
         for seed in range(150):
             if seed % 2:
@@ -265,6 +274,25 @@ class TestBoundedMonotone:
     def test_bound_precondition(self):
         with pytest.raises(PreconditionViolation):
             bounded_monotone_diagnostic((0.0, 1.0, 3.0), (0.0, 1.0, 2.0), bound=1.0, alpha=0.5)
+
+    @pytest.mark.parametrize("arg", ["bound", "alpha"])
+    def test_nan_argument_is_a_value_error_naming_it(self, arg):
+        a, t = (3.0, 2.0, 1.5), (0.0, 1.0, 2.0)
+        args = {"bound": 3.0, "alpha": 0.5, arg: math.nan}
+        with pytest.raises(ValueError, match=f"^{arg} must not be NaN$"):
+            bounded_monotone_diagnostic(a, t, **args)
+        if arg == "alpha":
+            with pytest.raises(ValueError, match="^alpha must not be NaN$"):
+                rate_diagnostic(a, t, alpha=math.nan)
+
+    def test_infinite_arguments_keep_their_meaning(self):
+        a, t = (3.0, 2.0, 1.5), (0.0, 1.0, 2.0)
+        assert bounded_monotone_diagnostic(a, t, math.inf, 0.5).holds
+        with pytest.raises(PreconditionViolation):
+            bounded_monotone_diagnostic(a, t, -math.inf, 0.5)
+        rep = bounded_monotone_diagnostic(a, t, 3.0, math.inf)
+        assert (rep.applicable, rep.first_violation, rep.margin) == (False, 1, -math.inf)
+        assert bounded_monotone_diagnostic(a, t, 3.0, -math.inf).holds
 
 
 class TestRateDiagnostic:
@@ -352,9 +380,9 @@ def test_rate_raises_exactly_when_the_dichotomy_report_fails(case):
     a, t, alpha = case
     try:
         rep = bounded_monotone_diagnostic(a, t, max(a), 0.0 if alpha is None else alpha)
-    except RelConvexError as err:
-        if alpha != alpha and is_convex_wrt(a, t).holds:
-            assert isinstance(err, NonFiniteArithmetic)
+    except (RelConvexError, ValueError) as err:
+        if alpha != alpha:
+            assert (type(err), str(err)) == (ValueError, "alpha must not be NaN")
         with pytest.raises(type(err), match=re.escape(str(err))):
             rate_diagnostic(a, t, alpha=alpha)
         return

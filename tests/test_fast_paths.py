@@ -1,9 +1,9 @@
 """The C-level fast paths agree with the loops they shortcut, and the ψ spot
 check agrees with its reference loop.
 
-* ``scan_margin`` judges a list at C level and an iterator in its loop; both
-  give the same ``(first, margin)``, bit for bit (-0.0 ties included), and
-  raise the same error for a NaN gap.
+* ``scan_margin`` judges every gap list at C level and makes any other
+  iterable a list first; both give the same ``(first, margin)``, bit for bit
+  (-0.0 ties included), and raise the same error for a NaN gap.
 * ``Witness.of`` accepts in one C-level pass and otherwise takes its loop, so
   NaN entries, sub-tolerance gaps and non-increasing input raise as the loop
   alone does (kept here as ``witness_of_loop``).
@@ -24,9 +24,9 @@ check agrees with its reference loop.
   (``REFERENCES``) on a seeded corpus.
 * The two super-linear scans (``anchored_slope_check_all`` and the
   all-triples determinants) report and raise alike whether their rows come
-  from numpy blocks (at any block budget) or from the stdlib loops, and fall
-  back to the loops when numpy is blocked; a small ``diagnose`` never
-  imports numpy.
+  from numpy blocks (at any block budget) or from the stdlib loops; a loaded
+  numpy computes the blocks at any size, the scans fall back to the loops
+  when numpy is blocked, and a small ``diagnose`` never imports numpy.
 """
 
 import copy
@@ -545,11 +545,12 @@ SCANS = {
 
 
 def with_cutoffs(cutoff, check, *args):
-    """``outcome(check, *args)`` with both numpy cutoffs at ``cutoff``: 0 takes the
-    numpy rows, inf the stdlib ones."""
+    """``outcome(check, *args)`` with the numpy import cutoff at ``cutoff``: 0 takes the
+    numpy rows, inf (with numpy hidden) the stdlib ones."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(diagnostics, "_NUMPY_LOADED_CUTOFF", cutoff)
         mp.setattr(diagnostics, "_NUMPY_IMPORT_CUTOFF", cutoff)
+        if cutoff == math.inf:
+            mp.setitem(sys.modules, "numpy", None)
         return outcome(check, *args)
 
 
@@ -616,6 +617,28 @@ def test_blocked_numpy_falls_back_to_the_stdlib_rows(name, seed, monkeypatch):
     assert stdlib[0].startswith("CheckReport(")
     monkeypatch.setitem(sys.modules, "numpy", None)
     assert with_cutoffs(0, SCANS[name], a, t, DEFAULT_TOL) == stdlib
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+def test_a_loaded_numpy_computes_the_blocks_at_any_size(name, monkeypatch):
+    pytest.importorskip("numpy")
+    a, t = [4.0, 1.0, 0.0, 2.0, 6.5], [1.0, 2.0, 3.0, 4.0, 5.0]
+    calls = []
+
+    def spy(blocks):
+        def spied(*args):
+            calls.append(blocks.__name__)
+            return blocks(*args)
+        return spied
+
+    for blocks in ("_anchored_blocks", "_triple_blocks"):
+        monkeypatch.setattr(diagnostics, blocks, spy(getattr(diagnostics, blocks)))
+    loaded = outcome(SCANS[name], a, t, DEFAULT_TOL)
+    assert calls == ["_anchored_blocks" if name == "anchored" else "_triple_blocks"]
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert outcome(SCANS[name], a, t, DEFAULT_TOL) == loaded
+    assert len(calls) == 1
+    assert loaded[0].startswith("CheckReport(holds=True,")
 
 
 def block_boundary_pairs():
