@@ -18,7 +18,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -136,7 +135,7 @@ def _report(args, verdict: str, margins: dict, parameters: dict, tol: Tolerance)
         "verdict": verdict,
         "margin_or_slacks": margins,
         "parameters": parameters,
-        "tolerance": asdict(tol),
+        "tolerance": {"abs": tol.abs, "rel": tol.rel},
         "version": __version__,
     }
 

@@ -32,9 +32,9 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, count, repeat
 from operator import mul, truediv
+from typing import NamedTuple
 
 from .errors import (
     IndexOutOfRange,
@@ -68,8 +68,7 @@ _NUMPY_IMPORT_CUTOFF = 2**19
 _BLOCK_ELEMENTS = 2**13
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     """Decay data for a non-increasing witnessed prefix.
 
     ``terms[k-1]`` is k times the k-th slope; ``partial_sums`` accumulates
@@ -208,7 +207,8 @@ def _triple_blocks(np, av, tv, tol: Tolerance, scale):
     starts = list(accumulate(range(n - 1, 1, -1)))
     size = max(_BLOCK_ELEMENTS, pairs - (n - 1))
     dets_buf, term_buf, work = np.empty(size), np.empty(size), np.empty(size, bool)
-    cols = np.arange(_BLOCK_ELEMENTS)
+    # a block masks fewer columns than its first row has, and that row has at most all pairs
+    cols = np.arange(min(pairs, _BLOCK_ELEMENTS))
     for l0, l1 in _spans(n - 2, lambda l: pairs - starts[l]):
         s = starts[l0]
         shape = (l1 - l0, pairs - s)
@@ -276,7 +276,8 @@ def _anchored_blocks(np, av, tv, tol: Tolerance):
     finite = (np.isfinite(firsts) & np.isfinite(lasts)).tolist()
     size = max(_BLOCK_ELEMENTS, n - 1)
     slopes_buf, gaps_buf, work = np.empty(size), np.empty(size), np.empty(size, bool)
-    cols = np.arange(_BLOCK_ELEMENTS)
+    # a block masks fewer columns than it has rows, and it has fewer than n
+    cols = np.arange(min(n, _BLOCK_ELEMENTS))
     for r0, r1 in _spans(n - 1, lambda r: n - 1 - r):
         rows, w = r1 - r0, n - 1 - r0
         slopes = np.subtract(A[None, r0 + 1:], _column(A, r0, r1), out=_rows(slopes_buf, (rows, w)))
@@ -368,8 +369,8 @@ def _block_reports(np, gaps, offsets, finite, tol: Tolerance, judge, work, cols)
     """The reports of a block of rows, row b being ``gaps[b, offsets[b]:]``.
 
     The entries before a row's own are first set to +inf (through the boolean
-    buffer ``work`` and ``cols``, an ``arange`` as long as the widest such
-    prefix), so they are never a smallest gap.  A row plainly holds when its
+    buffer ``work`` and ``cols``, an ``arange`` at least as long as the widest
+    such prefix), so they are never a smallest gap.  A row plainly holds when its
     operands are finite (``finite[b]``) and its first smallest gap is
     non-negative (argmin finds the first of equal minima, ±0.0 ties included,
     as ``min()`` keeps it).  When every row does, the block is one report

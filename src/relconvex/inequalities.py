@@ -16,9 +16,8 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DegenerateWitness, IndexOutOfRange, PreconditionViolation
 from .functionals import (
@@ -115,8 +114,7 @@ def spot_check_map(psi: ConvexMap, values: Sequence[float], tol: Tolerance = DEF
     return ok
 
 
-@dataclass(frozen=True)
-class LupasReport:
+class LupasReport(NamedTuple):
     """Two sides of a covariance-product bound; holds when lhs >= rhs - tol."""
 
     lhs: float
@@ -126,8 +124,7 @@ class LupasReport:
     tolerance: Tolerance
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """A (possibly one-sided) sandwich around a weighted value.
 
     ``lower`` and the interpolation coefficients are None for one-sided

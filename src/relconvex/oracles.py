@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InfeasibleShape, LengthError
 from .seqcore import RealSeq, ShapeKind, Witness
 
 
-@dataclass(frozen=True)
-class Seeded:
+class Seeded(NamedTuple):
     """Deterministic seed wrapper; equal seeds give equal outputs."""
 
     seed: int

@@ -11,15 +11,13 @@ ordinary floor and fractional part.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import OutOfDomain
 from .seqcore import DEFAULT_TOL, SeqLike, Tolerance, Witness, WitnessLike, _linspace, _steps, paired
 
 
-@dataclass(frozen=True)
-class PolygonalExtension:
+class PolygonalExtension(NamedTuple):
     """Piecewise-linear interpolant through breakpoints (t_i, a_i).
 
     ``slopes[i]`` is the exact per-segment slope (a[i+1]-a[i])/(t[i+1]-t[i]);

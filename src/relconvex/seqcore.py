@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from operator import gt, indexOf, lt, sub, truediv
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
     IntervalError,
@@ -38,8 +38,7 @@ SeqLike = Union["RealSeq", Sequence[float]]
 WitnessLike = Union["Witness", Sequence[float]]
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(namedtuple("Tolerance", "abs rel")):
     """Absolute/relative slack applied by every comparison in the package.
 
     ``abs`` is the unconditional slack; ``rel`` is multiplied by the scale
@@ -54,14 +53,26 @@ class Tolerance:
     alone: the plateau steps at the minimum in :func:`classify_shape`, the
     witness gaps, the domain and range clamps and the endpoint check of
     ``hhf_bounds``.
+
+    A named tuple ``(abs, rel)``; built by any route (``_replace``, ``copy``,
+    ``pickle``), it rejects a negative, infinite or NaN component.
     """
 
-    abs: float = 1e-9
-    rel: float = 1e-12
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.abs < 0 or self.rel < 0 or not math.isfinite(self.abs + self.rel):
+    def __new__(cls, abs: float = 1e-9, rel: float = 1e-12) -> "Tolerance":
+        if abs < 0 or rel < 0 or not math.isfinite(abs + rel):
             raise ValueError("tolerance components must be finite and non-negative")
+        return super().__new__(cls, abs, rel)
+
+    @classmethod
+    def _make(cls, iterable) -> "Tolerance":
+        # the base's _make, which _replace calls, would skip the check
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # copy and every pickle protocol rebuild through the check (protocols 0 and 1 would not)
+        return type(self), tuple(self)
 
     def slack(self, scale: float = 1.0) -> float:
         """Total allowed slack for quantities of magnitude ``scale``."""
@@ -84,10 +95,13 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
 class _Floats:
     """Finite floats of any length, read-only: the one validation path of every input
-    vector, the data vectors of the functionals included; :meth:`of` passes one through."""
+    vector, the data vectors of the functionals included; :meth:`of` passes one through.
+
+    Equal, with equal hashes, only to an object of the same class with the same
+    ``values``.  Attributes cannot be assigned or deleted; the memos are set with
+    ``object.__setattr__`` (a ``cached_property`` writes ``__dict__`` itself)."""
 
     values: tuple[float, ...]
     _what = "sequence"
@@ -123,6 +137,23 @@ class _Floats:
     def __getstate__(self):
         # the memos (slope tests, moments) hold weak references; a copy starts without them
         return {"values": self.values}
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.values == other.values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(values={self.values!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
 
 
 class RealSeq(_Floats):
@@ -200,8 +231,7 @@ _PROFILES = {
 }
 
 
-@dataclass(frozen=True)
-class ShapeClass:
+class ShapeClass(NamedTuple):
     """Classification result.
 
     ``breakpoints = (m, ell)`` locates the minimal block: ``m`` is the
@@ -213,8 +243,7 @@ class ShapeClass:
     breakpoints: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Verdict of a tolerance-based inequality scan.
 
     ``margin`` is the minimum slack over all checked inequalities (negative

@@ -4,7 +4,6 @@ judges every gap, and arithmetic that overflows to inf or NaN raises
 Also: the spread-scaled ``lupas_constant`` guard, integer-only indices in
 ``integer_majorization_check`` and ``WeightVec`` on the shared validation base."""
 
-import dataclasses
 import json
 import math
 import warnings
@@ -206,7 +205,7 @@ def calls(a, b, t, p, psi):
 
 
 def assert_no_verdict_from_non_finite(rep):
-    fields = dataclasses.asdict(rep)
+    fields = rep._asdict()
     for name, value in fields.items():
         assert not (isinstance(value, float) and math.isnan(value)), (name, rep)
     if "first_violation" in fields:
