@@ -11,7 +11,8 @@ The remaining diagnostics probe finite-prefix consequences of the
 boundedness results: they report data rather than asserting limits.
 
 The two super-linear scans, :func:`anchored_slope_check_all` (O(n^2)) and
-:func:`collinearity_determinant_check` with ``all_triples`` (O(n^3)), compute
+:func:`collinearity_determinant_check` with ``all_triples`` (O(n^3)), run
+through :func:`_scan`, the one place that holds the path rule: it computes
 their rows with numpy whenever it is already imported, and with stdlib loops
 otherwise; a scan of 2**19 gaps or more imports numpy first (about 0.1 s),
 so a scan below that size never loads numpy and a scan without numpy runs
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import contextmanager
 from itertools import accumulate, chain, combinations, count, repeat
 from operator import mul, truediv
 from typing import NamedTuple
@@ -140,7 +140,7 @@ def collinearity_determinant_check(
     The tolerance scale is the largest |term| over the scanned triples (at
     least 1: the floor is one more operand), so the verdict and the
     violation come from one threshold.  All triples are scanned in rows
-    that share their first index; by the rule of the module docstring
+    that share their first index; by the path rule of :func:`_scan`
     (numpy loaded, or C(n, 3) >= 2**19 gaps, n >= 148) numpy computes
     blocks of consecutive rows, with the same report either way.
     """
@@ -169,12 +169,9 @@ def collinearity_determinant_check(
         # judged; the peaks are non-negative, so the largest is the scale of all
         tol.allowed(peaks)
         scale = (max(peaks),)
-        np = _numpy_for(n * (n - 1) * (n - 2) // 6)
-        if np is None:
-            rep = _fold([_triple_block(av, tv, tol, scale, l) for l in range(n - 2)], tol)
-        else:
-            with _quiet_unbuffered(np):
-                rep = _fold(list(_triple_blocks(np, av, tv, tol, scale)), tol)
+        rep = _scan(n * (n - 1) * (n - 2) // 6, tol,
+                    lambda: [_triple_block(av, tv, tol, scale, l) for l in range(n - 2)],
+                    lambda np: _triple_blocks(np, av, tv, tol, scale))
     if rep.first_violation is None:
         return rep
     return CheckReport(False, tuple(i + 1 for i in rep.first_violation), rep.margin, tol)
@@ -219,13 +216,13 @@ def _triple_blocks(np, av, tv, tol: Tolerance, scale):
         np.subtract(tm[None, s:], t_l, out=term)
         dets += np.multiply(term, ak[None, s:], out=term)
 
-        def judge(b):
-            l, start = l0 + b, starts[l0 + b]
-            return _vector_report(np, dets[b, start - s:], work[:pairs - start], tol, scale,
-                                  lambda at: zip(repeat(l), M[start + at].tolist(), K[start + at].tolist()))
+        def labels(b, at):
+            at = at + starts[l0 + b]
+            return zip(repeat(l0 + b), M[at].tolist(), K[at].tolist())
 
         offsets = [start - s for start in starts[l0:l1]]
-        yield from _block_reports(np, dets, offsets, [True] * (l1 - l0), tol, judge, work, cols)
+        yield from _block_reports(np, dets, offsets, [True] * (l1 - l0), tol, lambda b: scale, labels,
+                                  work, cols)
 
 
 def anchored_slope_check(
@@ -263,10 +260,7 @@ def _anchored_blocks(np, av, tv, tol: Tolerance):
     row s0 computes (a_i - a_s0) / (t_i - t_s0) and the gaps between its
     neighbouring slopes with the IEEE operations of the loop in the same
     order, and the gaps of i <= s0 + 1, which are not its own, are masked
-    (see :func:`_block_reports`).  A per-gap weight that judges each gap at
-    the slope test's scale (ROADMAP.md, "One tolerance rule for every
-    characterization") must enter these blocks and :func:`_anchored`
-    together, as one more factor of each gap computed in the block.
+    (see :func:`_block_reports`).
     """
     n = len(av)
     A, T = np.array(av), np.array(tv)
@@ -284,21 +278,16 @@ def _anchored_blocks(np, av, tv, tol: Tolerance):
         runs = np.subtract(T[None, r0 + 1:], _column(T, r0, r1), out=_rows(gaps_buf, (rows, w)))
         np.divide(slopes, runs, out=slopes)
         gaps = np.subtract(slopes[:, 1:], slopes[:, :-1], out=_rows(gaps_buf, (rows, w - 1)))
-
-        def judge(b):
-            s0, row = r0 + b, slopes[b, b:]
-            # the extremes give the scale of all slopes, a NaN among them included
-            extremes = float(row.max()), float(row.min())
-            return _vector_report(np, gaps[b, b:], work[:w - 1 - b], tol, extremes,
-                                  lambda at: (at + (s0 + 3)).tolist())
-
-        yield from _block_reports(np, gaps, range(rows), finite[r0:r1], tol, judge, work, cols)
+        # the extremes of row b's slopes give the scale of all of them, a NaN among them included
+        yield from _block_reports(np, gaps, range(rows), finite[r0:r1], tol,
+                                  lambda b: (float(slopes[b, b:].max()), float(slopes[b, b:].min())),
+                                  lambda b, at: (at + (r0 + b + 3)).tolist(), work, cols)
 
 
 def anchored_slope_check_all(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Conjunction of :func:`anchored_slope_check` over every anchor.
 
-    By the rule of the module docstring (numpy loaded, or (n - 1)(n - 2)/2
+    By the path rule of :func:`_scan` (numpy loaded, or (n - 1)(n - 2)/2
     >= 2**19 gaps, n >= 1,026) numpy computes blocks of consecutive anchors,
     with the same report either way.
     Like the chord check, it may hold inside the tolerance band where the
@@ -307,40 +296,40 @@ def anchored_slope_check_all(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAUL
     seq, wit = paired(a, t, tol)
     av, tv = seq.values, wit.values
     n = len(av)
-    np = _numpy_for((n - 1) * (n - 2) // 2)
-    if np is None:
-        return _fold([_anchored(av, tv, s0, tol) for s0 in range(n - 1)], tol)
-    with _quiet_unbuffered(np):
-        return _fold(list(_anchored_blocks(np, av, tv, tol)), tol)
+    return _scan((n - 1) * (n - 2) // 2, tol,
+                 lambda: [_anchored(av, tv, s0, tol) for s0 in range(n - 1)],
+                 lambda np: _anchored_blocks(np, av, tv, tol))
 
 
-def _numpy_for(gaps: int):
-    """numpy for a scan of ``gaps`` gaps, else None: a loaded numpy at any size,
-    and an import of it (about 0.1 s) only from ``_NUMPY_IMPORT_CUTOFF`` gaps.
-    Without numpy the stdlib rows run at any size.
+def _scan(gaps: int, tol: Tolerance, loop_rows, numpy_blocks) -> CheckReport:
+    """A super-linear scan of ``gaps`` gaps as the conjunction of its row reports:
+    the first row violation and the smallest margin (the first of equal ones).
+
+    The one path rule of the scans: ``numpy_blocks(np)`` yields the reports when numpy
+    is loaded, or imports (about 0.1 s) from ``_NUMPY_IMPORT_CUTOFF`` gaps, and
+    ``loop_rows()`` lists them otherwise, at any size.  The blocks run without
+    floating-point warnings (the scans judge their inf and NaN) and with the smallest
+    ufunc buffer, through which numpy would copy the operands of a broadcast 2-D
+    operation with rows narrower than about a third of it (8,192 elements by
+    default), at 3-4 times the cost of the operation in place.
     """
     np = sys.modules.get("numpy")
     if np is None and gaps >= _NUMPY_IMPORT_CUTOFF:
         try:
             import numpy as np
         except ImportError:
-            return None
-    return np
-
-
-@contextmanager
-def _quiet_unbuffered(np):
-    """numpy as the blocks run: without floating-point warnings (the scans judge
-    their inf and NaN themselves) and with the smallest ufunc buffer.  numpy
-    copies the operands of a broadcast 2-D operation through its buffer when
-    the rows are narrower than about a third of it (8,192 elements by default),
-    at 3-4 times the cost of the operation in place."""
-    with np.errstate(all="ignore"):
-        size = np.setbufsize(16)
-        try:
-            yield
-        finally:
-            np.setbufsize(size)
+            pass
+    if np is None:
+        reports = loop_rows()
+    else:
+        with np.errstate(all="ignore"):
+            size = np.setbufsize(16)
+            try:
+                reports = list(numpy_blocks(np))
+            finally:
+                np.setbufsize(size)
+    first = next((rep.first_violation for rep in reports if not rep.holds), None)
+    return CheckReport(first is None, first, min((rep.margin for rep in reports), default=math.inf), tol)
 
 
 def _spans(rows: int, width):
@@ -365,7 +354,7 @@ def _rows(buf, shape):
     return buf[:shape[0] * shape[1]].reshape(shape)
 
 
-def _block_reports(np, gaps, offsets, finite, tol: Tolerance, judge, work, cols) -> list[CheckReport]:
+def _block_reports(np, gaps, offsets, finite, tol: Tolerance, operands, labels, work, cols):
     """The reports of a block of rows, row b being ``gaps[b, offsets[b]:]``.
 
     The entries before a row's own are first set to +inf (through the boolean
@@ -375,9 +364,15 @@ def _block_reports(np, gaps, offsets, finite, tol: Tolerance, judge, work, cols)
     non-negative (argmin finds the first of equal minima, ±0.0 ties included,
     as ``min()`` keeps it).  When every row does, the block is one report
     whose margin is the block's first smallest gap, as folding the rows would
-    keep it.  Otherwise each row that plainly holds is one report, and
-    ``judge(b)`` judges each other row with :func:`_vector_report`, in scan
-    order.
+    keep it.  Otherwise each row that plainly holds is one report, and each
+    other row is judged, in scan order, as :func:`relconvex.seqcore.scan_margin`
+    judges it as a list: at the scale of ``operands(b)``, its gaps at the
+    positions ``at`` labelled ``labels(b, at)``.  The row goes to ``scan_margin``
+    as its negative and NaN gaps only: they alone can be the margin, a violation
+    or a NaN error, and a non-finite operand raises whatever the gaps are.
+    A per-gap weight that judges each gap at the slope test's scale (ROADMAP.md,
+    "One tolerance rule for every characterization") must enter this judge, the
+    blocks and the stdlib rows together, as one more factor of each gap.
     """
     rows = len(gaps)
     cut = offsets[-1]
@@ -389,29 +384,16 @@ def _block_reports(np, gaps, offsets, finite, tol: Tolerance, judge, work, cols)
     if all(finite) and margin >= 0:
         return [CheckReport(True, None, margin, tol)]
     margins = gaps[range(rows), gaps.argmin(axis=1)].tolist() if rows > 1 else [margin]
-    return [CheckReport(True, None, row_margin, tol) if ok and row_margin >= 0 else judge(b)
-            for b, (ok, row_margin) in enumerate(zip(finite, margins))]
-
-
-def _vector_report(np, gaps, work, tol: Tolerance, operands, labels) -> CheckReport:
-    """A numpy row of gaps that does not plainly hold (see :func:`_block_reports`),
-    judged as :func:`relconvex.seqcore.scan_margin` judges it as a list.
-
-    ``work`` is a boolean buffer of the row's length and ``labels(at)`` labels
-    the gaps at the positions ``at``.  The row goes to ``scan_margin`` as its
-    negative and NaN gaps only: they alone can be the margin, a violation or a
-    NaN error, and a non-finite operand raises whatever the gaps are.
-    """
-    at = np.logical_not(np.greater_equal(gaps, 0.0, out=work), out=work).nonzero()[0]
-    first, margin = scan_margin(gaps[at].tolist(), tol, operands, labels(at))
-    return CheckReport(first is None, first, margin, tol)
-
-
-def _fold(reports: list[CheckReport], tol: Tolerance) -> CheckReport:
-    """The conjunction of a scan's row reports, one per row in scan order: the
-    first row violation and the smallest margin (the first of equal ones)."""
-    first = next((rep.first_violation for rep in reports if not rep.holds), None)
-    return CheckReport(first is None, first, min((rep.margin for rep in reports), default=math.inf), tol)
+    reports = []
+    for b, (ok, row_margin) in enumerate(zip(finite, margins)):
+        first = None
+        if not (ok and row_margin >= 0):
+            row = gaps[b, offsets[b]:]
+            bad = work[:row.size]
+            at = np.logical_not(np.greater_equal(row, 0.0, out=bad), out=bad).nonzero()[0]
+            first, row_margin = scan_margin(row[at].tolist(), tol, operands(b), labels(b, at))
+        reports.append(CheckReport(first is None, first, row_margin, tol))
+    return reports
 
 
 def psi_preservation_check(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
-from operator import mul, sub
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import DegenerateWitness, NonFiniteArithmetic, ZeroTotalWeight
@@ -71,7 +71,7 @@ def weighted_mean(x: Sequence[float], p: WeightLike) -> float:
 
 def _centred(x: Sequence[float], mx: float, y: Sequence[float], my: float, w, total: float = 1.0) -> float:
     """sum w_i (x_i - mx)(y_i - my) / total, the deviations streamed: no n-long list is stored."""
-    return _fsum(map(mul, map(mul, w, map(sub, x, repeat(mx))), map(sub, y, repeat(my)))) / total
+    return _fsum(wi * (xi - mx) * (yi - my) for wi, xi, yi in zip(w, x, y)) / total
 
 
 def cov_functional(x: Sequence[float], y: Sequence[float], p: WeightLike) -> float:

@@ -402,7 +402,9 @@ def psi_identity(x: float) -> float:
 
 
 def make_relu(c: float) -> ConvexMap:
-    """x -> max(x, c): non-decreasing and convex everywhere."""
+    """x -> max(x, c): non-decreasing and convex everywhere; an inf or NaN c is a ValueError."""
+    if not math.isfinite(c):
+        raise ValueError(f"relu threshold must be finite, got {c!r}")
 
     def relu(x: float) -> float:
         return x if x > c else c

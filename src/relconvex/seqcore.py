@@ -94,6 +94,23 @@ class Tolerance(namedtuple("Tolerance", "abs rel")):
 
 DEFAULT_TOL = Tolerance()
 
+def _reals(values) -> tuple[float, ...]:
+    """The one input converter: ``values`` as a tuple of floats.  Text, bytes, a set, a dict
+    and a named-tuple record iterate, but are no ordered sequence of reals: a TypeError."""
+    kind = type(values)
+    if kind is not list and kind is not tuple and (
+            isinstance(values, (str, bytes, bytearray, set, frozenset, dict)) or hasattr(values, "_fields")):
+        raise TypeError(f"expected an ordered sequence of reals, got {kind.__name__}")
+    return tuple(map(float, values))
+
+
+def _finite(vals: tuple[float, ...]) -> tuple[float, ...]:
+    """``vals``, or a ValueError naming the first entry that is inf or NaN."""
+    if not all(map(math.isfinite, vals)):
+        k = next(k for k, v in enumerate(vals) if not math.isfinite(v))
+        raise ValueError(f"entry {k + 1} is not finite: {vals[k]!r}")
+    return vals
+
 
 class _Floats:
     """Finite floats of any length, read-only: the one validation path of every input
@@ -108,22 +125,18 @@ class _Floats:
     _min_len = 0
 
     def __init__(self, values: Iterable[float]) -> None:
-        object.__setattr__(self, "values", tuple(map(float, values)))
+        object.__setattr__(self, "values", _reals(values))
         self.__post_init__()
 
     def __post_init__(self) -> None:
         vals = self.values
         if len(vals) < self._min_len:
             raise LengthError(f"{self._what} needs at least {self._min_len} entries, got {len(vals)}")
-        if not all(map(math.isfinite, vals)):
-            k = next(k for k, v in enumerate(vals) if not math.isfinite(v))
-            raise ValueError(f"entry {k + 1} is not finite: {vals[k]!r}")
+        _finite(vals)
 
     @classmethod
     def of(cls, values):
-        if isinstance(values, cls):
-            return values
-        return cls(tuple(values))
+        return values if isinstance(values, cls) else cls(values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -172,7 +185,8 @@ class Witness(RealSeq):
     witness from raw values only when every gap is above ``tol.abs``, which
     implies it, but returns a ``Witness`` instance unchanged, not judging its
     gaps at the call's tolerance: the engines for ordinary convexity measure
-    against the unit witness 1..n, whose unit gaps pass at any tolerance.
+    against the unit witness 1..n, whose gaps go unjudged, so at ``tol.abs`` = 2
+    ``is_convex([3, 1, 2], tol)`` holds where ``is_convex_wrt`` at t = 1..3 raises.
     """
 
     _what = "witness"
@@ -190,7 +204,7 @@ class Witness(RealSeq):
     def of(cls, values: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> "Witness":
         if isinstance(values, cls):
             return values
-        vals = tuple(map(float, values))
+        vals = _reals(values)
         # all(gt), not min: a NaN gap fails gt, so next() names it too
         if not all(map(gt, _steps(vals), repeat(tol.abs))):
             k, gap = next((k, g) for k, g in enumerate(_steps(vals), 1) if not g > tol.abs)
@@ -464,7 +478,7 @@ def construct_witness(
     first, last = _minimal_block(seq, tol)
     if not plateau_step > tol.abs:
         raise ValueError(f"plateau_step must exceed the strictness tolerance, got {plateau_step!r}")
-    sched = tuple(float(v) for v in s)
+    sched = _finite(_reals(s))
     for k in range(len(sched) - 1):
         if not sched[k + 1] > sched[k]:
             raise MonotoneError(

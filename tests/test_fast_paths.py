@@ -26,7 +26,8 @@ check agrees with its reference loop.
   all-triples determinants) report and raise alike whether their rows come
   from numpy blocks (at any block budget) or from the stdlib loops; a loaded
   numpy computes the blocks at any size, the scans fall back to the loops
-  when numpy is blocked, and a small ``diagnose`` never imports numpy.
+  when numpy is blocked, a small ``diagnose`` never imports numpy, and the
+  scans leave numpy's error state and buffer size as they found them.
 """
 
 import copy
@@ -583,17 +584,35 @@ def test_a_nan_row_after_a_violating_row_raises():
     # every row is judged, so a NaN after an earlier violation still raises; the
     # scans reach a NaN gap only past a non-finite operand, so the judge is tested here
     np = pytest.importorskip("numpy")
-    rows = ([-5.0, 1.0], [2.0, math.nan, -1.0])
+    # one block of two rows: row 1 is the second row from its second gap on (offset 1),
+    # and labels count the gaps of the whole row, as the anchored scan does
+    rows = ([-5.0, 1.0, 4.0], [2.0, math.nan, -1.0])
 
-    def judged(row):
-        return diagnostics._vector_report(np, np.array(row), np.empty(len(row), bool), DEFAULT_TOL, (1.0,),
-                                          lambda at: (at + 1).tolist())
+    def judged(rows, offsets):
+        return diagnostics._block_reports(np, np.array(rows), offsets, [True] * len(rows), DEFAULT_TOL,
+                                          lambda b: (1.0,), lambda b, at: (at + (b + 1)).tolist(),
+                                          np.empty(3, bool), np.arange(3))
 
     with pytest.raises(NonFiniteArithmetic, match="gap 2 is NaN"):
-        diagnostics._fold([judged(row) for row in rows], DEFAULT_TOL)
+        judged(rows, [0, 1])
     with pytest.raises(NonFiniteArithmetic, match="gap 2 is NaN"):
         [scan_margin(row, DEFAULT_TOL, (1.0,)) for row in rows]
-    assert judged(rows[0]) == CheckReport(False, 1, -5.0, DEFAULT_TOL)
+    assert judged(rows[:1], [0]) == [CheckReport(False, 1, -5.0, DEFAULT_TOL)]
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+@pytest.mark.parametrize("a, want", [
+    ([4.0, 1.0, 0.0, 2.0, 6.5], "CheckReport(holds=True,"),
+    ([4.0, 1.0, 3.0, 2.0, 6.5], "CheckReport(holds=False,"),
+    # the anchored blocks raise inside the scan; the all-triples scale raises before it
+    ([1e308, -1e308, 1e308, 0.0, 1.0], NonFiniteArithmetic),
+])
+def test_the_numpy_scans_restore_the_error_state_and_buffer_size(name, a, want):
+    np = pytest.importorskip("numpy")
+    before = np.getbufsize(), np.geterr()
+    result, _ = outcome(SCANS[name], a, [1.0, 2.0, 3.0, 4.0, 5.0], DEFAULT_TOL)
+    assert (np.getbufsize(), np.geterr()) == before
+    assert result[0] is want if want is NonFiniteArithmetic else result.startswith(want)
 
 
 @pytest.mark.parametrize("a, margin", [

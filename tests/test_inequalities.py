@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relconvex import (
@@ -488,12 +488,14 @@ def sides_or_error(call, *names):
 
 def assert_scaled(got, inner, factor):
     """``got`` is ``inner`` with its float sides times ``factor``, and the same error on a raise.
-    A scaled side that overflows is the caller's own NonFiniteArithmetic: it judges its sides."""
+    A scaled side that overflows is the caller's own NonFiniteArithmetic: it judges its sides,
+    whose scale is inf, or NaN when they overflow to both inf and -inf."""
     want = inner
     if not isinstance(inner[0], type):
         want = tuple(v * factor if isinstance(v, float) else v for v in inner)
         if not all(map(math.isfinite, want)):
-            want = (NonFiniteArithmetic, "compared quantities reach inf")
+            scale = "nan" if math.isnan(sum(want)) else "inf"
+            want = (NonFiniteArithmetic, f"compared quantities reach {scale}")
     assert repr(got) == repr(want)
 
 
@@ -514,6 +516,8 @@ def unit_instances(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(unit_instances())
+# P_n = 3 takes the lower side to inf and the upper to -inf: a NaN scale
+@example(([0.0] * 8 + [1e308, -1e308], [0.0] * 10, [0.0] * 7 + [2.0, 0.0, 1.0], psi_identity, True, False))
 def test_the_engines_at_unit_t_are_the_witnessed_engines_scaled(inst):
     a, b, p, psi, sv, as_objects = inst
     n = len(a)

@@ -1,5 +1,6 @@
-"""The input layer: one length rule with its exact messages, finite data
-vectors everywhere, and validation done once per input."""
+"""The input layer: one length rule with its exact messages, one converter that
+rejects what is no ordered sequence of reals, finite data vectors and parameters
+everywhere, and validation done once per input."""
 
 import json
 import math
@@ -10,17 +11,22 @@ from relconvex import (
     LengthMismatch,
     PreconditionViolation,
     RealSeq,
+    Tolerance,
     WeightVec,
     Witness,
+    construct_witness,
     convex_hhf_bounds,
     cov_functional,
     hhf_bounds,
     integer_majorization_check,
+    is_convex,
     is_convex_wrt,
     lupas_check,
     majorization_inequality_check,
     majorizes,
+    make_relu,
     niezgoda_bound,
+    parse_psi,
     pecaric_check,
     psi_identity,
     weighted_mean,
@@ -66,6 +72,71 @@ def test_functionals_reject_non_finite_data(bad):
         cov_functional([1.0, 2.0], [0.0, bad], [1.0, 1.0])
     with pytest.raises(ValueError, match=rf"^entry 1 is not finite: {bad!r}$"):
         majorizes([bad, 1.0], [1.0, 0.0])
+
+
+CONVERTERS = {
+    "RealSeq": RealSeq,
+    "Witness.of": Witness.of,
+    "WeightVec": WeightVec,
+    "is_convex": is_convex,
+    "cov_functional": lambda x: cov_functional(x, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVERTERS))
+@pytest.mark.parametrize("bad", [
+    Tolerance(), "123", b"12", bytearray(b"12"), {3.0, 1.0, 2.0}, frozenset({1.0, 2.0, 3.0}),
+    {3: 1, 1: 2, 2: 3},
+], ids=lambda bad: type(bad).__name__)
+def test_an_input_that_is_no_ordered_sequence_of_reals_is_a_type_error(name, bad):
+    # a record, text, bytes, a set or a mapping iterates, but not as the entries of a sequence
+    with pytest.raises(TypeError, match=rf"^expected an ordered sequence of reals, got {type(bad).__name__}$"):
+        CONVERTERS[name](bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [1, 2, 4], lambda: (1.0, 2.0, 4.0), lambda: (v for v in (1, 2, 4)), lambda: range(1, 5, 1),
+], ids=["list", "tuple", "generator", "range"])
+def test_lists_tuples_generators_and_ranges_are_read_as_sequences(make):
+    want = tuple(float(v) for v in make())
+    assert RealSeq(make()).values == Witness.of(make()).values == WeightVec(make()).values == want
+
+
+def test_numpy_arrays_are_read_as_sequences():
+    np = pytest.importorskip("numpy")
+    assert RealSeq(np.array([1.0, 2.0, 4.0])) == RealSeq([1.0, 2.0, 4.0])
+    assert is_convex(np.array([3.0, 1.0, 2.0])).holds
+
+
+@pytest.mark.parametrize("schedule, message", [
+    ([math.nan, 1.0], "entry 1 is not finite: nan"),
+    ([-1.0, math.inf], "entry 2 is not finite: inf"),
+])
+def test_a_non_finite_schedule_entry_is_named(schedule, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        construct_witness([3, 1, 2], schedule)
+
+
+@pytest.mark.parametrize("make", [make_relu, lambda c: parse_psi(f"relu@{c!r}")])
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_relu_threshold_is_a_value_error(make, c):
+    with pytest.raises(ValueError, match=rf"^relu threshold must be finite, got {c!r}$"):
+        make(c)
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["hhf", "--psi", "relu@nan"], '{"a": [4, 1, 0, 2, 6], "t": [1, 2, 3, 4, 5]}',
+     "relu threshold must be finite, got nan"),
+    (["witness"], '{"a": [3, 1, 2], "s": [NaN, 1]}', "entry 1 is not finite: nan"),
+    (["witness"], '{"a": [3, 1, 2], "s": [-1, Infinity]}', "entry 2 is not finite: inf"),
+])
+def test_cli_names_a_non_finite_parameter(capsys, tmp_path, argv, payload, message):
+    path = tmp_path / "in.json"
+    path.write_text(payload)
+    assert main([*argv, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["margin_or_slacks"]["message"] == message
+    assert captured.err == f"error: {message}\n"
 
 
 def test_nan_pvec_lies_outside_the_witness_range():
