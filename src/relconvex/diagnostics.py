@@ -148,40 +148,35 @@ def collinearity_determinant_check(
     av, tv = seq.values, wit.values
     n = len(av)
     if not all_triples:
-        triples = [(i, i + 1, i + 2) for i in range(n - 2)]
         # each triple's three products, built once for both the scale and the determinant
         terms = [((tv[k] - tv[m]) * av[l], (tv[k] - tv[l]) * av[m], (tv[m] - tv[l]) * av[k])
-                 for l, m, k in triples]
+                 for l, m, k in zip(range(n), range(1, n), range(2, n))]
         peaks = map(abs, chain.from_iterable(terms))
         dets = [p1 - p2 + p3 for p1, p2, p3 in terms]
-        first, margin = scan_margin(dets, tol, [*peaks, 1.0], triples)
-        rep = CheckReport(first is None, first, margin, tol)
-    else:
-        # each term is largest at the widest witness span its position allows
-        # (rounding is monotone, so these are the exact maxima of the scan)
-        peaks = (
-            *((tv[-1] - tv[l + 1]) * abs(av[l]) for l in range(n - 2)),
-            *((tv[-1] - tv[0]) * abs(av[m]) for m in range(1, n - 1)),
-            *((tv[k - 1] - tv[0]) * abs(av[k]) for k in range(2, n)),
-            1.0,
-        )
-        # the scale first: an inf or NaN peak raises before any determinant is
-        # judged; the peaks are non-negative, so the largest is the scale of all
-        tol.allowed(peaks)
-        scale = (max(peaks),)
-        rep = _scan(n * (n - 1) * (n - 2) // 6, tol,
-                    lambda: [_triple_block(av, tv, tol, scale, l) for l in range(n - 2)],
-                    lambda np: _triple_blocks(np, av, tv, tol, scale))
-    if rep.first_violation is None:
-        return rep
-    return CheckReport(False, tuple(i + 1 for i in rep.first_violation), rep.margin, tol)
+        first, margin = scan_margin(dets, tol, [*peaks, 1.0], ((i, i + 1, i + 2) for i in count(1)))
+        return CheckReport(first is None, first, margin, tol)
+    # each term is largest at the widest witness span its position allows
+    # (rounding is monotone, so these are the exact maxima of the scan)
+    peaks = (
+        *((tv[-1] - tv[l + 1]) * abs(av[l]) for l in range(n - 2)),
+        *((tv[-1] - tv[0]) * abs(av[m]) for m in range(1, n - 1)),
+        *((tv[k - 1] - tv[0]) * abs(av[k]) for k in range(2, n)),
+        1.0,
+    )
+    # the scale first: an inf or NaN peak raises before any determinant is
+    # judged; the peaks are non-negative, so the largest is the scale of all
+    tol.allowed(peaks)
+    scale = (max(peaks),)
+    return _scan(n * (n - 1) * (n - 2) // 6, tol,
+                 lambda: [_triple_block(av, tv, tol, scale, l) for l in range(n - 2)],
+                 lambda np: _triple_blocks(np, av, tv, tol, scale))
 
 
 def _triple_block(av, tv, tol: Tolerance, scale, l: int) -> CheckReport:
-    """The determinants of the 0-based triples (l, m, k), m < k, in combinations order."""
+    """The determinants of the 0-based triples (l, m, k), m < k, in combinations order, labelled 1-based."""
     pairs = list(combinations(range(l + 1, len(av)), 2))
     dets = [(tv[k] - tv[m]) * av[l] - (tv[k] - tv[l]) * av[m] + (tv[m] - tv[l]) * av[k] for m, k in pairs]
-    first, margin = scan_margin(dets, tol, scale, ((l, m, k) for m, k in pairs))
+    first, margin = scan_margin(dets, tol, scale, ((l + 1, m + 1, k + 1) for m, k in pairs))
     return CheckReport(first is None, first, margin, tol)
 
 
@@ -218,7 +213,7 @@ def _triple_blocks(np, av, tv, tol: Tolerance, scale):
 
         def labels(b, at):
             at = at + starts[l0 + b]
-            return zip(repeat(l0 + b), M[at].tolist(), K[at].tolist())
+            return zip(repeat(l0 + b + 1), (M[at] + 1).tolist(), (K[at] + 1).tolist())
 
         offsets = [start - s for start in starts[l0:l1]]
         yield from _block_reports(np, dets, offsets, [True] * (l1 - l0), tol, lambda b: scale, labels,

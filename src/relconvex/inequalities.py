@@ -32,6 +32,7 @@ from .seqcore import (
     Tolerance,
     Witness,
     WitnessLike,
+    _reals,
     _remembered,
     _same_length,
     is_convex_wrt,
@@ -88,7 +89,7 @@ def spot_check_map(psi: ConvexMap, values: Sequence[float], tol: Tolerance = DEF
     returned.  The hypothesis remains the caller's responsibility; a failed
     spot check warns instead of raising.
     """
-    pts = list(map(float, values))
+    pts = _reals(values)
     domain = _proven_interval(psi)
     if domain is not None and pts and all(map(math.isfinite, pts)):
         lo, hi = min(pts), max(pts)
@@ -348,8 +349,7 @@ def majorization_inequality_check(
     majorization relation between pvec and qvec is always enforced.
     """
     seq, wit = paired(a, t, tol)
-    pv = tuple(float(v) for v in pvec)
-    qv = tuple(float(v) for v in qvec)
+    pv, qv = _reals(pvec), _reals(qvec)
     _same_length("pvec qvec", pv, qv)
     lo, hi = wit[0], wit[-1]
     for name, vec in (("pvec", pv), ("qvec", qv)):
@@ -386,10 +386,10 @@ def integer_majorization_check(
     """
     seq = RealSeq.of(a)
     n = len(seq)
-    pi, qi = tuple(pidx), tuple(qidx)
+    pi, qi = _reals(pidx), _reals(qidx)
     for name, vec in (("pidx", pi), ("qidx", qi)):
         for k, i in enumerate(vec):
-            if not (float(i).is_integer() and 1 <= i <= n):
+            if not (i.is_integer() and 1 <= i <= n):
                 raise IndexOutOfRange(f"{name}[{k + 1}] = {i!r} is not an integer index in 1..{n}")
     return majorization_inequality_check(seq, unit_witness(n), pi, qi, tol, skip_verify=skip_verify)
 

@@ -16,7 +16,7 @@ from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InfeasibleShape, LengthError
-from .seqcore import RealSeq, ShapeKind, Witness
+from .seqcore import _SEGMENTS, RealSeq, ShapeKind, Witness, _reals
 
 
 class Seeded(NamedTuple):
@@ -33,60 +33,29 @@ def _rng(seeded) -> random.Random:
     return random.Random(seed)
 
 
-_MIN_LEN = {
-    ShapeKind.STRICTLY_INCREASING: 2,
-    ShapeKind.STRICTLY_DECREASING: 2,
-    ShapeKind.CONSTANT: 2,
-    ShapeKind.DEC_THEN_CONST: 3,
-    ShapeKind.CONST_THEN_INC: 3,
-    ShapeKind.DEC_THEN_INC: 3,
-    ShapeKind.DEC_CONST_INC: 4,
-    ShapeKind.NOT_STRICTLY_V_SHAPED: 3,
-}
-
-
 def gen_shape(shape, n: int, seeded) -> RealSeq:
     """Random sequence whose classification is exactly ``shape``.
 
-    Step gaps are drawn in [0.1, 2.0], far above the default tolerance, so
-    the profile is decisive; plateau steps repeat values exactly.
+    The sequence is made of the kind's runs in ``seqcore._SEGMENTS``, each
+    at least one step long: the lengths of all runs but the last are drawn
+    first, in order, and the last run takes the steps that are left.  Step
+    gaps are drawn in [0.1, 2.0], far above the default tolerance, so the
+    profile is decisive; plateau steps repeat values exactly.
     """
     kind = ShapeKind(shape)
-    if n < _MIN_LEN[kind]:
-        raise InfeasibleShape(f"{kind.value} needs length >= {_MIN_LEN[kind]}, got {n}")
+    signs = _SEGMENTS[kind]
+    if n < len(signs) + 1:
+        raise InfeasibleShape(f"{kind.value} needs length >= {len(signs) + 1}, got {n}")
     rng = _rng(seeded)
     base = rng.uniform(-5.0, 5.0)
-
-    def gaps(k, sign=1.0):
-        return [sign * rng.uniform(0.1, 2.0) for _ in range(k)]
-
-    steps: list[float]
-    if kind is ShapeKind.CONSTANT:
-        steps = [0.0] * (n - 1)
-    elif kind is ShapeKind.STRICTLY_INCREASING:
-        steps = gaps(n - 1)
-    elif kind is ShapeKind.STRICTLY_DECREASING:
-        steps = gaps(n - 1, -1.0)
-    elif kind is ShapeKind.NOT_STRICTLY_V_SHAPED:
-        # ascend then descend: never V-shaped
-        k_up = rng.randrange(1, n - 1)
-        steps = gaps(k_up) + gaps(n - 1 - k_up, -1.0)
-    else:
-        k_dec = k_flat = k_inc = 0
-        if kind is ShapeKind.DEC_THEN_CONST:
-            k_dec = rng.randrange(1, n - 1)
-            k_flat = n - 1 - k_dec
-        elif kind is ShapeKind.CONST_THEN_INC:
-            k_flat = rng.randrange(1, n - 1)
-            k_inc = n - 1 - k_flat
-        elif kind is ShapeKind.DEC_THEN_INC:
-            k_dec = rng.randrange(1, n - 1)
-            k_inc = n - 1 - k_dec
-        else:  # DEC_CONST_INC
-            k_dec = rng.randrange(1, n - 2)
-            k_flat = rng.randrange(1, n - 1 - k_dec)
-            k_inc = n - 1 - k_dec - k_flat
-        steps = gaps(k_dec, -1.0) + [0.0] * k_flat + gaps(k_inc)
+    left = n - 1
+    runs = []
+    for later in range(len(signs) - 1, 0, -1):
+        runs.append(rng.randrange(1, left - later + 1))
+        left -= runs[-1]
+    runs.append(left)
+    steps = [sign * rng.uniform(0.1, 2.0) if sign else 0.0
+             for sign, k in zip(signs, runs) for _ in range(k)]
     return RealSeq(tuple(accumulate(steps, initial=base)))
 
 
@@ -137,7 +106,7 @@ def gen_majorized_pair(y: Sequence[float], k_transforms: int, seeded) -> tuple[f
     Each transform replaces two entries by convex combinations of
     themselves, preserving the total and the range; k = 0 returns y itself.
     """
-    vals = [float(v) for v in y]
+    vals = list(_reals(y))
     if len(vals) < 2:
         raise LengthError("need at least 2 entries to transform")
     rng = _rng(seeded)
@@ -293,27 +262,25 @@ def brute_integer_sums(a, pidx, qidx):
     return sp, sq
 
 
+#: Each instance kind's re-evaluator and the instance keys it reads, in order.
+_REEVALUATORS = {
+    "lupas": (brute_lupas_sides, "a b t p"),
+    "pecaric": (brute_pecaric_sides, "a b"),
+    "hhf": (brute_hhf_bounds, "a t p psi"),
+    "niezgoda": (brute_niezgoda_sides, "a p psi"),
+    "convex_hhf": (brute_convex_hhf_bounds, "a p psi"),
+    "majorization": (brute_majorization_sides, "a t pvec qvec"),
+    "integer_majorization": (brute_integer_sums, "a pidx qidx"),
+    "weighted_mean": (brute_weighted_mean, "x p"),
+    "cov": (brute_cov, "x y p"),
+}
+
+
 def brute_reeval(instance: Mapping):
     """Re-evaluate an inequality instance: {"kind": ..., arrays...} -> sides."""
     kind = instance["kind"]
-    if kind == "lupas":
-        return brute_lupas_sides(instance["a"], instance["b"], instance["t"], instance["p"])
-    if kind == "pecaric":
-        return brute_pecaric_sides(instance["a"], instance["b"])
-    if kind == "hhf":
-        return brute_hhf_bounds(instance["a"], instance["t"], instance["p"], instance["psi"])
-    if kind == "niezgoda":
-        return brute_niezgoda_sides(instance["a"], instance["p"], instance["psi"])
-    if kind == "convex_hhf":
-        return brute_convex_hhf_bounds(instance["a"], instance["p"], instance["psi"])
-    if kind == "majorization":
-        return brute_majorization_sides(
-            instance["a"], instance["t"], instance["pvec"], instance["qvec"]
-        )
-    if kind == "integer_majorization":
-        return brute_integer_sums(instance["a"], instance["pidx"], instance["qidx"])
-    if kind == "weighted_mean":
-        return brute_weighted_mean(instance["x"], instance["p"])
-    if kind == "cov":
-        return brute_cov(instance["x"], instance["y"], instance["p"])
-    raise ValueError(f"unknown instance kind {kind!r}")
+    try:
+        reeval, keys = _REEVALUATORS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise ValueError(f"unknown instance kind {kind!r}") from None
+    return reeval(*(instance[key] for key in keys.split()))

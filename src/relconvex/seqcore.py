@@ -233,16 +233,22 @@ class ShapeKind(str, Enum):
 #: Variants that admit a witness (everything except the rejected case).
 RELATIVE_CONVEX_KINDS = frozenset(ShapeKind) - {ShapeKind.NOT_STRICTLY_V_SHAPED}
 
-#: The accepted profile for each (any decrease, any plateau, any increase) around the minimal block.
-_PROFILES = {
-    (False, True, False): ShapeKind.CONSTANT,
-    (False, False, True): ShapeKind.STRICTLY_INCREASING,
-    (True, False, False): ShapeKind.STRICTLY_DECREASING,
-    (True, True, False): ShapeKind.DEC_THEN_CONST,
-    (False, True, True): ShapeKind.CONST_THEN_INC,
-    (True, False, True): ShapeKind.DEC_THEN_INC,
-    (True, True, True): ShapeKind.DEC_CONST_INC,
+#: The signs of each kind's runs, in order: -1 a strict decrease, 0 the plateau at the minimum,
+#: +1 a strict increase.  The rejected kind's (1, -1) is a rise, then a fall.
+_SEGMENTS = {
+    ShapeKind.STRICTLY_INCREASING: (1,),
+    ShapeKind.STRICTLY_DECREASING: (-1,),
+    ShapeKind.DEC_THEN_CONST: (-1, 0),
+    ShapeKind.CONST_THEN_INC: (0, 1),
+    ShapeKind.DEC_THEN_INC: (-1, 1),
+    ShapeKind.DEC_CONST_INC: (-1, 0, 1),
+    ShapeKind.CONSTANT: (0,),
+    ShapeKind.NOT_STRICTLY_V_SHAPED: (1, -1),
 }
+
+#: The accepted profile for each (any decrease, any plateau, any increase) around the minimal block.
+_PROFILES = {(-1 in s, 0 in s, 1 in s): kind
+             for kind, s in _SEGMENTS.items() if kind in RELATIVE_CONVEX_KINDS}
 
 
 class ShapeClass(NamedTuple):
@@ -424,7 +430,8 @@ def classify_shape(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> ShapeClass:
     other step is read by its exact sign.  The profile is accepted exactly
     when every step before the block decreases and every step after it
     increases; anything else (re-descent after an ascent, a plateau away
-    from the minimum) is rejected.
+    from the minimum) is rejected.  The kind is the one whose runs in
+    ``_SEGMENTS`` are the runs present: a decrease, a plateau, an increase.
     """
     vals = RealSeq.of(a).values
     d = list(_steps(vals))
@@ -466,18 +473,22 @@ def construct_witness(
 ) -> Witness:
     """Build a witness from a slope schedule ``s`` by the slope recursion.
 
-    Starting at ``t1``, each strict step advances by ``(a[i+1]-a[i])/s_k``
-    (consuming the next schedule entry, which must be negative on decrease
-    steps and positive on increase steps), and each plateau step, a step of
-    the minimal block of :func:`classify_shape`, advances by the fixed
-    ``plateau_step``.  The schedule must be strictly increasing and
-    have exactly one entry per strict step.  The result's slope sequence is
-    ``s`` interleaved with zeros on the plateau, hence non-decreasing.
+    Starting at ``t1``, which must be finite, each strict step advances by
+    ``(a[i+1]-a[i])/s_k`` (consuming the next schedule entry, which must be
+    negative on decrease steps and positive on increase steps), and each
+    plateau step, a step of the minimal block of :func:`classify_shape`,
+    advances by the fixed ``plateau_step``.  The schedule must be strictly
+    increasing and have exactly one entry per strict step.  The result's
+    slope sequence is ``s`` interleaved with zeros on the plateau, hence
+    non-decreasing.
     """
     seq = RealSeq.of(a)
     first, last = _minimal_block(seq, tol)
     if not plateau_step > tol.abs:
         raise ValueError(f"plateau_step must exceed the strictness tolerance, got {plateau_step!r}")
+    t1 = float(t1)
+    if not math.isfinite(t1):
+        raise ValueError(f"t1 must be finite, got {t1!r}")
     sched = _finite(_reals(s))
     for k in range(len(sched) - 1):
         if not sched[k + 1] > sched[k]:
@@ -502,7 +513,7 @@ def construct_witness(
         )
     gaps = list(map(truediv, strict, sched))
     gaps[first:first] = repeat(plateau_step, last - first)
-    return Witness.of(list(accumulate(gaps, initial=float(t1))), tol)
+    return Witness.of(list(accumulate(gaps, initial=t1)), tol)
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:

@@ -29,10 +29,12 @@ from relconvex import (
     parse_psi,
     pecaric_check,
     psi_identity,
+    spot_check_map,
     weighted_mean,
 )
 from relconvex.cli import main
 from relconvex.functionals import unit_weights
+from relconvex.oracles import gen_majorized_pair
 from relconvex.seqcore import _Floats, unit_witness
 
 A3 = [4.0, 1.0, 0.0]
@@ -80,6 +82,12 @@ CONVERTERS = {
     "WeightVec": WeightVec,
     "is_convex": is_convex,
     "cov_functional": lambda x: cov_functional(x, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0]),
+    "majorization_inequality_check pvec": lambda x: majorization_inequality_check(A3, T3, x, [1.0, 3.0]),
+    "majorization_inequality_check qvec": lambda x: majorization_inequality_check(A3, T3, [2.0, 2.0], x),
+    "integer_majorization_check pidx": lambda x: integer_majorization_check(A3, x, [1, 3]),
+    "integer_majorization_check qidx": lambda x: integer_majorization_check(A3, [2, 2], x),
+    "spot_check_map": lambda x: spot_check_map(psi_identity, x),
+    "gen_majorized_pair": lambda x: gen_majorized_pair(x, 2, 0),
 }
 
 
@@ -102,6 +110,12 @@ def test_lists_tuples_generators_and_ranges_are_read_as_sequences(make):
     assert RealSeq(make()).values == Witness.of(make()).values == WeightVec(make()).values == want
 
 
+def test_index_vectors_are_read_as_reals():
+    # each entry goes through float, as in every other vector
+    a = [4.0, 1.0, 0.0, 2.0, 6.0]
+    assert integer_majorization_check(a, ["2", "2"], [1, 3]) == integer_majorization_check(a, [2, 2], [1, 3])
+
+
 def test_numpy_arrays_are_read_as_sequences():
     np = pytest.importorskip("numpy")
     assert RealSeq(np.array([1.0, 2.0, 4.0])) == RealSeq([1.0, 2.0, 4.0])
@@ -117,6 +131,12 @@ def test_a_non_finite_schedule_entry_is_named(schedule, message):
         construct_witness([3, 1, 2], schedule)
 
 
+@pytest.mark.parametrize("t1", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_start_is_named(t1):
+    with pytest.raises(ValueError, match=rf"^t1 must be finite, got {t1!r}$"):
+        construct_witness([3, 1, 2], [-1.0, 1.0], t1=t1)
+
+
 @pytest.mark.parametrize("make", [make_relu, lambda c: parse_psi(f"relu@{c!r}")])
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_relu_threshold_is_a_value_error(make, c):
@@ -129,6 +149,7 @@ def test_a_non_finite_relu_threshold_is_a_value_error(make, c):
      "relu threshold must be finite, got nan"),
     (["witness"], '{"a": [3, 1, 2], "s": [NaN, 1]}', "entry 1 is not finite: nan"),
     (["witness"], '{"a": [3, 1, 2], "s": [-1, Infinity]}', "entry 2 is not finite: inf"),
+    (["witness", "--t1", "nan"], '{"a": [3, 1, 2]}', "t1 must be finite, got nan"),
 ])
 def test_cli_names_a_non_finite_parameter(capsys, tmp_path, argv, payload, message):
     path = tmp_path / "in.json"
