@@ -57,10 +57,13 @@ ENV_TOL_ABS = "RELCONVEX_TOL_ABS"
 
 
 def _number(name: str, k: int, value) -> float:
-    """A JSON number as a float; any other entry (null, true, "4", a list) is a ValueError naming it."""
+    """A finite JSON number as a float; anything else (null, true, "4", a list, NaN) is a ValueError naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"entry {k} of {name!r} is not a number: {json.dumps(value)}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"entry {k} of {name!r} is not finite: {value!r}")
+    return value
 
 
 def _named(pairs) -> dict:
@@ -105,11 +108,14 @@ def _load_inputs(path: str) -> dict[str, list[float]]:
                 raise ValueError(f"row {reader.line_num} of column {name!r} lies below a blank cell")
             else:
                 try:
-                    out[name].append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ValueError(
                         f"row {reader.line_num} of column {name!r} is not a number: {cell!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise ValueError(f"row {reader.line_num} of column {name!r} is not finite: {cell!r}")
+                out[name].append(value)
     return {k: v for k, v in out.items() if v}
 
 

@@ -11,6 +11,7 @@ slope-table evaluation); they exist purely to cross-validate.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
@@ -33,6 +34,13 @@ def _rng(seeded) -> random.Random:
     return random.Random(seed)
 
 
+def _count(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def gen_shape(shape, n: int, seeded) -> RealSeq:
     """Random sequence whose classification is exactly ``shape``.
 
@@ -44,6 +52,7 @@ def gen_shape(shape, n: int, seeded) -> RealSeq:
     """
     kind = ShapeKind(shape)
     signs = _SEGMENTS[kind]
+    n = _count("n", n)
     if n < len(signs) + 1:
         raise InfeasibleShape(f"{kind.value} needs length >= {len(signs) + 1}, got {n}")
     rng = _rng(seeded)
@@ -71,6 +80,7 @@ def gen_relative_convex_pair(n: int, seeded) -> tuple[RealSeq, Witness]:
     abscissae: sorted random slopes (piecewise-linear), an exponential, a
     parabola, or an affine line (the zero-margin edge case).
     """
+    n = _count("n", n)
     rng = _rng(seeded)
     t0 = rng.uniform(-3.0, 3.0)
     t = [t0 + x for x in accumulate((rng.uniform(0.05, 1.5) for _ in range(n - 1)), initial=0.0)]
@@ -109,8 +119,11 @@ def gen_majorized_pair(y: Sequence[float], k_transforms: int, seeded) -> tuple[f
     vals = list(_reals(y))
     if len(vals) < 2:
         raise LengthError("need at least 2 entries to transform")
+    k = _count("k_transforms", k_transforms)
+    if k < 0:
+        raise ValueError(f"k_transforms must be a non-negative integer, got {k}")
     rng = _rng(seeded)
-    for _ in range(k_transforms):
+    for _ in range(k):
         i, j = rng.sample(range(len(vals)), 2)
         lam = rng.random()
         vi, vj = vals[i], vals[j]

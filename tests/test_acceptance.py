@@ -7,7 +7,6 @@ failure.  Seeds are fixed so every run checks the same instances.
 
 import math
 
-import numpy as np
 import pytest
 
 from relconvex import (
@@ -51,6 +50,8 @@ from relconvex.oracles import (
 )
 from relconvex.inequalities import convex_hhf_bounds
 from relconvex.functionals import cov_functional, lupas_constant, majorizes, weighted_mean
+
+np = pytest.importorskip("numpy")
 
 
 def report(num, ok, description):

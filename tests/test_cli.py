@@ -1,7 +1,9 @@
 """CLI surface tests: report schema, exit codes, formats, idempotence."""
 
+import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -316,3 +318,40 @@ def test_an_integer_flag_rejects_a_negative_float_as_its_value(capsys, argv):
         main(argv)
     err = capsys.readouterr().err
     assert exit_info.value.code == 2 and f"argument {argv[1]}:" in err and "expected one argument" not in err
+
+
+A5, T5, B5 = '"a": [4, 1, 0, 2, 6]', '"t": [1, 2, 3, 4, 5]', '"b": [9, 4, 1, 0, 1]'
+NOT_CONVEX = '"a is not convex: interior index 2 sits above its neighbour midpoint'
+
+
+# (exit code, argv, stdin, a text the report holds, or else the one warning given)
+@pytest.mark.parametrize("code, argv, payload, text", [
+    (0, ["witness"], '{"a": [5, 3, 1, 1, 2, 4]}', '"verdict": "holds"'),
+    (0, ["subdivide", "--alpha", "0", "--beta", "1"], f"{{{A5}}}", '"verdict": "holds"'),
+    (0, ["extend", "--resolution", "5"], f"{{{A5}, {T5}}}", "x,value\n1.0,4.0\n"),
+    # a builtin map on its declared interval is proven; outside it, it is sampled
+    (0, ["hhf", "--psi", "square"], f"{{{A5}, {T5}}}", '"verdict": "holds"'),
+    (0, ["hhf", "--psi", "square"], f'{{"a": [3, 0, -1, 1, 5], {T5}}}', "ConvexMapWarning: map not non-decreasing"),
+    # the commands whose convexity precondition is the slope test at t = 1..n
+    (0, ["niezgoda", "--psi", "relu@0.5"], f"{{{A5}}}", '"verdict": "holds"'),
+    (0, ["hhf-convex", "--psi", "exp"], f"{{{A5}}}", '"verdict": "holds"'),
+    (0, ["majorize"], f'{{{A5}, "pvec": [2, 2], "qvec": [1, 3]}}', '"verdict": "holds"'),
+    (2, ["pecaric"], '{"a": [0, 3, 1, 4], "b": [9, 4, 1, 0]}', NOT_CONVEX),
+    # at t = 1..n the witnessed engine words its precondition as ordinary convexity
+    (2, ["lupas"], f'{{"a": [0, 3, 1, 4, 9], {B5}, {T5}}}', NOT_CONVEX),
+    # slopes of opposite infinite signs: the scale is NaN, an error before any verdict
+    (2, ["diagnose"], '{"a": [0, 1e308, -1e308, 1e308], "t": [0, 1, 2, 3]}',
+     '"NonFiniteArithmetic: compared quantities reach nan"'),
+    # a step within the tolerance away from the minimum keeps its sign
+    (0, ["classify"], '{"a": [0, 2e-9, 2.8e-9, 2.58e-8]}', '"verdict": "strictly_increasing"'),
+    (0, ["subdivide", "--alpha", "0", "--beta", "1"], '{"a": [0, 2e-9, 2.8e-9, 2.58e-8]}', '"verdict": "holds"'),
+    # the growth check reads strict increase from classify_shape: a later step within the tolerance keeps its sign
+    (1, ["diagnose"], '{"a": [0, 1, 1.0000000005, 3], "t": [0, 1, 2, 3]}', '"growth_margin": -0.9999999995'),
+])
+def test_commands_read_their_input_from_stdin(monkeypatch, capsys, code, argv, payload, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--input", "-"]) == code
+    said = [f"{w.category.__name__}: {w.message}" for w in caught] or [capsys.readouterr().out]
+    assert len(said) == 1 and text in said[0], said

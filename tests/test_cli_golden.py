@@ -141,8 +141,8 @@ with tempfile.TemporaryDirectory() as tmp:
 
 
 def test_cli_runs_without_numpy():
-    paths = [str(Path(relconvex.__file__).parents[1]), str(Path(__file__).parent)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    paths = [str(Path(relconvex.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -3,7 +3,6 @@
 import math
 import re
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,6 +28,8 @@ from relconvex import (
     rate_diagnostic,
 )
 from relconvex.oracles import gen_relative_convex_pair, gen_shape
+
+np = pytest.importorskip("numpy")
 
 
 def perturbed_pair(seed, n_lo=4, n_hi=12):

@@ -26,8 +26,9 @@ check agrees with its reference loop.
   all-triples determinants) report and raise alike whether their rows come
   from numpy blocks (at any block budget) or from the stdlib loops; a loaded
   numpy computes the blocks at any size, the scans fall back to the loops
-  when numpy is blocked, a small ``diagnose`` never imports numpy, and the
-  scans leave numpy's error state and buffer size as they found them.
+  when numpy is blocked, a small ``diagnose`` never imports numpy, ``relconvex
+  diagnose`` prints the same bytes with numpy and without, and the scans
+  leave numpy's error state and buffer size as they found them.
 """
 
 import copy
@@ -42,7 +43,7 @@ import sys
 import warnings
 import weakref
 from pathlib import Path
-from itertools import accumulate, combinations, count
+from itertools import accumulate, combinations, count, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -395,6 +396,19 @@ def test_lazy_kernel_equals_the_eager_rule(gaps, operands, tol, labelled, form):
     assert lazy == outcome(eager_rule, gaps, tol, operands, labels)
 
 
+def test_lazy_kernel_equals_the_eager_rule_on_every_edge_combination():
+    # both screens rely on sum() of floats propagating inf and NaN, which Python 3.12
+    # changed to compensated summation: 11 gap lists x 9 operand lists x 3 tolerances x 2 forms
+    inf, nan = math.inf, math.nan
+    gap_lists = [[], [0.0, -0.0], [-0.0, 0.0], [1.0, -1e-9, -1.5e-9], [-1e300, 2.0], [inf, -1.0],
+                 [-inf, 1.0], [inf, -inf], [1.0, nan, -2.0], [nan], [1e308, 1e308, -1.0]]
+    operand_lists = [[], [0.0, -0.0], [1.0, -7.5], [1e308, 1e308, -1e308], [inf, 1.0], [1.0, -inf],
+                     [inf, -inf], [2.0, nan], [nan, 2.0]]
+    for gaps, operands, tol, form in product(gap_lists, operand_lists, KERNEL_TOLS, (list, tuple)):
+        lazy = outcome(scan_margin, list(gaps), tol, form(operands))
+        assert lazy == outcome(eager_rule, gaps, tol, operands), (gaps, operands, tol)
+
+
 @pytest.mark.parametrize("operands, error", [
     ([1.0, math.inf], "compared quantities reach inf"),
     ([-math.inf, 1.0], "compared quantities reach inf"),
@@ -716,23 +730,60 @@ def test_numpy_blocks_equal_the_stdlib_rows_at_any_block_budget(name, monkeypatc
         assert ["margin=-0.0," in zero for zero in zeros] == [False, True, False]
 
 
-SMALL_DIAGNOSE = """
+# relconvex diagnose in a new interpreter, with numpy blocked, imported first, or left to the scans
+DIAGNOSE = """
 import json, sys
-import relconvex
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+elif sys.argv[1] == "imported":
+    import numpy
 from relconvex.cli import main
-assert main(["diagnose", "--input", sys.argv[1]]) == 0
-print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "numpy")))
+code = main(["diagnose", "--input", sys.argv[2]])
+print(json.dumps([code, sys.modules.get("numpy") is not None]))
 """
 
 
-def test_a_small_diagnose_leaves_numpy_unloaded(tmp_path):
-    n = 64
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps({"a": [(i - 20.5) ** 2 for i in range(n)], "t": [float(i) for i in range(n)]}))
-    env = dict(os.environ, PYTHONPATH=str(Path(relconvex.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", SMALL_DIAGNOSE, str(path)], env=env,
-                          capture_output=True, text=True, timeout=60)
+def diagnose_in_child(path, numpy):
+    """(report, exit code, whether numpy is loaded after it) of ``relconvex diagnose`` on ``path``."""
+    paths = [str(Path(relconvex.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", DIAGNOSE, numpy, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    report, loaded = proc.stdout.splitlines()
-    assert json.loads(report)["margin_or_slacks"]["agree"] is True
-    assert json.loads(loaded) == []
+    report, status = proc.stdout.splitlines()
+    return (report, *json.loads(status))
+
+
+def convex_and_lifted(tmp_path, n):
+    """Files of a seeded convex pair at random steps and slopes, and of it with a[n // 2] raised by 1,
+    which sends rows through the judge of rows that do not plainly hold."""
+    rng = random.Random(n)
+    t = list(accumulate((rng.uniform(0.01, 10.0) for _ in range(n - 1)), initial=0.0))
+    slopes = sorted(rng.uniform(-5.0, 5.0) for _ in range(n - 1))
+    a = list(accumulate((s * (t[k + 1] - t[k]) for k, s in enumerate(slopes)), initial=1.0))
+    paths = [tmp_path / "convex.json", tmp_path / "lifted.json"]
+    paths[0].write_text(json.dumps({"a": a, "t": t}))
+    a[n // 2] += 1.0
+    paths[1].write_text(json.dumps({"a": a, "t": t}))
+    return paths
+
+
+def test_a_small_diagnose_leaves_numpy_unloaded(tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"a": [(i - 20.5) ** 2 for i in range(64)], "t": [float(i) for i in range(64)]}))
+    report, code, loaded = diagnose_in_child(path, "unloaded")
+    assert code == 0 and json.loads(report)["margin_or_slacks"]["agree"] is True and not loaded
+
+
+def test_diagnose_above_the_numpy_import_cutoff_runs_the_stdlib_scans(tmp_path):
+    # n = 1,100 gives 2**19+ anchored gaps, where the scan would import numpy if it could
+    report, code, loaded = diagnose_in_child(convex_and_lifted(tmp_path, 1100)[0], "blocked")
+    assert code == 0 and json.loads(report)["margin_or_slacks"]["agree"] is True and not loaded
+
+
+@pytest.mark.parametrize("n, numpy", [(12, "imported"), (64, "imported"), (1100, "unloaded")])
+def test_diagnose_prints_the_same_bytes_from_numpy_blocks_and_stdlib_loops(tmp_path, n, numpy):
+    pytest.importorskip("numpy")
+    for path in convex_and_lifted(tmp_path, n):
+        report, code, loaded = diagnose_in_child(path, numpy)
+        assert loaded and (report, code, False) == diagnose_in_child(path, "blocked")

@@ -1,6 +1,5 @@
 """Weighted functional and majorization preorder tests."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +14,8 @@ from relconvex import (
     weighted_mean,
 )
 from relconvex.oracles import brute_cov, brute_weighted_mean, gen_majorized_pair
+
+np = pytest.importorskip("numpy")
 
 
 class TestWeightVec:

@@ -3,7 +3,6 @@
 import math
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -42,6 +41,8 @@ from relconvex.oracles import (
     gen_relative_convex_pair,
 )
 from relconvex.seqcore import unit_witness
+
+np = pytest.importorskip("numpy")
 
 
 def _convex_seq(rng, n):

@@ -147,8 +147,8 @@ def test_a_non_finite_relu_threshold_is_a_value_error(make, c):
 @pytest.mark.parametrize("argv, payload, message", [
     (["hhf", "--psi", "relu@nan"], '{"a": [4, 1, 0, 2, 6], "t": [1, 2, 3, 4, 5]}',
      "relu threshold must be finite, got nan"),
-    (["witness"], '{"a": [3, 1, 2], "s": [NaN, 1]}', "entry 1 is not finite: nan"),
-    (["witness"], '{"a": [3, 1, 2], "s": [-1, Infinity]}', "entry 2 is not finite: inf"),
+    (["witness"], '{"a": [3, 1, 2], "s": [NaN, 1]}', "entry 1 of 's' is not finite: nan"),
+    (["witness"], '{"a": [3, 1, 2], "s": [-1, Infinity]}', "entry 2 of 's' is not finite: inf"),
     (["witness", "--t1", "nan"], '{"a": [3, 1, 2]}', "t1 must be finite, got nan"),
 ])
 def test_cli_names_a_non_finite_parameter(capsys, tmp_path, argv, payload, message):
@@ -244,6 +244,7 @@ def test_cli_validates_each_input_once(built, capsys, tmp_path, argv, payload, o
         ('{"a": [true, 1, 2]}', "entry 1 of 'a' is not a number: true"),
         ('{"a": [4, 1, false]}', "entry 3 of 'a' is not a number: false"),
         ('{"a": ["4", "1", "0"]}', "entry 1 of 'a' is not a number: \"4\""),
+        ('{"a": [NaN, 1, 2]}', "entry 1 of 'a' is not finite: nan"),
         # a repeated key would silently drop one of the two sequences
         ('{"a": [1, 2, 4], "a": [5, 3, 1]}', "input name 'a' appears twice"),
     ],
@@ -266,6 +267,7 @@ def test_cli_non_numeric_json_entry_is_an_error_report(capsys, tmp_path, payload
         ("a,t\n4,1\nx,2\n", "row 3 of column 'a' is not a number: 'x'"),
         ("a, t\n4,1\n\n1,2\n0,three\n", "row 5 of column 't' is not a number: 'three'"),
         ("a,t\n4,1\n1,2,3\n", "row 3 has more cells than the header has names"),
+        ("a,t\nnan,1\n4,2\n", "row 2 of column 'a' is not finite: 'nan'"),
         # a column ends at its first blank cell, so no later cell shifts up into its place
         ("a,t\n4,1\n,2\n0,3\n2,\n6,5\n", "row 4 of column 'a' lies below a blank cell"),
         ("a,t\n4,1\n1,2\n0,\n2,4\n", "row 5 of column 't' lies below a blank cell"),
@@ -273,8 +275,8 @@ def test_cli_non_numeric_json_entry_is_an_error_report(capsys, tmp_path, payload
         ("a,a\n1,5\n2,3\n4,1\n", "input name 'a' appears twice"),
         ("a, a \n1,5\n", "input name 'a' appears twice"),
     ],
-    ids=["bad_cell", "after_a_blank_line", "extra_cell", "value_below_a_blank", "value_below_a_short_row",
-         "duplicate_name", "duplicate_after_strip"],
+    ids=["bad_cell", "after_a_blank_line", "extra_cell", "non_finite_cell", "value_below_a_blank",
+         "value_below_a_short_row", "duplicate_name", "duplicate_after_strip"],
 )
 def test_cli_bad_csv_cell_names_its_column_and_row(capsys, tmp_path, text, message):
     path = tmp_path / "in.csv"

@@ -22,7 +22,7 @@ import warnings
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relconvex
@@ -103,14 +103,17 @@ def objects(a, b, t, p, ac, bc):
 @given(instances(),
        st.lists(st.tuples(st.sampled_from(sorted(CALLS)), st.booleans()), min_size=1, max_size=20),
        st.sampled_from(["identity", "exp", "relu@0", "square"]))
+@example(([4, 1, 0, 2, 6], [9, 4, 1, 0, 1], [1, 2, 3.5, 4, 5], [1, 2, 3, 2, 1], [4, 1, 0, 2, 6], [9, 4, 1, 0, 1]),
+         [("lupas", False), ("pecaric", False), ("cov_at", False)] * 2, "identity")
 def test_calls_on_shared_objects_equal_calls_on_fresh_copies(inst, order, psi_name):
     psi = parse_psi(psi_name)
     shared = objects(*inst)
     for name, skip_verify in order:
         fresh = objects(*inst)
-        assert outcome(CALLS[name], shared, skip_verify, psi) == outcome(CALLS[name], fresh, skip_verify, psi)
         raw = {k: list(v) for k, v in fresh.items()}
-        assert outcome(CALLS[name], shared, skip_verify, psi) == outcome(CALLS[name], raw, skip_verify, psi)
+        # raw lists are remembered too, beside a shared WeightVec or not
+        for other in (fresh, raw, dict(raw, P=shared["P"])):
+            assert outcome(CALLS[name], shared, skip_verify, psi) == outcome(CALLS[name], other, skip_verify, psi)
 
 
 def test_the_order_of_a_pair_is_part_of_its_key():

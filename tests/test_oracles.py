@@ -2,7 +2,6 @@
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from relconvex import (
@@ -20,6 +19,8 @@ from relconvex.oracles import (
     gen_relative_convex_pair,
     gen_shape,
 )
+
+np = pytest.importorskip("numpy")
 
 ALL_KINDS = list(ShapeKind)
 
@@ -114,6 +115,20 @@ def test_negative_seeds_are_rejected(generate, seed):
     # random.Random(-s) would silently replay the stream of s
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         generate(seed)
+
+
+@pytest.mark.parametrize("n", [5.5, "5", None])
+@pytest.mark.parametrize("gen", [lambda n: gen_shape("dec_then_inc", n, 0), lambda n: gen_relative_convex_pair(n, 0)])
+def test_a_length_that_is_no_integer_is_a_type_error(gen, n):
+    with pytest.raises(TypeError, match=rf"^n must be an integer, got {n!r}$"):
+        gen(n)
+
+
+def test_gen_majorized_pair_rejects_a_negative_or_fractional_count():
+    with pytest.raises(ValueError, match=r"^k_transforms must be a non-negative integer, got -3$"):
+        gen_majorized_pair([1.0, 2.0], -3, 0)
+    with pytest.raises(TypeError, match=r"^k_transforms must be an integer, got 2.5$"):
+        gen_majorized_pair([1.0, 2.0], 2.5, 0)
 
 
 def test_gen_majorized_pair_short_input():

@@ -1,5 +1,6 @@
 """The package namespace: every public name resolves, and neither importing it nor
-running the generators and ``fuzz`` loads numpy."""
+running the generators and ``fuzz`` loads numpy or any other module outside the
+standard library."""
 
 import json
 import os
@@ -35,27 +36,29 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(relconvex, "no_such_name")
 
 
-# Each step of one interpreter, then whether numpy is loaded after it.
+# Each step of one interpreter, whether its check holds, and the non-stdlib modules new after it.
 NUMPY_PROBE = """
 import contextlib, io, json, sys
+started = set(sys.modules)
 steps = []
-def step(name):
-    steps.append([name, "numpy" in sys.modules])
+def step(name, holds=True):
+    new = {module.split(".")[0] for module in set(sys.modules) - started}
+    steps.append([name, holds, sorted(new - sys.stdlib_module_names - {"relconvex"})])
 import relconvex
 step("import relconvex")
 import relconvex.cli
 step("import relconvex.cli")
-for kind in relconvex.ShapeKind:
-    relconvex.gen_shape(kind, 64, 5)
-step("gen_shape")
-a, t = relconvex.gen_relative_convex_pair(64, 5)
-step("gen_relative_convex_pair")
-q = [t[0], t[-1], t[len(t) // 2]]
-p = relconvex.gen_majorized_pair(q, 6, 5)
-step("gen_majorized_pair")
-relconvex.brute_reeval({"kind": "majorization", "a": list(a.values), "t": list(t.values),
-                        "pvec": list(p), "qvec": q})
-step("brute_reeval majorization")
+step("gen_shape", all(relconvex.classify_shape(relconvex.gen_shape(kind, 64, 7)).variant is kind
+                      for kind in relconvex.ShapeKind))
+pairs = {n: relconvex.gen_relative_convex_pair(n, 7) for n in (2, 5, 64, 10_000)}
+step("gen_relative_convex_pair", all(len(a) == len(t) == n and relconvex.is_convex_wrt(a, t).holds
+                                     for n, (a, t) in pairs.items()))
+a, t = pairs[10_000]
+q = [t[0], t[len(t) // 2], t[-1]]
+p = relconvex.gen_majorized_pair(q, 6, 7)
+step("gen_majorized_pair", relconvex.majorizes(p, q))
+sp, sq = relconvex.brute_reeval({"kind": "majorization", "a": a, "t": t, "pvec": p, "qvec": q})
+step("brute_reeval majorization", sp <= sq)
 with contextlib.redirect_stdout(io.StringIO()):
     code = relconvex.cli.main(["fuzz", "--trials", "20"])
 step(f"relconvex fuzz exit {code}")
@@ -64,12 +67,13 @@ print(json.dumps(steps))
 
 
 def test_import_leaves_numpy_unloaded():
-    env = dict(os.environ, PYTHONPATH=str(Path(relconvex.__file__).parents[1]))
+    paths = [str(Path(relconvex.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
-        [name, False] for name in ("import relconvex", "import relconvex.cli", "gen_shape",
-                                   "gen_relative_convex_pair", "gen_majorized_pair",
-                                   "brute_reeval majorization", "relconvex fuzz exit 0")
+        [name, True, []] for name in ("import relconvex", "import relconvex.cli", "gen_shape",
+                                      "gen_relative_convex_pair", "gen_majorized_pair",
+                                      "brute_reeval majorization", "relconvex fuzz exit 0")
     ]

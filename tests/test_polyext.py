@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +15,8 @@ from relconvex import (
     sample,
 )
 from relconvex.oracles import gen_relative_convex_pair
+
+np = pytest.importorskip("numpy")
 
 
 def test_single_segment_identity_line():

@@ -26,7 +26,8 @@ print(json.dumps(sorted(name for name in ("dataclasses", "inspect") if name in s
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    env = dict(os.environ, PYTHONPATH=str(Path(relconvex.__file__).parents[1]))
+    paths = [str(Path(relconvex.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

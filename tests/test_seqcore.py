@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import numpy as np
-
 from relconvex import (
     DEFAULT_TOL,
     IntervalError,
@@ -30,6 +28,8 @@ from relconvex import (
     is_relative_convex,
 )
 from relconvex.oracles import gen_relative_convex_pair, gen_shape
+
+np = pytest.importorskip("numpy")
 
 
 class TestTypes:
