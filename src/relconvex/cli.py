@@ -57,12 +57,9 @@ ENV_TOL_ABS = "RELCONVEX_TOL_ABS"
 
 
 def _number(name: str, k: int, value) -> float:
-    """A finite JSON number as a float; anything else (null, true, "4", a list, NaN) is a ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A JSON number (a float, inf and NaN too); anything else (null, true, "4", a list) is a ValueError."""
+    if type(value) is not float:
         raise ValueError(f"entry {k} of {name!r} is not a number: {json.dumps(value)}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"entry {k} of {name!r} is not finite: {value!r}")
     return value
 
 
@@ -77,19 +74,17 @@ def _named(pairs) -> dict:
 
 
 def _load_inputs(path: str) -> dict[str, list[float]]:
-    """Named sequences from a JSON object, or from CSV columns that end at their first blank cell."""
+    """Named sequences from a JSON object, each number a float (a huge integer is inf, as 1e400 is),
+    or from CSV columns that end at their first blank cell; the library judges their finiteness."""
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     if text.lstrip().startswith("{"):
-        data = json.loads(text, object_pairs_hook=_named)
-        return {
-            str(k): [_number(str(k), i, v) for i, v in enumerate(vals, 1)]
-            for k, vals in data.items()
-            if isinstance(vals, list)
-        }
+        data = json.loads(text, object_pairs_hook=_named, parse_int=float)
+        return {k: [_number(k, i, v) for i, v in enumerate(vals, 1)]
+                for k, vals in data.items() if isinstance(vals, list)}
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         raise ValueError("CSV input needs a header row of sequence names")
@@ -108,14 +103,11 @@ def _load_inputs(path: str) -> dict[str, list[float]]:
                 raise ValueError(f"row {reader.line_num} of column {name!r} lies below a blank cell")
             else:
                 try:
-                    value = float(cell)
+                    out[name].append(float(cell))
                 except ValueError:
                     raise ValueError(
                         f"row {reader.line_num} of column {name!r} is not a number: {cell!r}"
                     ) from None
-                if not math.isfinite(value):
-                    raise ValueError(f"row {reader.line_num} of column {name!r} is not finite: {cell!r}")
-                out[name].append(value)
     return {k: v for k, v in out.items() if v}
 
 
@@ -217,7 +209,7 @@ def _check(args, a):
 
 
 def _witness(args, a):
-    a = RealSeq.of(a)
+    a = RealSeq.of(a, "a")
     sched = args.inputs["s"] if "s" in args.inputs else _default_schedule(a, args.tol)
     wit = construct_witness(a, sched, t1=args.t1, plateau_step=args.plateau_step, tol=args.tol)
     args.params["s"] = sched
@@ -225,7 +217,7 @@ def _witness(args, a):
 
 
 def _subdivide(args, a):
-    a = RealSeq.of(a)
+    a = RealSeq.of(a, "a")
     wit = construct_witness_on_interval(a, args.alpha, args.beta, args.tol)
     args.params.update(alpha=args.alpha, beta=args.beta)
     return _witnessed(args, a, wit)

@@ -36,11 +36,7 @@ from itertools import accumulate, chain, combinations, count, repeat
 from operator import mul, truediv
 from typing import NamedTuple
 
-from .errors import (
-    IndexOutOfRange,
-    NotStrictlyIncreasing,
-    PreconditionViolation,
-)
+from .errors import NotStrictlyIncreasing, PreconditionViolation
 from .inequalities import ConvexMap, _require_convex_wrt, spot_check_map
 from .seqcore import (
     DEFAULT_TOL,
@@ -49,6 +45,7 @@ from .seqcore import (
     ShapeKind,
     Tolerance,
     WitnessLike,
+    _index,
     _steps,
     classify_shape,
     forward_diff,
@@ -229,15 +226,12 @@ def anchored_slope_check(
     """Divided differences from a fixed 1-based anchor must be non-decreasing.
 
     ``first_violation`` is the 1-based index of the later point at which
-    the divided-difference sequence first drops.  The anchor may be an
-    integral float such as 2.0; any other value, or one outside 1..n-1,
-    raises IndexOutOfRange.
+    the divided-difference sequence first drops.  The anchor is an index as
+    ``seqcore._index`` reads it, 2, 2.0 and "2" alike; any other value, or one
+    outside 1..n-1, raises IndexOutOfRange.
     """
     seq, wit = paired(a, t, tol)
-    n = len(seq)
-    if not (float(anchor).is_integer() and 1 <= anchor < n):
-        raise IndexOutOfRange(f"anchor {anchor!r} is not an integer index in 1..{n - 1}")
-    return _anchored(seq.values, wit.values, int(anchor) - 1, tol)
+    return _anchored(seq.values, wit.values, _index(anchor, len(seq) - 1, "anchor") - 1, tol)
 
 
 def _anchored(av, tv, s0: int, tol: Tolerance) -> CheckReport:

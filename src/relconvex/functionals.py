@@ -9,7 +9,7 @@ from operator import mul
 from typing import Sequence, Union
 
 from .errors import DegenerateWitness, NonFiniteArithmetic, ZeroTotalWeight
-from .seqcore import DEFAULT_TOL, Tolerance, Witness, WitnessLike, _Floats, _remembered, _same_length
+from .seqcore import DEFAULT_TOL, Tolerance, Witness, WitnessLike, _Floats, _of, _remembered, _same_length
 
 WeightLike = Union["WeightVec", Sequence[float]]
 
@@ -19,13 +19,13 @@ class WeightVec(_Floats):
 
     _what = "weights"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __post_init__(self, name: str | None = None) -> None:
+        super().__post_init__(name)
         if min(self.values, default=0.0) < 0:
             k, v = next((k, v) for k, v in enumerate(self.values) if v < 0)
-            raise ValueError(f"weight {k + 1} must be non-negative, got {v!r}")
+            raise ValueError(f"weight {k + 1}{_of(name)} must be non-negative, got {v!r}")
         if not self.total > 0:
-            raise ZeroTotalWeight("weights must have a positive total")
+            raise ZeroTotalWeight(f"{self._what if name is None else repr(name)} must have a positive total")
 
     @property
     def weights(self) -> tuple[float, ...]:
@@ -64,7 +64,7 @@ def _cov(x: _Floats, mx: float, y: _Floats, my: float, pv: WeightVec) -> float:
 
 def weighted_mean(x: Sequence[float], p: WeightLike) -> float:
     """Weighted average sum(p_i x_i) / sum(p_i)."""
-    xv, pv = _Floats.of(x), WeightVec.of(p)
+    xv, pv = _Floats.of(x, "x"), WeightVec.of(p, "p")
     _same_length("x p", xv, pv)
     return _mean(xv, pv)
 
@@ -83,7 +83,7 @@ def cov_functional(x: Sequence[float], y: Sequence[float], p: WeightLike) -> flo
     diagonal is the weighted variance, hence non-negative.  The means and
     the sum are remembered on p for later calls on the same objects.
     """
-    xv, yv, pv = _Floats.of(x), _Floats.of(y), WeightVec.of(p)
+    xv, yv, pv = _Floats.of(x, "x"), _Floats.of(y, "y"), WeightVec.of(p, "p")
     _same_length("x y p", xv, yv, pv)
     return _cov(xv, _mean(xv, pv), yv, _mean(yv, pv), pv)
 
@@ -104,7 +104,7 @@ def lupas_constant(t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> float:
     summed in the centred form sum (t_i - mean t)^2, so it is exact to
     rounding at the scale of the spread, whatever the offset of t.
     """
-    wit = Witness.of(t, tol)
+    wit = Witness.of(t, tol, "t")
     mean = _fsum(wit.values) / len(wit)
     denom = _centred(wit.values, mean, wit.values, mean, repeat(1.0))
     _require_spread(denom, wit, tol, f"centered square sum {denom!r} is not positive")
@@ -119,7 +119,7 @@ def majorizes(x: Sequence[float], y: Sequence[float], tol: Tolerance = DEFAULT_T
     Comparisons allow ``tol.allowed((sum|y|,))`` of slack.  Sorting is
     stable, so ties keep their original order (irrelevant to the verdict).
     """
-    xv, yv = _Floats.of(x), _Floats.of(y)
+    xv, yv = _Floats.of(x, "x"), _Floats.of(y, "y")
     _same_length("x y", xv, yv)
     allowed = tol.allowed((_fsum(map(abs, yv.values)),))
     xs = sorted(xv.values, reverse=True)

@@ -19,7 +19,7 @@ import warnings
 from itertools import groupby
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import DegenerateWitness, IndexOutOfRange, PreconditionViolation
+from .errors import DegenerateWitness, PreconditionViolation
 from .functionals import (
     WeightLike, WeightVec, _cov, _fsum, _mean, _require_spread, majorizes, unit_weights,
 )
@@ -32,6 +32,8 @@ from .seqcore import (
     Tolerance,
     Witness,
     WitnessLike,
+    _index,
+    _ordered,
     _reals,
     _remembered,
     _same_length,
@@ -183,7 +185,8 @@ def lupas_check(
     equality is attained when either sequence is affine in t.  The means
     and sums are remembered on p, as there.
     """
-    seq_a, seq_b, wit, pv = RealSeq.of(a), RealSeq.of(b), Witness.of(t, tol), WeightVec.of(p)
+    seq_a, seq_b = RealSeq.of(a, "a"), RealSeq.of(b, "b")
+    wit, pv = Witness.of(t, tol, "t"), WeightVec.of(p, "p")
     _same_length("a b t p", seq_a, seq_b, wit, pv)
     if not skip_verify:
         _require_convex_wrt("a", seq_a, wit, tol)
@@ -210,7 +213,7 @@ def pecaric_check(
     t = (1..n) with uniform weights, both cached per n (raw sums here, means
     there).  Equality when either sequence is arithmetic.
     """
-    seq_a, seq_b = RealSeq.of(a), RealSeq.of(b)
+    seq_a, seq_b = RealSeq.of(a, "a"), RealSeq.of(b, "b")
     _same_length("a b", seq_a, seq_b)
     n = len(seq_a)
     rep = lupas_check(seq_a, seq_b, unit_witness(n), unit_weights(n), tol, skip_verify)
@@ -241,7 +244,7 @@ def hhf_bounds(
     (pure, and declaring its interval); any other callable is called anew.
     The mean of the witness is remembered on p, as in :func:`lupas_check`.
     """
-    seq, wit, pv = RealSeq.of(a), Witness.of(t, tol), WeightVec.of(p)
+    seq, wit, pv = RealSeq.of(a, "a"), Witness.of(t, tol, "t"), WeightVec.of(p, "p")
     _same_length("a t p", seq, wit, pv)
     if not skip_verify:
         _require_convex_wrt("a", seq, wit, tol)
@@ -275,7 +278,7 @@ def _sandwich(lower: float, value: float, upper: float, tol: Tolerance, **fields
 def _unit_hhf(a: SeqLike, p: WeightLike, psi: ConvexMap, tol: Tolerance,
               skip_verify: bool) -> tuple[float, BoundReport]:
     """(P_n, :func:`hhf_bounds` at t = (1..n)) for a sequence that must be convex."""
-    seq, pv = RealSeq.of(a), WeightVec.of(p)
+    seq, pv = RealSeq.of(a, "a"), WeightVec.of(p, "p")
     _same_length("a p", seq, pv)
     return pv.total, hhf_bounds(seq, unit_witness(len(seq)), pv, psi, tol, skip_verify)
 
@@ -349,7 +352,7 @@ def majorization_inequality_check(
     majorization relation between pvec and qvec is always enforced.
     """
     seq, wit = paired(a, t, tol)
-    pv, qv = _reals(pvec), _reals(qvec)
+    pv, qv = _reals(pvec, "pvec"), _reals(qvec, "qvec")
     _same_length("pvec qvec", pv, qv)
     lo, hi = wit[0], wit[-1]
     for name, vec in (("pvec", pv), ("qvec", qv)):
@@ -379,18 +382,16 @@ def integer_majorization_check(
 
     For 1-based index vectors with pidx majorized by qidx,
     sum a[pidx] <= sum a[qidx].  The smallest instance, (2,2) vs (1,3),
-    is the defining convexity inequality 2 a_2 <= a_1 + a_3.  Indices may be
-    integral floats such as 2.0; any other value raises IndexOutOfRange.
+    is the defining convexity inequality 2 a_2 <= a_1 + a_3.  An index is read as
+    the anchor of ``anchored_slope_check`` is (2, 2.0 and "2" alike; ``seqcore._index``).
     Computed as :func:`majorization_inequality_check` at t = (1..n), which
     verifies the preconditions and whose extension is a_i at i exactly.
     """
-    seq = RealSeq.of(a)
+    seq = RealSeq.of(a, "a")
     n = len(seq)
-    pi, qi = _reals(pidx), _reals(qidx)
-    for name, vec in (("pidx", pi), ("qidx", qi)):
-        for k, i in enumerate(vec):
-            if not (i.is_integer() and 1 <= i <= n):
-                raise IndexOutOfRange(f"{name}[{k + 1}] = {i!r} is not an integer index in 1..{n}")
+    pi, qi = ([_index(i, n, name, k) for k, i in enumerate(_ordered(vec, name), 1)]
+              for name, vec in (("pidx", pidx), ("qidx", qidx)))
+    _same_length("pidx qidx", pi, qi)
     return majorization_inequality_check(seq, unit_witness(n), pi, qi, tol, skip_verify=skip_verify)
 
 

@@ -75,14 +75,14 @@ def floor_wrt(t: WitnessLike, q: float, tol: Tolerance = DEFAULT_TOL) -> int:
     ``q`` must lie in [t_1, t_n] (up to ``tol.abs`` of clamping slack);
     ``q = t_n`` returns n.  Binary search, O(log n).
     """
-    wit = Witness.of(t, tol)
+    wit = Witness.of(t, tol, "t")
     q = _clamp_to_domain(wit.values, float(q), tol)
     return bisect.bisect_right(wit.values, q)
 
 
 def frac_wrt(t: WitnessLike, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Offset of ``q`` above its floor breakpoint; zero at every breakpoint."""
-    wit = Witness.of(t, tol)
+    wit = Witness.of(t, tol, "t")
     qc = _clamp_to_domain(wit.values, float(q), tol)
     return qc - wit.values[floor_wrt(wit, qc, tol) - 1]
 

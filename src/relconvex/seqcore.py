@@ -23,6 +23,7 @@ from operator import gt, indexOf, lt, sub, truediv
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
+    IndexOutOfRange,
     IntervalError,
     LengthError,
     LengthMismatch,
@@ -94,27 +95,57 @@ class Tolerance(namedtuple("Tolerance", "abs rel")):
 
 DEFAULT_TOL = Tolerance()
 
-def _reals(values) -> tuple[float, ...]:
-    """The one input converter: ``values`` as a tuple of floats.  Text, bytes, a set, a dict
-    and a named-tuple record iterate, but are no ordered sequence of reals: a TypeError."""
+def _of(name: str | None) -> str:
+    """`` of 'a'``, naming the argument a message is about; empty for a vector without a name."""
+    return "" if name is None else f" of {name!r}"
+
+
+def _ordered(values, name: str | None = None):
+    """``values``, the argument ``name``, as a sequence that iterates more than once.  Text, bytes,
+    a set, a dict and a named-tuple record iterate, but are no ordered sequence of reals: a TypeError."""
     kind = type(values)
-    if kind is not list and kind is not tuple and (
-            isinstance(values, (str, bytes, bytearray, set, frozenset, dict)) or hasattr(values, "_fields")):
-        raise TypeError(f"expected an ordered sequence of reals, got {kind.__name__}")
-    return tuple(map(float, values))
+    if kind is list or kind is tuple:
+        return values
+    if isinstance(values, (str, bytes, bytearray, set, frozenset, dict)) or hasattr(values, "_fields"):
+        named = "" if name is None else f" as {name!r}"
+        raise TypeError(f"expected an ordered sequence of reals{named}, got {kind.__name__}")
+    return tuple(values) if iter(values) is values else values  # a failing entry is found again
 
 
-def _finite(vals: tuple[float, ...]) -> tuple[float, ...]:
-    """``vals``, or a ValueError naming the first entry that is inf or NaN."""
-    if not all(map(math.isfinite, vals)):
-        k = next(k for k, v in enumerate(vals) if not math.isfinite(v))
-        raise ValueError(f"entry {k + 1} is not finite: {vals[k]!r}")
-    return vals
+def _reals(values, name: str | None = None) -> tuple[float, ...]:
+    """The one input converter: :func:`_ordered` ``values`` as floats, an integer beyond float range as
+    ±inf (as JSON reads 1e400); an entry that is no real keeps ``float``'s error type, reworded."""
+    values = _ordered(values, name)
+    try:
+        return tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        out = []
+    for k, v in enumerate(values, 1):
+        try:
+            out.append(float(v))
+        except OverflowError:
+            out.append(-math.inf if v < 0 else math.inf)
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"entry {k}{_of(name)} is not a number: {v!r}") from None
+    return tuple(out)
+
+
+def _index(value, n: int, name: str, k: int | None = None) -> int:
+    """``value`` as an index in 1..n: an integral real, such as 2, 2.0 or "2"; else IndexOutOfRange."""
+    try:
+        (i,) = _reals((value,))
+    except (TypeError, ValueError):
+        i = None
+    if i is not None and i.is_integer() and 1 <= i <= n:
+        return int(i)
+    where = f"{name} {value!r}" if k is None else f"{name}[{k}] = {value if i is None else i!r}"
+    raise IndexOutOfRange(f"{where} is not an integer index in 1..{n}")
 
 
 class _Floats:
     """Finite floats of any length, read-only: the one validation path of every input
-    vector, the data vectors of the functionals included; :meth:`of` passes one through.
+    vector, the data vectors of the functionals and the slope schedule included; :meth:`of`
+    passes one through.  Each error names ``name``, the caller's argument, when given.
 
     Equal, with equal hashes, only to an object of the same class with the same
     ``values``.  Attributes cannot be assigned or deleted; the memos are set with
@@ -124,19 +155,22 @@ class _Floats:
     _what = "sequence"
     _min_len = 0
 
-    def __init__(self, values: Iterable[float]) -> None:
-        object.__setattr__(self, "values", _reals(values))
-        self.__post_init__()
+    def __init__(self, values: Iterable[float], name: str | None = None) -> None:
+        object.__setattr__(self, "values", _reals(values, name))
+        self.__post_init__(name)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, name: str | None = None) -> None:
         vals = self.values
         if len(vals) < self._min_len:
-            raise LengthError(f"{self._what} needs at least {self._min_len} entries, got {len(vals)}")
-        _finite(vals)
+            what = self._what if name is None else repr(name)
+            raise LengthError(f"{what} needs at least {self._min_len} entries, got {len(vals)}")
+        if not all(map(math.isfinite, vals)):
+            k = next(k for k, v in enumerate(vals) if not math.isfinite(v))
+            raise ValueError(f"entry {k + 1}{_of(name)} is not finite: {vals[k]!r}")
 
     @classmethod
-    def of(cls, values):
-        return values if isinstance(values, cls) else cls(values)
+    def of(cls, values, name: str | None = None):
+        return values if isinstance(values, cls) else cls(values, name)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -170,10 +204,7 @@ class _Floats:
 
 
 class RealSeq(_Floats):
-    """Finite sequence of finite reals; the payload of every check.
-
-    Length must be at least 2 so the difference operators are defined.
-    """
+    """Finite sequence of finite reals, at least 2 so that differences exist; the payload of every check."""
 
     _min_len = 2
 
@@ -181,40 +212,28 @@ class RealSeq(_Floats):
 class Witness(RealSeq):
     """Strictly increasing abscissae that a sequence's convexity is measured against.
 
-    The type-level invariant is genuine strict increase.  :meth:`of` builds a
-    witness from raw values only when every gap is above ``tol.abs``, which
-    implies it, but returns a ``Witness`` instance unchanged, not judging its
-    gaps at the call's tolerance: the engines for ordinary convexity measure
-    against the unit witness 1..n, whose gaps go unjudged, so at ``tol.abs`` = 2
-    ``is_convex([3, 1, 2], tol)`` holds where ``is_convex_wrt`` at t = 1..3 raises.
+    One rule, judged first: every gap is above ``floor``, 0 in the constructor (for finite
+    floats, exactly strict increase) and ``tol.abs`` in :meth:`of`.  :meth:`of` returns a
+    ``Witness`` unchanged, not judging its gaps at the call's tolerance: the engines for
+    ordinary convexity measure against the unit witness 1..n, whose gaps go unjudged, so at
+    ``tol.abs`` = 2 ``is_convex([3, 1, 2], tol)`` holds where ``is_convex_wrt`` at t = 1..3 raises.
     """
 
     _what = "witness"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        vals = self.values
-        if not all(map(lt, vals, islice(vals, 1, None))):
-            k = next(k for k in range(len(vals) - 1) if not vals[k + 1] > vals[k])
-            raise WitnessNotIncreasing(
-                f"t[{k + 2}] = {vals[k + 1]!r} does not exceed t[{k + 1}] = {vals[k]!r}"
-            )
+    def __init__(self, values: Iterable[float], name: str | None = None, floor: float = 0.0) -> None:
+        vals = _reals(values, name)
+        # all(gt), not min: a NaN gap fails gt, so next() names it too
+        if not all(map(gt, _steps(vals), repeat(floor))):
+            k, gap = next((k, g) for k, g in enumerate(_steps(vals), 1) if not g > floor)
+            raise WitnessNotIncreasing(f"gap t[{k + 1}] - t[{k}] = {gap!r} is not above "
+                                       f"the strictness tolerance {floor!r}")
+        object.__setattr__(self, "values", vals)
+        self.__post_init__(name)
 
     @classmethod
-    def of(cls, values: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> "Witness":
-        if isinstance(values, cls):
-            return values
-        vals = _reals(values)
-        # all(gt), not min: a NaN gap fails gt, so next() names it too
-        if not all(map(gt, _steps(vals), repeat(tol.abs))):
-            k, gap = next((k, g) for k, g in enumerate(_steps(vals), 1) if not g > tol.abs)
-            raise WitnessNotIncreasing(
-                f"gap t[{k + 1}] - t[{k}] = {gap!r} is not above the strictness tolerance {tol.abs!r}"
-            )
-        wit = object.__new__(cls)
-        object.__setattr__(wit, "values", vals)
-        _Floats.__post_init__(wit)  # gaps above tol.abs >= 0 are a strict increase
-        return wit
+    def of(cls, values: WitnessLike, tol: Tolerance = DEFAULT_TOL, name: str | None = None) -> "Witness":
+        return values if isinstance(values, cls) else cls(values, name, tol.abs)
 
 
 class ShapeKind(str, Enum):
@@ -347,11 +366,8 @@ def _remembered(owner: _Floats, memo: str, key, compute, x, y):
 
 @lru_cache(maxsize=1)
 def unit_witness(n: int) -> "Witness":
-    """The arithmetic witness 1..n, against which ordinary convexity is measured.
-
-    The last n is cached: a :class:`Witness` is frozen, so callers share it.
-    """
-    return Witness(tuple(map(float, range(1, n + 1))))
+    """The witness 1..n of ordinary convexity, cached for the last n: a frozen :class:`Witness` is shared."""
+    return Witness(range(1, n + 1))
 
 
 def _steps(v: Sequence[float], over: Sequence[float] | None = None) -> Iterator[float]:
@@ -373,13 +389,13 @@ def _same_length(names: str, first, *rest) -> None:
 
 def forward_diff(a: SeqLike) -> tuple[float, ...]:
     """First forward differences ``a[i+1] - a[i]``; output length n-1."""
-    return tuple(_steps(RealSeq.of(a).values))
+    return tuple(_steps(RealSeq.of(a, "a").values))
 
 
 def paired(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> tuple[RealSeq, Witness]:
     """Validate a sequence and its witness together; they must have equal length."""
-    seq = RealSeq.of(a)
-    wit = Witness.of(t, tol)
+    seq = RealSeq.of(a, "a")
+    wit = Witness.of(t, tol, "t")
     _same_length("a t", seq, wit)
     return seq, wit
 
@@ -416,7 +432,7 @@ def is_convex(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     increment overflows.  ``first_violation`` is the 1-based interior index,
     one more than the slope pair's.
     """
-    seq = RealSeq.of(a)
+    seq = RealSeq.of(a, "a")
     rep = is_convex_wrt(seq, unit_witness(len(seq)), tol)
     first = None if rep.first_violation is None else rep.first_violation + 1
     return CheckReport(rep.holds, first, rep.margin / 2, tol)
@@ -433,7 +449,7 @@ def classify_shape(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> ShapeClass:
     from the minimum) is rejected.  The kind is the one whose runs in
     ``_SEGMENTS`` are the runs present: a decrease, a plateau, an increase.
     """
-    vals = RealSeq.of(a).values
+    vals = RealSeq.of(a, "a").values
     d = list(_steps(vals))
     first = last = vals.index(min(vals))
     while first > 0 and abs(d[first - 1]) <= tol.abs:
@@ -482,35 +498,30 @@ def construct_witness(
     slope sequence is ``s`` interleaved with zeros on the plateau, hence
     non-decreasing.
     """
-    seq = RealSeq.of(a)
+    seq = RealSeq.of(a, "a")
     first, last = _minimal_block(seq, tol)
     if not plateau_step > tol.abs:
         raise ValueError(f"plateau_step must exceed the strictness tolerance, got {plateau_step!r}")
     t1 = float(t1)
     if not math.isfinite(t1):
         raise ValueError(f"t1 must be finite, got {t1!r}")
-    sched = _finite(_reals(s))
+    sched = _Floats.of(s, "s").values
     for k in range(len(sched) - 1):
         if not sched[k + 1] > sched[k]:
-            raise MonotoneError(
-                f"slope schedule not strictly increasing at entry {k + 2}"
-            )
+            raise MonotoneError(f"slope schedule 's' not strictly increasing at entry {k + 2}")
     rises = list(_steps(seq.values))
     strict = rises[:first] + rises[last:]  # the steps outside the block, one schedule entry each
     for k, (d, sk) in enumerate(zip(strict, sched)):
         if d > 0 and not sk > 0:
-            raise SignError(f"schedule entry {k + 1} = {sk!r} must be positive on an increase step")
+            raise SignError(f"entry {k + 1} of 's' = {sk!r} must be positive on an increase step")
         if d < 0 and not sk < 0:
-            raise SignError(f"schedule entry {k + 1} = {sk!r} must be negative on a decrease step")
+            raise SignError(f"entry {k + 1} of 's' = {sk!r} must be negative on a decrease step")
     if len(sched) < len(strict):
         step = len(sched) + 1 + (last - first if len(sched) >= first else 0)  # numbered among all steps
-        raise LengthMismatch(
-            f"slope schedule exhausted at step {step}: need one entry per strict step"
-        )
+        raise LengthMismatch(f"slope schedule 's' exhausted at step {step}: need one entry per strict step")
     if len(sched) > len(strict):
-        raise LengthMismatch(
-            f"slope schedule has {len(sched) - len(strict)} unused entries; need one per strict step"
-        )
+        unused = len(sched) - len(strict)
+        raise LengthMismatch(f"slope schedule 's' has {unused} unused entries; need one per strict step")
     gaps = list(map(truediv, strict, sched))
     gaps[first:first] = repeat(plateau_step, last - first)
     return Witness.of(list(accumulate(gaps, initial=t1)), tol)
@@ -577,7 +588,7 @@ def construct_witness_on_interval(
     or a slope that underflows, is WitnessNotIncreasing, never a
     ZeroDivisionError.  A non-finite alpha or beta is an IntervalError.
     """
-    seq = RealSeq.of(a)
+    seq = RealSeq.of(a, "a")
     alpha = float(alpha)
     beta = float(beta)
     for name, end in (("alpha", alpha), ("beta", beta)):

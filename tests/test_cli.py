@@ -134,7 +134,7 @@ def test_witness_with_an_empty_schedule_is_an_error(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdict"] == "error"
     assert report["margin_or_slacks"]["message"] == (
-        "slope schedule exhausted at step 1: need one entry per strict step")
+        "slope schedule 's' exhausted at step 1: need one entry per strict step")
 
 
 def test_report_to_output_file(tmp_path, capsys):

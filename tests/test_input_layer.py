@@ -1,6 +1,7 @@
 """The input layer: one length rule with its exact messages, one converter that
 rejects what is no ordered sequence of reals, finite data vectors and parameters
-everywhere, and validation done once per input."""
+everywhere, one index rule, every validation error naming its argument, and
+validation done once per input, by the library alone."""
 
 import json
 import math
@@ -8,27 +9,45 @@ import math
 import pytest
 
 from relconvex import (
+    IndexOutOfRange,
     LengthMismatch,
     PreconditionViolation,
     RealSeq,
+    RelConvexError,
     Tolerance,
     WeightVec,
     Witness,
+    anchored_slope_check,
+    anchored_slope_check_all,
+    bounded_monotone_diagnostic,
+    build_extension,
+    classify_shape,
+    collinearity_determinant_check,
     construct_witness,
+    construct_witness_on_interval,
     convex_hhf_bounds,
     cov_functional,
+    floor_wrt,
+    forward_diff,
+    frac_wrt,
     hhf_bounds,
+    increment_growth_check,
     integer_majorization_check,
     is_convex,
     is_convex_wrt,
+    is_relative_convex,
     lupas_check,
+    lupas_constant,
     majorization_inequality_check,
     majorizes,
     make_relu,
+    neighbor_chord_check,
     niezgoda_bound,
     parse_psi,
     pecaric_check,
     psi_identity,
+    psi_preservation_check,
+    rate_diagnostic,
     spot_check_map,
     weighted_mean,
 )
@@ -54,7 +73,7 @@ T3 = [1.0, 2.0, 3.0]
         (lambda: niezgoda_bound(A3, [1, 1], psi_identity), "|a| = 3 but |p| = 2"),
         (lambda: convex_hhf_bounds(A3, [1, 1, 1, 1], psi_identity), "|a| = 3 but |p| = 4"),
         (lambda: majorization_inequality_check(A3, T3, [2, 2], [2]), "|pvec| = 2 but |qvec| = 1"),
-        (lambda: integer_majorization_check(A3, [2, 2], [1, 3, 2]), "|pvec| = 2 but |qvec| = 3"),
+        (lambda: integer_majorization_check(A3, [2, 2], [1, 3, 2]), "|pidx| = 2 but |qidx| = 3"),
     ],
 )
 def test_length_mismatch_messages(call, message):
@@ -68,26 +87,80 @@ def test_length_mismatch_messages(call, message):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_functionals_reject_non_finite_data(bad):
-    with pytest.raises(ValueError, match=rf"^entry 1 is not finite: {bad!r}$"):
+    with pytest.raises(ValueError, match=rf"^entry 1 of 'x' is not finite: {bad!r}$"):
         weighted_mean([bad, 1.0], [1.0, 1.0])
-    with pytest.raises(ValueError, match=rf"^entry 2 is not finite: {bad!r}$"):
+    with pytest.raises(ValueError, match=rf"^entry 2 of 'y' is not finite: {bad!r}$"):
         cov_functional([1.0, 2.0], [0.0, bad], [1.0, 1.0])
-    with pytest.raises(ValueError, match=rf"^entry 1 is not finite: {bad!r}$"):
+    with pytest.raises(ValueError, match=rf"^entry 1 of 'x' is not finite: {bad!r}$"):
         majorizes([bad, 1.0], [1.0, 0.0])
 
 
+P3 = [1.0, 2.0, 1.0]
+# the functions of an (a, t) pair, which they validate by paired(), each with an a it accepts
+PAIRED = {
+    "is_convex_wrt": (is_convex_wrt, A3),
+    "build_extension": (build_extension, A3),
+    "neighbor_chord_check": (neighbor_chord_check, A3),
+    "increment_growth_check": (increment_growth_check, [0.0, 1.0, 4.0]),
+    "collinearity_determinant_check": (collinearity_determinant_check, A3),
+    "anchored_slope_check": (lambda a, t: anchored_slope_check(a, t, 1), A3),
+    "anchored_slope_check_all": (anchored_slope_check_all, A3),
+    "psi_preservation_check": (lambda a, t: psi_preservation_check(a, t, psi_identity), A3),
+    "bounded_monotone_diagnostic": (lambda a, t: bounded_monotone_diagnostic(a, t, 10.0, 0.0), A3),
+    "rate_diagnostic": (rate_diagnostic, A3),
+}
+
+# each vector argument: (the call on it with the other arguments valid, the name its errors
+# give, a valid value); direct construction and the unvalidated vectors have no name
 CONVERTERS = {
-    "RealSeq": RealSeq,
-    "Witness.of": Witness.of,
-    "WeightVec": WeightVec,
-    "is_convex": is_convex,
-    "cov_functional": lambda x: cov_functional(x, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0]),
-    "majorization_inequality_check pvec": lambda x: majorization_inequality_check(A3, T3, x, [1.0, 3.0]),
-    "majorization_inequality_check qvec": lambda x: majorization_inequality_check(A3, T3, [2.0, 2.0], x),
-    "integer_majorization_check pidx": lambda x: integer_majorization_check(A3, x, [1, 3]),
-    "integer_majorization_check qidx": lambda x: integer_majorization_check(A3, [2, 2], x),
-    "spot_check_map": lambda x: spot_check_map(psi_identity, x),
-    "gen_majorized_pair": lambda x: gen_majorized_pair(x, 2, 0),
+    "RealSeq": (RealSeq, None, A3),
+    "Witness.of": (Witness.of, None, T3),
+    "WeightVec": (WeightVec, None, P3),
+    "spot_check_map": (lambda x: spot_check_map(psi_identity, x), None, A3),
+    "gen_majorized_pair": (lambda x: gen_majorized_pair(x, 2, 0), None, A3),
+    "forward_diff a": (forward_diff, "a", A3),
+    "is_convex": (is_convex, "a", A3),
+    "classify_shape a": (classify_shape, "a", A3),
+    "is_relative_convex a": (is_relative_convex, "a", A3),
+    "construct_witness a": (lambda x: construct_witness(x, [-2.0, -1.0]), "a", A3),
+    "construct_witness s": (lambda x: construct_witness(A3, x), "s", [-2.0, -1.0]),
+    "construct_witness_on_interval a": (lambda x: construct_witness_on_interval(x, 0.0, 1.0), "a", A3),
+    **{f"{k} a": (lambda x, f=f: f(x, T3), "a", a) for k, (f, a) in PAIRED.items()},
+    **{f"{k} t": (lambda x, f=f, a=a: f(a, x), "t", T3) for k, (f, a) in PAIRED.items()},
+    "floor_wrt t": (lambda x: floor_wrt(x, 2.0), "t", T3),
+    "frac_wrt t": (lambda x: frac_wrt(x, 2.0), "t", T3),
+    "weighted_mean x": (lambda x: weighted_mean(x, P3), "x", A3),
+    "weighted_mean p": (lambda x: weighted_mean(A3, x), "p", P3),
+    "cov_functional": (lambda x: cov_functional(x, T3, P3), "x", A3),
+    "cov_functional y": (lambda x: cov_functional(A3, x, P3), "y", T3),
+    "cov_functional p": (lambda x: cov_functional(A3, T3, x), "p", P3),
+    "lupas_constant t": (lupas_constant, "t", T3),
+    "majorizes x": (lambda x: majorizes(x, [1.0, 3.0]), "x", [2.0, 2.0]),
+    "majorizes y": (lambda x: majorizes([2.0, 2.0], x), "y", [1.0, 3.0]),
+    "lupas_check a": (lambda x: lupas_check(x, A3, T3, P3), "a", A3),
+    "lupas_check b": (lambda x: lupas_check(A3, x, T3, P3), "b", A3),
+    "lupas_check t": (lambda x: lupas_check(A3, A3, x, P3), "t", T3),
+    "lupas_check p": (lambda x: lupas_check(A3, A3, T3, x), "p", P3),
+    "pecaric_check a": (lambda x: pecaric_check(x, A3), "a", A3),
+    "pecaric_check b": (lambda x: pecaric_check(A3, x), "b", A3),
+    "hhf_bounds a": (lambda x: hhf_bounds(x, T3, P3, psi_identity), "a", A3),
+    "hhf_bounds t": (lambda x: hhf_bounds(A3, x, P3, psi_identity), "t", T3),
+    "hhf_bounds p": (lambda x: hhf_bounds(A3, T3, x, psi_identity), "p", P3),
+    "niezgoda_bound a": (lambda x: niezgoda_bound(x, P3, psi_identity), "a", A3),
+    "niezgoda_bound p": (lambda x: niezgoda_bound(A3, x, psi_identity), "p", P3),
+    "convex_hhf_bounds a": (lambda x: convex_hhf_bounds(x, P3, psi_identity), "a", A3),
+    "convex_hhf_bounds p": (lambda x: convex_hhf_bounds(A3, x, psi_identity), "p", P3),
+    "majorization_inequality_check a": (lambda x: majorization_inequality_check(x, T3, [2.0, 2.0], [1.0, 3.0]),
+                                        "a", A3),
+    "majorization_inequality_check t": (lambda x: majorization_inequality_check(A3, x, [2.0, 2.0], [1.0, 3.0]),
+                                        "t", T3),
+    "majorization_inequality_check pvec": (lambda x: majorization_inequality_check(A3, T3, x, [1.0, 3.0]),
+                                           "pvec", [2.0, 2.0]),
+    "majorization_inequality_check qvec": (lambda x: majorization_inequality_check(A3, T3, [2.0, 2.0], x),
+                                           "qvec", [1.0, 3.0]),
+    "integer_majorization_check a": (lambda x: integer_majorization_check(x, [2, 2], [1, 3]), "a", A3),
+    "integer_majorization_check pidx": (lambda x: integer_majorization_check(A3, x, [1, 3]), "pidx", [2, 2]),
+    "integer_majorization_check qidx": (lambda x: integer_majorization_check(A3, [2, 2], x), "qidx", [1, 3]),
 }
 
 
@@ -98,8 +171,45 @@ CONVERTERS = {
 ], ids=lambda bad: type(bad).__name__)
 def test_an_input_that_is_no_ordered_sequence_of_reals_is_a_type_error(name, bad):
     # a record, text, bytes, a set or a mapping iterates, but not as the entries of a sequence
-    with pytest.raises(TypeError, match=rf"^expected an ordered sequence of reals, got {type(bad).__name__}$"):
-        CONVERTERS[name](bad)
+    call, arg, _ = CONVERTERS[name]
+    named = "" if arg is None else f" as {arg!r}"
+    with pytest.raises(TypeError, match=rf"^expected an ordered sequence of reals{named}, got {type(bad).__name__}$"):
+        call(bad)
+
+
+def names(message: str, arg: str) -> bool:
+    """Whether ``message`` names the argument ``arg``: as 'a', a[k] or |a|."""
+    return any(form in message for form in (f"'{arg}'", f"{arg}[", f"|{arg}|"))
+
+
+@pytest.mark.parametrize("name", sorted(k for k, (_, arg, _) in CONVERTERS.items() if arg))
+@pytest.mark.parametrize("bad", [
+    lambda good: [*good[:-1], math.nan],
+    lambda good: [*good[:-1], math.inf],
+    lambda good: good[:1],
+    lambda good: [*good[:-1], 10**400],
+    lambda good: [*good[:-1], "x"],
+], ids=["nan", "inf", "single", "huge_int", "string"])
+def test_every_validation_error_names_its_argument(name, bad):
+    call, arg, good = CONVERTERS[name]
+    call(good)
+    with pytest.raises((RelConvexError, ValueError, TypeError)) as err:
+        call(bad(good))
+    assert names(str(err.value), arg), str(err.value)
+
+
+@pytest.mark.parametrize("values, message", [
+    ([10**400, 1.0, 2.0], "entry 1 of 'a' is not finite: inf"),
+    ([1.0, -(10**400), 2.0], "entry 2 of 'a' is not finite: -inf"),
+    ([1.0, 2.0, None], "entry 3 of 'a' is not a number: None"),
+])
+def test_an_entry_that_no_float_holds_is_named(values, message):
+    with pytest.raises(ValueError if "finite" in message else TypeError) as err:
+        RealSeq(values, "a")
+    assert str(err.value) == message
+    # an unnamed vector gives the same words without its name
+    with pytest.raises(type(err.value), match=rf"^{message.replace(' of ' + repr('a'), '')}$"):
+        RealSeq(values)
 
 
 @pytest.mark.parametrize("make", [
@@ -123,8 +233,8 @@ def test_numpy_arrays_are_read_as_sequences():
 
 
 @pytest.mark.parametrize("schedule, message", [
-    ([math.nan, 1.0], "entry 1 is not finite: nan"),
-    ([-1.0, math.inf], "entry 2 is not finite: inf"),
+    ([math.nan, 1.0], "entry 1 of 's' is not finite: nan"),
+    ([-1.0, math.inf], "entry 2 of 's' is not finite: inf"),
 ])
 def test_a_non_finite_schedule_entry_is_named(schedule, message):
     with pytest.raises(ValueError, match=rf"^{message}$"):
@@ -165,6 +275,17 @@ def test_nan_pvec_lies_outside_the_witness_range():
         majorization_inequality_check(A3, T3, [2.0, math.nan], [1.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [None, "x", 10**400, -(10**400), 2.5, "2.5", math.nan, 0, 9])
+def test_one_index_rule_for_anchors_and_index_vectors(bad):
+    # 2, 2.0 and "2" are one index; anything else is IndexOutOfRange naming the anchor or pidx[k]
+    a, t = [4.0, 1.0, 0.0, 2.0, 6.0], [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert anchored_slope_check(a, t, "2") == anchored_slope_check(a, t, 2.0) == anchored_slope_check(a, t, 2)
+    with pytest.raises(IndexOutOfRange, match=r"^anchor .+ is not an integer index in 1\.\.4$"):
+        anchored_slope_check(a, t, bad)
+    with pytest.raises(IndexOutOfRange, match=r"^pidx\[2\] = .+ is not an integer index in 1\.\.5$"):
+        integer_majorization_check(a, [2, bad], [1, 3])
+
+
 # -- validation happens once ---------------------------------------------------
 
 
@@ -174,9 +295,9 @@ def built(monkeypatch):
     count = [0]
     validate = _Floats.__post_init__
 
-    def counting(self):
+    def counting(self, name=None):
         count[0] += 1
-        validate(self)
+        validate(self, name)
 
     monkeypatch.setattr(_Floats, "__post_init__", counting)
     return count
@@ -219,7 +340,8 @@ def test_engines_validate_each_input_once(built, engine, args, from_lists, from_
     "argv, payload, objects",
     [
         (["diagnose"], {"a": A5, "t": T5}, 2),
-        (["witness"], {"a": A5}, 2),
+        # a, the schedule and the witness built from it
+        (["witness"], {"a": A5}, 3),
         (["subdivide", "--alpha", "0", "--beta", "1"], {"a": A5}, 2),
     ],
 )
@@ -238,8 +360,9 @@ def test_cli_validates_each_input_once(built, capsys, tmp_path, argv, payload, o
     "payload, message",
     [
         ('{"a": [null, 1, 2]}', "entry 1 of 'a' is not a number: null"),
-        ('{"a": [[1], 2, 3]}', "entry 1 of 'a' is not a number: [1]"),
-        ('{"a": [0, 1, 2], "t": [0, {"x": 1}, 2]}', "entry 2 of 't' is not a number: {\"x\": 1}"),
+        # every JSON number is read as a float, nested ones too
+        ('{"a": [[1], 2, 3]}', "entry 1 of 'a' is not a number: [1.0]"),
+        ('{"a": [0, 1, 2], "t": [0, {"x": 1}, 2]}', "entry 2 of 't' is not a number: {\"x\": 1.0}"),
         # JSON booleans and numeric strings are not numbers
         ('{"a": [true, 1, 2]}', "entry 1 of 'a' is not a number: true"),
         ('{"a": [4, 1, false]}', "entry 3 of 'a' is not a number: false"),
@@ -267,7 +390,8 @@ def test_cli_non_numeric_json_entry_is_an_error_report(capsys, tmp_path, payload
         ("a,t\n4,1\nx,2\n", "row 3 of column 'a' is not a number: 'x'"),
         ("a, t\n4,1\n\n1,2\n0,three\n", "row 5 of column 't' is not a number: 'three'"),
         ("a,t\n4,1\n1,2,3\n", "row 3 has more cells than the header has names"),
-        ("a,t\nnan,1\n4,2\n", "row 2 of column 'a' is not finite: 'nan'"),
+        # the library judges finiteness, by the entry's position in its column
+        ("a,t\nnan,1\n4,2\n", "entry 1 of 'a' is not finite: nan"),
         # a column ends at its first blank cell, so no later cell shifts up into its place
         ("a,t\n4,1\n,2\n0,3\n2,\n6,5\n", "row 4 of column 'a' lies below a blank cell"),
         ("a,t\n4,1\n1,2\n0,\n2,4\n", "row 5 of column 't' lies below a blank cell"),
@@ -302,3 +426,46 @@ def test_cli_csv_blanks_that_stay_valid(capsys, tmp_path, argv, text):
     path.write_text(text)
     assert main(argv + ["--input", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["parameters"]["a"] == [4.0, 1.0, 0.0, 2.0, 6.0]
+
+
+# the vectors each command reads, valid; NaN in one of them is an error report naming it
+READS = {
+    ("classify",): {"a": A5},
+    ("check",): {"a": A5},
+    ("check", "--wrt"): {"a": A5, "t": T5},
+    ("witness",): {"a": A5, "s": [-2.0, -1.0, 1.0, 2.0]},
+    ("subdivide", "--alpha", "0", "--beta", "1"): {"a": A5},
+    ("extend",): {"a": A5, "t": T5},
+    ("lupas",): {"a": A5, "b": B5, "t": T5, "p": P5},
+    ("pecaric",): {"a": A5, "b": B5},
+    ("hhf",): {"a": A5, "t": T5, "p": P5},
+    ("niezgoda",): {"a": A5, "p": P5},
+    ("hhf-convex",): {"a": A5, "p": P5},
+    ("majorize",): {"a": A5, "t": T5, "pvec": [2.5, 3.5], "qvec": [1.5, 4.5]},
+    ("majorize", "index"): {"a": A5, "pvec": [2.0, 3.0], "qvec": [1.0, 4.0]},
+    ("diagnose",): {"a": A5, "t": T5},
+}
+# index mode hands pvec and qvec to integer_majorization_check as pidx and qidx
+AS_NAMED = {(("majorize", "index"), "pvec"): "pidx", (("majorize", "index"), "qvec"): "qidx"}
+
+
+@pytest.mark.parametrize("command, vector", [(c, v) for c, payload in READS.items() for v in payload],
+                         ids=lambda x: " ".join(x) if isinstance(x, tuple) else x)
+def test_cli_judges_each_vector_a_command_reads(capsys, tmp_path, command, vector):
+    payload = dict(READS[command])
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    argv = [arg for arg in command if arg != "index"] + ["--input", str(path), "--output", str(tmp_path / "out")]
+    assert main(argv) == 0
+    payload[vector] = [*payload[vector][:-1], math.nan]
+    path.write_text(json.dumps(payload))
+    assert main(argv) == 2
+    message = capsys.readouterr().err.removeprefix("error: ").rstrip("\n")
+    assert names(message, AS_NAMED.get((command, vector), vector)), message
+
+
+def test_cli_echoes_a_vector_the_command_does_not_read(capsys, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text('{"a": [4, 1, 0], "b": [4, 1, 0], "t": [1, 2, 3], "qvec": [NaN]}')
+    assert main(["lupas", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["parameters"]["qvec"] == [None]

@@ -18,10 +18,12 @@ import pytest
 import relconvex
 from relconvex import RealSeq, Tolerance, WeightVec, Witness
 
+# only the modules the import adds: an interpreter's site may load inspect before it
 IMPORT_PROBE = """
 import json, sys
+started = set(sys.modules)
 import relconvex.cli
-print(json.dumps(sorted(name for name in ("dataclasses", "inspect") if name in sys.modules)))
+print(json.dumps(sorted({"dataclasses", "inspect"} & (set(sys.modules) - started))))
 """
 
 
