@@ -29,9 +29,9 @@ from .diagnostics import (
 )
 from .errors import RelConvexError
 from .inequalities import (
+    _at_indices,
     convex_hhf_bounds,
     hhf_bounds,
-    integer_majorization_check,
     lupas_check,
     majorization_inequality_check,
     niezgoda_bound,
@@ -83,8 +83,11 @@ def _load_inputs(path: str) -> dict[str, list[float]]:
             text = fh.read()
     if text.lstrip().startswith("{"):
         data = json.loads(text, object_pairs_hook=_named, parse_int=float)
-        return {k: [_number(k, i, v) for i, v in enumerate(vals, 1)]
-                for k, vals in data.items() if isinstance(vals, list)}
+        return {
+            str(k): [_number(str(k), i, v) for i, v in enumerate(vals, 1)]
+            for k, vals in data.items()
+            if isinstance(vals, list)
+        }
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         raise ValueError("CSV input needs a header row of sequence names")
@@ -258,9 +261,11 @@ def _weighted(what: str, needs: tuple[str, ...], engine: Callable) -> Command:
 
 
 def _majorize(args, a, pvec, qvec):
-    t = (args.inputs["t"],) if "t" in args.inputs else ()
-    engine = majorization_inequality_check if t else integer_majorization_check
-    return engine(a, *t, pvec, qvec, args.tol, skip_verify=args.skip_verify)
+    if "t" in args.inputs:
+        t = args.inputs["t"]
+        return majorization_inequality_check(a, t, pvec, qvec, args.tol, skip_verify=args.skip_verify)
+    # integer_majorization_check, its errors naming the vectors the input gives
+    return _at_indices(a, pvec, qvec, args.tol, args.skip_verify, "pvec qvec")
 
 
 def _diagnose(args, a, t):

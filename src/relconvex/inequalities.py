@@ -387,11 +387,17 @@ def integer_majorization_check(
     Computed as :func:`majorization_inequality_check` at t = (1..n), which
     verifies the preconditions and whose extension is a_i at i exactly.
     """
+    return _at_indices(a, pidx, qidx, tol, skip_verify, "pidx qidx")
+
+
+def _at_indices(a, pidx, qidx, tol: Tolerance, skip_verify: bool, names: str) -> CheckReport:
+    """:func:`integer_majorization_check`, its index and length errors naming the index vectors
+    by the words of ``names``: the CLI reads them from its input as ``pvec`` and ``qvec``."""
     seq = RealSeq.of(a, "a")
     n = len(seq)
     pi, qi = ([_index(i, n, name, k) for k, i in enumerate(_ordered(vec, name), 1)]
-              for name, vec in (("pidx", pidx), ("qidx", qidx)))
-    _same_length("pidx qidx", pi, qi)
+              for name, vec in zip(names.split(), (pidx, qidx)))
+    _same_length(names, pi, qi)
     return majorization_inequality_check(seq, unit_witness(n), pi, qi, tol, skip_verify=skip_verify)
 
 

@@ -131,9 +131,12 @@ def _reals(values, name: str | None = None) -> tuple[float, ...]:
 
 
 def _index(value, n: int, name: str, k: int | None = None) -> int:
-    """``value`` as an index in 1..n: an integral real, such as 2, 2.0 or "2"; else IndexOutOfRange."""
+    """``value`` as an index in 1..n: an integral real, such as 2, 2.0 or "2"; else IndexOutOfRange.
+    An integer beyond float range is shown as the infinity it reads as."""
     try:
-        (i,) = _reals((value,))
+        i = float(value)
+    except OverflowError:
+        i = value = -math.inf if value < 0 else math.inf
     except (TypeError, ValueError):
         i = None
     if i is not None and i.is_integer() and 1 <= i <= n:
@@ -204,7 +207,10 @@ class _Floats:
 
 
 class RealSeq(_Floats):
-    """Finite sequence of finite reals, at least 2 so that differences exist; the payload of every check."""
+    """Finite sequence of finite reals; the payload of every check.
+
+    Length must be at least 2 so the difference operators are defined.
+    """
 
     _min_len = 2
 
@@ -212,28 +218,38 @@ class RealSeq(_Floats):
 class Witness(RealSeq):
     """Strictly increasing abscissae that a sequence's convexity is measured against.
 
-    One rule, judged first: every gap is above ``floor``, 0 in the constructor (for finite
-    floats, exactly strict increase) and ``tol.abs`` in :meth:`of`.  :meth:`of` returns a
-    ``Witness`` unchanged, not judging its gaps at the call's tolerance: the engines for
-    ordinary convexity measure against the unit witness 1..n, whose gaps go unjudged, so at
-    ``tol.abs`` = 2 ``is_convex([3, 1, 2], tol)`` holds where ``is_convex_wrt`` at t = 1..3 raises.
+    One rule, judged first, before length and finiteness: every gap is above a floor, 0 in
+    the constructor (for finite floats, exactly strict increase) and ``tol.abs`` in :meth:`of`.
+    :meth:`of` returns a ``Witness`` unchanged, not judging its gaps at the call's tolerance:
+    the engines for ordinary convexity measure against the unit witness 1..n, whose gaps go
+    unjudged, so at ``tol.abs`` = 2 ``is_convex([3, 1, 2], tol)`` holds where
+    ``is_convex_wrt`` at t = 1..3 raises.
     """
 
     _what = "witness"
 
-    def __init__(self, values: Iterable[float], name: str | None = None, floor: float = 0.0) -> None:
+    def __init__(self, values: Iterable[float], name: str | None = None) -> None:
+        self._build(values, 0.0, name)
+
+    def _build(self, values, floor: float, name: str | None) -> None:
+        """The one build: ``values`` as floats whose every gap is above ``floor`` >= 0."""
         vals = _reals(values, name)
         # all(gt), not min: a NaN gap fails gt, so next() names it too
         if not all(map(gt, _steps(vals), repeat(floor))):
             k, gap = next((k, g) for k, g in enumerate(_steps(vals), 1) if not g > floor)
-            raise WitnessNotIncreasing(f"gap t[{k + 1}] - t[{k}] = {gap!r} is not above "
-                                       f"the strictness tolerance {floor!r}")
+            raise WitnessNotIncreasing(
+                f"gap t[{k + 1}] - t[{k}] = {gap!r} is not above the strictness tolerance {floor!r}"
+            )
         object.__setattr__(self, "values", vals)
         self.__post_init__(name)
 
     @classmethod
     def of(cls, values: WitnessLike, tol: Tolerance = DEFAULT_TOL, name: str | None = None) -> "Witness":
-        return values if isinstance(values, cls) else cls(values, name, tol.abs)
+        if isinstance(values, cls):
+            return values
+        wit = object.__new__(cls)
+        wit._build(values, tol.abs, name)  # a Tolerance keeps tol.abs >= 0
+        return wit
 
 
 class ShapeKind(str, Enum):
@@ -366,8 +382,11 @@ def _remembered(owner: _Floats, memo: str, key, compute, x, y):
 
 @lru_cache(maxsize=1)
 def unit_witness(n: int) -> "Witness":
-    """The witness 1..n of ordinary convexity, cached for the last n: a frozen :class:`Witness` is shared."""
-    return Witness(range(1, n + 1))
+    """The arithmetic witness 1..n, against which ordinary convexity is measured.
+
+    The last n is cached: a :class:`Witness` is frozen, so callers share it.
+    """
+    return Witness(tuple(map(float, range(1, n + 1))))
 
 
 def _steps(v: Sequence[float], over: Sequence[float] | None = None) -> Iterator[float]:
@@ -508,7 +527,9 @@ def construct_witness(
     sched = _Floats.of(s, "s").values
     for k in range(len(sched) - 1):
         if not sched[k + 1] > sched[k]:
-            raise MonotoneError(f"slope schedule 's' not strictly increasing at entry {k + 2}")
+            raise MonotoneError(
+                f"slope schedule 's' not strictly increasing at entry {k + 2}"
+            )
     rises = list(_steps(seq.values))
     strict = rises[:first] + rises[last:]  # the steps outside the block, one schedule entry each
     for k, (d, sk) in enumerate(zip(strict, sched)):
@@ -518,10 +539,13 @@ def construct_witness(
             raise SignError(f"entry {k + 1} of 's' = {sk!r} must be negative on a decrease step")
     if len(sched) < len(strict):
         step = len(sched) + 1 + (last - first if len(sched) >= first else 0)  # numbered among all steps
-        raise LengthMismatch(f"slope schedule 's' exhausted at step {step}: need one entry per strict step")
+        raise LengthMismatch(
+            f"slope schedule 's' exhausted at step {step}: need one entry per strict step"
+        )
     if len(sched) > len(strict):
-        unused = len(sched) - len(strict)
-        raise LengthMismatch(f"slope schedule 's' has {unused} unused entries; need one per strict step")
+        raise LengthMismatch(
+            f"slope schedule 's' has {len(sched) - len(strict)} unused entries; need one per strict step"
+        )
     gaps = list(map(truediv, strict, sched))
     gaps[first:first] = repeat(plateau_step, last - first)
     return Witness.of(list(accumulate(gaps, initial=t1)), tol)

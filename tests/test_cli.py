@@ -336,6 +336,9 @@ NOT_CONVEX = '"a is not convex: interior index 2 sits above its neighbour midpoi
     (0, ["niezgoda", "--psi", "relu@0.5"], f"{{{A5}}}", '"verdict": "holds"'),
     (0, ["hhf-convex", "--psi", "exp"], f"{{{A5}}}", '"verdict": "holds"'),
     (0, ["majorize"], f'{{{A5}, "pvec": [2, 2], "qvec": [1, 3]}}', '"verdict": "holds"'),
+    # without t the vectors are indices, and their errors name them as the input does
+    (2, ["majorize"], f'{{{A5}, "pvec": [2, 2], "qvec": [1, 3, 2]}}', '"|pvec| = 2 but |qvec| = 3"'),
+    (2, ["majorize"], f'{{{A5}, "pvec": [2, 2.5], "qvec": [1, 3]}}', '"pvec[2] = 2.5 is not an integer index in 1..5"'),
     (2, ["pecaric"], '{"a": [0, 3, 1, 4], "b": [9, 4, 1, 0]}', NOT_CONVEX),
     # at t = 1..n the witnessed engine words its precondition as ordinary convexity
     (2, ["lupas"], f'{{"a": [0, 3, 1, 4, 9], {B5}, {T5}}}', NOT_CONVEX),

@@ -144,6 +144,9 @@ def test_witness_rejects_non_increasing_input_by_position():
     with pytest.raises(WitnessNotIncreasing,
                        match=r"^gap t\[3\] - t\[2\] = -1.0 is not above the strictness tolerance 0.0$"):
         Witness((0.0, 2.0, 1.0))
+    # the constructor's floor is 0, fixed: no caller passes one that lets a decrease through
+    with pytest.raises(TypeError):
+        Witness([2.0, 1.0], None, -5.0)
     with pytest.raises(WitnessNotIncreasing, match=r"gap t\[3\] - t\[2\] = nan"):
         Witness.of([0.0, 1.0, math.nan, 3.0])
 

@@ -5,6 +5,7 @@ validation done once per input, by the library alone."""
 
 import json
 import math
+import re
 
 import pytest
 
@@ -178,23 +179,28 @@ def test_an_input_that_is_no_ordered_sequence_of_reals_is_a_type_error(name, bad
 
 
 def names(message: str, arg: str) -> bool:
-    """Whether ``message`` names the argument ``arg``: as 'a', a[k] or |a|."""
-    return any(form in message for form in (f"'{arg}'", f"{arg}[", f"|{arg}|"))
+    """Whether ``message`` names the argument ``arg``: as 'a' or |a|, or, about one entry, as a[k] first.
+    A NaN in a witness is the exception: the gap rule speaks first, and says t[k] whatever the name."""
+    return f"'{arg}'" in message or f"|{arg}|" in message or message.startswith(f"{arg}[") or (
+        arg == "t" and re.fullmatch(r"gap t\[\d+\] - t\[\d+\] = nan is not above .+", message) is not None)
+
+
+BAD = {
+    "nan": lambda good: [*good[:-1], math.nan],
+    "inf": lambda good: [*good[:-1], math.inf],
+    "single": lambda good: good[:1],
+    "huge_int": lambda good: [*good[:-1], 10**400],
+    "string": lambda good: [*good[:-1], "x"],
+}
 
 
 @pytest.mark.parametrize("name", sorted(k for k, (_, arg, _) in CONVERTERS.items() if arg))
-@pytest.mark.parametrize("bad", [
-    lambda good: [*good[:-1], math.nan],
-    lambda good: [*good[:-1], math.inf],
-    lambda good: good[:1],
-    lambda good: [*good[:-1], 10**400],
-    lambda good: [*good[:-1], "x"],
-], ids=["nan", "inf", "single", "huge_int", "string"])
+@pytest.mark.parametrize("bad", BAD)
 def test_every_validation_error_names_its_argument(name, bad):
     call, arg, good = CONVERTERS[name]
     call(good)
     with pytest.raises((RelConvexError, ValueError, TypeError)) as err:
-        call(bad(good))
+        call(BAD[bad](good))
     assert names(str(err.value), arg), str(err.value)
 
 
@@ -275,14 +281,19 @@ def test_nan_pvec_lies_outside_the_witness_range():
         majorization_inequality_check(A3, T3, [2.0, math.nan], [1.0, 3.0])
 
 
-@pytest.mark.parametrize("bad", [None, "x", 10**400, -(10**400), 2.5, "2.5", math.nan, 0, 9])
-def test_one_index_rule_for_anchors_and_index_vectors(bad):
-    # 2, 2.0 and "2" are one index; anything else is IndexOutOfRange naming the anchor or pidx[k]
+@pytest.mark.parametrize("bad, shown", [
+    (None, "None"), ("x", "'x'"), (10**400, "inf"), (-(10**400), "-inf"), (10**5000, "inf"),
+    (2.5, "2.5"), ("2.5", None), (math.nan, "nan"), (0, None), (9, None),
+], ids=["None", "x", "huge", "-huge", "huge_5000_digits", "2.5", "'2.5'", "nan", "0", "9"])
+def test_one_index_rule_for_anchors_and_index_vectors(bad, shown):
+    # 2, 2.0 and "2" are one index; anything else is IndexOutOfRange naming the anchor or pidx[k],
+    # an integer beyond float range (whose repr may exceed the digit limit) as the inf it reads as
     a, t = [4.0, 1.0, 0.0, 2.0, 6.0], [1.0, 2.0, 3.0, 4.0, 5.0]
     assert anchored_slope_check(a, t, "2") == anchored_slope_check(a, t, 2.0) == anchored_slope_check(a, t, 2)
-    with pytest.raises(IndexOutOfRange, match=r"^anchor .+ is not an integer index in 1\.\.4$"):
+    shown = ".+" if shown is None else re.escape(shown)
+    with pytest.raises(IndexOutOfRange, match=rf"^anchor {shown} is not an integer index in 1\.\.4$"):
         anchored_slope_check(a, t, bad)
-    with pytest.raises(IndexOutOfRange, match=r"^pidx\[2\] = .+ is not an integer index in 1\.\.5$"):
+    with pytest.raises(IndexOutOfRange, match=rf"^pidx\[2\] = {shown} is not an integer index in 1\.\.5$"):
         integer_majorization_check(a, [2, bad], [1, 3])
 
 
@@ -445,8 +456,6 @@ READS = {
     ("majorize", "index"): {"a": A5, "pvec": [2.0, 3.0], "qvec": [1.0, 4.0]},
     ("diagnose",): {"a": A5, "t": T5},
 }
-# index mode hands pvec and qvec to integer_majorization_check as pidx and qidx
-AS_NAMED = {(("majorize", "index"), "pvec"): "pidx", (("majorize", "index"), "qvec"): "qidx"}
 
 
 @pytest.mark.parametrize("command, vector", [(c, v) for c, payload in READS.items() for v in payload],
@@ -461,7 +470,7 @@ def test_cli_judges_each_vector_a_command_reads(capsys, tmp_path, command, vecto
     path.write_text(json.dumps(payload))
     assert main(argv) == 2
     message = capsys.readouterr().err.removeprefix("error: ").rstrip("\n")
-    assert names(message, AS_NAMED.get((command, vector), vector)), message
+    assert names(message, vector), message
 
 
 def test_cli_echoes_a_vector_the_command_does_not_read(capsys, tmp_path):
