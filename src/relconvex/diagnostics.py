@@ -20,10 +20,12 @@ its loops at any size.
 numpy computes a block of consecutive rows (anchors, or first indices) at a
 time, as many as ``_BLOCK_ELEMENTS`` holds, in buffers that every block of
 the scan shares.  Each element takes the IEEE operations of its loop in the
-same order.  A block whose rows all plainly hold (finite operands, no
-negative or NaN gap) is one report; in any other block, every row that does
-not plainly hold is judged by ``scan_margin`` at its own scale, so the
-reports and errors are the same on either path.  Measured on 2 shared vCPUs,
+same order.  Every block is one report: its first smallest gap and, unless
+its rows all plainly hold (finite operands, no negative or NaN gap), its
+first gap below its row's threshold, judged as arrays at each row's own
+scale with the operations of ``scan_margin``; only a row that raises (an inf
+or NaN operand, a NaN gap) goes to ``scan_margin`` itself, so the reports and
+errors are the same on either path.  Measured on 2 shared vCPUs,
 numpy's blocks pay for its import from about 4e5 gaps (anchored, n ~ 900)
 and 3e5 (all triples, n ~ 125).
 """
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import accumulate, chain, combinations, count, repeat
+from itertools import accumulate, chain, combinations, count
 from operator import mul, truediv
 from typing import NamedTuple
 
@@ -184,7 +186,7 @@ def _triple_blocks(np, av, tv, tol: Tolerance, scale):
     (m > l) are a suffix of them, so a block's rows share the columns of its
     first row's suffix.  Row l computes each of these determinants with the
     IEEE operations of the loop in the same order, and the pairs m <= l before
-    its own suffix are masked (see :func:`_block_reports`).
+    its own suffix are masked (see :func:`_block_report`).
     """
     n = len(av)
     A, T = np.array(av), np.array(tv)
@@ -198,6 +200,7 @@ def _triple_blocks(np, av, tv, tol: Tolerance, scale):
     dets_buf, term_buf, work = np.empty(size), np.empty(size), np.empty(size, bool)
     # a block masks fewer columns than its first row has, and that row has at most all pairs
     cols = np.arange(min(pairs, _BLOCK_ELEMENTS))
+    top = np.full(n - 2, scale[0])  # every row's extremes: the one scale of the scan
     for l0, l1 in _spans(n - 2, lambda l: pairs - starts[l]):
         s = starts[l0]
         shape = (l1 - l0, pairs - s)
@@ -208,13 +211,12 @@ def _triple_blocks(np, av, tv, tol: Tolerance, scale):
         np.subtract(tm[None, s:], t_l, out=term)
         dets += np.multiply(term, ak[None, s:], out=term)
 
-        def labels(b, at):
-            at = at + starts[l0 + b]
-            return zip(repeat(l0 + b + 1), (M[at] + 1).tolist(), (K[at] + 1).tolist())
+        def extremes(foreign):
+            return top[l0:l1], top[l0:l1]
 
         offsets = [start - s for start in starts[l0:l1]]
-        yield from _block_reports(np, dets, offsets, [True] * (l1 - l0), tol, lambda b: scale, labels,
-                                  work, cols)
+        yield _block_report(np, dets, offsets, True, tol, extremes,
+                            lambda b, c: (l0 + b + 1, M.item(s + c) + 1, K.item(s + c) + 1), work, cols)
 
 
 def anchored_slope_check(
@@ -249,7 +251,7 @@ def _anchored_blocks(np, av, tv, tol: Tolerance):
     row s0 computes (a_i - a_s0) / (t_i - t_s0) and the gaps between its
     neighbouring slopes with the IEEE operations of the loop in the same
     order, and the gaps of i <= s0 + 1, which are not its own, are masked
-    (see :func:`_block_reports`).
+    (see :func:`_block_report`).
     """
     n = len(av)
     A, T = np.array(av), np.array(tv)
@@ -267,10 +269,18 @@ def _anchored_blocks(np, av, tv, tol: Tolerance):
         runs = np.subtract(T[None, r0 + 1:], _column(T, r0, r1), out=_rows(gaps_buf, (rows, w)))
         np.divide(slopes, runs, out=slopes)
         gaps = np.subtract(slopes[:, 1:], slopes[:, :-1], out=_rows(gaps_buf, (rows, w - 1)))
-        # the extremes of row b's slopes give the scale of all of them, a NaN among them included
-        yield from _block_reports(np, gaps, range(rows), finite[r0:r1], tol,
-                                  lambda b: (float(slopes[b, b:].max()), float(slopes[b, b:].min())),
-                                  lambda b, at: (at + (r0 + b + 3)).tolist(), work, cols)
+
+        def extremes(foreign):
+            # the extremes of each row's own slopes give its scale, a NaN among them included
+            ends = []
+            for hidden, reduce in ((-math.inf, np.maximum.reduce), (math.inf, np.minimum.reduce)):
+                if foreign is not None:
+                    np.copyto(slopes[:, :foreign.shape[1]], hidden, where=foreign)
+                ends.append(reduce(slopes, axis=1))
+            return ends
+
+        yield _block_report(np, gaps, range(rows), all(finite[r0:r1]), tol, extremes,
+                            lambda b, c: r0 + 3 + c, work, cols)
 
 
 def anchored_slope_check_all(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -291,12 +301,12 @@ def anchored_slope_check_all(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAUL
 
 
 def _scan(gaps: int, tol: Tolerance, loop_rows, numpy_blocks) -> CheckReport:
-    """A super-linear scan of ``gaps`` gaps as the conjunction of its row reports:
-    the first row violation and the smallest margin (the first of equal ones).
+    """A super-linear scan of ``gaps`` gaps as the conjunction of its reports, one per row
+    or per block of rows: the first violation and the smallest margin (the first of equal ones).
 
-    The one path rule of the scans: ``numpy_blocks(np)`` yields the reports when numpy
+    The one path rule of the scans: ``numpy_blocks(np)`` yields a report per block when numpy
     is loaded, or imports (about 0.1 s) from ``_NUMPY_IMPORT_CUTOFF`` gaps, and
-    ``loop_rows()`` lists them otherwise, at any size.  The blocks run without
+    ``loop_rows()`` lists a report per row otherwise, at any size.  The blocks run without
     floating-point warnings (the scans judge their inf and NaN) and with the smallest
     ufunc buffer, through which numpy would copy the operands of a broadcast 2-D
     operation with rows narrower than about a third of it (8,192 elements by
@@ -343,46 +353,52 @@ def _rows(buf, shape):
     return buf[:shape[0] * shape[1]].reshape(shape)
 
 
-def _block_reports(np, gaps, offsets, finite, tol: Tolerance, operands, labels, work, cols):
-    """The reports of a block of rows, row b being ``gaps[b, offsets[b]:]``.
+def _block_report(np, gaps, offsets, finite: bool, tol: Tolerance, extremes, label, work, cols):
+    """The report of a block of rows, row b being ``gaps[b, offsets[b]:]``, folded as :func:`_scan`
+    folds row reports: the first violation and the first smallest margin, in scan order.
 
     The entries before a row's own are first set to +inf (through the boolean
     buffer ``work`` and ``cols``, an ``arange`` at least as long as the widest
-    such prefix), so they are never a smallest gap.  A row plainly holds when its
-    operands are finite (``finite[b]``) and its first smallest gap is
-    non-negative (argmin finds the first of equal minima, ±0.0 ties included,
-    as ``min()`` keeps it).  When every row does, the block is one report
-    whose margin is the block's first smallest gap, as folding the rows would
-    keep it.  Otherwise each row that plainly holds is one report, and each
-    other row is judged, in scan order, as :func:`relconvex.seqcore.scan_margin`
-    judges it as a list: at the scale of ``operands(b)``, its gaps at the
-    positions ``at`` labelled ``labels(b, at)``.  The row goes to ``scan_margin``
-    as its negative and NaN gaps only: they alone can be the margin, a violation
-    or a NaN error, and a non-finite operand raises whatever the gaps are.
+    such prefix), so they are never a smallest gap or a violation.  The margin
+    is the block's first smallest gap (argmin finds the first of equal minima,
+    ±0.0 ties included, as ``min()`` keeps it, and the first NaN).  With
+    ``finite`` operands and a non-negative margin the block holds.  Otherwise
+    ``extremes(foreign)`` gives each row's largest and smallest operand, as
+    arrays over the rows (``foreign`` masks the +inf entries, or is None), and
+    every row is judged as :func:`relconvex.seqcore.scan_margin` judges it: its
+    threshold is ``Tolerance.allowed`` at its scale, negated, in the same IEEE
+    operations, and its first violation is its first gap below that, labelled
+    ``label(b, c)`` at block column c.  A row with an inf or NaN scale or a NaN
+    gap raises in ``scan_margin``, so the first such row goes there, as its
+    negative and NaN gaps, and raises what its stdlib row raises.
     A per-gap weight that judges each gap at the slope test's scale (ROADMAP.md,
     "One tolerance rule for every characterization") must enter this judge, the
     blocks and the stdlib rows together, as one more factor of each gap.
     """
-    rows = len(gaps)
+    rows, width = gaps.shape
     cut = offsets[-1]
+    foreign = None
     if cut:
         foreign = np.less(cols[:cut], np.array(offsets)[:, None], out=_rows(work, (rows, cut)))
         np.copyto(gaps[:, :cut], math.inf, where=foreign)
     # a block without columns is the anchored scan's last row alone, with one slope
-    margin = gaps.item(gaps.argmin()) if gaps.size else math.inf
-    if all(finite) and margin >= 0:
-        return [CheckReport(True, None, margin, tol)]
-    margins = gaps[range(rows), gaps.argmin(axis=1)].tolist() if rows > 1 else [margin]
-    reports = []
-    for b, (ok, row_margin) in enumerate(zip(finite, margins)):
-        first = None
-        if not (ok and row_margin >= 0):
-            row = gaps[b, offsets[b]:]
-            bad = work[:row.size]
-            at = np.logical_not(np.greater_equal(row, 0.0, out=bad), out=bad).nonzero()[0]
-            first, row_margin = scan_margin(row[at].tolist(), tol, operands(b), labels(b, at))
-        reports.append(CheckReport(first is None, first, row_margin, tol))
-    return reports
+    at = int(gaps.argmin()) if gaps.size else 0
+    margin = gaps.item(at) if gaps.size else math.inf
+    if finite and margin >= 0:
+        return CheckReport(True, None, margin, tol)
+    hi, lo = extremes(foreign)
+    scale = np.maximum(hi, np.negative(lo))
+    # a NaN margin is the block's first NaN gap, so its row is the first row with one
+    raising = np.flatnonzero(~(scale < math.inf)).tolist() + ([at // width] if math.isnan(margin) else [])
+    if raising:
+        b = min(raising)
+        bad = np.flatnonzero(~(gaps[b] >= 0.0))
+        scan_margin(gaps[b, bad].tolist(), tol, (hi.item(b), lo.item(b)), (label(b, c) for c in bad.tolist()))
+    threshold = np.negative(tol.abs + tol.rel * np.abs(scale))
+    below = np.less(gaps, threshold[:, None], out=_rows(work, (rows, width)))
+    hit = int(below.argmax())
+    first = label(*divmod(hit, width)) if below.item(hit) else None
+    return CheckReport(first is None, first, margin, tol)
 
 
 def psi_preservation_check(

@@ -515,7 +515,9 @@ def construct_witness(
     advances by the fixed ``plateau_step``.  The schedule must be strictly
     increasing and have exactly one entry per strict step.  The result's
     slope sequence is ``s`` interleaved with zeros on the plateau, hence
-    non-decreasing.
+    non-decreasing.  A recursion that overflows is WitnessNotIncreasing,
+    naming the step and the entry of ``s`` (or the plateau step) that
+    takes t to inf.
     """
     seq = RealSeq.of(a, "a")
     first, last = _minimal_block(seq, tol)
@@ -548,7 +550,18 @@ def construct_witness(
         )
     gaps = list(map(truediv, strict, sched))
     gaps[first:first] = repeat(plateau_step, last - first)
-    return Witness.of(list(accumulate(gaps, initial=t1)), tol)
+    t = list(accumulate(gaps, initial=t1))
+    # every gap is positive or zero, so t stays infinite from the step that overflows on
+    if not math.isfinite(t[-1]):
+        k = next(k for k, v in enumerate(t) if not math.isfinite(v))  # step k takes t[k - 1] to t[k]
+        if first < k <= last:
+            cause, rise = f"the plateau step {plateau_step!r}", f"{plateau_step!r}"
+        else:
+            j = k if k <= first else k - (last - first)
+            cause, rise = f"entry {j} of 's' = {sched[j - 1]!r}", f"{strict[j - 1]!r} / {sched[j - 1]!r}"
+        raise WitnessNotIncreasing(f"{cause} overflows the slope recursion at step {k}: "
+                                   f"{t[k - 1]!r} + {rise} = {t[k]!r}")
+    return Witness.of(t, tol)
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:

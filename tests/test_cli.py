@@ -137,6 +137,17 @@ def test_witness_with_an_empty_schedule_is_an_error(tmp_path, capsys):
         "slope schedule 's' exhausted at step 1: need one entry per strict step")
 
 
+def test_witness_whose_recursion_overflows_names_the_schedule(tmp_path, capsys):
+    # the schedule's -2 / -1e-308 overflows: the error names s, not the gaps of a t never passed
+    path = write_json(tmp_path, "w.json", {"a": [3, 1, 2], "s": [-1e-308, 1e-308]})
+    code, out = run_cli(capsys, ["witness", "--input", path])
+    assert code == 2
+    report = json.loads(out)
+    assert report["verdict"] == "error"
+    assert report["margin_or_slacks"]["message"] == (
+        "entry 1 of 's' = -1e-308 overflows the slope recursion at step 1: 0.0 + -2.0 / -1e-308 = inf")
+
+
 def test_report_to_output_file(tmp_path, capsys):
     path = write_json(tmp_path, "c.json", {"a": [4, 1, 0, 2, 6]})
     dest = tmp_path / "report.json"

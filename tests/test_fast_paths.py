@@ -43,7 +43,7 @@ import sys
 import warnings
 import weakref
 from pathlib import Path
-from itertools import accumulate, combinations, count, product
+from itertools import accumulate, chain, combinations, count, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -607,15 +607,67 @@ def test_a_nan_row_after_a_violating_row_raises():
     rows = ([-5.0, 1.0, 4.0], [2.0, math.nan, -1.0])
 
     def judged(rows, offsets):
-        return diagnostics._block_reports(np, np.array(rows), offsets, [True] * len(rows), DEFAULT_TOL,
-                                          lambda b: (1.0,), lambda b, at: (at + (b + 1)).tolist(),
-                                          np.empty(3, bool), np.arange(3))
+        ones = np.ones(len(rows))
+        return diagnostics._block_report(np, np.array(rows), offsets, True, DEFAULT_TOL,
+                                         lambda foreign: (ones, ones), lambda b, c: c + 1,
+                                         np.empty(6, bool), np.arange(3))
 
     with pytest.raises(NonFiniteArithmetic, match="gap 2 is NaN"):
         judged(rows, [0, 1])
     with pytest.raises(NonFiniteArithmetic, match="gap 2 is NaN"):
         [scan_margin(row, DEFAULT_TOL, (1.0,)) for row in rows]
-    assert judged(rows[:1], [0]) == [CheckReport(False, 1, -5.0, DEFAULT_TOL)]
+    assert judged(rows[:1], [0]) == CheckReport(False, 1, -5.0, DEFAULT_TOL)
+
+
+def fold(reports, tol):
+    """The conjunction of row reports as ``diagnostics._scan`` takes it: the first violation and
+    the smallest margin, the first of equal ones."""
+    first = next((rep.first_violation for rep in reports if not rep.holds), None)
+    return CheckReport(first is None, first, min((rep.margin for rep in reports), default=math.inf), tol)
+
+
+def judged_rows(rows, operands, tol):
+    """The rows judged one by one by ``scan_margin`` and folded; labels are (row, position)."""
+    reports = []
+    for b, (row, ops) in enumerate(zip(rows, operands)):
+        first, margin = scan_margin(row, tol, ops, ((b, p) for p in count()))
+        reports.append(CheckReport(first is None, first, margin, tol))
+    return fold(reports, tol)
+
+
+block_floats = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, -1e-9, -1.5e-9, -1e-3, math.nan, math.inf, -math.inf, 1e308, -1e308]),
+)
+
+
+def test_the_block_judge_equals_its_rows_judged_one_by_one():
+    np = pytest.importorskip("numpy")
+
+    def judged_block(rows, offsets, operands, tol):
+        # a block as the scans lay it out: row b's own gaps start at offsets[b] (non-decreasing),
+        # and the columns before them hold other rows' gaps (NaN here, as a slope 0 / 0 gives);
+        # each row's extremes are taken as the scans take them, a NaN propagating
+        width = len(rows[0])
+        gaps = np.array([[math.nan] * (width - len(row)) + row for row in rows])
+        hi, lo = (np.array([pick(ops) for ops in operands]) for pick in (np.max, np.min))
+        finite = all(map(math.isfinite, chain.from_iterable(operands)))
+        with np.errstate(all="ignore"):  # as diagnostics._scan runs the blocks
+            return diagnostics._block_report(np, gaps, offsets, finite, tol, lambda foreign: (hi, lo),
+                                             lambda b, c: (b, c - offsets[b]), np.empty(gaps.size, bool),
+                                             np.arange(width))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data(), st.sampled_from(KERNEL_TOLS))
+    def judge(data, tol):
+        width = data.draw(st.integers(1, 6))
+        offsets = [0] + sorted(data.draw(st.lists(st.integers(0, width - 1), max_size=4)))
+        rows = [data.draw(st.lists(block_floats, min_size=width - o, max_size=width - o)) for o in offsets]
+        operands = [data.draw(st.lists(st.one_of(st.floats(-1e3, 1e3), block_floats), min_size=1, max_size=3))
+                    for _ in offsets]
+        assert outcome(judged_block, rows, offsets, operands, tol) == outcome(judged_rows, rows, operands, tol)
+
+    judge()
 
 
 @pytest.mark.parametrize("name", sorted(SCANS))
@@ -678,6 +730,39 @@ def test_a_loaded_numpy_computes_the_blocks_at_any_size(name, monkeypatch):
     assert loaded[0].startswith("CheckReport(holds=True,")
 
 
+@pytest.mark.parametrize("tail, calls, want", [
+    ([], 0, "CheckReport(holds=False, first_violation=192,"),
+    ([-1e308, 1e308], 1, (NonFiniteArithmetic, "compared quantities reach inf")),
+])
+def test_the_numpy_anchored_scan_judges_finite_rows_without_scan_margin(tail, calls, want, monkeypatch):
+    # i² at n = 200 lifted by n² at 0-based n - 10: every anchor before it violates, and each
+    # block is judged as arrays; with an overflowing tail, the last anchor's one slope is inf,
+    # and that row alone goes to scan_margin, which raises
+    pytest.importorskip("numpy")
+    n = 200
+    a = [float(i * i) for i in range(n)]
+    a[n - 10] += float(n * n)
+    a[n - len(tail):] = tail
+    t = [float(i) for i in range(n)]
+    counted = {"scan_margin": 0, "_block_report": 0}
+
+    def spy(name):
+        original = getattr(diagnostics, name)
+
+        def spied(*args):
+            counted[name] += 1
+            return original(*args)
+        return spied
+
+    for name in counted:
+        monkeypatch.setattr(diagnostics, name, spy(name))
+    loaded = outcome(anchored_slope_check_all, a, t, DEFAULT_TOL)
+    blocks = len(list(diagnostics._spans(n - 1, lambda r: n - 1 - r)))
+    assert blocks > 1 and counted == {"scan_margin": calls, "_block_report": blocks}
+    assert loaded == with_cutoffs(math.inf, anchored_slope_check_all, a, t, DEFAULT_TOL)
+    assert loaded[0] == want if calls else loaded[0].startswith(want)
+
+
 def block_boundary_pairs():
     """Pairs whose numpy scans span many blocks at tiny budgets: seeded ``corpus_pair`` draws, then at
     n = 50 and 130 (t = 0..n-1 unless said otherwise):
@@ -691,7 +776,12 @@ def block_boundary_pairs():
     * zeros ending in -1e308, 0, 1e308: the rows before anchor n - 3 violate, and its slopes 1e308
       and inf have a non-negative gap, so only its last slope says that it raises;
     * ±0.0 patterns whose first zero margin is -0.0 (anchored, then all triples) in the first
-      block, or 0.0 in the first block and -0.0 first in a later one.
+      block, or 0.0 in the first block and -0.0 first in a later one;
+    * i² lifted by n² at 0-based 2 (the first rows violate) and at n - 3 (every row before it
+      violates), so whole blocks are judged as violated;
+    * zeros ending in -1e300, 0.0, 0.0, -0.0, 1e301, the last t step 1e-8: in the last block at a
+      budget of 64 (anchors n - 5 .. n - 2), anchor n - 5 violates (as the anchors before n - 6 do),
+      anchor n - 4 has the margin -0.0, and the last anchor's one slope overflows, so it raises.
     """
     rng = random.Random(5)
     pairs = [corpus_pair(rng) for _ in range(40)]
@@ -708,6 +798,11 @@ def block_boundary_pairs():
                   ([0.0] * (n - 3) + [-1e308, 0.0, 1e308], t),
                   ([0.0, 0.0, -0.0] + [0.0] * (n - 3), t), ([-0.0, 0.0, -0.0] + [0.0] * (n - 3), t),
                   ([0.0] * (n - 3) + [-0.0, 0.0, -0.0], t)]
+        for at in (2, n - 3):
+            lifted = list(square)
+            lifted[at] += float(n * n)
+            pairs.append((lifted, t))
+        pairs.append(([0.0] * (n - 5) + [-1e300, 0.0, 0.0, -0.0, 1e301], t[:-1] + [n - 2 + 1e-8]))
     return pairs
 
 
@@ -723,12 +818,16 @@ def test_numpy_blocks_equal_the_stdlib_rows_at_any_block_budget(name, monkeypatc
         monkeypatch.setattr(diagnostics, "_BLOCK_ELEMENTS", budget)
         for (a, t), want in zip(BLOCK_BOUNDARY_PAIRS, stdlib):
             assert with_cutoffs(0, SCANS[name], a, t, DEFAULT_TOL) == want, (budget, a, t)
-    late, overflow, nan_row, last_slope, *zeros = (result for result, _ in stdlib[40:47])
+    late, overflow, nan_row, last_slope, *zeros, early, most, mixed = (result for result, _ in stdlib[40:50])
     first = "47," if name == "anchored" else "(44,"
     assert late.startswith("CheckReport(holds=False, first_violation=" + first)
+    first = "4," if name == "anchored" else "(1, 3, 4)"
+    assert early.startswith("CheckReport(holds=False, first_violation=" + first)
+    first = "49," if name == "anchored" else "(1, 48, 49)"
+    assert most.startswith("CheckReport(holds=False, first_violation=" + first)
     if name == "anchored":
-        assert [overflow, nan_row, last_slope] == [(NonFiniteArithmetic, f"compared quantities reach {scale}")
-                                                   for scale in ("inf", "nan", "inf")]
+        assert [overflow, nan_row, last_slope, mixed] == [
+            (NonFiniteArithmetic, f"compared quantities reach {scale}") for scale in ("inf", "nan", "inf", "inf")]
         assert ["margin=-0.0," in zero for zero in zeros] == [True, False, False]
     else:
         assert ["margin=-0.0," in zero for zero in zeros] == [False, True, False]

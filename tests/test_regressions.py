@@ -3,7 +3,7 @@ guard and covariance sums, CLI robustness on arithmetic overflow and
 non-finite values, the pair generator at large n, the finite "not
 applicable" report and the interval witness at every length, on steep runs
 and on intervals too narrow or too wide to subdivide or with an end that is
-not finite."""
+not finite, and a slope recursion that overflows."""
 
 import hashlib
 import json
@@ -21,6 +21,7 @@ from relconvex import (
     anchored_slope_check_all,
     bounded_monotone_diagnostic,
     collinearity_determinant_check,
+    construct_witness,
     construct_witness_on_interval,
     cov_functional,
     increment_growth_check,
@@ -349,3 +350,19 @@ def test_cli_check_margin_of_an_overflowing_increment_is_null(capsys, tmp_path):
     report = strict_json(out)
     assert report["verdict"] == "violated"
     assert report["margin_or_slacks"] == {"first_violation": 2, "margin": None}
+
+
+@pytest.mark.parametrize("a, s, kwargs, message", [
+    # -2 / -1e-308 overflows at once; the caller passed no t, so its gaps are not named
+    ([3, 1, 2], [-1e-308, 1e-308], {},
+     "entry 1 of 's' = -1e-308 overflows the slope recursion at step 1: 0.0 + -2.0 / -1e-308 = inf"),
+    # finite gaps whose sum overflows, after a plateau step
+    ([3, 1, 1, 2], [-1.0, 1e-308], {"t1": 1e308},
+     "entry 2 of 's' = 1e-308 overflows the slope recursion at step 3: 1e+308 + 1.0 / 1e-308 = inf"),
+    ([3, 1, 1, 2], [-1.0, 1.0], {"plateau_step": math.inf},
+     "the plateau step inf overflows the slope recursion at step 2: 2.0 + inf = inf"),
+])
+def test_a_slope_recursion_that_overflows_names_its_schedule_entry(a, s, kwargs, message):
+    with pytest.raises(WitnessNotIncreasing) as caught:
+        construct_witness(a, s, **kwargs)
+    assert str(caught.value) == message
