@@ -18,16 +18,16 @@ otherwise; a scan of 2**19 gaps or more imports numpy first (about 0.1 s),
 so a scan below that size never loads numpy and a scan without numpy runs
 its loops at any size.
 numpy computes a block of consecutive rows (anchors, or first indices) at a
-time, as many as ``_BLOCK_ELEMENTS`` holds, in buffers that every block of
-the scan shares.  Each element takes the IEEE operations of its loop in the
-same order.  Every block is one report: its first smallest gap and, unless
-its rows all plainly hold (finite operands, no negative or NaN gap), its
-first gap below its row's threshold, judged as arrays at each row's own
-scale with the operations of ``scan_margin``; only a row that raises (an inf
-or NaN operand, a NaN gap) goes to ``scan_margin`` itself, so the reports and
-errors are the same on either path.  Measured on 2 shared vCPUs,
-numpy's blocks pay for its import from about 4e5 gaps (anchored, n ~ 900)
-and 3e5 (all triples, n ~ 125).
+time, as many as ``_BLOCK_ELEMENTS`` holds, in arrays of the block's own, so
+a scan holds one block of gaps at a time.  Each element takes the IEEE
+operations of its loop in the same order.  Every block is one report: its
+first smallest gap and, unless its rows all plainly hold (finite operands,
+no negative or NaN gap), its first gap below its row's threshold, judged as
+arrays at each row's own scale with the operations of ``scan_margin``; only
+a row that raises (an inf or NaN operand, a NaN gap) goes to ``scan_margin``
+itself, so the reports and errors are the same on either path.  Measured on
+2 shared vCPUs, numpy's blocks pay for its import from about 4e5 gaps
+(anchored, n ~ 900) and 3e5 (all triples, n ~ 125).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ _EXACT = Tolerance(abs=0.0, rel=0.0)
 _NUMPY_IMPORT_CUTOFF = 2**19
 
 #: Elements in one block of consecutive rows of a numpy scan (one row at
-#: least), and in each of the buffers that every block of a scan shares.
+#: least): the size of each of the block's arrays.
 _BLOCK_ELEMENTS = 2**13
 
 
@@ -196,27 +196,24 @@ def _triple_blocks(np, av, tv, tol: Tolerance, scale):
     pairs = span.size
     # the suffix of row l starts after the n - 1 - j pairs of every first index j <= l
     starts = list(accumulate(range(n - 1, 1, -1)))
-    size = max(_BLOCK_ELEMENTS, pairs - (n - 1))
-    dets_buf, term_buf, work = np.empty(size), np.empty(size), np.empty(size, bool)
-    # a block masks fewer columns than its first row has, and that row has at most all pairs
-    cols = np.arange(min(pairs, _BLOCK_ELEMENTS))
     top = np.full(n - 2, scale[0])  # every row's extremes: the one scale of the scan
     for l0, l1 in _spans(n - 2, lambda l: pairs - starts[l]):
         s = starts[l0]
-        shape = (l1 - l0, pairs - s)
-        a_l, t_l = _column(A, l0, l1), _column(T, l0, l1)
-        dets = np.multiply(span[None, s:], a_l, out=_rows(dets_buf, shape))
-        term = np.subtract(tk[None, s:], t_l, out=_rows(term_buf, shape))
-        dets -= np.multiply(term, am[None, s:], out=term)
-        np.subtract(tm[None, s:], t_l, out=term)
-        dets += np.multiply(term, ak[None, s:], out=term)
+        a_l, t_l = A[l0:l1, None], T[l0:l1, None]
+        dets = span[s:] * a_l
+        term = tk[s:] - t_l
+        term *= am[s:]
+        dets -= term
+        np.subtract(tm[s:], t_l, out=term)
+        term *= ak[s:]
+        dets += term
 
         def extremes(foreign):
             return top[l0:l1], top[l0:l1]
 
         offsets = [start - s for start in starts[l0:l1]]
         yield _block_report(np, dets, offsets, True, tol, extremes,
-                            lambda b, c: (l0 + b + 1, M.item(s + c) + 1, K.item(s + c) + 1), work, cols)
+                            lambda b, c: (l0 + b + 1, M.item(s + c) + 1, K.item(s + c) + 1))
 
 
 def anchored_slope_check(
@@ -259,16 +256,10 @@ def _anchored_blocks(np, av, tv, tol: Tolerance):
     # are finite: an inf or NaN slope between them makes a gap beside it negative or NaN
     firsts, lasts = np.diff(A) / np.diff(T), (A[-1] - A[:-1]) / (T[-1] - T[:-1])
     finite = (np.isfinite(firsts) & np.isfinite(lasts)).tolist()
-    size = max(_BLOCK_ELEMENTS, n - 1)
-    slopes_buf, gaps_buf, work = np.empty(size), np.empty(size), np.empty(size, bool)
-    # a block masks fewer columns than it has rows, and it has fewer than n
-    cols = np.arange(min(n, _BLOCK_ELEMENTS))
     for r0, r1 in _spans(n - 1, lambda r: n - 1 - r):
-        rows, w = r1 - r0, n - 1 - r0
-        slopes = np.subtract(A[None, r0 + 1:], _column(A, r0, r1), out=_rows(slopes_buf, (rows, w)))
-        runs = np.subtract(T[None, r0 + 1:], _column(T, r0, r1), out=_rows(gaps_buf, (rows, w)))
-        np.divide(slopes, runs, out=slopes)
-        gaps = np.subtract(slopes[:, 1:], slopes[:, :-1], out=_rows(gaps_buf, (rows, w - 1)))
+        slopes = A[r0 + 1:] - A[r0:r1, None]
+        slopes /= T[r0 + 1:] - T[r0:r1, None]
+        gaps = slopes[:, 1:] - slopes[:, :-1]
 
         def extremes(foreign):
             # the extremes of each row's own slopes give its scale, a NaN among them included
@@ -279,8 +270,8 @@ def _anchored_blocks(np, av, tv, tol: Tolerance):
                 ends.append(reduce(slopes, axis=1))
             return ends
 
-        yield _block_report(np, gaps, range(rows), all(finite[r0:r1]), tol, extremes,
-                            lambda b, c: r0 + 3 + c, work, cols)
+        yield _block_report(np, gaps, range(r1 - r0), all(finite[r0:r1]), tol, extremes,
+                            lambda b, c: r0 + 3 + c)
 
 
 def anchored_slope_check_all(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -305,12 +296,12 @@ def _scan(gaps: int, tol: Tolerance, loop_rows, numpy_blocks) -> CheckReport:
     or per block of rows: the first violation and the smallest margin (the first of equal ones).
 
     The one path rule of the scans: ``numpy_blocks(np)`` yields a report per block when numpy
-    is loaded, or imports (about 0.1 s) from ``_NUMPY_IMPORT_CUTOFF`` gaps, and
-    ``loop_rows()`` lists a report per row otherwise, at any size.  The blocks run without
-    floating-point warnings (the scans judge their inf and NaN) and with the smallest
-    ufunc buffer, through which numpy would copy the operands of a broadcast 2-D
-    operation with rows narrower than about a third of it (8,192 elements by
-    default), at 3-4 times the cost of the operation in place.
+    is loaded, or imports (about 0.1 s) from ``_NUMPY_IMPORT_CUTOFF`` gaps, and ``loop_rows()``
+    lists a report per row otherwise, at any size.  The blocks run without floating-point
+    warnings (the scans judge their inf and NaN) and with the smallest ufunc buffer: through
+    the default one of 8,192 elements numpy copies the operands of a broadcast 2-D operation
+    whose rows are narrower than about a third of it, so the anchored scan at n = 1,000 takes
+    2.9-3.1 ms with that buffer against 1.9-2.0 ms with the smallest (numpy 2.4, 2 shared vCPUs).
     """
     np = sys.modules.get("numpy")
     if np is None and gaps >= _NUMPY_IMPORT_CUTOFF:
@@ -342,32 +333,21 @@ def _spans(rows: int, width):
         start = stop
 
 
-def _column(X, start, stop):
-    """``X[start:stop]`` as a column to broadcast along a block's rows; for one row a
-    scalar, so that numpy runs a one-row block as a 1-D operation, without an iterator."""
-    return X[start] if stop - start == 1 else X[start:stop, None]
-
-
-def _rows(buf, shape):
-    """The leading elements of the buffer ``buf`` as a C-contiguous array of ``shape``."""
-    return buf[:shape[0] * shape[1]].reshape(shape)
-
-
-def _block_report(np, gaps, offsets, finite: bool, tol: Tolerance, extremes, label, work, cols):
+def _block_report(np, gaps, offsets, finite: bool, tol: Tolerance, extremes, label):
     """The report of a block of rows, row b being ``gaps[b, offsets[b]:]``, folded as :func:`_scan`
     folds row reports: the first violation and the first smallest margin, in scan order.
 
-    The entries before a row's own are first set to +inf (through the boolean
-    buffer ``work`` and ``cols``, an ``arange`` at least as long as the widest
-    such prefix), so they are never a smallest gap or a violation.  The margin
-    is the block's first smallest gap (argmin finds the first of equal minima,
-    ±0.0 ties included, as ``min()`` keeps it, and the first NaN).  With
-    ``finite`` operands and a non-negative margin the block holds.  Otherwise
-    ``extremes(foreign)`` gives each row's largest and smallest operand, as
-    arrays over the rows (``foreign`` masks the +inf entries, or is None), and
-    every row is judged as :func:`relconvex.seqcore.scan_margin` judges it: its
-    threshold is ``Tolerance.allowed`` at its scale, negated, in the same IEEE
-    operations, and its first violation is its first gap below that, labelled
+    The entries before a row's own are first set to +inf (through a boolean
+    mask of the block's columns below each row's offset), so they are never a
+    smallest gap or a violation.  The margin is the block's first smallest gap
+    (argmin finds the first of equal minima, ±0.0 ties included, as ``min()``
+    keeps it, and the first NaN).  With ``finite`` operands and a non-negative
+    margin the block holds.  Otherwise ``extremes(foreign)`` gives each row's
+    largest and smallest operand, as arrays over the rows (``foreign`` masks
+    the +inf entries, or is None), and every row is judged as
+    :func:`relconvex.seqcore.scan_margin` judges it: its threshold is
+    ``Tolerance.allowed`` at its scale, negated, in the same IEEE operations,
+    and its first violation is its first gap below that, labelled
     ``label(b, c)`` at block column c.  A row with an inf or NaN scale or a NaN
     gap raises in ``scan_margin``, so the first such row goes there, as its
     negative and NaN gaps, and raises what its stdlib row raises.
@@ -375,11 +355,11 @@ def _block_report(np, gaps, offsets, finite: bool, tol: Tolerance, extremes, lab
     "One tolerance rule for every characterization") must enter this judge, the
     blocks and the stdlib rows together, as one more factor of each gap.
     """
-    rows, width = gaps.shape
+    width = gaps.shape[1]
     cut = offsets[-1]
     foreign = None
     if cut:
-        foreign = np.less(cols[:cut], np.array(offsets)[:, None], out=_rows(work, (rows, cut)))
+        foreign = np.arange(cut) < np.array(offsets)[:, None]
         np.copyto(gaps[:, :cut], math.inf, where=foreign)
     # a block without columns is the anchored scan's last row alone, with one slope
     at = int(gaps.argmin()) if gaps.size else 0
@@ -395,7 +375,7 @@ def _block_report(np, gaps, offsets, finite: bool, tol: Tolerance, extremes, lab
         bad = np.flatnonzero(~(gaps[b] >= 0.0))
         scan_margin(gaps[b, bad].tolist(), tol, (hi.item(b), lo.item(b)), (label(b, c) for c in bad.tolist()))
     threshold = np.negative(tol.abs + tol.rel * np.abs(scale))
-    below = np.less(gaps, threshold[:, None], out=_rows(work, (rows, width)))
+    below = gaps < threshold[:, None]
     hit = int(below.argmax())
     first = label(*divmod(hit, width)) if below.item(hit) else None
     return CheckReport(first is None, first, margin, tol)

@@ -515,9 +515,11 @@ def construct_witness(
     advances by the fixed ``plateau_step``.  The schedule must be strictly
     increasing and have exactly one entry per strict step.  The result's
     slope sequence is ``s`` interleaved with zeros on the plateau, hence
-    non-decreasing.  A recursion that overflows is WitnessNotIncreasing,
-    naming the step and the entry of ``s`` (or the plateau step) that
-    takes t to inf.
+    non-decreasing.  Every step of t must be finite and above ``tol.abs``,
+    or WitnessNotIncreasing names the step and its cause, the entry of ``s``
+    or the plateau step: the step that takes t to inf when the recursion
+    overflows, and otherwise the first step that a tiny gap or rounding
+    leaves within the tolerance.
     """
     seq = RealSeq.of(a, "a")
     first, last = _minimal_block(seq, tol)
@@ -551,14 +553,20 @@ def construct_witness(
     gaps = list(map(truediv, strict, sched))
     gaps[first:first] = repeat(plateau_step, last - first)
     t = list(accumulate(gaps, initial=t1))
-    # every gap is positive or zero, so t stays infinite from the step that overflows on
-    if not math.isfinite(t[-1]):
-        k = next(k for k, v in enumerate(t) if not math.isfinite(v))  # step k takes t[k - 1] to t[k]
+    # step k takes t[k - 1] to t[k]; every gap is positive or zero, so t stays infinite from
+    # the step that overflows on, and that step is named before any earlier one within the tolerance
+    bad = [k for k, d in enumerate(_steps(t), 1) if not (math.isfinite(d) and d > tol.abs)]
+    if bad:
+        k = min(bad, key=lambda k: (math.isfinite(t[k]), k))
         if first < k <= last:
             cause, rise = f"the plateau step {plateau_step!r}", f"{plateau_step!r}"
         else:
             j = k if k <= first else k - (last - first)
             cause, rise = f"entry {j} of 's' = {sched[j - 1]!r}", f"{strict[j - 1]!r} / {sched[j - 1]!r}"
+        if math.isfinite(t[k]):
+            raise WitnessNotIncreasing(
+                f"{cause} leaves step {k} of the slope recursion within the strictness tolerance "
+                f"{tol.abs!r}: {t[k - 1]!r} + {rise} = {t[k]!r}, a step of {t[k] - t[k - 1]!r}")
         raise WitnessNotIncreasing(f"{cause} overflows the slope recursion at step {k}: "
                                    f"{t[k - 1]!r} + {rise} = {t[k]!r}")
     return Witness.of(t, tol)

@@ -148,6 +148,18 @@ def test_witness_whose_recursion_overflows_names_the_schedule(tmp_path, capsys):
         "entry 1 of 's' = -1e-308 overflows the slope recursion at step 1: 0.0 + -2.0 / -1e-308 = inf")
 
 
+def test_witness_whose_recursion_absorbs_a_step_names_the_plateau_step(tmp_path, capsys):
+    # at t = 2e16 the plateau step 1.0 rounds away: the error names that step, not a gap of t
+    path = write_json(tmp_path, "w.json", {"a": [3, 1, 1, 2], "s": [-1e-16, 1e-16]})
+    code, out = run_cli(capsys, ["witness", "--input", path])
+    assert code == 2
+    report = json.loads(out)
+    assert report["verdict"] == "error"
+    assert report["margin_or_slacks"]["message"] == (
+        "the plateau step 1.0 leaves step 2 of the slope recursion within the strictness tolerance "
+        "1e-09: 2e+16 + 1.0 = 2e+16, a step of 0.0")
+
+
 def test_report_to_output_file(tmp_path, capsys):
     path = write_json(tmp_path, "c.json", {"a": [4, 1, 0, 2, 6]})
     dest = tmp_path / "report.json"

@@ -28,7 +28,8 @@ check agrees with its reference loop.
   numpy computes the blocks at any size, the scans fall back to the loops
   when numpy is blocked, a small ``diagnose`` never imports numpy, ``relconvex
   diagnose`` prints the same bytes with numpy and without, and the scans
-  leave numpy's error state and buffer size as they found them.
+  leave numpy's error state and buffer size as they found them; the anchored
+  scan holds one block of gaps at a time, not all of them.
 """
 
 import copy
@@ -40,6 +41,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -57,6 +59,7 @@ from relconvex import (
 )
 from relconvex import diagnostics
 from relconvex.errors import NonFiniteArithmetic, NotStrictlyIncreasing, WitnessNotIncreasing
+from relconvex.oracles import gen_relative_convex_pair
 from relconvex.seqcore import DEFAULT_TOL, paired, scan_margin
 
 
@@ -609,8 +612,7 @@ def test_a_nan_row_after_a_violating_row_raises():
     def judged(rows, offsets):
         ones = np.ones(len(rows))
         return diagnostics._block_report(np, np.array(rows), offsets, True, DEFAULT_TOL,
-                                         lambda foreign: (ones, ones), lambda b, c: c + 1,
-                                         np.empty(6, bool), np.arange(3))
+                                         lambda foreign: (ones, ones), lambda b, c: c + 1)
 
     with pytest.raises(NonFiniteArithmetic, match="gap 2 is NaN"):
         judged(rows, [0, 1])
@@ -654,8 +656,7 @@ def test_the_block_judge_equals_its_rows_judged_one_by_one():
         finite = all(map(math.isfinite, chain.from_iterable(operands)))
         with np.errstate(all="ignore"):  # as diagnostics._scan runs the blocks
             return diagnostics._block_report(np, gaps, offsets, finite, tol, lambda foreign: (hi, lo),
-                                             lambda b, c: (b, c - offsets[b]), np.empty(gaps.size, bool),
-                                             np.arange(width))
+                                             lambda b, c: (b, c - offsets[b]))
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(st.data(), st.sampled_from(KERNEL_TOLS))
@@ -761,6 +762,21 @@ def test_the_numpy_anchored_scan_judges_finite_rows_without_scan_margin(tail, ca
     assert blocks > 1 and counted == {"scan_margin": calls, "_block_report": blocks}
     assert loaded == with_cutoffs(math.inf, anchored_slope_check_all, a, t, DEFAULT_TOL)
     assert loaded[0] == want if calls else loaded[0].startswith(want)
+
+
+def test_the_numpy_anchored_scan_holds_one_block_at_a_time():
+    # at n = 2,000 all (n - 1)(n - 2)/2 gaps at once would take about 16 MiB; the blocks of
+    # _BLOCK_ELEMENTS gaps each, with their slopes and masks, stay far below 1 MiB
+    pytest.importorskip("numpy")
+    a, t = gen_relative_convex_pair(2000, 1)
+    tracemalloc.start()
+    try:
+        report = anchored_slope_check_all(a, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds
+    assert peak < 2**20
 
 
 def block_boundary_pairs():

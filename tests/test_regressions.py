@@ -366,3 +366,26 @@ def test_a_slope_recursion_that_overflows_names_its_schedule_entry(a, s, kwargs,
     with pytest.raises(WitnessNotIncreasing) as caught:
         construct_witness(a, s, **kwargs)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("a, s, kwargs, message", [
+    # a steep entry gives a step below the strictness tolerance
+    ([3, 1, 2], [-1e300, 1e300], {},
+     "entry 1 of 's' = -1e+300 leaves step 1 of the slope recursion within the strictness tolerance "
+     "1e-09: 0.0 + -2.0 / -1e+300 = 2e-300, a step of 2e-300"),
+    ([3, 1, 2], [-1e9, 1e12], {},
+     "entry 2 of 's' = 1000000000000.0 leaves step 2 of the slope recursion within the strictness "
+     "tolerance 1e-09: 2e-09 + 1.0 / 1000000000000.0 = 2.001e-09, a step of 9.999999999998931e-13"),
+    # rounding absorbs a step: the plateau step at 2e16, the first step at t1 = 1e20
+    ([3, 1, 1, 2], [-1e-16, 1e-16], {},
+     "the plateau step 1.0 leaves step 2 of the slope recursion within the strictness tolerance "
+     "1e-09: 2e+16 + 1.0 = 2e+16, a step of 0.0"),
+    ([3, 1, 2], [-1, 1], {"t1": 1e20},
+     "entry 1 of 's' = -1.0 leaves step 1 of the slope recursion within the strictness tolerance "
+     "1e-09: 1e+20 + -2.0 / -1.0 = 1e+20, a step of 0.0"),
+])
+def test_a_slope_recursion_step_within_the_tolerance_names_its_cause(a, s, kwargs, message):
+    # the caller passed no t, so the error names the step and its cause, not the gaps of a t
+    with pytest.raises(WitnessNotIncreasing) as caught:
+        construct_witness(a, s, **kwargs)
+    assert str(caught.value) == message
