@@ -48,6 +48,7 @@ from .seqcore import (
     Tolerance,
     WitnessLike,
     _index,
+    _slopes,
     _steps,
     classify_shape,
     forward_diff,
@@ -119,7 +120,7 @@ def increment_growth_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_
     lhs, rhs = (list(map(truediv, _steps(d), d)) for d in (da, dt))
     gaps = [x - y for x, y in zip(lhs, rhs)]
     in_slope_units = [g * d / e for g, d, e in zip(gaps, da, dt[1:])]
-    first, _ = scan_margin(in_slope_units, tol, list(_steps(seq.values, wit.values)))
+    first, _ = scan_margin(in_slope_units, tol, _slopes(seq.values, wit.values))
     return CheckReport(first is None, first, min(gaps, default=math.inf), tol)
 
 
@@ -394,7 +395,7 @@ def psi_preservation_check(
     """
     seq, wit = paired(a, t, tol)
     _require_convex_wrt("a", seq, wit, tol)
-    spot_check_map(psi, seq.values, tol)
+    spot_check_map(psi, seq, tol)
     mapped = tuple(float(psi(v)) for v in seq)
     return is_convex_wrt(mapped, wit, tol)
 
@@ -456,7 +457,7 @@ def rate_diagnostic(
         raise PreconditionViolation(
             f"a must be non-increasing over the prefix: step {k} rises by {seq[k] - seq[k - 1]!r}"
         )
-    ratios = list(_steps(seq.values, wit.values))
+    ratios = _slopes(seq.values, wit.values)
     terms = tuple(k * r for k, r in enumerate(ratios, start=1))
     partial = tuple(accumulate(map(mul, count(1), _steps(ratios)), initial=0.0))[1:]
     tail = max(1, math.ceil(len(terms) / 4))

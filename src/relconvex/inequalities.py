@@ -32,6 +32,7 @@ from .seqcore import (
     Tolerance,
     Witness,
     WitnessLike,
+    _Floats,
     _index,
     _ordered,
     _reals,
@@ -75,8 +76,14 @@ def _outside_stacklevel() -> int:
     return level
 
 
-def spot_check_map(psi: ConvexMap, values: Sequence[float], tol: Tolerance = DEFAULT_TOL) -> bool:
+def spot_check_map(psi: ConvexMap, values: SeqLike, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Check the map on the observed values and warn on contract violations.
+
+    ``values`` may be any sequence of reals, or a validated vector (a
+    :class:`RealSeq`, say): one is read as given, neither converted nor
+    screened for finiteness again, and its smallest and largest value are
+    those it remembers (:attr:`RealSeq.extremes`).  The result, the warnings
+    and the calls of ψ are the same either way.
 
     For a builtin map whose declared interval holds every value (all
     finite), the contract is proven and the check is a range check: ψ is
@@ -91,10 +98,11 @@ def spot_check_map(psi: ConvexMap, values: Sequence[float], tol: Tolerance = DEF
     returned.  The hypothesis remains the caller's responsibility; a failed
     spot check warns instead of raising.
     """
-    pts = _reals(values)
+    validated = isinstance(values, _Floats)  # finite floats already
+    pts = values.values if validated else _reals(values)
     domain = _proven_interval(psi)
-    if domain is not None and pts and all(map(math.isfinite, pts)):
-        lo, hi = min(pts), max(pts)
+    if domain is not None and pts and (validated or all(map(math.isfinite, pts))):
+        lo, hi = values.extremes if validated else (min(pts), max(pts))
         if domain[0] <= lo and hi <= domain[1]:
             # non-decreasing: the extreme values carry the largest |psi| the samples would
             tol.allowed((psi(lo), psi(hi)))
@@ -248,7 +256,7 @@ def hhf_bounds(
     _same_length("a t p", seq, wit, pv)
     if not skip_verify:
         _require_convex_wrt("a", seq, wit, tol)
-        spot_check_map(psi, seq.values, tol)
+        spot_check_map(psi, seq, tol)
     if wit[-1] - wit[0] <= tol.abs:
         raise DegenerateWitness("witness endpoints coincide")
 

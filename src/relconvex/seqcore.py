@@ -17,7 +17,7 @@ import math
 import weakref
 from collections import namedtuple
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, islice, repeat
 from operator import gt, indexOf, lt, sub, truediv
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -149,10 +149,14 @@ class _Floats:
     """Finite floats of any length, read-only: the one validation path of every input
     vector, the data vectors of the functionals and the slope schedule included; :meth:`of`
     passes one through.  Each error names ``name``, the caller's argument, when given.
+    One sum screens the values for inf and NaN, as in :func:`scan_margin`; only a sum
+    that is not finite is followed by the scan that names the entry (finite values whose
+    sum overflows pass it).
 
     Equal, with equal hashes, only to an object of the same class with the same
     ``values``.  Attributes cannot be assigned or deleted; the memos are set with
-    ``object.__setattr__`` (a ``cached_property`` writes ``__dict__`` itself)."""
+    ``object.__setattr__`` (a ``cached_property`` writes ``__dict__`` itself).  A
+    ``copy`` or ``pickle`` carries the values only, none of the memos."""
 
     values: tuple[float, ...]
     _what = "sequence"
@@ -167,13 +171,21 @@ class _Floats:
         if len(vals) < self._min_len:
             what = self._what if name is None else repr(name)
             raise LengthError(f"{what} needs at least {self._min_len} entries, got {len(vals)}")
-        if not all(map(math.isfinite, vals)):
-            k = next(k for k, v in enumerate(vals) if not math.isfinite(v))
-            raise ValueError(f"entry {k + 1}{_of(name)} is not finite: {vals[k]!r}")
+        # a sum of floats is inf or NaN whenever a term is, compensated (3.12+) or not
+        if not math.isfinite(sum(vals)):
+            k = next((k for k, v in enumerate(vals) if not math.isfinite(v)), None)
+            if k is not None:
+                raise ValueError(f"entry {k + 1}{_of(name)} is not finite: {vals[k]!r}")
 
     @classmethod
     def of(cls, values, name: str | None = None):
         return values if isinstance(values, cls) else cls(values, name)
+
+    @cached_property
+    def extremes(self) -> tuple[float, float]:
+        """``(min, max)`` of a non-empty vector, as ``min`` and ``max`` return them: the first
+        of equal values, 0.0 or -0.0."""
+        return min(self.values), max(self.values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -185,7 +197,7 @@ class _Floats:
         return self.values[i]
 
     def __getstate__(self):
-        # the memos (slope tests, moments) hold weak references; a copy starts without them
+        # the memos (slope tests, moments, extremes) are not state; a copy starts without them
         return {"values": self.values}
 
     def __eq__(self, other):
@@ -389,11 +401,20 @@ def unit_witness(n: int) -> "Witness":
     return Witness(tuple(map(float, range(1, n + 1))))
 
 
-def _steps(v: Sequence[float], over: Sequence[float] | None = None) -> Iterator[float]:
-    """The one per-step kernel, at C level: the differences ``v[i+1] - v[i]``,
-    or with ``over`` the slopes ``(v[i+1] - v[i]) / (over[i+1] - over[i])``."""
-    rises = map(sub, islice(v, 1, None), v)
-    return rises if over is None else map(truediv, rises, _steps(over))
+def _steps(v: Sequence[float]) -> Iterator[float]:
+    """The differences ``v[i+1] - v[i]``, lazily and at C level; :func:`_slopes` divides two of them."""
+    return map(sub, islice(v, 1, None), v)
+
+
+def _slopes(v: Sequence[float], over: Sequence[float]) -> list[float]:
+    """The slopes ``(v[i+1] - v[i]) / (over[i+1] - over[i])`` as a list, from one comprehension.
+
+    The IEEE operations of ``map(truediv, _steps(v), _steps(over))`` in the same order, so the
+    same bits, but faster: the chain calls into ``operator`` three times per step.  A caller
+    that needs a tuple (``build_extension``) streams that chain into it instead, so as not to
+    hold this list and its copy at once."""
+    return [(v1 - v0) / (o1 - o0)
+            for v0, v1, o0, o1 in zip(v, islice(v, 1, None), over, islice(over, 1, None))]
 
 
 def _same_length(names: str, first, *rest) -> None:
@@ -433,7 +454,7 @@ def is_convex_wrt(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> C
     seq, wit = paired(a, t, tol)
 
     def test() -> CheckReport:
-        ratios = list(_steps(seq.values, wit.values))
+        ratios = _slopes(seq.values, wit.values)
         first, margin = scan_margin(_steps(ratios), tol, ratios)
         return CheckReport(first is None, first, margin, tol)
 
@@ -468,9 +489,9 @@ def classify_shape(a: SeqLike, tol: Tolerance = DEFAULT_TOL) -> ShapeClass:
     from the minimum) is rejected.  The kind is the one whose runs in
     ``_SEGMENTS`` are the runs present: a decrease, a plateau, an increase.
     """
-    vals = RealSeq.of(a, "a").values
-    d = list(_steps(vals))
-    first = last = vals.index(min(vals))
+    seq = RealSeq.of(a, "a")
+    d = list(_steps(seq.values))
+    first = last = seq.values.index(seq.extremes[0])
     while first > 0 and abs(d[first - 1]) <= tol.abs:
         first -= 1
     while last < len(d) and abs(d[last]) <= tol.abs:

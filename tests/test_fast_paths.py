@@ -9,7 +9,14 @@ check agrees with its reference loop.
   alone does (kept here as ``witness_of_loop``).
 * ``spot_check_map`` samples a map in the two plain loops kept here as
   ``spot_check_loop``: it returns and warns as they do, and calls the map
-  once per distinct value and once per midpoint.
+  once per distinct value and once per midpoint.  A validated ``RealSeq``
+  gives the same result, warnings and calls as its list, proven or sampled;
+  the engines that spot-check a validated sequence never convert it again,
+  and its remembered extremes travel with no copy or pickle.
+* The slope kernel ``_slopes`` equals the C-level chain of ``map`` calls it
+  replaced (``slopes_chain``, which ``build_extension`` still streams into its
+  tuple), bit for bit: signed zeros, subnormals, differences that overflow,
+  and tiny and huge witness gaps.
 * ``is_convex_wrt`` remembers its report per (sequence, witness, tolerance):
   a remembered report equals a fresh test on equal copies, anything else
   misses, a raise is never remembered, and the memo neither aliases a dead
@@ -39,13 +46,15 @@ import math
 import os
 import pickle
 import random
+import struct
 import subprocess
 import sys
 import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
-from itertools import accumulate, chain, combinations, count, product
+from itertools import accumulate, chain, combinations, count, islice, product
+from operator import sub, truediv
 
 import pytest
 from hypothesis import example, given, settings
@@ -57,10 +66,11 @@ from relconvex import (
     classify_shape, collinearity_determinant_check, increment_growth_check, is_convex, is_convex_wrt,
     make_relu, neighbor_chord_check, parse_psi, spot_check_map,
 )
-from relconvex import diagnostics
+from relconvex import diagnostics, inequalities, seqcore
 from relconvex.errors import NonFiniteArithmetic, NotStrictlyIncreasing, WitnessNotIncreasing
 from relconvex.oracles import gen_relative_convex_pair
-from relconvex.seqcore import DEFAULT_TOL, paired, scan_margin
+from relconvex.inequalities import _proven_interval
+from relconvex.seqcore import DEFAULT_TOL, _slopes, paired, scan_margin
 
 
 def outcome(fn, *args):
@@ -189,9 +199,11 @@ class Counting:
     def __init__(self, psi):
         self.psi = psi
         self.calls = 0
+        self.args = []
 
     def __call__(self, x):
         self.calls += 1
+        self.args.append(repr(x))
         return self.psi(x)
 
 
@@ -206,6 +218,15 @@ def test_spot_check_map_equals_the_loop(values, name):
     assert outcome(spot_check_map, counting, values) == outcome(spot_check_loop, MAPS[name], values)
     k = len({float(v) for v in values})
     assert counting.calls == k + max(k - 2, 0)
+    if len(values) >= 2:
+        # a validated sequence is read as given: the same result, warnings and ψ calls as its list,
+        # both sampled and, for a builtin that declares its interval, proven
+        for declared in (None, _proven_interval(MAPS[name])):
+            from_list, from_seq = Counting(MAPS[name]), Counting(MAPS[name])
+            from_list._convex_on = from_seq._convex_on = declared
+            seq = RealSeq(values)
+            assert outcome(spot_check_map, from_list, values) == outcome(spot_check_map, from_seq, seq)
+            assert from_list.args == from_seq.args
 
 
 def test_spot_check_map_keeps_the_first_zero_in_input_order():
@@ -214,6 +235,77 @@ def test_spot_check_map_keeps_the_first_zero_in_input_order():
         assert result == "False"
         assert [m for _, m in warned] == [f"map not non-decreasing on [-1.0, {zero}]",
                                           f"map not non-decreasing on [{zero}, 1.0]"]
+
+
+@pytest.mark.parametrize("engine, args", [
+    (relconvex.hhf_bounds, ("a", "t", "p")),
+    (relconvex.niezgoda_bound, ("a", "p")),
+    (relconvex.convex_hhf_bounds, ("a", "p")),
+    (relconvex.psi_preservation_check, ("a", "t")),
+])
+@pytest.mark.parametrize("psi", ["relu@0", "square", "sampled"])
+def test_engines_spot_check_a_validated_sequence_without_converting_it(engine, args, psi, monkeypatch):
+    seq, wit = RealSeq([4.0, 1.0, 0.0, 2.0, 6.0]), Witness([1.0, 2.0, 3.0, 4.0, 5.0])
+    pv = relconvex.WeightVec([1.0] * 5)
+    seqcore.unit_witness(5)  # cached before the count: it converts 1..5 once
+    psi = sampled(parse_psi("relu@0")) if psi == "sampled" else parse_psi(psi)
+    converted = []
+
+    def counting(values, name=None):
+        converted.append(values)
+        return convert(values, name)
+
+    convert = seqcore._reals
+    monkeypatch.setattr(seqcore, "_reals", counting)
+    monkeypatch.setattr(inequalities, "_reals", counting)
+    engine(*({"a": seq, "t": wit, "p": pv}[k] for k in args), psi)
+    assert not [v for v in converted if v is seq or v is seq.values]
+    # psi_preservation_check builds the mapped sequence, and nothing else is converted
+    assert len(converted) == (engine is relconvex.psi_preservation_check)
+
+
+# -- the slope kernel ----------------------------------------------------------
+
+
+def slopes_chain(v, over):
+    """The C-level chain the kernel replaced: two map(sub) steps divided by map(truediv)."""
+    return list(map(truediv, map(sub, islice(v, 1, None), v), map(sub, islice(over, 1, None), over)))
+
+
+edge_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e308, -1e308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@st.composite
+def slope_inputs(draw):
+    """(v, over) of equal length: v finite with edge entries, over strictly increasing by steps
+    from one ulp (or one subnormal) to ones whose differences overflow."""
+    over = [draw(st.sampled_from([-1.7976931348623157e308, -1e308, -1.0, -0.0, 0.0, 5e-324])
+                 | st.floats(-1e300, 1e300))]
+    steps = st.sampled_from(["ulp", 5e-324, 1e-300, 1.0, 1e300, 1e308, 1.7976931348623157e308])
+    for step in draw(st.lists(steps | st.floats(1e-6, 1e6), min_size=1, max_size=11)):
+        nxt = math.nextafter(over[-1], math.inf) if step == "ulp" else over[-1] + step
+        if over[-1] < nxt < math.inf:
+            over.append(nxt)
+    if len(over) < 2:
+        over.append(math.nextafter(over[-1], math.inf))
+    v = draw(st.lists(edge_floats, min_size=len(over), max_size=len(over)))
+    return v, over
+
+
+@settings(max_examples=500, deadline=None)
+@given(slope_inputs())
+@example(([1e308, -1e308, 1e308], [-1e308, 1e308, 1.7976931348623157e308]))
+@example(([-0.0, 0.0, -0.0], [0.0, 5e-324, 1e-323]))
+def test_slope_kernel_equals_the_chain_bit_for_bit(pair):
+    v, over = pair
+    assert all(o1 > o0 for o0, o1 in zip(over, over[1:]))
+    fused = _slopes(v, over)
+    assert type(fused) is list
+    assert [struct.pack("d", x) for x in fused] == [struct.pack("d", x) for x in slopes_chain(v, over)]
 
 
 # -- the slope-test memo ------------------------------------------------------
@@ -305,9 +397,11 @@ def test_verified_inputs_pickle_and_copy_without_the_memo():
     for obj in (seq, wit):
         clones = [copy.copy(obj), copy.deepcopy(obj)]
         clones += [pickle.loads(pickle.dumps(obj, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        assert obj.extremes == (min(obj.values), max(obj.values))
         for clone in clones:
             assert type(clone) is type(obj) and clone == obj
             assert "_slope_tests" not in vars(clone)
+            assert "extremes" not in vars(clone)
     assert is_convex_wrt(pickle.loads(pickle.dumps(seq)), wit) == report
 
 

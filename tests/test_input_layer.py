@@ -218,6 +218,25 @@ def test_an_entry_that_no_float_holds_is_named(values, message):
         RealSeq(values)
 
 
+@pytest.mark.parametrize("values, message", [
+    ([1.0, math.inf, -math.inf], "entry 2 of 'a' is not finite: inf"),
+    ([1e308, 1e308, math.nan], "entry 3 of 'a' is not finite: nan"),
+    ([-math.inf, 1e308, 1e308], "entry 1 of 'a' is not finite: -inf"),
+])
+def test_the_one_sum_screen_names_the_first_non_finite_entry(values, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        RealSeq(values, "a")
+
+
+@pytest.mark.parametrize("make, values", [
+    (RealSeq, [1e308, 1e308, 1.0]),
+    (RealSeq, [-1e308, -1e308, 1.0]),
+    (Witness, [1e308, 1.5e308, 1.7e308]),
+])
+def test_finite_entries_whose_sum_overflows_are_accepted(make, values):
+    assert make(values, "a").values == tuple(values)
+
+
 @pytest.mark.parametrize("make", [
     lambda: [1, 2, 4], lambda: (1.0, 2.0, 4.0), lambda: (v for v in (1, 2, 4)), lambda: range(1, 5, 1),
 ], ids=["list", "tuple", "generator", "range"])
