@@ -20,12 +20,12 @@ its loops at any size.
 numpy computes a block of consecutive rows (anchors, or first indices) at a
 time, as many as ``_BLOCK_ELEMENTS`` holds, in arrays of the block's own, so
 a scan holds one block of gaps at a time.  Each element takes the IEEE
-operations of its loop in the same order.  Every block is one report: its
-first smallest gap and, unless its rows all plainly hold (finite operands,
-no negative or NaN gap), its first gap below its row's threshold, judged as
-arrays at each row's own scale with the operations of ``scan_margin``; only
-a row that raises (an inf or NaN operand, a NaN gap) goes to ``scan_margin``
-itself, so the reports and errors are the same on either path.  Measured on
+operations of its loop in the same order.  The blocks run only on operands
+proven finite first (a bound on the anchored slopes, the determinants'
+scale check), so no gap is NaN and no block raises; other inputs take the
+loops.  Every block is one report: its first smallest gap and, if that is
+negative, its first gap below its row's threshold at the row's own scale,
+in the operations of ``scan_margin``; reports and errors match.  Measured on
 2 shared vCPUs, numpy's blocks pay for its import from about 4e5 gaps
 (anchored, n ~ 900) and 3e5 (all triples, n ~ 125).
 """
@@ -164,9 +164,10 @@ def collinearity_determinant_check(
         1.0,
     )
     # the scale first: an inf or NaN peak raises before any determinant is
-    # judged; the peaks are non-negative, so the largest is the scale of all
+    # judged; the peaks are non-negative, so the largest is the scale of all.
+    # Every term is then finite, so each determinant is finite or ±inf, never NaN
     tol.allowed(peaks)
-    scale = (max(peaks),)
+    scale = max(peaks)
     return _scan(n * (n - 1) * (n - 2) // 6, tol,
                  lambda: [_triple_block(av, tv, tol, scale, l) for l in range(n - 2)],
                  lambda np: _triple_blocks(np, av, tv, tol, scale))
@@ -176,7 +177,7 @@ def _triple_block(av, tv, tol: Tolerance, scale, l: int) -> CheckReport:
     """The determinants of the 0-based triples (l, m, k), m < k, in combinations order, labelled 1-based."""
     pairs = list(combinations(range(l + 1, len(av)), 2))
     dets = [(tv[k] - tv[m]) * av[l] - (tv[k] - tv[l]) * av[m] + (tv[m] - tv[l]) * av[k] for m, k in pairs]
-    first, margin = scan_margin(dets, tol, scale, ((l + 1, m + 1, k + 1) for m, k in pairs))
+    first, margin = scan_margin(dets, tol, (scale,), ((l + 1, m + 1, k + 1) for m, k in pairs))
     return CheckReport(first is None, first, margin, tol)
 
 
@@ -197,7 +198,6 @@ def _triple_blocks(np, av, tv, tol: Tolerance, scale):
     pairs = span.size
     # the suffix of row l starts after the n - 1 - j pairs of every first index j <= l
     starts = list(accumulate(range(n - 1, 1, -1)))
-    top = np.full(n - 2, scale[0])  # every row's extremes: the one scale of the scan
     for l0, l1 in _spans(n - 2, lambda l: pairs - starts[l]):
         s = starts[l0]
         a_l, t_l = A[l0:l1, None], T[l0:l1, None]
@@ -208,12 +208,8 @@ def _triple_blocks(np, av, tv, tol: Tolerance, scale):
         np.subtract(tm[s:], t_l, out=term)
         term *= ak[s:]
         dets += term
-
-        def extremes(foreign):
-            return top[l0:l1], top[l0:l1]
-
         offsets = [start - s for start in starts[l0:l1]]
-        yield _block_report(np, dets, offsets, True, tol, extremes,
+        yield _block_report(np, dets, offsets, tol, lambda foreign: scale,
                             lambda b, c: (l0 + b + 1, M.item(s + c) + 1, K.item(s + c) + 1))
 
 
@@ -253,25 +249,19 @@ def _anchored_blocks(np, av, tv, tol: Tolerance):
     """
     n = len(av)
     A, T = np.array(av), np.array(tv)
-    # a row of gaps >= 0 (none NaN) has only finite slopes when its first and last
-    # are finite: an inf or NaN slope between them makes a gap beside it negative or NaN
-    firsts, lasts = np.diff(A) / np.diff(T), (A[-1] - A[:-1]) / (T[-1] - T[:-1])
-    finite = (np.isfinite(firsts) & np.isfinite(lasts)).tolist()
     for r0, r1 in _spans(n - 1, lambda r: n - 1 - r):
         slopes = A[r0 + 1:] - A[r0:r1, None]
         slopes /= T[r0 + 1:] - T[r0:r1, None]
         gaps = slopes[:, 1:] - slopes[:, :-1]
 
-        def extremes(foreign):
-            # the extremes of each row's own slopes give its scale, a NaN among them included
-            ends = []
-            for hidden, reduce in ((-math.inf, np.maximum.reduce), (math.inf, np.minimum.reduce)):
-                if foreign is not None:
-                    np.copyto(slopes[:, :foreign.shape[1]], hidden, where=foreign)
-                ends.append(reduce(slopes, axis=1))
-            return ends
+        def scale(foreign):
+            # each row's largest |slope| over its own slopes (the 0 / 0 before them masked)
+            np.abs(slopes, out=slopes)
+            if foreign is not None:
+                np.copyto(slopes[:, :foreign.shape[1]], 0.0, where=foreign)
+            return slopes.max(axis=1, keepdims=True)
 
-        yield _block_report(np, gaps, range(r1 - r0), all(finite[r0:r1]), tol, extremes,
+        yield _block_report(np, gaps, range(r1 - r0), tol, scale,
                             lambda b, c: r0 + 3 + c)
 
 
@@ -287,25 +277,29 @@ def anchored_slope_check_all(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAUL
     seq, wit = paired(a, t, tol)
     av, tv = seq.values, wit.values
     n = len(av)
+    lo, hi = seq.extremes
+    # rounding is monotone, so |fl(a_i - a_s)| <= 2 max|a| and fl(t_i - t_s) >= the least
+    # (positive) witness gap: a finite quotient proves every slope finite, so no gap is NaN
+    finite = math.isfinite(2.0 * max(hi, -lo) / min(_steps(tv)))
     return _scan((n - 1) * (n - 2) // 2, tol,
                  lambda: [_anchored(av, tv, s0, tol) for s0 in range(n - 1)],
-                 lambda np: _anchored_blocks(np, av, tv, tol))
+                 (lambda np: _anchored_blocks(np, av, tv, tol)) if finite else None)
 
 
 def _scan(gaps: int, tol: Tolerance, loop_rows, numpy_blocks) -> CheckReport:
     """A super-linear scan of ``gaps`` gaps as the conjunction of its reports, one per row
     or per block of rows: the first violation and the smallest margin (the first of equal ones).
 
-    The one path rule of the scans: ``numpy_blocks(np)`` yields a report per block when numpy
-    is loaded, or imports (about 0.1 s) from ``_NUMPY_IMPORT_CUTOFF`` gaps, and ``loop_rows()``
-    lists a report per row otherwise, at any size.  The blocks run without floating-point
-    warnings (the scans judge their inf and NaN) and with the smallest ufunc buffer: through
+    The one path rule of the scans: ``numpy_blocks(np)`` (None unless every operand is proven
+    finite) yields a report per block when numpy is loaded, or imports (about 0.1 s) from
+    ``_NUMPY_IMPORT_CUTOFF`` gaps; ``loop_rows()`` lists a report per row otherwise, at any size.
+    The blocks run without warnings (a gap may overflow) and with the smallest ufunc buffer: through
     the default one of 8,192 elements numpy copies the operands of a broadcast 2-D operation
     whose rows are narrower than about a third of it, so the anchored scan at n = 1,000 takes
     2.9-3.1 ms with that buffer against 1.9-2.0 ms with the smallest (numpy 2.4, 2 shared vCPUs).
     """
-    np = sys.modules.get("numpy")
-    if np is None and gaps >= _NUMPY_IMPORT_CUTOFF:
+    np = sys.modules.get("numpy") if numpy_blocks else None
+    if np is None and numpy_blocks and gaps >= _NUMPY_IMPORT_CUTOFF:
         try:
             import numpy as np
         except ImportError:
@@ -334,24 +328,23 @@ def _spans(rows: int, width):
         start = stop
 
 
-def _block_report(np, gaps, offsets, finite: bool, tol: Tolerance, extremes, label):
+def _block_report(np, gaps, offsets, tol: Tolerance, scale, label):
     """The report of a block of rows, row b being ``gaps[b, offsets[b]:]``, folded as :func:`_scan`
     folds row reports: the first violation and the first smallest margin, in scan order.
 
-    The entries before a row's own are first set to +inf (through a boolean
-    mask of the block's columns below each row's offset), so they are never a
-    smallest gap or a violation.  The margin is the block's first smallest gap
-    (argmin finds the first of equal minima, ±0.0 ties included, as ``min()``
-    keeps it, and the first NaN).  With ``finite`` operands and a non-negative
-    margin the block holds.  Otherwise ``extremes(foreign)`` gives each row's
-    largest and smallest operand, as arrays over the rows (``foreign`` masks
-    the +inf entries, or is None), and every row is judged as
-    :func:`relconvex.seqcore.scan_margin` judges it: its threshold is
+    The operands are finite and no gap is NaN (:func:`_scan` runs the blocks
+    only then), so no row raises.  The entries before a row's own are first
+    set to +inf (through a boolean mask of the block's columns below each
+    row's offset), so they are never a smallest gap or a violation.  The
+    margin is the block's first smallest gap (argmin finds the first of equal
+    minima, ±0.0 ties included, as ``min()`` keeps it).  With a non-negative
+    margin the block holds.  Otherwise ``scale(foreign)`` gives each row's
+    largest |operand|, as a column over the rows or one scalar for all
+    (``foreign`` masks the +inf entries, or is None), and every row is judged
+    as :func:`relconvex.seqcore.scan_margin` judges it: its threshold is
     ``Tolerance.allowed`` at its scale, negated, in the same IEEE operations,
     and its first violation is its first gap below that, labelled
-    ``label(b, c)`` at block column c.  A row with an inf or NaN scale or a NaN
-    gap raises in ``scan_margin``, so the first such row goes there, as its
-    negative and NaN gaps, and raises what its stdlib row raises.
+    ``label(b, c)`` at block column c.
     A per-gap weight that judges each gap at the slope test's scale (ROADMAP.md,
     "One tolerance rule for every characterization") must enter this judge, the
     blocks and the stdlib rows together, as one more factor of each gap.
@@ -365,18 +358,9 @@ def _block_report(np, gaps, offsets, finite: bool, tol: Tolerance, extremes, lab
     # a block without columns is the anchored scan's last row alone, with one slope
     at = int(gaps.argmin()) if gaps.size else 0
     margin = gaps.item(at) if gaps.size else math.inf
-    if finite and margin >= 0:
+    if margin >= 0:
         return CheckReport(True, None, margin, tol)
-    hi, lo = extremes(foreign)
-    scale = np.maximum(hi, np.negative(lo))
-    # a NaN margin is the block's first NaN gap, so its row is the first row with one
-    raising = np.flatnonzero(~(scale < math.inf)).tolist() + ([at // width] if math.isnan(margin) else [])
-    if raising:
-        b = min(raising)
-        bad = np.flatnonzero(~(gaps[b] >= 0.0))
-        scan_margin(gaps[b, bad].tolist(), tol, (hi.item(b), lo.item(b)), (label(b, c) for c in bad.tolist()))
-    threshold = np.negative(tol.abs + tol.rel * np.abs(scale))
-    below = gaps < threshold[:, None]
+    below = gaps < -tol.slack(scale(foreign))
     hit = int(below.argmax())
     first = label(*divmod(hit, width)) if below.item(hit) else None
     return CheckReport(first is None, first, margin, tol)

@@ -368,6 +368,8 @@ NOT_CONVEX = '"a is not convex: interior index 2 sits above its neighbour midpoi
     # slopes of opposite infinite signs: the scale is NaN, an error before any verdict
     (2, ["diagnose"], '{"a": [0, 1e308, -1e308, 1e308], "t": [0, 1, 2, 3]}',
      '"NonFiniteArithmetic: compared quantities reach nan"'),
+    # empty input is read as CSV, which needs a header row
+    (2, ["classify"], "", '"CSV input needs a header row of sequence names"'),
     # a step within the tolerance away from the minimum keeps its sign
     (0, ["classify"], '{"a": [0, 2e-9, 2.8e-9, 2.58e-8]}', '"verdict": "strictly_increasing"'),
     (0, ["subdivide", "--alpha", "0", "--beta", "1"], '{"a": [0, 2e-9, 2.8e-9, 2.58e-8]}', '"verdict": "holds"'),

@@ -32,7 +32,10 @@ check agrees with its reference loop.
 * The two super-linear scans (``anchored_slope_check_all`` and the
   all-triples determinants) report and raise alike whether their rows come
   from numpy blocks (at any block budget) or from the stdlib loops; a loaded
-  numpy computes the blocks at any size, the scans fall back to the loops
+  numpy computes the blocks at any size on operands proven finite (the
+  anchored slope bound 2 max|a| / min gap, the all-triples scale), and only
+  there, so a block never meets a NaN and never raises; the block judge
+  equals its rows judged one by one; the scans fall back to the loops
   when numpy is blocked, a small ``diagnose`` never imports numpy, ``relconvex
   diagnose`` prints the same bytes with numpy and without, and the scans
   leave numpy's error state and buffer size as they found them; the anchored
@@ -53,7 +56,7 @@ import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
-from itertools import accumulate, chain, combinations, count, islice, product
+from itertools import accumulate, combinations, count, islice, product
 from operator import sub, truediv
 
 import pytest
@@ -695,24 +698,78 @@ def test_numpy_rows_raise_as_the_stdlib_rows(name, a, t, error):
     assert vector == ((NonFiniteArithmetic, error), [])
 
 
-def test_a_nan_row_after_a_violating_row_raises():
-    # every row is judged, so a NaN after an earlier violation still raises; the
-    # scans reach a NaN gap only past a non-finite operand, so the judge is tested here
+def test_a_nan_row_after_a_violating_row_raises(monkeypatch):
+    # every row is judged, so a row that raises after an earlier violation still raises: anchor 1
+    # violates, and the last anchor's one slope is inf.  The slope bound 2e308 / 1 overflows, so
+    # with numpy loaded the stdlib rows judge the scan and no block runs
     np = pytest.importorskip("numpy")
-    # one block of two rows: row 1 is the second row from its second gap on (offset 1),
-    # and labels count the gaps of the whole row, as the anchored scan does
+    a, t = [0.0, 1.0, 0.0, 1e308, -1e308], [0.0, 1.0, 2.0, 3.0, 4.0]
+    judge, blocks = diagnostics._block_report, []
+    monkeypatch.setattr(diagnostics, "_block_report", lambda *args: blocks.append(args))
+    loaded = outcome(anchored_slope_check_all, a, t, DEFAULT_TOL)
+    assert loaded == ((NonFiniteArithmetic, "compared quantities reach inf"), []) and not blocks
+    assert loaded == with_cutoffs(math.inf, anchored_slope_check_all, a, t, DEFAULT_TOL)
+    # a stdlib row raises on a NaN gap after a violating row; the block judge, which never meets
+    # a NaN, reports the violating row, labels counting the gaps of the whole row
     rows = ([-5.0, 1.0, 4.0], [2.0, math.nan, -1.0])
-
-    def judged(rows, offsets):
-        ones = np.ones(len(rows))
-        return diagnostics._block_report(np, np.array(rows), offsets, True, DEFAULT_TOL,
-                                         lambda foreign: (ones, ones), lambda b, c: c + 1)
-
-    with pytest.raises(NonFiniteArithmetic, match="gap 2 is NaN"):
-        judged(rows, [0, 1])
     with pytest.raises(NonFiniteArithmetic, match="gap 2 is NaN"):
         [scan_margin(row, DEFAULT_TOL, (1.0,)) for row in rows]
-    assert judged(rows[:1], [0]) == CheckReport(False, 1, -5.0, DEFAULT_TOL)
+    assert judge(np, np.array(rows[:1]), [0], DEFAULT_TOL, lambda foreign: 1.0,
+                 lambda b, c: c + 1) == CheckReport(False, 1, -5.0, DEFAULT_TOL)
+
+
+def slope_bound(a, t):
+    """2 max|a| over the least witness gap: when finite, it bounds every anchored slope."""
+    return 2.0 * max(map(abs, a)) / min(map(sub, t[1:], t))
+
+
+bound_floats = st.one_of(
+    st.floats(-1e307, 1e307),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 8e307, -8e307, 1e308, -1e308, 5e-324, 1e150, -1e150]),
+)
+
+
+@st.composite
+def edge_pairs(draw):
+    """(a, t) of n = 2..14 near overflow: t strictly increasing, its gaps from 5e-324 to past max float."""
+    n = draw(st.integers(2, 14))
+    a = draw(st.lists(bound_floats, min_size=n, max_size=n))
+    points = st.one_of(bound_floats, st.sampled_from([1e-323, 1.7e308, -1.7e308]))
+    return a, sorted(draw(st.lists(points, min_size=n, max_size=n, unique=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_pairs(), st.sampled_from(KERNEL_TOLS))
+# the bound 1.6e308 is finite and the blocks run; the all-triples scale 3 * 8e307 overflows
+@example(([0.0, 8e307, -8e307, 8e307], [1.0, 2.0, 3.0, 4.0]), DEFAULT_TOL)
+# the bound overflows, and the stdlib rows run: the last anchor's slope -2e308 raises
+@example(([0.0, 1e308, -1e308], [1.0, 2.0, 3.0]), DEFAULT_TOL)
+# the bound overflows; the all-triples scale 1.6e308 is finite, and its blocks meet the -inf
+# determinant -1e308 - 1.6e308
+@example(([-1e308, 8e307, 0.0], [1.0, 2.0, 3.0]), DEFAULT_TOL)
+def test_a_finite_slope_bound_proves_every_anchored_slope_finite(pair, tol):
+    np = pytest.importorskip("numpy")
+    a, t = pair
+    wit = Witness(t)  # gaps below tol.abs included
+    finite = math.isfinite(slope_bound(a, t))
+    if finite:
+        assert all(math.isfinite((a[i] - a[s]) / (t[i] - t[s])) for s, i in combinations(range(len(a)), 2))
+    judge = diagnostics._block_report
+    for name, scan in SCANS.items():
+        blocks = []
+
+        def spied(*args):
+            blocks.append(args[1])
+            return judge(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diagnostics, "_block_report", spied)
+            loaded = outcome(scan, a, wit, tol)
+        assert loaded == with_cutoffs(math.inf, scan, a, wit, tol), name
+        # the blocks run exactly on operands proven finite, and (foreign entries masked) hold no NaN gap
+        proven = finite if name == "anchored" else len(a) > 2 and loaded[0][0] is not NonFiniteArithmetic
+        assert bool(blocks) == proven, name
+        assert not any(np.isnan(gaps).any() for gaps in blocks), name
 
 
 def fold(reports, tol):
@@ -733,34 +790,38 @@ def judged_rows(rows, operands, tol):
 
 block_floats = st.one_of(
     st.floats(-4.0, 4.0),
-    st.sampled_from([0.0, -0.0, -1e-9, -1.5e-9, -1e-3, math.nan, math.inf, -math.inf, 1e308, -1e308]),
+    st.sampled_from([0.0, -0.0, -1e-9, -1.5e-9, -1e-3, 1e308, -1e308, 1.7976931348623157e308]),
 )
+# the gaps of finite operands: finite, or ±inf where a difference overflows, never NaN
+block_gaps = st.one_of(block_floats, st.sampled_from([math.inf, -math.inf]))
 
 
 def test_the_block_judge_equals_its_rows_judged_one_by_one():
     np = pytest.importorskip("numpy")
 
-    def judged_block(rows, offsets, operands, tol):
+    def judged_block(rows, offsets, operands, shared, tol):
         # a block as the scans lay it out: row b's own gaps start at offsets[b] (non-decreasing),
         # and the columns before them hold other rows' gaps (NaN here, as a slope 0 / 0 gives);
-        # each row's extremes are taken as the scans take them, a NaN propagating
+        # each row's scale is its largest |operand|, as a column, or one scalar for rows that
+        # share their operands, as the all-triples scan passes it
         width = len(rows[0])
         gaps = np.array([[math.nan] * (width - len(row)) + row for row in rows])
-        hi, lo = (np.array([pick(ops) for ops in operands]) for pick in (np.max, np.min))
-        finite = all(map(math.isfinite, chain.from_iterable(operands)))
+        scales = [max(map(abs, ops)) for ops in operands]
+        scale = scales[0] if shared else np.array(scales)[:, None]
         with np.errstate(all="ignore"):  # as diagnostics._scan runs the blocks
-            return diagnostics._block_report(np, gaps, offsets, finite, tol, lambda foreign: (hi, lo),
+            return diagnostics._block_report(np, gaps, offsets, tol, lambda foreign: scale,
                                              lambda b, c: (b, c - offsets[b]))
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(st.data(), st.sampled_from(KERNEL_TOLS))
-    def judge(data, tol):
+    @given(st.data(), st.sampled_from(KERNEL_TOLS), st.booleans())
+    def judge(data, tol, shared):
         width = data.draw(st.integers(1, 6))
         offsets = [0] + sorted(data.draw(st.lists(st.integers(0, width - 1), max_size=4)))
-        rows = [data.draw(st.lists(block_floats, min_size=width - o, max_size=width - o)) for o in offsets]
-        operands = [data.draw(st.lists(st.one_of(st.floats(-1e3, 1e3), block_floats), min_size=1, max_size=3))
-                    for _ in offsets]
-        assert outcome(judged_block, rows, offsets, operands, tol) == outcome(judged_rows, rows, operands, tol)
+        rows = [data.draw(st.lists(block_gaps, min_size=width - o, max_size=width - o)) for o in offsets]
+        ops = st.lists(st.one_of(st.floats(-1e3, 1e3), block_floats), min_size=1, max_size=3)
+        operands = [data.draw(ops)] * len(offsets) if shared else [data.draw(ops) for _ in offsets]
+        assert (outcome(judged_block, rows, offsets, operands, shared, tol)
+                == outcome(judged_rows, rows, operands, tol))
 
     judge()
 
@@ -769,7 +830,7 @@ def test_the_block_judge_equals_its_rows_judged_one_by_one():
 @pytest.mark.parametrize("a, want", [
     ([4.0, 1.0, 0.0, 2.0, 6.5], "CheckReport(holds=True,"),
     ([4.0, 1.0, 3.0, 2.0, 6.5], "CheckReport(holds=False,"),
-    # the anchored blocks raise inside the scan; the all-triples scale raises before it
+    # the anchored slope bound overflows, so its stdlib rows raise; the all-triples scale raises first
     ([1e308, -1e308, 1e308, 0.0, 1.0], NonFiniteArithmetic),
 ])
 def test_the_numpy_scans_restore_the_error_state_and_buffer_size(name, a, want):
@@ -791,6 +852,15 @@ def test_numpy_rows_keep_the_first_of_tied_zero_margins(a, margin):
         vector = with_cutoffs(0, check, a, t, DEFAULT_TOL)
         assert vector == with_cutoffs(math.inf, check, a, t, DEFAULT_TOL), name
     assert margin in with_cutoffs(0, anchored_slope_check_all, a, t, DEFAULT_TOL)[0]
+
+
+def test_numpy_rows_take_each_row_scale_from_its_largest_magnitude():
+    # anchor 1's slopes are -100, -100.5, -1: the gap -0.5 holds at the scale 100.5 (slack 1.005),
+    # not at the largest slope's magnitude 1 (slack 0.01)
+    a, t, tol = [0.0, -100.0, -201.0, -3.0], [0.0, 1.0, 2.0, 3.0], Tolerance(0.0, 0.01)
+    vector = with_cutoffs(0, anchored_slope_check_all, a, t, tol)
+    assert vector == with_cutoffs(math.inf, anchored_slope_check_all, a, t, tol)
+    assert vector[0].startswith("CheckReport(holds=True, first_violation=None, margin=-0.5,")
 
 
 @pytest.mark.parametrize("name", sorted(SCANS))
@@ -825,14 +895,15 @@ def test_a_loaded_numpy_computes_the_blocks_at_any_size(name, monkeypatch):
     assert loaded[0].startswith("CheckReport(holds=True,")
 
 
-@pytest.mark.parametrize("tail, calls, want", [
-    ([], 0, "CheckReport(holds=False, first_violation=192,"),
-    ([-1e308, 1e308], 1, (NonFiniteArithmetic, "compared quantities reach inf")),
+@pytest.mark.parametrize("tail, blocked, want", [
+    ([], False, "CheckReport(holds=False, first_violation=192,"),
+    ([-1e308, 1e308], True, (NonFiniteArithmetic, "compared quantities reach inf")),
 ])
-def test_the_numpy_anchored_scan_judges_finite_rows_without_scan_margin(tail, calls, want, monkeypatch):
+def test_the_numpy_anchored_scan_judges_finite_rows_without_scan_margin(tail, blocked, want, monkeypatch):
     # i² at n = 200 lifted by n² at 0-based n - 10: every anchor before it violates, and each
-    # block is judged as arrays; with an overflowing tail, the last anchor's one slope is inf,
-    # and that row alone goes to scan_margin, which raises
+    # block is judged as arrays, with no scan_margin call; with an overflowing tail the slope
+    # bound 2e308 / 1 is not finite, so no block runs: every stdlib row goes to scan_margin,
+    # and the last anchor's, whose one slope is inf, raises
     pytest.importorskip("numpy")
     n = 200
     a = [float(i * i) for i in range(n)]
@@ -853,9 +924,11 @@ def test_the_numpy_anchored_scan_judges_finite_rows_without_scan_margin(tail, ca
         monkeypatch.setattr(diagnostics, name, spy(name))
     loaded = outcome(anchored_slope_check_all, a, t, DEFAULT_TOL)
     blocks = len(list(diagnostics._spans(n - 1, lambda r: n - 1 - r)))
-    assert blocks > 1 and counted == {"scan_margin": calls, "_block_report": blocks}
+    assert blocks > 1
+    assert counted == ({"scan_margin": n - 1, "_block_report": 0} if blocked
+                       else {"scan_margin": 0, "_block_report": blocks})
     assert loaded == with_cutoffs(math.inf, anchored_slope_check_all, a, t, DEFAULT_TOL)
-    assert loaded[0] == want if calls else loaded[0].startswith(want)
+    assert loaded[0] == want if blocked else loaded[0].startswith(want)
 
 
 def test_the_numpy_anchored_scan_holds_one_block_at_a_time():

@@ -13,6 +13,7 @@ from relconvex import (
     PreconditionViolation,
     RealSeq,
     WeightVec,
+    Witness,
     build_extension,
     convex_hhf_bounds,
     hhf_bounds,
@@ -213,6 +214,11 @@ class TestHhfBounds:
         assert shifted.value == pytest.approx(base.value + 5.0, rel=1e-12)
         assert shifted.upper == pytest.approx(base.upper + 5.0, rel=1e-12)
         assert shifted.holds
+
+    def test_endpoints_within_the_tolerance_are_degenerate(self):
+        # Witness.of passes a pre-built witness on unjudged, so its span may lie within tol.abs
+        with pytest.raises(DegenerateWitness, match="^witness endpoints coincide$"):
+            hhf_bounds([1, 2], Witness([0, 1e-10]), [1, 1], psi_identity)
 
 
 class TestNiezgoda:

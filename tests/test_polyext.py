@@ -49,10 +49,10 @@ def test_eval_breakpoints_exact_and_midpoints_linear():
         a, t = gen_relative_convex_pair(n, seed)
         ext = build_extension(a, t)
         for x, y in zip(t, a):
-            assert ext.eval(x) == y
+            assert ext.eval(x) == ext(x) == y
         for i in range(n - 1):
             mid = (t[i] + t[i + 1]) / 2.0
-            assert ext.eval(mid) == pytest.approx((a[i] + a[i + 1]) / 2.0, rel=1e-12, abs=1e-12)
+            assert ext(mid) == ext.eval(mid) == pytest.approx((a[i] + a[i + 1]) / 2.0, rel=1e-12, abs=1e-12)
 
 
 def test_eval_interior_point():
@@ -71,9 +71,10 @@ def test_eval_domain_clamp_and_error():
 
 @pytest.mark.parametrize("probe", [
     lambda t, q: build_extension((4.0, 1.0, 0.0), t).eval(q),
+    lambda t, q: build_extension((4.0, 1.0, 0.0), t)(q),
     floor_wrt,
     frac_wrt,
-], ids=["eval", "floor_wrt", "frac_wrt"])
+], ids=["eval", "call", "floor_wrt", "frac_wrt"])
 def test_nan_is_out_of_domain(probe):
     with pytest.raises(OutOfDomain):
         probe((0.0, 1.0, 3.0), math.nan)

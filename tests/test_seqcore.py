@@ -223,6 +223,12 @@ class TestConstructWitness:
     def test_sign_error(self):
         with pytest.raises(SignError):
             construct_witness((1, 2, 4), (-1, 2))
+        with pytest.raises(SignError, match="must be negative on a decrease step"):
+            construct_witness((3, 1, 2), (1, 2))
+
+    def test_plateau_step_within_the_tolerance(self):
+        with pytest.raises(ValueError, match=r"^plateau_step must exceed the strictness tolerance, got 0\.0$"):
+            construct_witness((3, 1, 2), (-1, 1), plateau_step=0.0)
 
     def test_monotone_error(self):
         with pytest.raises(MonotoneError):
