@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
-from operator import mul
+from operator import mul, sub
 from typing import Sequence, Union
 
 from .errors import DegenerateWitness, NonFiniteArithmetic, ZeroTotalWeight
@@ -51,9 +51,11 @@ def unit_weights(n: int) -> WeightVec:
     return WeightVec((1.0,) * n)
 
 
-def _mean(x: _Floats, pv: WeightVec) -> float:
-    """sum(p_i x_i) / P, remembered on ``pv`` per ``x`` object."""
-    return _remembered(pv, "_moments", "mean", lambda: _fsum(map(mul, pv.weights, x.values)) / pv.total, x, x)
+def _mean(x: _Floats, pv: WeightVec, origin: float = 0.0) -> float:
+    """sum(p_i (x_i - origin)) / P, remembered on ``pv`` per ``x`` object and origin."""
+    terms = map(sub, x.values, repeat(origin)) if origin else x.values
+    return _remembered(pv, "_moments", ("mean", origin), lambda: _fsum(map(mul, pv.weights, terms)) / pv.total,
+                       x, x)
 
 
 def _cov(x: _Floats, mx: float, y: _Floats, my: float, pv: WeightVec) -> float:

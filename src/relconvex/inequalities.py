@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import warnings
+from bisect import bisect_right
 from itertools import groupby
 from typing import Callable, NamedTuple, Sequence
 
@@ -23,7 +24,7 @@ from .errors import DegenerateWitness, PreconditionViolation
 from .functionals import (
     WeightLike, WeightVec, _cov, _fsum, _mean, _require_spread, majorizes, unit_weights,
 )
-from .polyext import _value_at, floor_wrt
+from .polyext import _value_at
 from .seqcore import (
     DEFAULT_TOL,
     CheckReport,
@@ -250,7 +251,10 @@ def hhf_bounds(
 
     The value is remembered on p per (sequence, map) for a builtin map only
     (pure, and declaring its interval); any other callable is called anew.
-    The mean of the witness is remembered on p, as in :func:`lupas_check`.
+    M, m, gamma and lambda are measured from t_1 (M - t_1 is
+    sum(p_i (t_i - t_1)) / P, remembered on p), so an exact translation of t
+    keeps every difference and the report bit for bit; a witness whose span
+    overflows is measured from 0.
     """
     seq, wit, pv = RealSeq.of(a, "a"), Witness.of(t, tol, "t"), WeightVec.of(p, "p")
     _same_length("a t p", seq, wit, pv)
@@ -265,10 +269,13 @@ def hhf_bounds(
 
     pure = _proven_interval(psi) is not None  # a builtin map; any other callable is called anew
     value = _remembered(pv, "_moments", "psi", psi_sum, seq, psi) if pure else psi_sum()
-    mt = _mean(wit, pv)
-    m = min(floor_wrt(wit, mt, tol), len(seq) - 1)
-    gamma = min(max((mt - wit[m - 1]) / (wit[m] - wit[m - 1]), 0.0), 1.0)
-    lam = min(max((wit[-1] - mt) / (wit[-1] - wit[0]), 0.0), 1.0)
+    tv = wit.values
+    origin = tv[0] if math.isfinite(tv[-1] - tv[0]) else 0.0
+    dm = _mean(wit, pv, origin)  # M - origin
+    m = min(max(bisect_right(tv, dm, key=lambda x: x - origin), 1), len(seq) - 1)
+    # over the gap itself, positive even where the differences from t_1 absorb it
+    gamma = min(max((dm - (tv[m - 1] - origin)) / (tv[m] - tv[m - 1]), 0.0), 1.0)
+    lam = min(max((tv[-1] - origin - dm) / (tv[-1] - tv[0]), 0.0), 1.0)
     lower = gamma * psi(seq[m]) + (1.0 - gamma) * psi(seq[m - 1])
     upper = lam * psi(seq[0]) + (1.0 - lam) * psi(seq[-1])
     return _sandwich(lower, value, upper, tol, m=m, gamma_t=gamma, lambda_t=lam)

@@ -6,6 +6,10 @@ failure.  Seeds are fixed so every run checks the same instances.
 """
 
 import math
+import random
+from itertools import accumulate
+from operator import mul, sub
+from statistics import median
 
 import pytest
 
@@ -51,8 +55,6 @@ from relconvex.oracles import (
 from relconvex.inequalities import convex_hhf_bounds
 from relconvex.functionals import cov_functional, lupas_constant, majorizes, weighted_mean
 
-np = pytest.importorskip("numpy")
-
 
 def report(num, ok, description):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {description}")
@@ -60,14 +62,13 @@ def report(num, ok, description):
 
 
 def convex_seq(rng, n):
-    inc = np.sort(rng.normal(0, 2, n - 1))
-    return list(np.concatenate([[rng.uniform(-3, 3)], inc]).cumsum())
+    return list(accumulate(sorted(rng.gauss(0, 2) for _ in range(n - 1)), initial=rng.uniform(-3, 3)))
 
 
 def perturb(a, t, rng):
     vals = list(a)
-    i = int(rng.integers(1, len(vals) - 1))
-    delta = (0.5 + float(rng.uniform())) * max(1.0, max(vals) - min(vals))
+    i = rng.randrange(1, len(vals) - 1)
+    delta = (0.5 + rng.random()) * max(1.0, max(vals) - min(vals))
     while True:
         bumped = list(vals)
         bumped[i] += delta
@@ -99,8 +100,8 @@ def test_criterion_2_characterization_equivalence():
     agree = 0
     total = 1000
     for seed in range(total):
-        rng = np.random.default_rng(seed + 2_000_000)
-        n = int(rng.integers(4, 14))
+        rng = random.Random(seed + 2_000_000)
+        n = rng.randrange(4, 14)
         a, t = gen_relative_convex_pair(n, seed)
         if seed % 2 == 1:
             a = perturb(list(a), t, rng)
@@ -122,20 +123,19 @@ def test_criterion_3_witness_round_trip():
     for kind in kinds:
         for trial in range(200):
             seed = 10_000 * (1 + kinds.index(kind)) + trial
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(4, 12))
+            rng = random.Random(seed)
+            n = rng.randrange(4, 12)
             a = gen_shape(kind, n, seed)
             d = forward_diff(a)
             n_dec = sum(1 for x in d if x < -DEFAULT_TOL.abs)
             n_inc = sum(1 for x in d if x > DEFAULT_TOL.abs)
-            neg = list(-np.cumsum(rng.uniform(0.1, 1.0, n_dec))[::-1]) if n_dec else []
-            pos = list(np.cumsum(rng.uniform(0.1, 1.0, n_inc))) if n_inc else []
-            w = construct_witness(a, neg + pos, t1=float(rng.uniform(-5, 5)),
-                                  plateau_step=float(rng.uniform(0.2, 2.0)))
+            neg = [-s for s in accumulate(rng.uniform(0.1, 1.0) for _ in range(n_dec))][::-1]
+            pos = list(accumulate(rng.uniform(0.1, 1.0) for _ in range(n_inc)))
+            w = construct_witness(a, neg + pos, t1=rng.uniform(-5, 5), plateau_step=rng.uniform(0.2, 2.0))
             ok &= is_convex_wrt(a, w).margin >= -1e-9
 
-            alpha = float(rng.uniform(-10, 10))
-            beta = alpha + float(rng.uniform(0.1, 20.0))
+            alpha = rng.uniform(-10, 10)
+            beta = alpha + rng.uniform(0.1, 20.0)
             w2 = construct_witness_on_interval(a, alpha, beta)
             ok &= w2.values[0] == alpha and w2.values[-1] == beta
             ok &= is_convex_wrt(a, w2).margin >= -1e-9
@@ -145,23 +145,23 @@ def test_criterion_3_witness_round_trip():
 def test_criterion_4_lupas_suite():
     ok = True
     for seed in range(1000):
-        rng = np.random.default_rng(seed + 4_000_000)
-        n = int(rng.integers(3, 13))
+        rng = random.Random(seed + 4_000_000)
+        n = rng.randrange(3, 13)
         a, t = gen_relative_convex_pair(n, seed)
-        slopes = np.sort(rng.normal(0, 2, n - 1))
-        b = list(np.concatenate([[rng.uniform(-4, 4)], slopes * np.diff(t)]).cumsum())
-        p = list(rng.uniform(0.05, 2.0, n))
+        slopes = sorted(rng.gauss(0, 2) for _ in range(n - 1))
+        b = list(accumulate(map(mul, slopes, map(sub, t.values[1:], t.values)), initial=rng.uniform(-4, 4)))
+        p = [rng.uniform(0.05, 2.0) for _ in range(n)]
         rep = lupas_check(a, b, t, p)
         ok &= rep.slack >= -1e-9
 
         if seed % 5 == 0:
-            c = float(rng.uniform(-2, 2))
-            dshift = float(rng.uniform(-5, 5))
+            c = rng.uniform(-2, 2)
+            dshift = rng.uniform(-5, 5)
             affine = [c * x + dshift for x in t]
             ok &= abs(lupas_check(affine, b, t, p).slack) <= 1e-9
 
         if seed % 10 == 0:
-            m = int(rng.integers(3, 12))
+            m = rng.randrange(3, 12)
             ca = convex_seq(rng, m)
             cb = convex_seq(rng, m)
             norm = lupas_check(ca, cb, list(range(1, m + 1)), [1.0] * m)
@@ -177,36 +177,36 @@ def test_criterion_4_lupas_suite():
 def test_criterion_5_hhf_suite():
     ok = True
     for seed in range(1000):
-        rng = np.random.default_rng(seed + 5_000_000)
-        n = int(rng.integers(2, 13))
+        rng = random.Random(seed + 5_000_000)
+        n = rng.randrange(2, 13)
         a, t = gen_relative_convex_pair(n, seed + 50_000)
-        p = list(rng.uniform(0.05, 2.0, n))
+        p = [rng.uniform(0.05, 2.0) for _ in range(n)]
         which = seed % 3
         if which == 0:
             psi = psi_identity
         elif which == 1:
             psi = math.exp
         else:
-            psi = make_relu(float(np.median(a.values)))
+            psi = make_relu(median(a.values))
         rep = hhf_bounds(a, t, p, psi)
         ok &= rep.holds
         if which != 1:
             ok &= rep.slack_lower >= -1e-9 and rep.slack_upper >= -1e-9
 
         if seed % 4 == 0:
-            m = int(rng.integers(2, 12))
+            m = rng.randrange(2, 12)
             ca = convex_seq(rng, m)
-            cp = list(rng.uniform(0.05, 2.0, m))
+            cp = [rng.uniform(0.05, 2.0) for _ in range(m)]
             unit = list(range(1, m + 1))
             hh = hhf_bounds(ca, unit, cp, psi_identity)
             nz = niezgoda_bound(ca, cp, psi_identity)
             ok &= abs(sum(cp) * hh.upper - nz.upper) <= 1e-9 * max(1.0, abs(nz.upper))
 
         if seed % 4 == 2:
-            m = 2 * int(rng.integers(2, 7))
+            m = 2 * rng.randrange(2, 7)
             ca = convex_seq(rng, m)
-            half = rng.uniform(0.1, 2.0, m // 2)
-            cp = list(half) + list(half[::-1])
+            half = [rng.uniform(0.1, 2.0) for _ in range(m // 2)]
+            cp = half + half[::-1]
             hh = hhf_bounds(ca, list(range(1, m + 1)), cp, psi_identity)
             mid = (m + 1) // 2
             expect = (ca[mid - 1] + ca[mid]) / 2.0
@@ -219,11 +219,11 @@ def test_criterion_5_hhf_suite():
 def test_criterion_6_majorization_suite():
     ok = True
     for seed in range(1000):
-        rng = np.random.default_rng(seed + 6_000_000)
-        n = int(rng.integers(3, 11))
+        rng = random.Random(seed + 6_000_000)
+        n = rng.randrange(3, 11)
         a, t = gen_relative_convex_pair(n, seed + 60_000)
-        k = int(rng.integers(2, 9))
-        q = list(rng.uniform(t[0], t[-1], k))
+        k = rng.randrange(2, 9)
+        q = [rng.uniform(t[0], t[-1]) for _ in range(k)]
         p = list(gen_majorized_pair(q, 2 * k, seed))
         rep = majorization_inequality_check(a, t, p, q)
         ok &= rep.margin >= -1e-9
@@ -245,10 +245,9 @@ def test_criterion_6_majorization_suite():
             ok &= abs(ident - sp_interp) <= 1e-12 * max(1.0, abs(sp_interp))
 
         if seed % 4 == 0:
-            m = int(rng.integers(3, 11))
+            m = rng.randrange(3, 11)
             ca = convex_seq(rng, m)
-            kk = int(rng.integers(2, 6))
-            qi = [int(v) for v in rng.integers(1, m + 1, kk)]
+            qi = [rng.randint(1, m) for _ in range(rng.randrange(2, 6))]
             # unit transfers from the largest to the smallest entry keep the
             # total and produce an index vector majorized by the original
             pi = list(qi)
@@ -270,11 +269,11 @@ def test_criterion_6_majorization_suite():
 def test_criterion_7_psi_preservation():
     ok = True
     for seed in range(300):
-        rng = np.random.default_rng(seed + 7_000_000)
-        n = int(rng.integers(3, 12))
+        rng = random.Random(seed + 7_000_000)
+        n = rng.randrange(3, 12)
         a, t = gen_relative_convex_pair(n, seed + 70_000)
         ok &= psi_preservation_check(a, t, math.exp).holds
-        ok &= psi_preservation_check(a, t, make_relu(float(np.median(a.values)))).holds
+        ok &= psi_preservation_check(a, t, make_relu(median(a.values))).holds
     report(7, ok, "monotone convex maps preserve witnesses on 300 seeded pairs x {exp, relu}")
 
 
@@ -287,7 +286,7 @@ def test_criterion_8_asymptotic_diagnostics():
     for k, term in enumerate(rep.terms, start=1):
         ok &= abs(abs(term) - 1.0 / (k + 1)) <= 1e-12
     ok &= rep.max_tail <= 0.014
-    diffs = [abs(x) for x in np.diff(np.concatenate([[0.0], rep.partial_sums]))]
+    diffs = [abs(y - x) for x, y in zip((0.0, *rep.partial_sums), rep.partial_sums)]
     ok &= all(x >= y for x, y in zip(diffs, diffs[1:]))
     report(8, ok, "harmonic reference decays at 1/(n+1) with tail below 0.014 and settling "
                   "partial sums")
@@ -361,8 +360,8 @@ def test_criterion_9_oracle_independence():
 
     # majorization sides through the independent interpolation oracle
     a2, t2 = gen_relative_convex_pair(7, 12345)
-    rng = np.random.default_rng(9)
-    q2 = list(rng.uniform(t2[0], t2[-1], 5))
+    rng = random.Random(9)
+    q2 = [rng.uniform(t2[0], t2[-1]) for _ in range(5)]
     p2 = list(gen_majorized_pair(q2, 10, 777))
     mrep = majorization_inequality_check(a2, t2, p2, q2)
     sp2, sq2 = brute_majorization_sides(list(a2), list(t2), p2, q2)

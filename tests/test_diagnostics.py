@@ -1,7 +1,11 @@
 """Characterization-equivalence and finite-prefix diagnostic tests."""
 
 import math
+import random
 import re
+from itertools import accumulate
+from operator import mul
+from statistics import median
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,17 +33,15 @@ from relconvex import (
 )
 from relconvex.oracles import gen_relative_convex_pair, gen_shape
 
-np = pytest.importorskip("numpy")
-
 
 def perturbed_pair(seed, n_lo=4, n_hi=12):
     """Witnessed pair broken by a decisive upward bump at an interior index."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(n_lo, n_hi))
+    rng = random.Random(seed)
+    n = rng.randrange(n_lo, n_hi)
     a, t = gen_relative_convex_pair(n, seed)
     vals = list(a.values)
-    i = int(rng.integers(1, n - 1))
-    delta = (0.5 + float(rng.uniform())) * max(1.0, max(vals) - min(vals))
+    i = rng.randrange(1, n - 1)
+    delta = (0.5 + rng.random()) * max(1.0, max(vals) - min(vals))
     while True:
         bumped = list(vals)
         bumped[i] += delta
@@ -51,10 +53,10 @@ def perturbed_pair(seed, n_lo=4, n_hi=12):
 
 class TestNeighborChord:
     def test_arithmetic_witness_matches_plain_convexity(self):
-        rng = np.random.default_rng(41)
+        rng = random.Random(41)
         for _ in range(100):
-            n = int(rng.integers(3, 10))
-            a = list(rng.normal(0, 3, n))
+            n = rng.randrange(3, 10)
+            a = [rng.gauss(0, 3) for _ in range(n)]
             t = list(range(1, n + 1))
             assert neighbor_chord_check(a, t).holds == is_convex(a).holds
 
@@ -103,12 +105,12 @@ class TestIncrementGrowth:
             increment_growth_check((3, 2, 1), (1, 2, 3))
 
     def test_agrees_with_slope_test_on_increasing_inputs(self):
-        rng = np.random.default_rng(42)
+        rng = random.Random(42)
         agree = 0
         for seed in range(300):
-            n = int(rng.integers(3, 10))
-            t = np.cumsum(rng.uniform(0.1, 1.0, n))
-            a = np.cumsum(rng.uniform(0.05, 2.0, n))  # strictly increasing, maybe not convex
+            n = rng.randrange(3, 10)
+            t = list(accumulate(rng.uniform(0.1, 1.0) for _ in range(n)))
+            a = list(accumulate(rng.uniform(0.05, 2.0) for _ in range(n)))  # strictly increasing, maybe not convex
             assert increment_growth_check(a, t).holds == is_convex_wrt(a, t).holds
             agree += 1
         assert agree == 300
@@ -241,7 +243,7 @@ class TestPsiPreservation:
     def test_relu_at_median(self):
         for seed in range(100):
             a, t = gen_relative_convex_pair(4 + seed % 9, seed + 1234)
-            rep = psi_preservation_check(a, t, make_relu(float(np.median(a.values))))
+            rep = psi_preservation_check(a, t, make_relu(median(a.values)))
             assert rep.holds
 
     def test_positive_part(self):
@@ -314,14 +316,13 @@ class TestRateDiagnostic:
 
     def test_summable_square_decay(self):
         n = 60
-        partial = np.cumsum([1.0 / k**2 for k in range(1, n + 1)])
-        a = list(-partial)
+        a = [-s for s in accumulate(1.0 / k**2 for k in range(1, n + 1))]
         t = list(range(1, n + 1))
         rep = rate_diagnostic(a, t, alpha=1.0)
         for k, term in enumerate(rep.terms, start=1):
             assert term == pytest.approx(-k / (k + 1.0) ** 2, rel=1e-9)
         # partial sums settle: successive increments shrink
-        inc = np.abs(np.diff(rep.partial_sums))
+        inc = [abs(y - x) for x, y in zip(rep.partial_sums, rep.partial_sums[1:])]
         assert inc[-1] < inc[0]
 
     def test_increasing_prefix_rejected(self):
@@ -347,13 +348,14 @@ class TestRateDiagnostic:
     def test_magnitudes_decay_after_scaling(self):
         # -slope_n is non-negative and non-increasing for a witnessed
         # non-increasing sequence, i.e. |terms|/n never grows
-        rng = np.random.default_rng(71)
+        rng = random.Random(71)
         for _ in range(50):
-            n = int(rng.integers(4, 20))
-            slopes = -np.sort(rng.uniform(0.05, 2.0, n - 1))[::-1]  # negative, rising to zero
-            gaps = rng.uniform(0.5, 1.5, n - 1)
-            t = np.concatenate([[0.0], np.cumsum(gaps)])
-            a = 10.0 + np.concatenate([[0.0], np.cumsum(slopes * gaps)])
+            n = rng.randrange(4, 20)
+            # negative slopes, rising to zero
+            slopes = [-s for s in sorted((rng.uniform(0.05, 2.0) for _ in range(n - 1)), reverse=True)]
+            gaps = [rng.uniform(0.5, 1.5) for _ in range(n - 1)]
+            t = list(accumulate(gaps, initial=0.0))
+            a = [10.0 + x for x in accumulate(map(mul, slopes, gaps), initial=0.0)]
             rep = rate_diagnostic(a, t)
             scaled = [abs(v) / (k + 1) for k, v in enumerate(rep.terms)]
             assert all(x >= y - 1e-12 for x, y in zip(scaled, scaled[1:]))

@@ -1,9 +1,7 @@
-"""The C-level fast paths agree with the loops they shortcut, and the ψ spot
-check agrees with its reference loop.
+"""The C-level fast paths and the numpy blocks agree with the loops they shortcut,
+and the ψ spot check agrees with its reference loop.  Every test runs without
+numpy except those that compare with numpy or read its state.
 
-* ``scan_margin`` judges every gap list at C level and makes any other
-  iterable a list first; both give the same ``(first, margin)``, bit for bit
-  (-0.0 ties included), and raise the same error for a NaN gap.
 * ``Witness.of`` accepts in one C-level pass and otherwise takes its loop, so
   NaN entries, sub-tolerance gaps and non-increasing input raise as the loop
   alone does (kept here as ``witness_of_loop``).
@@ -24,22 +22,27 @@ check agrees with its reference loop.
 * A builtin map whose declared interval holds the values is proven, not
   sampled: the range check observes what the sampled check of the same map
   behind a plain lambda observes, and any other case is that sampled check.
-* ``scan_margin`` takes the tolerance scale only when a gap is negative; it
-  reports and raises as the eager rule kept here (``eager_rule``: the scale
-  first, then every gap in order) on edge gaps, operands and tolerances, and
-  so do its callers against loops that keep their formulas
+* ``scan_margin`` judges a list of gaps at C level, makes any other iterable
+  a list first, and takes the tolerance scale only when a gap is negative:
+  given the gaps (and labels) as a list or an iterator, it reports and raises
+  as the eager rule kept here (``eager_rule``: the scale first, then every gap
+  in order), bit for bit (-0.0 ties included), on edge gaps, operands and
+  tolerances; and so do its callers against loops that keep their formulas
   (``REFERENCES``) on a seeded corpus.
-* The two super-linear scans (``anchored_slope_check_all`` and the
-  all-triples determinants) report and raise alike whether their rows come
-  from numpy blocks (at any block budget) or from the stdlib loops; a loaded
-  numpy computes the blocks at any size on operands proven finite (the
-  anchored slope bound 2 max|a| / min gap, the all-triples scale), and only
-  there, so a block never meets a NaN and never raises; the block judge
-  equals its rows judged one by one; the scans fall back to the loops
-  when numpy is blocked, a small ``diagnose`` never imports numpy, ``relconvex
-  diagnose`` prints the same bytes with numpy and without, and the scans
-  leave numpy's error state and buffer size as they found them; the anchored
-  scan holds one block of gaps at a time, not all of them.
+* The two super-linear scans (``anchored_slope_check_all`` and
+  ``collinearity_determinant_check(all_triples=True)``) report and raise from
+  numpy blocks, at the block budgets 1, 7, 64 and 8,192, as from their stdlib
+  loops: on seeded corpus and near-overflow pairs and on explicit examples
+  (block boundaries, tied ±0 margins, ±1e308 rows, the tolerance's edges).
+  numpy runs exactly on operands proven finite (a finite anchored slope bound
+  2 max|a| / min gap, which bounds every slope, or an all-triples scale that
+  does not raise), so a block never meets a NaN.  A loaded numpy computes the
+  blocks at any size, a scan where nothing is proven finite asks numpy for
+  nothing, a blocked numpy falls back to the loops, and the scans leave
+  numpy's error state and buffer size as they found them.  The anchored scan
+  holds one block of gaps at a time; a small ``diagnose`` never imports
+  numpy, and ``relconvex diagnose`` prints the same bytes with numpy and
+  without.
 """
 
 import copy
@@ -53,14 +56,15 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 import weakref
 from pathlib import Path
 from itertools import accumulate, combinations, count, islice, product
-from operator import sub, truediv
+from operator import lt, sub, truediv
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import relconvex
@@ -88,25 +92,6 @@ def outcome(fn, *args):
 
 
 # -- scan_margin --------------------------------------------------------------
-
-gap_values = st.one_of(
-    st.floats(allow_nan=False),
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e-9, -1e-9, -1.5e-9]),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(gap_values, max_size=12), st.floats(0.0, 1e3), st.booleans(), st.booleans())
-def test_scan_margin_list_equals_stream(gaps, allowed, labelled, with_nan):
-    if with_nan and gaps:
-        gaps[len(gaps) // 2] = math.nan
-    labels = [f"pair {k}" for k in range(len(gaps))] if labelled else None
-    tol = Tolerance(abs=allowed, rel=0.0)
-    fast = outcome(scan_margin, list(gaps), tol, (), labels)
-    loop = outcome(scan_margin, iter(gaps), tol, (), None if labels is None else iter(labels))
-    assert fast == loop
-    if with_nan and gaps:
-        assert fast[0][0] is NonFiniteArithmetic
 
 
 def test_scan_margin_keeps_the_first_of_tied_zeros():
@@ -466,7 +451,7 @@ def test_square_past_overflow_raises_as_the_sampled_check():
 # -- the lazy kernel: the scale only for a negative gap ------------------------------
 
 KERNEL_TOLS = [Tolerance(), Tolerance(0.0, 0.0), Tolerance(1e-3, 1e-12)]
-edge_floats = st.one_of(
+kernel_floats = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-9, -1e-9, -1.5e-9]),
 )
@@ -487,16 +472,17 @@ def eager_rule(gaps, tol, operands, labels=None):
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.lists(edge_floats, max_size=10), st.lists(edge_floats, max_size=6), st.sampled_from(KERNEL_TOLS),
-       st.booleans(), st.sampled_from([list, tuple, iter]))
+@given(st.lists(kernel_floats, max_size=12), st.lists(kernel_floats, max_size=6), st.sampled_from(KERNEL_TOLS),
+       st.booleans(), st.sampled_from([list, iter]), st.sampled_from([list, tuple, iter]))
 # finite operands whose sum overflows, judged at their true scale (1e296 here)
-@example([-1e-3, 2.0], [1e308, 1e308, -1e308], KERNEL_TOLS[2], False, list)
-@example([5.0, -1e300], [1e308, 1e308, -1e308], KERNEL_TOLS[2], True, tuple)
+@example([-1e-3, 2.0], [1e308, 1e308, -1e308], KERNEL_TOLS[2], False, list, list)
+@example([5.0, -1e300], [1e308, 1e308, -1e308], KERNEL_TOLS[2], True, iter, tuple)
 # gaps whose sum is NaN without a NaN among them
-@example([math.inf, -1.0, -math.inf], [1.0], KERNEL_TOLS[0], True, list)
-def test_lazy_kernel_equals_the_eager_rule(gaps, operands, tol, labelled, form):
+@example([math.inf, -1.0, -math.inf], [1.0], KERNEL_TOLS[0], True, list, list)
+def test_lazy_kernel_equals_the_eager_rule(gaps, operands, tol, labelled, form, operand_form):
+    # a list of gaps is judged at C level, any other iterable (its labels too) made a list first
     labels = [f"pair {k}" for k in range(len(gaps))] if labelled else None
-    lazy = outcome(scan_margin, list(gaps), tol, form(operands), labels)
+    lazy = outcome(scan_margin, form(gaps), tol, operand_form(operands), labels and form(labels))
     assert lazy == outcome(eager_rule, gaps, tol, operands, labels)
 
 
@@ -655,12 +641,18 @@ def test_callers_equal_the_loops_that_keep_their_formulas(name):
         assert outcome(check, a, t, tol) == outcome(reference, a, t, tol), (a, t, tol)
 
 
-# -- numpy rows of the super-linear scans ------------------------------------------
+# -- numpy blocks of the super-linear scans -------------------------------------------
 
 SCANS = {
     "anchored": anchored_slope_check_all,
     "all triples": lambda a, t, tol: collinearity_determinant_check(a, t, tol, all_triples=True),
 }
+
+
+@pytest.fixture(scope="module")
+def np():
+    """numpy, for the tests that need its blocks: they skip without it."""
+    return pytest.importorskip("numpy")
 
 
 def with_cutoffs(cutoff, check, *args):
@@ -673,49 +665,17 @@ def with_cutoffs(cutoff, check, *args):
         return outcome(check, *args)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.randoms(use_true_random=False), st.sampled_from(sorted(SCANS)))
-def test_numpy_rows_equal_the_stdlib_rows(rng, name):
-    # corpus_pair: convex, lifted, noisy, 1e300-scaled and overflowing data, n <= 40
-    a, t = corpus_pair(rng)
-    tol = rng.choice(KERNEL_TOLS)
-    assert with_cutoffs(0, SCANS[name], a, t, tol) == with_cutoffs(math.inf, SCANS[name], a, t, tol)
+class Recording(types.ModuleType):
+    """A numpy in ``sys.modules`` that records each name a scan takes from it, and gives
+    ``real``'s (with no ``real`` behind it, taking a name fails)."""
 
+    def __init__(self, real=None):
+        super().__init__("numpy")
+        self.real, self.taken = real, []
 
-@pytest.mark.parametrize("name, a, t, error", [
-    # a violation at anchor 1, then an infinite slope from anchor 4
-    ("anchored", [0.0, 1.0, 0.0, 1e308, -1e308], [0.0, 1.0, 2.0, 3.0, 4.0], "compared quantities reach inf"),
-    # slopes over a witness span that overflows: inf / inf is NaN
-    ("anchored", [-1e308, 0.0, 1e308], [-1e308, 0.0, 1e308], "compared quantities reach nan"),
-    # a zero value times an overflowing witness span: a NaN peak
-    ("all triples", [1.0, 0.0, 2.0, 0.0, 5.0], [-1e308, -5e307, 0.0, 5e307, 1e308],
-     "compared quantities reach nan"),
-    ("all triples", [1e308, -1e308, 1e308, 0.0], [0.0, 1.0, 2.0, 3.0], "compared quantities reach inf"),
-])
-def test_numpy_rows_raise_as_the_stdlib_rows(name, a, t, error):
-    vector = with_cutoffs(0, SCANS[name], a, t, DEFAULT_TOL)
-    assert vector == with_cutoffs(math.inf, SCANS[name], a, t, DEFAULT_TOL)
-    assert vector == ((NonFiniteArithmetic, error), [])
-
-
-def test_a_nan_row_after_a_violating_row_raises(monkeypatch):
-    # every row is judged, so a row that raises after an earlier violation still raises: anchor 1
-    # violates, and the last anchor's one slope is inf.  The slope bound 2e308 / 1 overflows, so
-    # with numpy loaded the stdlib rows judge the scan and no block runs
-    np = pytest.importorskip("numpy")
-    a, t = [0.0, 1.0, 0.0, 1e308, -1e308], [0.0, 1.0, 2.0, 3.0, 4.0]
-    judge, blocks = diagnostics._block_report, []
-    monkeypatch.setattr(diagnostics, "_block_report", lambda *args: blocks.append(args))
-    loaded = outcome(anchored_slope_check_all, a, t, DEFAULT_TOL)
-    assert loaded == ((NonFiniteArithmetic, "compared quantities reach inf"), []) and not blocks
-    assert loaded == with_cutoffs(math.inf, anchored_slope_check_all, a, t, DEFAULT_TOL)
-    # a stdlib row raises on a NaN gap after a violating row; the block judge, which never meets
-    # a NaN, reports the violating row, labels counting the gaps of the whole row
-    rows = ([-5.0, 1.0, 4.0], [2.0, math.nan, -1.0])
-    with pytest.raises(NonFiniteArithmetic, match="gap 2 is NaN"):
-        [scan_margin(row, DEFAULT_TOL, (1.0,)) for row in rows]
-    assert judge(np, np.array(rows[:1]), [0], DEFAULT_TOL, lambda foreign: 1.0,
-                 lambda b, c: c + 1) == CheckReport(False, 1, -5.0, DEFAULT_TOL)
+    def __getattr__(self, name):
+        self.taken.append(name)
+        return getattr(self.real, name)
 
 
 def slope_bound(a, t):
@@ -738,217 +698,21 @@ def edge_pairs(draw):
     return a, sorted(draw(st.lists(points, min_size=n, max_size=n, unique=True)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(edge_pairs(), st.sampled_from(KERNEL_TOLS))
-# the bound 1.6e308 is finite and the blocks run; the all-triples scale 3 * 8e307 overflows
-@example(([0.0, 8e307, -8e307, 8e307], [1.0, 2.0, 3.0, 4.0]), DEFAULT_TOL)
-# the bound overflows, and the stdlib rows run: the last anchor's slope -2e308 raises
-@example(([0.0, 1e308, -1e308], [1.0, 2.0, 3.0]), DEFAULT_TOL)
-# the bound overflows; the all-triples scale 1.6e308 is finite, and its blocks meet the -inf
-# determinant -1e308 - 1.6e308
-@example(([-1e308, 8e307, 0.0], [1.0, 2.0, 3.0]), DEFAULT_TOL)
-def test_a_finite_slope_bound_proves_every_anchored_slope_finite(pair, tol):
-    np = pytest.importorskip("numpy")
-    a, t = pair
-    wit = Witness(t)  # gaps below tol.abs included
-    finite = math.isfinite(slope_bound(a, t))
-    if finite:
-        assert all(math.isfinite((a[i] - a[s]) / (t[i] - t[s])) for s, i in combinations(range(len(a)), 2))
-    judge = diagnostics._block_report
-    for name, scan in SCANS.items():
-        blocks = []
-
-        def spied(*args):
-            blocks.append(args[1])
-            return judge(*args)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diagnostics, "_block_report", spied)
-            loaded = outcome(scan, a, wit, tol)
-        assert loaded == with_cutoffs(math.inf, scan, a, wit, tol), name
-        # the blocks run exactly on operands proven finite, and (foreign entries masked) hold no NaN gap
-        proven = finite if name == "anchored" else len(a) > 2 and loaded[0][0] is not NonFiniteArithmetic
-        assert bool(blocks) == proven, name
-        assert not any(np.isnan(gaps).any() for gaps in blocks), name
+FIRST = "CheckReport(holds=False, first_violation="
 
 
-def fold(reports, tol):
-    """The conjunction of row reports as ``diagnostics._scan`` takes it: the first violation and
-    the smallest margin, the first of equal ones."""
-    first = next((rep.first_violation for rep in reports if not rep.holds), None)
-    return CheckReport(first is None, first, min((rep.margin for rep in reports), default=math.inf), tol)
+def reach(scale):
+    return NonFiniteArithmetic, f"compared quantities reach {scale}"
 
 
-def judged_rows(rows, operands, tol):
-    """The rows judged one by one by ``scan_margin`` and folded; labels are (row, position)."""
-    reports = []
-    for b, (row, ops) in enumerate(zip(rows, operands)):
-        first, margin = scan_margin(row, tol, ops, ((b, p) for p in count()))
-        reports.append(CheckReport(first is None, first, margin, tol))
-    return fold(reports, tol)
+def wants(anchored=None, triples=None):
+    """What the stdlib loops give on an example, per scan: a part of the report, or the error."""
+    return {name: want for name, want in (("anchored", anchored), ("all triples", triples)) if want}
 
 
-block_floats = st.one_of(
-    st.floats(-4.0, 4.0),
-    st.sampled_from([0.0, -0.0, -1e-9, -1.5e-9, -1e-3, 1e308, -1e308, 1.7976931348623157e308]),
-)
-# the gaps of finite operands: finite, or ±inf where a difference overflows, never NaN
-block_gaps = st.one_of(block_floats, st.sampled_from([math.inf, -math.inf]))
-
-
-def test_the_block_judge_equals_its_rows_judged_one_by_one():
-    np = pytest.importorskip("numpy")
-
-    def judged_block(rows, offsets, operands, shared, tol):
-        # a block as the scans lay it out: row b's own gaps start at offsets[b] (non-decreasing),
-        # and the columns before them hold other rows' gaps (NaN here, as a slope 0 / 0 gives);
-        # each row's scale is its largest |operand|, as a column, or one scalar for rows that
-        # share their operands, as the all-triples scan passes it
-        width = len(rows[0])
-        gaps = np.array([[math.nan] * (width - len(row)) + row for row in rows])
-        scales = [max(map(abs, ops)) for ops in operands]
-        scale = scales[0] if shared else np.array(scales)[:, None]
-        with np.errstate(all="ignore"):  # as diagnostics._scan runs the blocks
-            return diagnostics._block_report(np, gaps, offsets, tol, lambda foreign: scale,
-                                             lambda b, c: (b, c - offsets[b]))
-
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(st.data(), st.sampled_from(KERNEL_TOLS), st.booleans())
-    def judge(data, tol, shared):
-        width = data.draw(st.integers(1, 6))
-        offsets = [0] + sorted(data.draw(st.lists(st.integers(0, width - 1), max_size=4)))
-        rows = [data.draw(st.lists(block_gaps, min_size=width - o, max_size=width - o)) for o in offsets]
-        ops = st.lists(st.one_of(st.floats(-1e3, 1e3), block_floats), min_size=1, max_size=3)
-        operands = [data.draw(ops)] * len(offsets) if shared else [data.draw(ops) for _ in offsets]
-        assert (outcome(judged_block, rows, offsets, operands, shared, tol)
-                == outcome(judged_rows, rows, operands, tol))
-
-    judge()
-
-
-@pytest.mark.parametrize("name", sorted(SCANS))
-@pytest.mark.parametrize("a, want", [
-    ([4.0, 1.0, 0.0, 2.0, 6.5], "CheckReport(holds=True,"),
-    ([4.0, 1.0, 3.0, 2.0, 6.5], "CheckReport(holds=False,"),
-    # the anchored slope bound overflows, so its stdlib rows raise; the all-triples scale raises first
-    ([1e308, -1e308, 1e308, 0.0, 1.0], NonFiniteArithmetic),
-])
-def test_the_numpy_scans_restore_the_error_state_and_buffer_size(name, a, want):
-    np = pytest.importorskip("numpy")
-    before = np.getbufsize(), np.geterr()
-    result, _ = outcome(SCANS[name], a, [1.0, 2.0, 3.0, 4.0, 5.0], DEFAULT_TOL)
-    assert (np.getbufsize(), np.geterr()) == before
-    assert result[0] is want if want is NonFiniteArithmetic else result.startswith(want)
-
-
-@pytest.mark.parametrize("a, margin", [
-    # anchor 1 has the slopes [0.0, 0.0, -0.0], so the gaps [0.0, -0.0]; then the reverse
-    ([0.0, 0.0, 0.0, -0.0], "margin=0.0,"),
-    ([0.0, 0.0, -0.0, 0.0], "margin=-0.0,"),
-])
-def test_numpy_rows_keep_the_first_of_tied_zero_margins(a, margin):
-    t = [1.0, 2.0, 3.0, 4.0]
-    for name, check in SCANS.items():
-        vector = with_cutoffs(0, check, a, t, DEFAULT_TOL)
-        assert vector == with_cutoffs(math.inf, check, a, t, DEFAULT_TOL), name
-    assert margin in with_cutoffs(0, anchored_slope_check_all, a, t, DEFAULT_TOL)[0]
-
-
-def test_numpy_rows_take_each_row_scale_from_its_largest_magnitude():
-    # anchor 1's slopes are -100, -100.5, -1: the gap -0.5 holds at the scale 100.5 (slack 1.005),
-    # not at the largest slope's magnitude 1 (slack 0.01)
-    a, t, tol = [0.0, -100.0, -201.0, -3.0], [0.0, 1.0, 2.0, 3.0], Tolerance(0.0, 0.01)
-    vector = with_cutoffs(0, anchored_slope_check_all, a, t, tol)
-    assert vector == with_cutoffs(math.inf, anchored_slope_check_all, a, t, tol)
-    assert vector[0].startswith("CheckReport(holds=True, first_violation=None, margin=-0.5,")
-
-
-@pytest.mark.parametrize("name", sorted(SCANS))
-@pytest.mark.parametrize("seed", [9, 11])  # a lifted pair that the all-triples scan rejects; a convex one
-def test_blocked_numpy_falls_back_to_the_stdlib_rows(name, seed, monkeypatch):
-    a, t = corpus_pair(random.Random(seed))
-    stdlib = with_cutoffs(math.inf, SCANS[name], a, t, DEFAULT_TOL)
-    assert stdlib[0].startswith("CheckReport(")
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    assert with_cutoffs(0, SCANS[name], a, t, DEFAULT_TOL) == stdlib
-
-
-@pytest.mark.parametrize("name", sorted(SCANS))
-def test_a_loaded_numpy_computes_the_blocks_at_any_size(name, monkeypatch):
-    pytest.importorskip("numpy")
-    a, t = [4.0, 1.0, 0.0, 2.0, 6.5], [1.0, 2.0, 3.0, 4.0, 5.0]
-    calls = []
-
-    def spy(blocks):
-        def spied(*args):
-            calls.append(blocks.__name__)
-            return blocks(*args)
-        return spied
-
-    for blocks in ("_anchored_blocks", "_triple_blocks"):
-        monkeypatch.setattr(diagnostics, blocks, spy(getattr(diagnostics, blocks)))
-    loaded = outcome(SCANS[name], a, t, DEFAULT_TOL)
-    assert calls == ["_anchored_blocks" if name == "anchored" else "_triple_blocks"]
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    assert outcome(SCANS[name], a, t, DEFAULT_TOL) == loaded
-    assert len(calls) == 1
-    assert loaded[0].startswith("CheckReport(holds=True,")
-
-
-@pytest.mark.parametrize("tail, blocked, want", [
-    ([], False, "CheckReport(holds=False, first_violation=192,"),
-    ([-1e308, 1e308], True, (NonFiniteArithmetic, "compared quantities reach inf")),
-])
-def test_the_numpy_anchored_scan_judges_finite_rows_without_scan_margin(tail, blocked, want, monkeypatch):
-    # i² at n = 200 lifted by n² at 0-based n - 10: every anchor before it violates, and each
-    # block is judged as arrays, with no scan_margin call; with an overflowing tail the slope
-    # bound 2e308 / 1 is not finite, so no block runs: every stdlib row goes to scan_margin,
-    # and the last anchor's, whose one slope is inf, raises
-    pytest.importorskip("numpy")
-    n = 200
-    a = [float(i * i) for i in range(n)]
-    a[n - 10] += float(n * n)
-    a[n - len(tail):] = tail
-    t = [float(i) for i in range(n)]
-    counted = {"scan_margin": 0, "_block_report": 0}
-
-    def spy(name):
-        original = getattr(diagnostics, name)
-
-        def spied(*args):
-            counted[name] += 1
-            return original(*args)
-        return spied
-
-    for name in counted:
-        monkeypatch.setattr(diagnostics, name, spy(name))
-    loaded = outcome(anchored_slope_check_all, a, t, DEFAULT_TOL)
-    blocks = len(list(diagnostics._spans(n - 1, lambda r: n - 1 - r)))
-    assert blocks > 1
-    assert counted == ({"scan_margin": n - 1, "_block_report": 0} if blocked
-                       else {"scan_margin": 0, "_block_report": blocks})
-    assert loaded == with_cutoffs(math.inf, anchored_slope_check_all, a, t, DEFAULT_TOL)
-    assert loaded[0] == want if blocked else loaded[0].startswith(want)
-
-
-def test_the_numpy_anchored_scan_holds_one_block_at_a_time():
-    # at n = 2,000 all (n - 1)(n - 2)/2 gaps at once would take about 16 MiB; the blocks of
-    # _BLOCK_ELEMENTS gaps each, with their slopes and masks, stay far below 1 MiB
-    pytest.importorskip("numpy")
-    a, t = gen_relative_convex_pair(2000, 1)
-    tracemalloc.start()
-    try:
-        report = anchored_slope_check_all(a, t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.holds
-    assert peak < 2**20
-
-
-def block_boundary_pairs():
-    """Pairs whose numpy scans span many blocks at tiny budgets: seeded ``corpus_pair`` draws, then at
-    n = 50 and 130 (t = 0..n-1 unless said otherwise):
+def block_boundary_cases():
+    """(a, t, wants) whose numpy scans span many blocks at tiny budgets: seeded ``corpus_pair`` draws,
+    then at n = 50 and 130 (t = 0..n-1 unless said otherwise):
 
     * i² lifted by 2.5 at 0-based n - 5: only anchors n - 7 and n - 6, and first indices from n - 7,
       are violated, so the first violation lies in a later block;
@@ -967,53 +731,169 @@ def block_boundary_pairs():
       anchor n - 4 has the margin -0.0, and the last anchor's one slope overflows, so it raises.
     """
     rng = random.Random(5)
-    pairs = [corpus_pair(rng) for _ in range(40)]
+    cases = [(*corpus_pair(rng), {}) for _ in range(40)]
     for n in (50, 130):
         t = [float(i) for i in range(n)]
         square = [float(i * i) for i in range(n)]
-        late, overflow, nan_row = list(square), list(square), list(square)
+        late, overflow, nan_row, early, most = (list(square) for _ in range(5))
         late[n - 5] += 2.5
         overflow[3] += 50.0
         overflow[-2:] = [-1e308, 1e308]
         nan_row[3] += 50.0
         nan_row[-4:] = [0.0, 1.7e308, -1.7e308, 0.0]
-        pairs += [(late, t), (overflow, t), (nan_row, t[:-3] + [n - 3.75, n - 3.5, n - 3.25]),
-                  ([0.0] * (n - 3) + [-1e308, 0.0, 1e308], t),
-                  ([0.0, 0.0, -0.0] + [0.0] * (n - 3), t), ([-0.0, 0.0, -0.0] + [0.0] * (n - 3), t),
-                  ([0.0] * (n - 3) + [-0.0, 0.0, -0.0], t)]
-        for at in (2, n - 3):
-            lifted = list(square)
-            lifted[at] += float(n * n)
-            pairs.append((lifted, t))
-        pairs.append(([0.0] * (n - 5) + [-1e300, 0.0, 0.0, -0.0, 1e301], t[:-1] + [n - 2 + 1e-8]))
-    return pairs
+        early[2] += float(n * n)
+        most[n - 3] += float(n * n)
+        zeros = [0.0] * (n - 3)
+        cases += [
+            (late, t, wants(f"{FIRST}{n - 3},", f"{FIRST}({n - 6},")),
+            (overflow, t, wants(reach("inf"), reach("inf"))),
+            (nan_row, t[:-3] + [n - 3.75, n - 3.5, n - 3.25], wants(reach("nan"), reach("inf"))),
+            (zeros + [-1e308, 0.0, 1e308], t, wants(reach("inf"), reach("inf"))),
+            ([0.0, 0.0, -0.0] + zeros, t, wants("margin=-0.0,", "margin=0.0,")),
+            ([-0.0, 0.0, -0.0] + zeros, t, wants("margin=0.0,", "margin=-0.0,")),
+            (zeros + [-0.0, 0.0, -0.0], t, wants("margin=0.0,", "margin=0.0,")),
+            (early, t, wants(f"{FIRST}4,", f"{FIRST}(1, 3, 4)")),
+            (most, t, wants(f"{FIRST}{n - 1},", f"{FIRST}(1, {n - 2}, {n - 1})")),
+            ([0.0] * (n - 5) + [-1e300, 0.0, 0.0, -0.0, 1e301], t[:-1] + [n - 2 + 1e-8],
+             wants(reach("inf"), f"{FIRST}(1, 2, {n - 4})")),
+        ]
+    return cases
 
 
-BLOCK_BOUNDARY_PAIRS = block_boundary_pairs()
+UNIT4 = [1.0, 2.0, 3.0, 4.0]
+EXAMPLES = [(a, t, DEFAULT_TOL, want) for a, t, want in block_boundary_cases()] + [
+    # the bound 1.6e308 is finite and the blocks run; the all-triples scale 3 * 8e307 overflows
+    ([0.0, 8e307, -8e307, 8e307], UNIT4, DEFAULT_TOL, wants(triples=reach("inf"))),
+    # the bound overflows, and the stdlib rows run: the last anchor's slope -2e308 raises
+    ([0.0, 1e308, -1e308], UNIT4[:3], DEFAULT_TOL, wants(reach("inf"))),
+    # the bound overflows; the all-triples scale 1.6e308 is finite, and its blocks meet the -inf
+    # determinant -1e308 - 1.6e308
+    ([-1e308, 8e307, 0.0], UNIT4[:3], DEFAULT_TOL, wants(triples="holds=False,")),
+    # a violation at anchor 1, then an infinite slope from anchor 4: every row is judged, so the
+    # row after a violating one still raises
+    ([0.0, 1.0, 0.0, 1e308, -1e308], [0.0, *UNIT4], DEFAULT_TOL, wants(reach("inf"), reach("inf"))),
+    # slopes over a witness span that overflows: inf / inf is NaN
+    ([-1e308, 0.0, 1e308], [-1e308, 0.0, 1e308], DEFAULT_TOL, wants(reach("nan"))),
+    # a zero value times an overflowing witness span: a NaN peak
+    ([1.0, 0.0, 2.0, 0.0, 5.0], [-1e308, -5e307, 0.0, 5e307, 1e308], DEFAULT_TOL,
+     wants(triples=reach("nan"))),
+    # anchor 1's gaps are [0.0, -0.0], then the reverse: the margin is the first of tied zeros
+    ([0.0, 0.0, 0.0, -0.0], UNIT4, DEFAULT_TOL, wants("margin=0.0,")),
+    ([0.0, 0.0, -0.0, 0.0], UNIT4, DEFAULT_TOL, wants("margin=-0.0,")),
+    # anchor 1's slopes are -100, -100.5, -1: the gap -0.5 holds at the scale 100.5 (slack 1.005),
+    # not at the largest slope's magnitude 1 (slack 0.01)
+    ([0.0, -100.0, -201.0, -3.0], [0.0, 1.0, 2.0, 3.0], Tolerance(0.0, 0.01),
+     wants("holds=True, first_violation=None, margin=-0.5,")),
+    # zero gaps before the first negative one, judged with no slack: a zero is not below -0.0
+    ([0.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.0, *UNIT4, 5.0], Tolerance(0.0, 0.0),
+     wants(f"{FIRST}6,", f"{FIRST}(1, 5, 6)")),
+    # the gap -7.5e-10 holds within tol.abs (the slope test's margin is -1.5e-9)
+    ([0.0, 7.5e-10, 0.0], [0.0, 1.0, 2.0], DEFAULT_TOL,
+     wants("holds=True, first_violation=None, margin=-7.5e-10,")),
+]
+
+
+def with_examples(cases):
+    """One hypothesis ``@example(case=...)`` per case."""
+    def decorate(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+    return decorate
 
 
 @pytest.mark.parametrize("name", sorted(SCANS))
-def test_numpy_blocks_equal_the_stdlib_rows_at_any_block_budget(name, monkeypatch):
-    # a budget of 1 makes every row its own block (the last anchor row one slope and no gap);
-    # 7 and 64 join the short rows at the end of a scan into blocks of many rows
-    stdlib = [with_cutoffs(math.inf, SCANS[name], a, t, DEFAULT_TOL) for a, t in BLOCK_BOUNDARY_PAIRS]
-    for budget in (1, 7, 64):
-        monkeypatch.setattr(diagnostics, "_BLOCK_ELEMENTS", budget)
-        for (a, t), want in zip(BLOCK_BOUNDARY_PAIRS, stdlib):
-            assert with_cutoffs(0, SCANS[name], a, t, DEFAULT_TOL) == want, (budget, a, t)
-    late, overflow, nan_row, last_slope, *zeros, early, most, mixed = (result for result, _ in stdlib[40:50])
-    first = "47," if name == "anchored" else "(44,"
-    assert late.startswith("CheckReport(holds=False, first_violation=" + first)
-    first = "4," if name == "anchored" else "(1, 3, 4)"
-    assert early.startswith("CheckReport(holds=False, first_violation=" + first)
-    first = "49," if name == "anchored" else "(1, 48, 49)"
-    assert most.startswith("CheckReport(holds=False, first_violation=" + first)
+@settings(max_examples=150, deadline=None)
+@given(case=st.tuples(st.one_of(st.randoms(use_true_random=False).map(corpus_pair), edge_pairs()),
+                      st.sampled_from(KERNEL_TOLS)).map(lambda case: (*case[0], case[1], {})))
+@with_examples(EXAMPLES)
+def test_numpy_blocks_equal_the_stdlib_loops_at_any_block_budget(name, case, np):
+    # corpus_pair: convex, lifted, noisy, 1e300-scaled and overflowing data, n <= 40; edge_pairs:
+    # near overflow, with witness gaps below tol.abs; a budget of 1 makes every row its own block
+    # (the last anchor row one slope and no gap), 7 and 64 join the short rows at the end of a scan
+    # into blocks of many rows, and 8,192 is the default
+    a, t, tol, want = case
+    assume(all(map(lt, t, t[1:])))  # a wide corpus t may lose a step to rounding
+    wit = Witness(t)
+    stdlib = with_cutoffs(math.inf, SCANS[name], a, wit, tol)
+    if name in want:
+        assert stdlib[0] == want[name] if isinstance(want[name], tuple) else want[name] in stdlib[0]
+    # numpy runs exactly on operands proven finite: a finite slope bound, which bounds every
+    # anchored slope, or an all-triples scale that does not raise
     if name == "anchored":
-        assert [overflow, nan_row, last_slope, mixed] == [
-            (NonFiniteArithmetic, f"compared quantities reach {scale}") for scale in ("inf", "nan", "inf", "inf")]
-        assert ["margin=-0.0," in zero for zero in zeros] == [True, False, False]
+        proven = math.isfinite(slope_bound(a, t))
+        assert not proven or all(math.isfinite((a[i] - a[s]) / (t[i] - t[s]))
+                                 for s, i in combinations(range(len(a)), 2))
     else:
-        assert ["margin=-0.0," in zero for zero in zeros] == [False, True, False]
+        proven = not isinstance(stdlib[0], tuple)
+    numpy = Recording(np)
+    for budget in (1, 7, 64, 8192):
+        numpy.taken.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diagnostics, "_BLOCK_ELEMENTS", budget)
+            mp.setitem(sys.modules, "numpy", numpy)
+            assert with_cutoffs(0, SCANS[name], a, wit, tol) == stdlib, budget
+        assert bool(numpy.taken) == proven, budget
+
+
+@pytest.mark.parametrize("name, a, proven", [
+    ("anchored", [4.0, 1.0, 0.0, 2.0, 6.5], True),
+    ("all triples", [4.0, 1.0, 0.0, 2.0, 6.5], True),
+    # the slope bound 2e308 / 1 overflows: the stdlib rows judge the scan, and the last anchor's
+    # one slope, inf, raises after anchor 1 violates
+    ("anchored", [0.0, 1.0, 0.0, 1e308, -1e308], False),
+    # the all-triples scale raises before any row
+    ("all triples", [1e308, -1e308, 1e308, 0.0, 1.0], False),
+])
+def test_a_loaded_numpy_computes_blocks_at_any_size_on_operands_proven_finite(name, a, proven, request):
+    # "loaded": in sys.modules, at the default import cutoff; where nothing is proven finite, a
+    # numpy that is not there (as in the jobs without it) is never asked for a name
+    numpy = Recording(request.getfixturevalue("np") if proven else None)
+    t = [1.0, 2.0, 3.0, 4.0, 5.0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, "numpy", numpy)
+        loaded = outcome(SCANS[name], a, t, DEFAULT_TOL)
+    assert bool(numpy.taken) == proven
+    assert loaded == with_cutoffs(math.inf, SCANS[name], a, t, DEFAULT_TOL)
+    assert loaded[0][0] is NonFiniteArithmetic if not proven else loaded[0].startswith("CheckReport(holds=True,")
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+@pytest.mark.parametrize("a, want", [
+    ([4.0, 1.0, 0.0, 2.0, 6.5], "CheckReport(holds=True,"),
+    ([4.0, 1.0, 3.0, 2.0, 6.5], "CheckReport(holds=False,"),
+    # the anchored slope bound overflows, so its stdlib rows raise; the all-triples scale raises first
+    ([1e308, -1e308, 1e308, 0.0, 1.0], NonFiniteArithmetic),
+])
+def test_the_numpy_scans_restore_the_error_state_and_buffer_size(name, a, want, np):
+    before = np.getbufsize(), np.geterr()
+    result, _ = outcome(SCANS[name], a, [1.0, 2.0, 3.0, 4.0, 5.0], DEFAULT_TOL)
+    assert (np.getbufsize(), np.geterr()) == before
+    assert result[0] is want if want is NonFiniteArithmetic else result.startswith(want)
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+@pytest.mark.parametrize("seed", [9, 11])  # a lifted pair that the all-triples scan rejects; a convex one
+def test_blocked_numpy_falls_back_to_the_stdlib_rows(name, seed, monkeypatch):
+    a, t = corpus_pair(random.Random(seed))
+    stdlib = with_cutoffs(math.inf, SCANS[name], a, t, DEFAULT_TOL)
+    assert stdlib[0].startswith("CheckReport(")
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert with_cutoffs(0, SCANS[name], a, t, DEFAULT_TOL) == stdlib
+
+
+def test_the_numpy_anchored_scan_holds_one_block_at_a_time(np):
+    # at n = 2,000 all (n - 1)(n - 2)/2 gaps at once would take about 16 MiB; the blocks of
+    # _BLOCK_ELEMENTS gaps each, with their slopes and masks, stay far below 1 MiB
+    a, t = gen_relative_convex_pair(2000, 1)
+    tracemalloc.start()
+    try:
+        report = anchored_slope_check_all(a, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds
+    assert peak < 2**20
 
 
 # relconvex diagnose in a new interpreter, with numpy blocked, imported first, or left to the scans
@@ -1068,8 +948,7 @@ def test_diagnose_above_the_numpy_import_cutoff_runs_the_stdlib_scans(tmp_path):
 
 
 @pytest.mark.parametrize("n, numpy", [(12, "imported"), (64, "imported"), (1100, "unloaded")])
-def test_diagnose_prints_the_same_bytes_from_numpy_blocks_and_stdlib_loops(tmp_path, n, numpy):
-    pytest.importorskip("numpy")
+def test_diagnose_prints_the_same_bytes_from_numpy_blocks_and_stdlib_loops(tmp_path, n, numpy, np):
     for path in convex_and_lifted(tmp_path, n):
         report, code, loaded = diagnose_in_child(path, numpy)
         assert loaded and (report, code, False) == diagnose_in_child(path, "blocked")

@@ -1,7 +1,11 @@
 """Inequality engine tests: examples frozen from independent oracles, then properties."""
 
 import math
+import random
 import warnings
+from itertools import accumulate
+from operator import mul, sub
+from statistics import median
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,13 +47,14 @@ from relconvex.oracles import (
 )
 from relconvex.seqcore import unit_witness
 
-np = pytest.importorskip("numpy")
-
 
 def _convex_seq(rng, n):
     """Random convex sequence via sorted increments."""
-    inc = np.sort(rng.normal(0, 2, n - 1))
-    return list(np.concatenate([[rng.uniform(-3, 3)], inc]).cumsum())
+    return list(accumulate(sorted(rng.gauss(0, 2) for _ in range(n - 1)), initial=rng.uniform(-3, 3)))
+
+
+def uniforms(rng, lo, hi, k):
+    return [rng.uniform(lo, hi) for _ in range(k)]
 
 
 class TestLupas:
@@ -60,13 +65,13 @@ class TestLupas:
         assert abs(rep.slack) <= 1e-12 * max(1.0, abs(rep.lhs))
 
     def test_affine_equality(self):
-        rng = np.random.default_rng(21)
+        rng = random.Random(21)
         for seed in range(100):
-            a_raw, t = gen_relative_convex_pair(int(rng.integers(3, 10)), seed)
-            c = float(rng.uniform(-2, 2))
-            d = float(rng.uniform(-5, 5))
+            a_raw, t = gen_relative_convex_pair(rng.randrange(3, 10), seed)
+            c = rng.uniform(-2, 2)
+            d = rng.uniform(-5, 5)
             a = [c * x + d for x in t]
-            p = list(rng.uniform(0.1, 2.0, len(t)))
+            p = uniforms(rng, 0.1, 2.0, len(t))
             rep = lupas_check(a, a_raw, t, p)
             assert abs(rep.slack) <= 1e-9
 
@@ -82,15 +87,14 @@ class TestLupas:
         assert rep.rhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_random_shared_witness_suite(self):
-        rng = np.random.default_rng(22)
+        rng = random.Random(22)
         for seed in range(300):
-            n = int(rng.integers(3, 12))
+            n = rng.randrange(3, 12)
             a, t = gen_relative_convex_pair(n, seed)
-            b, _ = gen_relative_convex_pair(n, seed + 100_000)
-            # rebuild b on the same witness: a second convex shape over t
-            slopes = np.sort(rng.normal(0, 2, n - 1))
-            b = list(np.concatenate([[rng.uniform(-4, 4)], slopes * np.diff(t)]).cumsum())
-            p = list(rng.uniform(0.05, 2.0, n))
+            # a second convex shape over the same witness
+            slopes = sorted(rng.gauss(0, 2) for _ in range(n - 1))
+            b = list(accumulate(map(mul, slopes, map(sub, t.values[1:], t.values)), initial=rng.uniform(-4, 4)))
+            p = uniforms(rng, 0.05, 2.0, n)
             rep = lupas_check(a, b, t, p)
             assert rep.slack >= -1e-9
 
@@ -105,19 +109,19 @@ class TestLupas:
 
 class TestPecaric:
     def test_arithmetic_equality(self):
-        rng = np.random.default_rng(23)
+        rng = random.Random(23)
         for seed in range(50):
-            n = int(rng.integers(3, 10))
+            n = rng.randrange(3, 10)
             a = [2.0 + 0.7 * i for i in range(n)]
             b = _convex_seq(rng, n)
             rep = pecaric_check(a, b)
             assert abs(rep.slack) <= 1e-9
 
     def test_two_point_collapse(self):
-        rng = np.random.default_rng(24)
+        rng = random.Random(24)
         for _ in range(50):
-            a = list(rng.normal(0, 5, 2))
-            b = list(rng.normal(0, 5, 2))
+            a = [rng.gauss(0, 5), rng.gauss(0, 5)]
+            b = [rng.gauss(0, 5), rng.gauss(0, 5)]
             rep = pecaric_check(a, b)
             expect = (a[0] - a[1]) * (b[0] - b[1]) / 2.0
             assert rep.lhs == pytest.approx(expect, rel=1e-12, abs=1e-12)
@@ -131,9 +135,9 @@ class TestPecaric:
 
     def test_matches_normalized_engine(self):
         # raw-sum form = n times the mean form at unit witness, uniform weights
-        rng = np.random.default_rng(25)
+        rng = random.Random(25)
         for seed in range(100):
-            n = int(rng.integers(3, 12))
+            n = rng.randrange(3, 12)
             a = _convex_seq(rng, n)
             b = _convex_seq(rng, n)
             raw = pecaric_check(a, b)
@@ -169,13 +173,13 @@ class TestHhfBounds:
         # even length + index-symmetric weights put the witness mean at the
         # middle segment's midpoint, so the lower bound is the average of the
         # two middle images
-        rng = np.random.default_rng(26)
+        rng = random.Random(26)
         for seed in range(60):
-            n = 2 * int(rng.integers(2, 7))
+            n = 2 * rng.randrange(2, 7)
             a = _convex_seq(rng, n)
-            half = rng.uniform(0.1, 2.0, n // 2)
-            p = list(half) + list(half[::-1])
-            for psi in (psi_identity, math.exp, make_relu(float(np.median(a)))):
+            half = uniforms(rng, 0.1, 2.0, n // 2)
+            p = half + half[::-1]
+            for psi in (psi_identity, math.exp, make_relu(median(a))):
                 rep = hhf_bounds(a, list(range(1, n + 1)), p, psi)
                 m = (n + 1) // 2
                 expect = (psi(a[m - 1]) + psi(a[m])) / 2.0
@@ -184,12 +188,12 @@ class TestHhfBounds:
                 assert rep.holds
 
     def test_sandwich_random_suite(self):
-        rng = np.random.default_rng(27)
+        rng = random.Random(27)
         for seed in range(300):
-            n = int(rng.integers(2, 12))
+            n = rng.randrange(2, 12)
             a, t = gen_relative_convex_pair(n, seed + 5_000)
-            p = list(rng.uniform(0.05, 2.0, n))
-            psi = (psi_identity, math.exp, make_relu(float(np.median(a))))[seed % 3]
+            p = uniforms(rng, 0.05, 2.0, n)
+            psi = (psi_identity, math.exp, make_relu(median(a.values)))[seed % 3]
             rep = hhf_bounds(a, t, p, psi)
             assert rep.slack_lower >= -1e-9
             assert rep.slack_upper >= -1e-9
@@ -235,11 +239,11 @@ class TestNiezgoda:
         assert (val, up) == (pytest.approx(10.0), pytest.approx(10.0))
 
     def test_equals_scaled_unit_witness_upper(self):
-        rng = np.random.default_rng(28)
+        rng = random.Random(28)
         for seed in range(100):
-            n = int(rng.integers(2, 12))
+            n = rng.randrange(2, 12)
             a = _convex_seq(rng, n)
-            p = list(rng.uniform(0.05, 2.0, n))
+            p = uniforms(rng, 0.05, 2.0, n)
             raw = niezgoda_bound(a, p, math.exp)
             norm = hhf_bounds(a, list(range(1, n + 1)), p, math.exp)
             assert raw.upper == pytest.approx(sum(p) * norm.upper, rel=1e-9)
@@ -265,12 +269,12 @@ class TestConvexHhf:
         assert rep.value == pytest.approx(a[0])
 
     def test_symmetric_weights_reduction(self):
-        rng = np.random.default_rng(29)
+        rng = random.Random(29)
         for seed in range(60):
-            n = 2 * int(rng.integers(2, 7))
+            n = 2 * rng.randrange(2, 7)
             a = _convex_seq(rng, n)
-            half = rng.uniform(0.1, 2.0, n // 2)
-            p = list(half) + list(half[::-1])
+            half = uniforms(rng, 0.1, 2.0, n // 2)
+            p = half + half[::-1]
             total = sum(p)
             psi = math.exp if seed % 2 else psi_identity
             rep = convex_hhf_bounds(a, p, psi)
@@ -285,12 +289,12 @@ class TestConvexHhf:
             assert rep.holds
 
     def test_sandwich_random(self):
-        rng = np.random.default_rng(30)
+        rng = random.Random(30)
         for seed in range(200):
-            n = int(rng.integers(2, 12))
+            n = rng.randrange(2, 12)
             a = _convex_seq(rng, n)
-            p = list(rng.uniform(0.05, 2.0, n))
-            rep = convex_hhf_bounds(a, p, make_relu(float(np.median(a))))
+            p = uniforms(rng, 0.05, 2.0, n)
+            rep = convex_hhf_bounds(a, p, make_relu(median(a)))
             assert rep.slack_lower >= -1e-9 and rep.slack_upper >= -1e-9
 
 
@@ -311,12 +315,12 @@ class TestMajorizationEngine:
         assert irep.margin == pytest.approx(rep.margin)
 
     def test_transform_suite_with_extension_crosscheck(self):
-        rng = np.random.default_rng(31)
+        rng = random.Random(31)
         for seed in range(300):
-            n = int(rng.integers(3, 10))
+            n = rng.randrange(3, 10)
             a, t = gen_relative_convex_pair(n, seed + 9_000)
-            k = int(rng.integers(2, 8))
-            q = list(rng.uniform(t[0], t[-1], k))
+            k = rng.randrange(2, 8)
+            q = uniforms(rng, t[0], t[-1], k)
             p = list(gen_majorized_pair(q, 2 * k, seed))
             rep = majorization_inequality_check(a, t, p, q)
             assert rep.margin >= -1e-9
@@ -344,8 +348,7 @@ class TestMajorizationEngine:
         t = list(range(1, 13))
         found = False
         for trial in range(10_000):
-            rng = np.random.default_rng(trial)
-            q = list(rng.uniform(1.0, 12.0, 5))
+            q = uniforms(random.Random(trial), 1.0, 12.0, 5)
             p = list(gen_majorized_pair(q, 6, trial))
             rep = majorization_inequality_check(a, t, p, q, skip_verify=True)
             if rep.margin < -1e-9:
@@ -367,16 +370,16 @@ class TestIntegerMajorization:
         assert rep.margin == pytest.approx(0.0, abs=1e-12)
 
     def test_random_transform_indices(self):
-        rng = np.random.default_rng(33)
+        rng = random.Random(33)
         for seed in range(200):
-            n = int(rng.integers(3, 10))
+            n = rng.randrange(3, 10)
             a = _convex_seq(rng, n)
-            k = int(rng.integers(2, 6))
-            q = [int(v) for v in rng.integers(1, n + 1, k)]
+            k = rng.randrange(2, 6)
+            q = [rng.randint(1, n) for _ in range(k)]
             # integer-preserving mixing: swap toward the mean by whole steps
             p = sorted(q)
             for _ in range(4):
-                i, j = sorted(rng.integers(0, k, 2))
+                i, j = sorted((rng.randrange(k), rng.randrange(k)))
                 if p[i] < p[j]:
                     p[i] += 1
                     p[j] -= 1
@@ -455,16 +458,16 @@ class TestOnePreconditionPath:
         assert message.startswith("a is not convex w.r.t. t: slope pair 1 decreases (margin ")
 
     def test_wrappers_word_their_error_from_is_convex(self):
-        rng = np.random.default_rng(10)
+        rng = random.Random(10)
         seen = 0
         for _ in range(200):
-            n = int(rng.integers(3, 12))
-            a = list(rng.normal(0.0, 3.0, n))
+            n = rng.randrange(3, 12)
+            a = [rng.gauss(0.0, 3.0) for _ in range(n)]
             if is_convex(a).holds:
                 continue
             seen += 1
             b = _convex_seq(rng, n)
-            p = list(rng.uniform(0.1, 2.0, n))
+            p = uniforms(rng, 0.1, 2.0, n)
             message = self.ordinary("a", a)
             assert self.raised(lambda: pecaric_check(a, b)) == message
             assert self.raised(lambda: pecaric_check(b, a)) == self.ordinary("b", a)

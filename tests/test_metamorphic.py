@@ -2,8 +2,9 @@
 
 * Translating the witness t by c changes nothing: relative convexity and the
   majorization inequality (with pvec and qvec translated too) keep their
-  verdicts, and the Lupas sides stay put.  Inputs lie on a grid of eighths,
-  so every t_i + c is exact and only the engines' own rounding is tested.
+  verdicts, the HHF report stays the same bit for bit, and the Lupas sides
+  stay put.  Inputs lie on a grid of eighths, so every t_i + c is exact and
+  only the engines' own rounding is tested.
 * Scaling a (and b) by a power of two k scales the majorization margin by k
   and the Lupas sides by k^2.
 * Index-form majorization is the witnessed check at t = (1..n), field for field.
@@ -21,14 +22,18 @@ from hypothesis import strategies as st
 from relconvex import (
     RelConvexError,
     Tolerance,
+    hhf_bounds,
     integer_majorization_check,
     is_convex_wrt,
     lupas_check,
     majorization_inequality_check,
+    parse_psi,
+    psi_identity,
 )
 from relconvex.seqcore import unit_witness
 
 offsets = st.integers(-10**9, 10**9)
+far_offsets = st.integers(-2**40, 2**40)  # t_i + c stays exact: |8 (t_i + c)| < 2**53
 powers_of_two = st.integers(-30, 30).map(lambda e: 2.0 ** e)
 
 
@@ -85,7 +90,7 @@ def shifted(xs, c):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data(), offsets)
+@given(st.data(), far_offsets)
 def test_translating_the_witness_keeps_every_verdict(data, c):
     t = data.draw(grid_witness())
     a = data.draw(st.one_of(convex_over(t), st.lists(st.floats(-100, 100), min_size=len(t),
@@ -99,6 +104,14 @@ def test_translating_the_witness_keeps_every_verdict(data, c):
         assert moved is base
     else:
         assert moved.holds == base.holds
+    w = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=len(t), max_size=len(t)))
+    if not sum(w) > 0:
+        w[0] = 1.0
+    psi = parse_psi(data.draw(st.sampled_from(["identity", "relu@0"])))
+    assert outcome(hhf_bounds, a, tc, w, psi) == outcome(hhf_bounds, a, t, w, psi)
+    # on a line every side of the sandwich is the value itself
+    c0, c1 = (data.draw(st.integers(-800, 800)) / 8 for _ in range(2))
+    assert hhf_bounds([c0 + c1 * x for x in t], tc, w, psi_identity).holds
 
 
 @settings(max_examples=100, deadline=None)

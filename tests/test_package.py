@@ -1,7 +1,8 @@
 """The package namespace: every public name resolves, and neither importing it nor
 running the generators and ``fuzz`` loads numpy or any other module outside the
-standard library."""
+standard library; and no test module needs numpy to be collected."""
 
+import ast
 import json
 import os
 import subprocess
@@ -77,3 +78,35 @@ def test_import_leaves_numpy_unloaded():
                                       "gen_relative_convex_pair", "gen_majorized_pair",
                                       "brute_reeval majorization", "relconvex fuzz exit 0")
     ]
+
+
+def module_level_numpy(tree):
+    """Line numbers of the statements that import numpy, or skip without it, as a module loads:
+    everything outside function bodies, class bodies included."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip":
+            names = [arg.value for arg in node.args[:1] if isinstance(arg, ast.Constant)]
+        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+            yield node.lineno
+        pending.extend(ast.iter_child_nodes(node))
+
+
+def test_every_test_module_is_collected_without_numpy():
+    # a module that imports numpy, or skips without it, at module level drops all its tests from
+    # the jobs that run without numpy; a test that needs numpy imports or skips inside itself
+    found = {path.name: sorted(module_level_numpy(ast.parse(path.read_text(encoding="utf-8"))))
+             for path in sorted(Path(__file__).parent.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the guard sees each form at module level, and none inside a function
+    sample = ("import numpy as np\nfrom numpy import array\nnp = pytest.importorskip('numpy')\n"
+              "class Rows:\n    import numpy.linalg\ndef test():\n    np = pytest.importorskip('numpy')\n")
+    assert sorted(module_level_numpy(ast.parse(sample))) == [1, 2, 3, 5]

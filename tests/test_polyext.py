@@ -1,6 +1,8 @@
 """Polygonal extension and generalized floor/fractional-part tests."""
 
 import math
+import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -15,8 +17,6 @@ from relconvex import (
     sample,
 )
 from relconvex.oracles import gen_relative_convex_pair
-
-np = pytest.importorskip("numpy")
 
 
 def test_single_segment_identity_line():
@@ -43,9 +43,9 @@ def test_slope_table():
 
 
 def test_eval_breakpoints_exact_and_midpoints_linear():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for seed in range(30):
-        n = int(rng.integers(2, 12))
+        n = rng.randrange(2, 12)
         a, t = gen_relative_convex_pair(n, seed)
         ext = build_extension(a, t)
         for x, y in zip(t, a):
@@ -118,9 +118,9 @@ class TestFracWrt:
         assert frac_wrt(list(range(1, 6)), 2.75) == 0.75
 
     def test_bounded_by_segment_gap(self):
-        rng = np.random.default_rng(3)
-        t = np.cumsum(rng.uniform(0.2, 2.0, 10))
-        for q in rng.uniform(t[0], t[-1], 200):
+        rng = random.Random(3)
+        t = list(accumulate(rng.uniform(0.2, 2.0) for _ in range(10)))
+        for q in [rng.uniform(t[0], t[-1]) for _ in range(200)]:
             m = floor_wrt(t, q)
             f = frac_wrt(t, q)
             assert 0.0 <= f
@@ -129,12 +129,12 @@ class TestFracWrt:
 
 
 def test_floor_frac_identity_against_eval():
-    rng = np.random.default_rng(17)
+    rng = random.Random(17)
     for seed in range(20):
-        n = int(rng.integers(3, 12))
+        n = rng.randrange(3, 12)
         a, t = gen_relative_convex_pair(n, seed + 400)
         ext = build_extension(a, t)
-        for q in rng.uniform(t[0], t[-1], 50):
+        for q in [rng.uniform(t[0], t[-1]) for _ in range(50)]:
             m = floor_wrt(t, q)
             piece = a[m - 1]
             if m < n:
@@ -144,13 +144,12 @@ def test_floor_frac_identity_against_eval():
 
 def test_midpoint_convexity_of_extension():
     # 10^4 random midpoint checks across a handful of witnessed pairs
-    rng = np.random.default_rng(2718)
+    rng = random.Random(2718)
     for seed in (1, 2, 3, 4):
         a, t = gen_relative_convex_pair(9, seed)
         ext = build_extension(a, t)
-        xs = rng.uniform(t[0], t[-1], 2500)
-        ys = rng.uniform(t[0], t[-1], 2500)
-        for x, y in zip(xs, ys):
+        for _ in range(2500):
+            x, y = rng.uniform(t[0], t[-1]), rng.uniform(t[0], t[-1])
             lhs = ext.eval((x + y) / 2.0)
             rhs = (ext.eval(x) + ext.eval(y)) / 2.0
             assert lhs <= rhs + 1e-9
@@ -163,10 +162,10 @@ def test_midpoint_convexity_of_extension():
 )
 def test_chordal_slope_recovery(phi):
     # any convex shape sampled at increasing abscissae passes the slope test
-    rng = np.random.default_rng(101)
+    rng = random.Random(101)
     for _ in range(25):
-        n = int(rng.integers(3, 15))
-        t = np.cumsum(rng.uniform(0.1, 1.0, n)) - 4.0
+        n = rng.randrange(3, 15)
+        t = [x - 4.0 for x in accumulate(rng.uniform(0.1, 1.0) for _ in range(n))]
         a = [phi(x) for x in t]
         assert is_convex_wrt(a, t).holds
 

@@ -1,9 +1,10 @@
 """Regression tests: self-consistent scan reports, translation-safe degeneracy
-guard and covariance sums, CLI robustness on arithmetic overflow and
+guard, covariance sums and HHF mean, CLI robustness on arithmetic overflow and
 non-finite values, the pair generator at large n, the finite "not
 applicable" report and the interval witness at every length, on steep runs
-and on intervals too narrow or too wide to subdivide or with an end that is
-not finite, and a slope recursion that overflows."""
+and on intervals too narrow or too wide to subdivide, or with an end that is
+not finite, or whose constructed witness fails the slope test, and a slope
+recursion that overflows."""
 
 import hashlib
 import json
@@ -24,14 +25,16 @@ from relconvex import (
     construct_witness,
     construct_witness_on_interval,
     cov_functional,
+    hhf_bounds,
     increment_growth_check,
     is_convex_wrt,
     lupas_check,
     neighbor_chord_check,
+    psi_identity,
 )
 from relconvex.seqcore import Tolerance
 from relconvex.cli import main
-from relconvex.errors import IntervalError, RelConvexError, WitnessNotIncreasing
+from relconvex.errors import IntervalError, RelConvexError, WitnessLostConvexity, WitnessNotIncreasing
 from relconvex.oracles import gen_relative_convex_pair
 
 
@@ -168,6 +171,37 @@ def test_lupas_check_is_right_on_translated_witnesses(offset):
     assert rep.lhs == pytest.approx(VAR7, rel=1e-12)
     assert rep.rhs == pytest.approx(VAR7, rel=1e-12)
     assert rep.holds
+
+
+# t and t + 838,854: the mean of the translated t rounded at the scale of 838,854, which put gamma
+# at 0.20000000000376986 and slack_lower at -1.1e-9, so the translated instance was violated
+HHF_A, HHF_P = [0.0, 296.45415876433253, 304.45415876433253], [4, 1, 0]
+HHF_T = [0.0, 37.05676984554157, 38.05676984554157]
+HHF_T_MOVED = [838854.0, 838891.0567698455, 838892.0567698455]
+
+
+def test_hhf_bounds_hold_on_a_translated_witness(capsys, tmp_path):
+    rep = hhf_bounds(HHF_A, HHF_T_MOVED, HHF_P, psi_identity)
+    assert rep == hhf_bounds(HHF_A, HHF_T, HHF_P, psi_identity)
+    assert rep.holds and rep.gamma_t == 0.2 and rep.slack_lower == 0.0
+    payload = {"a": HHF_A, "t": HHF_T_MOVED, "p": HHF_P}
+    code, out, _ = run_cli(capsys, tmp_path, ["hhf", "--psi", "identity"], payload)
+    assert code == 0
+    report = strict_json(out)
+    assert report["verdict"] == "holds" and report["margin_or_slacks"]["gamma_t"] == 0.2
+
+
+@pytest.mark.parametrize("t, p, m, gamma", [
+    # t_3 - t_1 rounds to t_2 - t_1 = 1e10, so gamma is taken over the gap t_3 - t_2 = 2e-9 itself
+    ([-1e10, 0.0, 2e-9], [0, 1, 0], 2, 0.0),
+    ([-1e10, 0.0, 2e-9], [0, 1, 1], 2, 0.0),
+    ([-1e10, 0.0, 2e-9], [0, 0, 1], 2, 0.0),
+    # t_3 - t_1 overflows, so the mean -5e307 is measured from 0
+    ([-1e308, 0.0, 1e308], [1, 1, 0], 1, 0.5),
+])
+def test_hhf_floor_and_gamma_where_differences_from_t1_round_or_overflow(t, p, m, gamma):
+    rep = hhf_bounds([1.0, 0.0, 0.0], t, p, psi_identity)
+    assert (rep.m, rep.gamma_t) == (m, gamma)
 
 
 # -- bounded_monotone_diagnostic: a finite "not applicable" report -----------
@@ -330,6 +364,23 @@ def test_interval_witness_raises_only_package_errors():
         except RelConvexError:
             continue
         assert wit[0] == alpha and wit[-1] == beta
+
+
+# a subdivision whose rounded cut points break the slope test it was built to pass
+LOST = ([1.210129296244599e-10, 1.3577538310063216e-10, 1.4528666963250984e-10],
+        -733862389.504846, -733862389.5037264)
+LOST_MESSAGE = "constructed witness fails the slope test at slope pair 1"
+
+
+def test_interval_witness_that_fails_the_slope_test_is_witness_lost_convexity(capsys, tmp_path):
+    a, alpha, beta = LOST
+    with pytest.raises(WitnessLostConvexity, match=f"^{LOST_MESSAGE}$"):
+        construct_witness_on_interval(a, alpha, beta)
+    code, out, err = run_cli(capsys, tmp_path, ["subdivide", "--alpha", repr(alpha), "--beta", repr(beta)],
+                             {"a": a})
+    assert code == 2
+    assert strict_json(out)["margin_or_slacks"]["message"] == LOST_MESSAGE
+    assert err == f"error: {LOST_MESSAGE}\n"
 
 
 @pytest.mark.parametrize("a, alpha, beta", [NO_ROOM, CUTS_TOGETHER])

@@ -1,6 +1,9 @@
 """Core type, classification, and witness-construction tests."""
 
 import math
+import random
+from itertools import accumulate
+from operator import mul, sub
 
 import pytest
 from hypothesis import given
@@ -28,8 +31,6 @@ from relconvex import (
     is_relative_convex,
 )
 from relconvex.oracles import gen_relative_convex_pair, gen_shape
-
-np = pytest.importorskip("numpy")
 
 
 class TestTypes:
@@ -110,10 +111,10 @@ class TestIsConvexWrt:
         # is_convex is the slope test at the arithmetic witness, whose unit
         # gaps make the slopes the forward differences bit-for-bit: the same
         # verdict, the interior index one past the slope pair, half the margin
-        rng = np.random.default_rng(20240815)
+        rng = random.Random(20240815)
         # a midpoint form gave -0.04999999999999982 here, not half the slope margin
         inputs = [[0.1, 0.7, 1.9, 3.0]]
-        inputs += [list(rng.normal(0, 3, int(rng.integers(2, 12)))) for _ in range(200)]
+        inputs += [[rng.gauss(0, 3) for _ in range(rng.randrange(2, 12))] for _ in range(200)]
         for vals in inputs:
             rep = is_convex(vals)
             wrt = is_convex_wrt(vals, list(range(1, len(vals) + 1)))
@@ -124,9 +125,9 @@ class TestIsConvexWrt:
         assert is_convex([0.1, 0.7, 1.9, 3.0]).margin == -0.04999999999999993
 
     def test_samples_of_square_map(self):
-        rng = np.random.default_rng(7)
-        t = np.cumsum(rng.uniform(0.2, 1.0, 12)) - 3.0
-        a = t**2
+        rng = random.Random(7)
+        t = [x - 3.0 for x in accumulate(rng.uniform(0.2, 1.0) for _ in range(12))]
+        a = [x**2 for x in t]
         assert is_convex_wrt(a, t).holds
 
     def test_length_mismatch(self):
@@ -134,11 +135,11 @@ class TestIsConvexWrt:
             is_convex_wrt((1, 2, 3), (0, 1))
 
     def test_affine_invariance_of_verdict(self):
-        rng = np.random.default_rng(99)
+        rng = random.Random(99)
         for seed in range(100):
-            a, t = gen_relative_convex_pair(int(rng.integers(3, 10)), seed)
-            c = float(rng.uniform(0.1, 4.0))
-            d = float(rng.uniform(-10.0, 10.0))
+            a, t = gen_relative_convex_pair(rng.randrange(3, 10), seed)
+            c = rng.uniform(0.1, 4.0)
+            d = rng.uniform(-10.0, 10.0)
             scaled = [c * x + d for x in t]
             assert is_convex_wrt(a, scaled).holds == is_convex_wrt(a, t).holds
 
@@ -289,12 +290,12 @@ class TestSubdivision:
     @pytest.mark.parametrize("kind", [k for k in ShapeKind if k is not ShapeKind.NOT_STRICTLY_V_SHAPED])
     def test_endpoints_bit_exact_across_shapes(self, kind):
         # seeded by the kind's position, so a failing draw replays in any process
-        rng = np.random.default_rng(list(ShapeKind).index(kind))
+        rng = random.Random(list(ShapeKind).index(kind))
         for trial in range(25):
-            n = int(rng.integers(4, 12))
-            a = gen_shape(kind, n, int(rng.integers(0, 2**31)))
-            alpha = float(rng.uniform(-10.0, 10.0))
-            beta = alpha + float(rng.uniform(0.1, 20.0))
+            n = rng.randrange(4, 12)
+            a = gen_shape(kind, n, rng.randrange(2**31))
+            alpha = rng.uniform(-10.0, 10.0)
+            beta = alpha + rng.uniform(0.1, 20.0)
             w = construct_witness_on_interval(a, alpha, beta)
             assert w.values[0] == alpha
             assert w.values[-1] == beta
@@ -303,34 +304,35 @@ class TestSubdivision:
 
 class TestAlgebraicProperties:
     def test_round_trip_random_schedules(self):
-        rng = np.random.default_rng(31337)
+        rng = random.Random(31337)
         for kind in ShapeKind:
             if kind is ShapeKind.NOT_STRICTLY_V_SHAPED:
                 continue
             for trial in range(30):
-                n = int(rng.integers(4, 12))
-                a = gen_shape(kind, n, int(rng.integers(0, 2**31)))
+                n = rng.randrange(4, 12)
+                a = gen_shape(kind, n, rng.randrange(2**31))
                 d = forward_diff(a)
                 n_dec = sum(1 for x in d if x < -DEFAULT_TOL.abs)
                 n_inc = sum(1 for x in d if x > DEFAULT_TOL.abs)
-                neg = -np.cumsum(rng.uniform(0.1, 1.0, n_dec))[::-1] if n_dec else []
-                pos = np.cumsum(rng.uniform(0.1, 1.0, n_inc)) if n_inc else []
-                sched = list(neg) + list(pos)
-                w = construct_witness(a, sched, t1=float(rng.uniform(-5, 5)),
-                                      plateau_step=float(rng.uniform(0.2, 2.0)))
+                neg = [-s for s in accumulate(rng.uniform(0.1, 1.0) for _ in range(n_dec))][::-1]
+                pos = list(accumulate(rng.uniform(0.1, 1.0) for _ in range(n_inc)))
+                w = construct_witness(a, neg + pos, t1=rng.uniform(-5, 5), plateau_step=rng.uniform(0.2, 2.0))
                 assert is_convex_wrt(a, w).margin >= -1e-9
 
     def test_composition_transitivity(self):
         # an increasing sequence convex w.r.t. an increasing convex sequence
         # inherits every witness of the inner sequence
-        rng = np.random.default_rng(555)
+        rng = random.Random(555)
+
+        def convex_over(x, start):
+            slopes = sorted(rng.uniform(0.1, 3.0) for _ in range(len(x) - 1))
+            return list(accumulate(map(mul, slopes, map(sub, x[1:], x)), initial=start))
+
         for _ in range(100):
-            n = int(rng.integers(3, 10))
-            s = np.cumsum(rng.uniform(0.1, 1.0, n))
-            slopes_a = np.sort(rng.uniform(0.1, 3.0, n - 1))
-            a = np.concatenate([[0.0], np.cumsum(slopes_a * np.diff(s))])
-            slopes_b = np.sort(rng.uniform(0.1, 3.0, n - 1))
-            b = np.concatenate([[1.0], np.cumsum(slopes_b * np.diff(a))])
+            n = rng.randrange(3, 10)
+            s = list(accumulate(rng.uniform(0.1, 1.0) for _ in range(n)))
+            a = convex_over(s, 0.0)
+            b = convex_over(a, 1.0)
             assert is_convex_wrt(a, s).holds
             assert is_convex_wrt(b, a).holds
             assert is_convex_wrt(b, s).holds
