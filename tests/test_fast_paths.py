@@ -32,8 +32,9 @@ numpy except those that compare with numpy or read its state.
 * The two super-linear scans (``anchored_slope_check_all`` and
   ``collinearity_determinant_check(all_triples=True)``) report and raise from
   numpy blocks, at the block budgets 1, 7, 64 and 8,192, as from their stdlib
-  loops: on seeded corpus and near-overflow pairs and on explicit examples
-  (block boundaries, tied ±0 margins, ±1e308 rows, the tolerance's edges).
+  loops: on seeded corpus and near-overflow pairs, on explicit block-boundary
+  examples, and on a table of edge rows (tied ±0 margins, ±1e308 rows, the
+  tolerance's edges).
   numpy runs exactly on operands proven finite (a finite anchored slope bound
   2 max|a| / min gap, which bounds every slope, or an all-triples scale that
   does not raise), so a block never meets a NaN.  A loaded numpy computes the
@@ -760,66 +761,26 @@ def block_boundary_cases():
     return cases
 
 
-UNIT4 = [1.0, 2.0, 3.0, 4.0]
-EXAMPLES = [(a, t, DEFAULT_TOL, want) for a, t, want in block_boundary_cases()] + [
-    # the bound 1.6e308 is finite and the blocks run; the all-triples scale 3 * 8e307 overflows
-    ([0.0, 8e307, -8e307, 8e307], UNIT4, DEFAULT_TOL, wants(triples=reach("inf"))),
-    # the bound overflows, and the stdlib rows run: the last anchor's slope -2e308 raises
-    ([0.0, 1e308, -1e308], UNIT4[:3], DEFAULT_TOL, wants(reach("inf"))),
-    # the bound overflows; the all-triples scale 1.6e308 is finite, and its blocks meet the -inf
-    # determinant -1e308 - 1.6e308
-    ([-1e308, 8e307, 0.0], UNIT4[:3], DEFAULT_TOL, wants(triples="holds=False,")),
-    # a violation at anchor 1, then an infinite slope from anchor 4: every row is judged, so the
-    # row after a violating one still raises
-    ([0.0, 1.0, 0.0, 1e308, -1e308], [0.0, *UNIT4], DEFAULT_TOL, wants(reach("inf"), reach("inf"))),
-    # slopes over a witness span that overflows: inf / inf is NaN
-    ([-1e308, 0.0, 1e308], [-1e308, 0.0, 1e308], DEFAULT_TOL, wants(reach("nan"))),
-    # a zero value times an overflowing witness span: a NaN peak
-    ([1.0, 0.0, 2.0, 0.0, 5.0], [-1e308, -5e307, 0.0, 5e307, 1e308], DEFAULT_TOL,
-     wants(triples=reach("nan"))),
-    # anchor 1's gaps are [0.0, -0.0], then the reverse: the margin is the first of tied zeros
-    ([0.0, 0.0, 0.0, -0.0], UNIT4, DEFAULT_TOL, wants("margin=0.0,")),
-    ([0.0, 0.0, -0.0, 0.0], UNIT4, DEFAULT_TOL, wants("margin=-0.0,")),
-    # anchor 1's slopes are -100, -100.5, -1: the gap -0.5 holds at the scale 100.5 (slack 1.005),
-    # not at the largest slope's magnitude 1 (slack 0.01)
-    ([0.0, -100.0, -201.0, -3.0], [0.0, 1.0, 2.0, 3.0], Tolerance(0.0, 0.01),
-     wants("holds=True, first_violation=None, margin=-0.5,")),
-    # zero gaps before the first negative one, judged with no slack: a zero is not below -0.0
-    ([0.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.0, *UNIT4, 5.0], Tolerance(0.0, 0.0),
-     wants(f"{FIRST}6,", f"{FIRST}(1, 5, 6)")),
-    # the gap -7.5e-10 holds within tol.abs (the slope test's margin is -1.5e-9)
-    ([0.0, 7.5e-10, 0.0], [0.0, 1.0, 2.0], DEFAULT_TOL,
-     wants("holds=True, first_violation=None, margin=-7.5e-10,")),
-]
-
-
 def with_examples(cases):
-    """One hypothesis ``@example(case=...)`` per case."""
+    """One hypothesis ``@example(case=...)`` per (a, t, wants) case, at the default tolerance."""
     def decorate(test):
-        for case in cases:
-            test = example(case=case)(test)
+        for a, t, want in cases:
+            test = example(case=(a, t, DEFAULT_TOL, want))(test)
         return test
     return decorate
 
 
-@pytest.mark.parametrize("name", sorted(SCANS))
-@settings(max_examples=150, deadline=None)
-@given(case=st.tuples(st.one_of(st.randoms(use_true_random=False).map(corpus_pair), edge_pairs()),
-                      st.sampled_from(KERNEL_TOLS)).map(lambda case: (*case[0], case[1], {})))
-@with_examples(EXAMPLES)
-def test_numpy_blocks_equal_the_stdlib_loops_at_any_block_budget(name, case, np):
-    # corpus_pair: convex, lifted, noisy, 1e300-scaled and overflowing data, n <= 40; edge_pairs:
-    # near overflow, with witness gaps below tol.abs; a budget of 1 makes every row its own block
-    # (the last anchor row one slope and no gap), 7 and 64 join the short rows at the end of a scan
-    # into blocks of many rows, and 8,192 is the default
-    a, t, tol, want = case
-    assume(all(map(lt, t, t[1:])))  # a wide corpus t may lose a step to rounding
+def assert_blocks_equal_loops(name, a, t, tol, want, np):
+    """Scan ``name`` of (a, t) reports and raises from numpy blocks, at the block budgets 1, 7, 64
+    and 8,192, as from its stdlib loops, and gives ``want[name]`` there if given; numpy runs exactly
+    on operands proven finite (a finite slope bound, which bounds every anchored slope, or an
+    all-triples scale that does not raise)."""
+    # a budget of 1 makes every row its own block (the last anchor row one slope and no gap), 7 and
+    # 64 join the short rows at the end of a scan into blocks of many rows, and 8,192 is the default
     wit = Witness(t)
     stdlib = with_cutoffs(math.inf, SCANS[name], a, wit, tol)
     if name in want:
         assert stdlib[0] == want[name] if isinstance(want[name], tuple) else want[name] in stdlib[0]
-    # numpy runs exactly on operands proven finite: a finite slope bound, which bounds every
-    # anchored slope, or an all-triples scale that does not raise
     if name == "anchored":
         proven = math.isfinite(slope_bound(a, t))
         assert not proven or all(math.isfinite((a[i] - a[s]) / (t[i] - t[s]))
@@ -834,6 +795,60 @@ def test_numpy_blocks_equal_the_stdlib_loops_at_any_block_budget(name, case, np)
             mp.setitem(sys.modules, "numpy", numpy)
             assert with_cutoffs(0, SCANS[name], a, wit, tol) == stdlib, budget
         assert bool(numpy.taken) == proven, budget
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+@settings(max_examples=150, deadline=None)
+@given(case=st.tuples(st.one_of(st.randoms(use_true_random=False).map(corpus_pair), edge_pairs()),
+                      st.sampled_from(KERNEL_TOLS)).map(lambda case: (*case[0], case[1], {})))
+@with_examples(block_boundary_cases())
+def test_numpy_blocks_equal_the_stdlib_loops_at_any_block_budget(name, case, np):
+    # corpus_pair: convex, lifted, noisy, 1e300-scaled and overflowing data, n <= 40; edge_pairs:
+    # near overflow, with witness gaps below tol.abs
+    a, t, tol, want = case
+    assume(all(map(lt, t, t[1:])))  # a wide corpus t may lose a step to rounding
+    assert_blocks_equal_loops(name, a, t, tol, want, np)
+
+
+UNIT4 = [1.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+@pytest.mark.parametrize("a, t, tol, want", [
+    pytest.param([0.0, 8e307, -8e307, 8e307], UNIT4, DEFAULT_TOL, wants(triples=reach("inf")),
+                 id="finite slope bound, all-triples scale overflows"),
+    # the stdlib rows run: the last anchor's slope -2e308 raises
+    pytest.param([0.0, 1e308, -1e308], UNIT4[:3], DEFAULT_TOL, wants(reach("inf")),
+                 id="slope bound overflows"),
+    # the all-triples scale 1.6e308 is finite, and its blocks meet the -inf determinant -1e308 - 1.6e308
+    pytest.param([-1e308, 8e307, 0.0], UNIT4[:3], DEFAULT_TOL, wants(triples="holds=False,"),
+                 id="slope bound overflows, all-triples determinant -inf"),
+    # a violation at anchor 1, then an infinite slope from anchor 4: every row is judged, so the
+    # row after a violating one still raises
+    pytest.param([0.0, 1.0, 0.0, 1e308, -1e308], [0.0, *UNIT4], DEFAULT_TOL, wants(reach("inf"), reach("inf")),
+                 id="a raising row after a violating row"),
+    # slopes over a witness span that overflows: inf / inf is NaN
+    pytest.param([-1e308, 0.0, 1e308], [-1e308, 0.0, 1e308], DEFAULT_TOL, wants(reach("nan")),
+                 id="witness span overflows"),
+    # a zero value times an overflowing witness span: a NaN peak
+    pytest.param([1.0, 0.0, 2.0, 0.0, 5.0], [-1e308, -5e307, 0.0, 5e307, 1e308], DEFAULT_TOL,
+                 wants(triples=reach("nan")), id="zero times an overflowing span"),
+    # anchor 1's gaps are [0.0, -0.0], then the reverse: the margin is the first of tied zeros
+    pytest.param([0.0, 0.0, 0.0, -0.0], UNIT4, DEFAULT_TOL, wants("margin=0.0,"), id="tied zeros, 0.0 first"),
+    pytest.param([0.0, 0.0, -0.0, 0.0], UNIT4, DEFAULT_TOL, wants("margin=-0.0,"), id="tied zeros, -0.0 first"),
+    # anchor 1's slopes are -100, -100.5, -1: the gap -0.5 holds at the scale 100.5 (slack 1.005),
+    # not at the largest slope's magnitude 1 (slack 0.01)
+    pytest.param([0.0, -100.0, -201.0, -3.0], [0.0, 1.0, 2.0, 3.0], Tolerance(0.0, 0.01),
+                 wants("holds=True, first_violation=None, margin=-0.5,"), id="row scale from its largest magnitude"),
+    # zero gaps before the first negative one, judged with no slack: a zero is not below -0.0
+    pytest.param([0.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.0, *UNIT4, 5.0], Tolerance(0.0, 0.0),
+                 wants(f"{FIRST}6,", f"{FIRST}(1, 5, 6)"), id="zero gaps with no slack"),
+    # the gap -7.5e-10 holds within tol.abs (the slope test's margin is -1.5e-9)
+    pytest.param([0.0, 7.5e-10, 0.0], [0.0, 1.0, 2.0], DEFAULT_TOL,
+                 wants("holds=True, first_violation=None, margin=-7.5e-10,"), id="a gap within tol.abs"),
+])
+def test_numpy_blocks_equal_the_stdlib_loops_on_edge_rows(name, a, t, tol, want, np):
+    assert_blocks_equal_loops(name, a, t, tol, want, np)
 
 
 @pytest.mark.parametrize("name, a, proven", [
