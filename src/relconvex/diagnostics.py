@@ -18,16 +18,22 @@ otherwise; a scan of 2**19 gaps or more imports numpy first (about 0.1 s),
 so a scan below that size never loads numpy and a scan without numpy runs
 its loops at any size.
 numpy computes a block of consecutive rows (anchors, or first indices) at a
-time, as many as ``_BLOCK_ELEMENTS`` holds, in arrays of the block's own, so
-a scan holds one block of gaps at a time.  Each element takes the IEEE
+time, as many as ``_BLOCK_ELEMENTS`` holds, in work arrays that every block of
+the scan overwrites, so a scan holds one block of gaps at a time and allocates
+its arrays once.  Each element takes the IEEE
 operations of its loop in the same order.  The blocks run only on operands
 proven finite first (a bound on the anchored slopes, the determinants'
 scale check), so no gap is NaN and no block raises; other inputs take the
-loops.  Every block is one report: its first smallest gap and, if that is
-negative, its first gap below its row's threshold at the row's own scale,
-in the operations of ``scan_margin``; reports and errors match.  Measured on
-2 shared vCPUs, numpy's blocks pay for its import from about 4e5 gaps
-(anchored, n ~ 900) and 3e5 (all triples, n ~ 125).
+loops.  Every block gives its first smallest gap.  Until the first violation
+is located, a block whose smallest gap is negative also gives its first gap
+below its row's threshold at the row's own scale, in the operations of
+``scan_margin``; every later block gives its smallest gap alone.  Reports and
+errors match.  Measured on 2 shared vCPUs, with numpy's import at 0.08-0.12 s,
+numpy's blocks pay for it from about 5e5-7e5 gaps (anchored, n ~ 1,000-1,200)
+and 3.5e5-5e5 (all triples, n ~ 130-145).
+
+The O(n) checks build their gaps in one comprehension over ``zip`` of shifted
+views, with the IEEE operations of the formulas in their docstrings.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import accumulate, chain, combinations, count
-from operator import mul, truediv
+from operator import mul
 from typing import NamedTuple
 
 from .errors import NotStrictlyIncreasing, PreconditionViolation
@@ -64,8 +70,12 @@ _EXACT = Tolerance(abs=0.0, rel=0.0)
 _NUMPY_IMPORT_CUTOFF = 2**19
 
 #: Elements in one block of consecutive rows of a numpy scan (one row at
-#: least): the size of each of the block's arrays.
-_BLOCK_ELEMENTS = 2**13
+#: least): the size of each of the scan's work arrays.  Timed on six
+#: ``diagnose_mid`` instances (numpy 2.4, 2 shared vCPUs), 2**14 runs the
+#: anchored scan at n = 1,000 in 1.6 ms and the all-triples scan at n = 100 in
+#: 0.67 ms, against 1.9 and 0.77 ms at 2**13; 2**15 is at most 9% faster again,
+#: but the anchored scan at n = 2,000 then peaks at 831 KiB instead of 436 KiB.
+_BLOCK_ELEMENTS = 2**14
 
 
 class RateReport(NamedTuple):
@@ -92,13 +102,9 @@ def neighbor_chord_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TO
     """
     seq, wit = paired(a, t, tol)
     av, tv = seq.values, wit.values
-
-    def gap(i):
-        left = tv[i] - tv[i - 1]
-        right = tv[i + 1] - tv[i]
-        return (right * av[i - 1] + left * av[i + 1]) / (left + right) - av[i]
-
-    first, margin = scan_margin(map(gap, range(1, len(av) - 1)), tol, av, count(2))
+    gaps = [((right := t2 - t1) * a0 + (left := t1 - t0) * a2) / (left + right) - a1
+            for a0, a1, a2, t0, t1, t2 in zip(av, av[1:], av[2:], tv, tv[1:], tv[2:])]
+    first, margin = scan_margin(gaps, tol, av, count(2))
     return CheckReport(first is None, first, margin, tol)
 
 
@@ -117,8 +123,7 @@ def increment_growth_check(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_
         raise NotStrictlyIncreasing(f"a must be strictly increasing, but its profile is {shape.value}")
     da = forward_diff(seq)
     dt = forward_diff(wit)
-    lhs, rhs = (list(map(truediv, _steps(d), d)) for d in (da, dt))
-    gaps = [x - y for x, y in zip(lhs, rhs)]
+    gaps = [(a1 - a0) / a0 - (t1 - t0) / t0 for a0, a1, t0, t1 in zip(da, da[1:], dt, dt[1:])]
     in_slope_units = [g * d / e for g, d, e in zip(gaps, da, dt[1:])]
     first, _ = scan_margin(in_slope_units, tol, _slopes(seq.values, wit.values))
     return CheckReport(first is None, first, min(gaps, default=math.inf), tol)
@@ -149,8 +154,8 @@ def collinearity_determinant_check(
     n = len(av)
     if not all_triples:
         # each triple's three products, built once for both the scale and the determinant
-        terms = [((tv[k] - tv[m]) * av[l], (tv[k] - tv[l]) * av[m], (tv[m] - tv[l]) * av[k])
-                 for l, m, k in zip(range(n), range(1, n), range(2, n))]
+        terms = [((t2 - t1) * a0, (t2 - t0) * a1, (t1 - t0) * a2)
+                 for a0, a1, a2, t0, t1, t2 in zip(av, av[1:], av[2:], tv, tv[1:], tv[2:])]
         peaks = map(abs, chain.from_iterable(terms))
         dets = [p1 - p2 + p3 for p1, p2, p3 in terms]
         first, margin = scan_margin(dets, tol, [*peaks, 1.0], ((i, i + 1, i + 2) for i in count(1)))
@@ -170,7 +175,7 @@ def collinearity_determinant_check(
     scale = max(peaks)
     return _scan(n * (n - 1) * (n - 2) // 6, tol,
                  lambda: [_triple_block(av, tv, tol, scale, l) for l in range(n - 2)],
-                 lambda np: _triple_blocks(np, av, tv, tol, scale))
+                 lambda np: _triple_blocks(np, av, tv, scale))
 
 
 def _triple_block(av, tv, tol: Tolerance, scale, l: int) -> CheckReport:
@@ -181,14 +186,16 @@ def _triple_block(av, tv, tol: Tolerance, scale, l: int) -> CheckReport:
     return CheckReport(first is None, first, margin, tol)
 
 
-def _triple_blocks(np, av, tv, tol: Tolerance, scale):
-    """:func:`_triple_block` for every first index l, in blocks of consecutive l.
+def _triple_blocks(np, av, tv, scale):
+    """:func:`_triple_block` for every first index l, in blocks of consecutive l, each
+    yielded as ``(gaps, offsets, scale, label)`` for :func:`_fold`.
 
     The pairs m < k in combinations order are precomputed once; those of row l
     (m > l) are a suffix of them, so a block's rows share the columns of its
     first row's suffix.  Row l computes each of these determinants with the
     IEEE operations of the loop in the same order, and the pairs m <= l before
-    its own suffix are masked (see :func:`_block_report`).
+    its own suffix are masked (see :func:`_fold`).  Every block is written into
+    the same two work arrays, so it is judged before the next one is computed.
     """
     n = len(av)
     A, T = np.array(av), np.array(tv)
@@ -198,19 +205,21 @@ def _triple_blocks(np, av, tv, tol: Tolerance, scale):
     pairs = span.size
     # the suffix of row l starts after the n - 1 - j pairs of every first index j <= l
     starts = list(accumulate(range(n - 1, 1, -1)))
+    work = _work(np, 2, n - 2, (n - 1) * (n - 2) // 2)  # row 0 has the pairs of 1 <= m < k
     for l0, l1 in _spans(n - 2, lambda l: pairs - starts[l]):
         s = starts[l0]
         a_l, t_l = A[l0:l1, None], T[l0:l1, None]
-        dets = span[s:] * a_l
-        term = tk[s:] - t_l
+        dets, term = (w[:(l1 - l0) * (pairs - s)].reshape(l1 - l0, pairs - s) for w in work)
+        np.multiply(span[s:], a_l, out=dets)
+        np.subtract(tk[s:], t_l, out=term)
         term *= am[s:]
         dets -= term
         np.subtract(tm[s:], t_l, out=term)
         term *= ak[s:]
         dets += term
         offsets = [start - s for start in starts[l0:l1]]
-        yield _block_report(np, dets, offsets, tol, lambda foreign: scale,
-                            lambda b, c: (l0 + b + 1, M.item(s + c) + 1, K.item(s + c) + 1))
+        yield (dets, offsets, lambda foreign: scale,
+               lambda b, c: (l0 + b + 1, M.item(s + c) + 1, K.item(s + c) + 1))
 
 
 def anchored_slope_check(
@@ -238,21 +247,29 @@ def _anchored(av, tv, s0: int, tol: Tolerance) -> CheckReport:
     return CheckReport(first is None, first, margin, tol)
 
 
-def _anchored_blocks(np, av, tv, tol: Tolerance):
-    """:func:`_anchored` at every anchor, in blocks of consecutive anchors.
+def _anchored_blocks(np, av, tv):
+    """:func:`_anchored` at every anchor, in blocks of consecutive anchors, each yielded
+    as ``(gaps, offsets, scale, label)`` for :func:`_fold`.
 
     The anchors r0 <= s0 < r1 of a block share the columns i = r0+1 .. n-1:
     row s0 computes (a_i - a_s0) / (t_i - t_s0) and the gaps between its
     neighbouring slopes with the IEEE operations of the loop in the same
     order, and the gaps of i <= s0 + 1, which are not its own, are masked
-    (see :func:`_block_report`).
+    (see :func:`_fold`).  Every block is written into the same three work
+    arrays (slopes, witness steps, gaps), so it is judged before the next one
+    is computed.
     """
     n = len(av)
     A, T = np.array(av), np.array(tv)
+    work = _work(np, 3, n - 1, n - 1)
     for r0, r1 in _spans(n - 1, lambda r: n - 1 - r):
-        slopes = A[r0 + 1:] - A[r0:r1, None]
-        slopes /= T[r0 + 1:] - T[r0:r1, None]
-        gaps = slopes[:, 1:] - slopes[:, :-1]
+        rows, width = r1 - r0, n - 1 - r0
+        slopes, steps = (w[:rows * width].reshape(rows, width) for w in work[:2])
+        gaps = work[2, :rows * (width - 1)].reshape(rows, width - 1)
+        np.subtract(A[r0 + 1:], A[r0:r1, None], out=slopes)
+        np.subtract(T[r0 + 1:], T[r0:r1, None], out=steps)
+        slopes /= steps
+        np.subtract(slopes[:, 1:], slopes[:, :-1], out=gaps)
 
         def scale(foreign):
             # each row's largest |slope| over its own slopes (the 0 / 0 before them masked)
@@ -261,8 +278,7 @@ def _anchored_blocks(np, av, tv, tol: Tolerance):
                 np.copyto(slopes[:, :foreign.shape[1]], 0.0, where=foreign)
             return slopes.max(axis=1, keepdims=True)
 
-        yield _block_report(np, gaps, range(r1 - r0), tol, scale,
-                            lambda b, c: r0 + 3 + c)
+        yield gaps, range(r1 - r0), scale, lambda b, c: r0 + 3 + c
 
 
 def anchored_slope_check_all(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -283,20 +299,22 @@ def anchored_slope_check_all(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAUL
     finite = math.isfinite(2.0 * max(hi, -lo) / min(_steps(tv)))
     return _scan((n - 1) * (n - 2) // 2, tol,
                  lambda: [_anchored(av, tv, s0, tol) for s0 in range(n - 1)],
-                 (lambda np: _anchored_blocks(np, av, tv, tol)) if finite else None)
+                 (lambda np: _anchored_blocks(np, av, tv)) if finite else None)
 
 
 def _scan(gaps: int, tol: Tolerance, loop_rows, numpy_blocks) -> CheckReport:
-    """A super-linear scan of ``gaps`` gaps as the conjunction of its reports, one per row
-    or per block of rows: the first violation and the smallest margin (the first of equal ones).
+    """A super-linear scan of ``gaps`` gaps as the conjunction of its rows, one report per row:
+    the first violation and the smallest margin (the first of equal ones).
 
     The one path rule of the scans: ``numpy_blocks(np)`` (None unless every operand is proven
-    finite) yields a report per block when numpy is loaded, or imports (about 0.1 s) from
-    ``_NUMPY_IMPORT_CUTOFF`` gaps; ``loop_rows()`` lists a report per row otherwise, at any size.
+    finite) yields the blocks that :func:`_fold` judges when numpy is loaded, or imports (about
+    0.1 s) from ``_NUMPY_IMPORT_CUTOFF`` gaps; ``loop_rows()`` lists a report per row otherwise,
+    at any size, each row judged in full, so a row after a violating one still raises.
     The blocks run without warnings (a gap may overflow) and with the smallest ufunc buffer: through
     the default one of 8,192 elements numpy copies the operands of a broadcast 2-D operation
     whose rows are narrower than about a third of it, so the anchored scan at n = 1,000 takes
-    2.9-3.1 ms with that buffer against 1.9-2.0 ms with the smallest (numpy 2.4, 2 shared vCPUs).
+    about 2.8 ms with that buffer against 1.7 ms with the smallest (medians of 5 rounds, numpy
+    2.4, 2 shared vCPUs).
     """
     np = sys.modules.get("numpy") if numpy_blocks else None
     if np is None and numpy_blocks and gaps >= _NUMPY_IMPORT_CUTOFF:
@@ -306,21 +324,23 @@ def _scan(gaps: int, tol: Tolerance, loop_rows, numpy_blocks) -> CheckReport:
             pass
     if np is None:
         reports = loop_rows()
+        first = next((rep.first_violation for rep in reports if not rep.holds), None)
+        margin = min((rep.margin for rep in reports), default=math.inf)
     else:
         with np.errstate(all="ignore"):
             size = np.setbufsize(16)
             try:
-                reports = list(numpy_blocks(np))
+                first, margin = _fold(np, numpy_blocks(np), tol)
             finally:
                 np.setbufsize(size)
-    first = next((rep.first_violation for rep in reports if not rep.holds), None)
-    return CheckReport(first is None, first, min((rep.margin for rep in reports), default=math.inf), tol)
+    return CheckReport(first is None, first, margin, tol)
 
 
 def _spans(rows: int, width):
     """``(start, stop)`` of consecutive blocks of ``rows`` rows: as many rows as
     ``_BLOCK_ELEMENTS`` holds at the width ``width(start)`` of the block's
-    first (widest) row, and one row at least."""
+    first (widest) row, and one row at least.  The rows of both scans narrow
+    towards the end, so later blocks hold more of them."""
     start = 0
     while start < rows:
         stop = min(rows, start + max(1, _BLOCK_ELEMENTS // width(start)))
@@ -328,42 +348,54 @@ def _spans(rows: int, width):
         start = stop
 
 
-def _block_report(np, gaps, offsets, tol: Tolerance, scale, label):
-    """The report of a block of rows, row b being ``gaps[b, offsets[b]:]``, folded as :func:`_scan`
-    folds row reports: the first violation and the first smallest margin, in scan order.
+def _work(np, count: int, rows: int, widest: int):
+    """``count`` flat buffers that every block of a scan of ``rows`` rows reuses, each as
+    large as the largest block :func:`_spans` makes: ``_BLOCK_ELEMENTS`` elements at
+    most (fewer if the whole scan is smaller), or the widest row alone if that is wider."""
+    return np.empty((count, max(widest, min(_BLOCK_ELEMENTS, rows * widest))))
+
+
+def _fold(np, blocks, tol: Tolerance):
+    """``(first, margin)`` of the numpy blocks ``(gaps, offsets, scale, label)``, row b of a
+    block being ``gaps[b, offsets[b]:]``, as :func:`_scan` folds row reports: the first
+    violation and the first smallest margin, in scan order, each block judged before the
+    generator computes the next one into the same work arrays.
 
     The operands are finite and no gap is NaN (:func:`_scan` runs the blocks
     only then), so no row raises.  The entries before a row's own are first
     set to +inf (through a boolean mask of the block's columns below each
-    row's offset), so they are never a smallest gap or a violation.  The
-    margin is the block's first smallest gap (argmin finds the first of equal
-    minima, ±0.0 ties included, as ``min()`` keeps it).  With a non-negative
-    margin the block holds.  Otherwise ``scale(foreign)`` gives each row's
-    largest |operand|, as a column over the rows or one scalar for all
-    (``foreign`` masks the +inf entries, or is None), and every row is judged
-    as :func:`relconvex.seqcore.scan_margin` judges it: its threshold is
+    row's offset), so they are never a smallest gap or a violation.  A block's
+    margin is its first smallest gap (argmin finds the first of equal minima,
+    ±0.0 ties included, as ``min()`` keeps it).  Until a block has located the
+    first violation, a block with a negative margin is judged: ``scale(foreign)``
+    gives each row's largest |operand|, as a column over the rows or one scalar
+    for all (``foreign`` masks the +inf entries, or is None), and every row is
+    judged as :func:`relconvex.seqcore.scan_margin` judges it: its threshold is
     ``Tolerance.allowed`` at its scale, negated, in the same IEEE operations,
     and its first violation is its first gap below that, labelled
-    ``label(b, c)`` at block column c.
+    ``label(b, c)`` at block column c.  Every later block gives its margin alone.
     A per-gap weight that judges each gap at the slope test's scale (ROADMAP.md,
     "One tolerance rule for every characterization") must enter this judge, the
     blocks and the stdlib rows together, as one more factor of each gap.
     """
-    width = gaps.shape[1]
-    cut = offsets[-1]
-    foreign = None
-    if cut:
-        foreign = np.arange(cut) < np.array(offsets)[:, None]
-        np.copyto(gaps[:, :cut], math.inf, where=foreign)
-    # a block without columns is the anchored scan's last row alone, with one slope
-    at = int(gaps.argmin()) if gaps.size else 0
-    margin = gaps.item(at) if gaps.size else math.inf
-    if margin >= 0:
-        return CheckReport(True, None, margin, tol)
-    below = gaps < -tol.slack(scale(foreign))
-    hit = int(below.argmax())
-    first = label(*divmod(hit, width)) if below.item(hit) else None
-    return CheckReport(first is None, first, margin, tol)
+    first, margin = None, math.inf
+    for gaps, offsets, scale, label in blocks:
+        cut = offsets[-1]
+        foreign = None
+        if cut:
+            foreign = np.arange(cut) < np.array(offsets)[:, None]
+            np.copyto(gaps[:, :cut], math.inf, where=foreign)
+        if not gaps.size:  # the anchored scan's last row alone, with one slope
+            continue
+        low = gaps.item(int(gaps.argmin()))
+        if low < margin:
+            margin = low
+        if first is None and low < 0:
+            below = gaps < -tol.slack(scale(foreign))
+            hit = int(below.argmax())
+            if below.item(hit):
+                first = label(*divmod(hit, gaps.shape[1]))
+    return first, margin
 
 
 def psi_preservation_check(

@@ -31,10 +31,11 @@ numpy except those that compare with numpy or read its state.
   (``REFERENCES``) on a seeded corpus.
 * The two super-linear scans (``anchored_slope_check_all`` and
   ``collinearity_determinant_check(all_triples=True)``) report and raise from
-  numpy blocks, at the block budgets 1, 7, 64 and 8,192, as from their stdlib
-  loops: on seeded corpus and near-overflow pairs, on explicit block-boundary
-  examples, and on a table of edge rows (tied ±0 margins, ±1e308 rows, the
-  tolerance's edges).
+  numpy blocks, at the block budgets 1, 7, 64 and the module's default, as
+  from their stdlib loops: on seeded corpus and near-overflow pairs, on
+  explicit block-boundary examples, and on a table of edge rows (tied ±0
+  margins, ±1e308 rows, the tolerance's edges, a first violation and a
+  smallest margin in different blocks).
   numpy runs exactly on operands proven finite (a finite anchored slope bound
   2 max|a| / min gap, which bounds every slope, or an all-triples scale that
   does not raise), so a block never meets a NaN.  A loaded numpy computes the
@@ -772,11 +773,13 @@ def with_examples(cases):
 
 def assert_blocks_equal_loops(name, a, t, tol, want, np):
     """Scan ``name`` of (a, t) reports and raises from numpy blocks, at the block budgets 1, 7, 64
-    and 8,192, as from its stdlib loops, and gives ``want[name]`` there if given; numpy runs exactly
+    and the module's default, as from its stdlib loops, and gives ``want[name]`` there if given; numpy runs exactly
     on operands proven finite (a finite slope bound, which bounds every anchored slope, or an
     all-triples scale that does not raise)."""
     # a budget of 1 makes every row its own block (the last anchor row one slope and no gap), 7 and
-    # 64 join the short rows at the end of a scan into blocks of many rows, and 8,192 is the default
+    # 64 join the short rows at the end of a scan into blocks of many rows, and the default is read
+    # before any budget is patched
+    budgets = (1, 7, 64, diagnostics._BLOCK_ELEMENTS)
     wit = Witness(t)
     stdlib = with_cutoffs(math.inf, SCANS[name], a, wit, tol)
     if name in want:
@@ -788,7 +791,7 @@ def assert_blocks_equal_loops(name, a, t, tol, want, np):
     else:
         proven = not isinstance(stdlib[0], tuple)
     numpy = Recording(np)
-    for budget in (1, 7, 64, 8192):
+    for budget in budgets:
         numpy.taken.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(diagnostics, "_BLOCK_ELEMENTS", budget)
@@ -811,6 +814,14 @@ def test_numpy_blocks_equal_the_stdlib_loops_at_any_block_budget(name, case, np)
 
 
 UNIT4 = [1.0, 2.0, 3.0, 4.0]
+
+
+def dipped_and_lifted(n):
+    """i² dipped by 20,000 at 0-based 2 and lifted by n² at n - 5."""
+    a = [float(i * i) for i in range(n)]
+    a[2] -= 20000.0
+    a[n - 5] += float(n * n)
+    return a
 
 
 @pytest.mark.parametrize("name", sorted(SCANS))
@@ -846,6 +857,13 @@ UNIT4 = [1.0, 2.0, 3.0, 4.0]
     # the gap -7.5e-10 holds within tol.abs (the slope test's margin is -1.5e-9)
     pytest.param([0.0, 7.5e-10, 0.0], [0.0, 1.0, 2.0], DEFAULT_TOL,
                  wants("holds=True, first_violation=None, margin=-7.5e-10,"), id="a gap within tol.abs"),
+    # the dip makes the first violation, in the first rows; the lift makes anchor 125's deepest
+    # gap, and the dip the deepest determinant in the row of first index 3 (a lift's deepest
+    # determinant is always in the first row).  At n = 130 the all-triples rows of first index 1
+    # and 3 fall in different blocks at every budget, the anchored rows at the budgets 1, 7 and 64
+    pytest.param(dipped_and_lifted(130), [float(i) for i in range(130)], DEFAULT_TOL,
+                 wants(f"{FIRST}3, margin=-16899.0,", f"{FIRST}(1, 2, 3), margin=-2503998.0,"),
+                 id="first violation and smallest margin in different blocks"),
 ])
 def test_numpy_blocks_equal_the_stdlib_loops_on_edge_rows(name, a, t, tol, want, np):
     assert_blocks_equal_loops(name, a, t, tol, want, np)

@@ -196,12 +196,24 @@ def test_hhf_bounds_hold_on_a_translated_witness(capsys, tmp_path):
     ([-1e10, 0.0, 2e-9], [0, 1, 0], 2, 0.0),
     ([-1e10, 0.0, 2e-9], [0, 1, 1], 2, 0.0),
     ([-1e10, 0.0, 2e-9], [0, 0, 1], 2, 0.0),
-    # t_3 - t_1 overflows, so the mean -5e307 is measured from 0
+    # t_3 - t_1 overflows, so the mean -5e307 is measured in t / 16
     ([-1e308, 0.0, 1e308], [1, 1, 0], 1, 0.5),
 ])
 def test_hhf_floor_and_gamma_where_differences_from_t1_round_or_overflow(t, p, m, gamma):
     rep = hhf_bounds([1.0, 0.0, 0.0], t, p, psi_identity)
     assert (rep.m, rep.gamma_t) == (m, gamma)
+
+
+# t_3 - t_1 overflows: lambda was (t_3 - M) / inf = 0, so the upper bound was psi(a_3) = 1 and the
+# sandwich failed through overflow alone; measured in t / 16 it is 0.5, as on t = [-1, 0, 1]
+@pytest.mark.parametrize("t", [[-1.0, 0.0, 1.0], [-1e308, 0.0, 1e308]], ids=["unit", "span overflows"])
+def test_hhf_bounds_measure_a_witness_whose_span_overflows_as_its_scaled_copy(t, capsys, tmp_path):
+    rep = hhf_bounds([3.0, 0.0, 1.0], t, [1.0, 1.0, 1.0], psi_identity)
+    assert rep.holds and (rep.m, rep.gamma_t, rep.lambda_t, rep.upper) == (2, 0.0, 0.5, 2.0)
+    payload = {"a": [3, 0, 1], "t": t, "p": [1, 1, 1]}
+    code, out, _ = run_cli(capsys, tmp_path, ["hhf", "--psi", "identity"], payload)
+    report = strict_json(out)
+    assert (code, report["verdict"], report["margin_or_slacks"]["lambda_t"]) == (0, "holds", 0.5)
 
 
 # -- bounded_monotone_diagnostic: a finite "not applicable" report -----------
