@@ -47,21 +47,31 @@ def _fsum(terms) -> float:
 
 @lru_cache(maxsize=1)
 def unit_weights(n: int) -> WeightVec:
-    """The uniform weights of length n; the last n is cached, its moments with it (it is frozen)."""
-    return WeightVec((1.0,) * n)
+    """The uniform weights of length n; the last n is cached, its moments with it (it is frozen).
+
+    It carries the private ``_unit`` marker: 1.0 x = x and the total is exactly n, so
+    the means and centred sums over it drop the weight factor.  A copy or pickle has
+    no marker and multiplies, with the same bits.
+    """
+    pv = WeightVec((1.0,) * n)
+    object.__setattr__(pv, "_unit", True)
+    return pv
 
 
 def _mean(x: _Floats, pv: WeightVec, origin: float = 0.0) -> float:
     """sum(p_i (x_i - origin)) / P, remembered on ``pv`` per ``x`` object and origin."""
     terms = map(sub, x.values, repeat(origin)) if origin else x.values
-    return _remembered(pv, "_moments", ("mean", origin), lambda: _fsum(map(mul, pv.weights, terms)) / pv.total,
-                       x, x)
+    if not pv._unit:
+        terms = map(mul, pv.weights, terms)
+    return _remembered(pv, "_moments", ("mean", origin), lambda: _fsum(terms) / pv.total, x, x)
 
 
 def _cov(x: _Floats, mx: float, y: _Floats, my: float, pv: WeightVec) -> float:
-    """S(x, y) = sum p_i (x_i - mx)(y_i - my) / P at the means of x and y, likewise remembered."""
+    """S(x, y) = sum p_i (x_i - mx)(y_i - my) / P at the means of x and y, likewise remembered.
+    The one object twice (so one mean) is a self-moment of :func:`_centred`."""
     return _remembered(pv, "_moments", "cov",
-                       lambda: _centred(x.values, mx, y.values, my, pv.weights, pv.total), x, y)
+                       lambda: _centred(x.values, mx, None if y is x else y.values, my,
+                                        None if pv._unit else pv.weights, pv.total), x, y)
 
 
 def weighted_mean(x: Sequence[float], p: WeightLike) -> float:
@@ -71,9 +81,22 @@ def weighted_mean(x: Sequence[float], p: WeightLike) -> float:
     return _mean(xv, pv)
 
 
-def _centred(x: Sequence[float], mx: float, y: Sequence[float], my: float, w, total: float = 1.0) -> float:
-    """sum w_i (x_i - mx)(y_i - my) / total, the deviations streamed: no n-long list is stored."""
-    return _fsum(wi * (xi - mx) * (yi - my) for wi, xi, yi in zip(w, x, y)) / total
+def _centred(x: Sequence[float], mx: float, y: Sequence[float] | None = None, my: float = 0.0,
+             w: Sequence[float] | None = None, total: float = 1.0) -> float:
+    """sum w_i (x_i - mx)(y_i - my) / total, the deviations streamed: no n-long list is stored.
+
+    Two omissions change no bit.  ``y`` None is the self-moment of x (my is mx): each
+    deviation is taken once, as w_i (d := x_i - mx) d.  ``w`` None is the unit weights:
+    the factor is dropped, as 1.0 d = d.  Passing y = x or ones for w gives the same bits.
+    """
+    if y is None:
+        terms = (((d := xi - mx) * d for xi in x) if w is None
+                 else (wi * (d := xi - mx) * d for wi, xi in zip(w, x)))
+    elif w is None:
+        terms = ((xi - mx) * (yi - my) for xi, yi in zip(x, y))
+    else:
+        terms = (wi * (xi - mx) * (yi - my) for wi, xi, yi in zip(w, x, y))
+    return _fsum(terms) / total
 
 
 def cov_functional(x: Sequence[float], y: Sequence[float], p: WeightLike) -> float:
@@ -108,7 +131,7 @@ def lupas_constant(t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> float:
     """
     wit = Witness.of(t, tol, "t")
     mean = _fsum(wit.values) / len(wit)
-    denom = _centred(wit.values, mean, wit.values, mean, repeat(1.0))
+    denom = _centred(wit.values, mean)  # unit weights, a self-moment
     _require_spread(denom, wit, tol, f"centered square sum {denom!r} is not positive")
     return 1.0 / denom
 

@@ -102,7 +102,8 @@ def spot_check_map(psi: ConvexMap, values: SeqLike, tol: Tolerance = DEFAULT_TOL
     validated = isinstance(values, _Floats)  # finite floats already
     pts = values.values if validated else _reals(values)
     domain = _proven_interval(psi)
-    if domain is not None and pts and (validated or all(map(math.isfinite, pts))):
+    # a finite sum proves every value finite; an overflowing one falls back to the scan
+    if domain is not None and pts and (validated or math.isfinite(sum(pts)) or all(map(math.isfinite, pts))):
         lo, hi = values.extremes if validated else (min(pts), max(pts))
         if domain[0] <= lo and hi <= domain[1]:
             # non-decreasing: the extreme values carry the largest |psi| the samples would
@@ -159,7 +160,9 @@ class BoundReport(NamedTuple):
 def _require_convex_wrt(name: str, a: RealSeq, t: Witness, tol: Tolerance) -> None:
     rep = is_convex_wrt(a, t, tol)
     if not rep.holds:
-        if t.values == unit_witness(len(t)).values:  # worded as is_convex reports it
+        # worded as is_convex reports it; t is compared with 1..n by value, as a call of
+        # unit_witness would evict its cached length and the moments remembered against it
+        if t.values == tuple(range(1, len(t) + 1)):
             raise PreconditionViolation(
                 f"{name} is not convex: interior index {rep.first_violation + 1} "
                 f"sits above its neighbour midpoint (margin {rep.margin / 2!r})"

@@ -156,11 +156,13 @@ class _Floats:
     Equal, with equal hashes, only to an object of the same class with the same
     ``values``.  Attributes cannot be assigned or deleted; the memos are set with
     ``object.__setattr__`` (a ``cached_property`` writes ``__dict__`` itself).  A
-    ``copy`` or ``pickle`` carries the values only, none of the memos."""
+    ``copy`` or ``pickle`` carries the values only, none of the memos and no ``_unit``
+    marker, so it takes the general path of every kernel, with the same bits."""
 
     values: tuple[float, ...]
     _what = "sequence"
     _min_len = 0
+    _unit = False  # True only on the objects of unit_witness and unit_weights
 
     def __init__(self, values: Iterable[float], name: str | None = None) -> None:
         object.__setattr__(self, "values", _reals(values, name))
@@ -396,9 +398,14 @@ def _remembered(owner: _Floats, memo: str, key, compute, x, y):
 def unit_witness(n: int) -> "Witness":
     """The arithmetic witness 1..n, against which ordinary convexity is measured.
 
-    The last n is cached: a :class:`Witness` is frozen, so callers share it.
+    The last n is cached: a :class:`Witness` is frozen, so callers share it.  It
+    carries the private ``_unit`` marker: its gaps are exactly 1.0 and x / 1.0 = x,
+    so the slope test of :func:`is_convex_wrt` takes the forward differences
+    without dividing.  A copy or pickle has no marker and divides, with the same bits.
     """
-    return Witness(tuple(map(float, range(1, n + 1))))
+    wit = Witness(tuple(map(float, range(1, n + 1))))
+    object.__setattr__(wit, "_unit", True)
+    return wit
 
 
 def _steps(v: Sequence[float]) -> Iterator[float]:
@@ -449,12 +456,15 @@ def is_convex_wrt(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> C
 
     Both inputs are frozen, so the test runs once per (sequence, witness,
     tolerance): the report is remembered on the :class:`RealSeq` per witness
-    object and ``tol`` by :func:`_remembered`.
+    object and ``tol`` by :func:`_remembered`.  Against :func:`unit_witness`
+    the slopes are the forward differences, not divided by the unit gaps
+    (x / 1.0 = x); any other witness, a copy of that one included, divides,
+    with the same bits.
     """
     seq, wit = paired(a, t, tol)
 
     def test() -> CheckReport:
-        ratios = _slopes(seq.values, wit.values)
+        ratios = list(_steps(seq.values)) if wit._unit else _slopes(seq.values, wit.values)
         first, margin = scan_margin(_steps(ratios), tol, ratios)
         return CheckReport(first is None, first, margin, tol)
 

@@ -435,6 +435,15 @@ def test_builtin_on_non_finite_values_is_the_sampled_check(name, values):
         assert outcome(spot_check_map, psi, values)[0][0] is NonFiniteArithmetic
 
 
+@pytest.mark.parametrize("values", [[1e308, 1e308, 5.0, -1.0], [-1e308, 3.0, -1e308, 2.0]])
+def test_finite_values_whose_sum_overflows_are_proven_in_range(values):
+    # the one-sum screen overflows, so the per-entry scan finds every value finite
+    psi = Counting(MAPS["identity"])
+    psi._convex_on = (-math.inf, math.inf)  # declared as the builtin identity declares it
+    assert outcome(spot_check_map, psi, values) == ("True", [])
+    assert psi.calls == 2  # the smallest and the largest value: proven, not sampled
+
+
 @pytest.mark.parametrize("values", [[0.0, 800.0], [800.0, 1.0, -3.0], [709.0, 710.0]])
 def test_exp_past_overflow_raises_as_the_sampled_check(values):
     psi = parse_psi("exp")

@@ -6,6 +6,10 @@
   a copy or pickle starts empty, the memo makes no reference cycle, and
   calls on raw lists leave a bounded number of entries, all of them dead.
 * ``pecaric_check`` shares the cached ``unit_weights(n)``.
+* The unit witness and the unit weights skip the exact ÷1 and ×1, and a moment of
+  one vector with itself takes each deviation once: every engine on them reports
+  and raises exactly as on their copies, which carry no marker.  A failed
+  precondition at 1..m leaves the cached ``unit_witness(n)`` in place.
 * The value sum p_i ψ(a_i) of the HHF engines is remembered on the
   ``WeightVec`` per (sequence, map) for a builtin map only; any other
   callable is called anew.  A raise is not remembered.
@@ -20,6 +24,7 @@ import math
 import pickle
 import warnings
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +36,7 @@ from relconvex import (
     hhf_bounds, integer_majorization_check, is_convex_wrt, lupas_check, majorization_inequality_check,
     niezgoda_bound, parse_psi, pecaric_check, weighted_mean,
 )
-from relconvex import polyext
+from relconvex import functionals, inequalities, polyext, seqcore
 from relconvex.errors import (
     LengthError, NonFiniteArithmetic, OutOfDomain, PreconditionViolation, WitnessNotIncreasing,
 )
@@ -114,6 +119,89 @@ def test_calls_on_shared_objects_equal_calls_on_fresh_copies(inst, order, psi_na
         # raw lists are remembered too, beside a shared WeightVec or not
         for other in (fresh, raw, dict(raw, P=shared["P"])):
             assert outcome(CALLS[name], shared, skip_verify, psi) == outcome(CALLS[name], other, skip_verify, psi)
+
+
+# -- the unit objects' omissions change no bit -------------------------------------
+
+#: ±0.0, the smallest subnormal and a larger one, the smallest normal, and ±1e308 whose
+#: differences and moments overflow
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308)
+
+
+@st.composite
+def unit_instances(draw):
+    """(a, b, w, pidx, qidx) of one length n <= 40: a convex against 1..n or arbitrary, with edge
+    values, and positive weights w."""
+    n = draw(st.integers(2, 40))
+    entry = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(EDGES))
+    if draw(st.booleans()):  # convex, so that the verified engines reach their sums
+        c, scale = draw(st.integers(0, n - 1)), draw(st.sampled_from((1.0, 1e-310, 1e300)))
+        a = [scale * (i - c) ** 2 for i in range(n)]
+    else:
+        a = draw(st.lists(entry, min_size=n, max_size=n))
+    b = draw(st.lists(entry, min_size=n, max_size=n))
+    w = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    k = draw(st.integers(2, max(n - 1, 2)))
+    pidx, qidx = ([k, k], [k - 1, k + 1]) if n > 2 else ([1, 2], [2, 1])
+    return a, b, w, pidx, qidx
+
+
+def unit_outcomes(twin, a, b, w, pidx, qidx, skip_verify, psi):
+    """The outcome of every engine that runs on the unit witness or the unit weights, looked up
+    on their modules at call time, and of the moments of one vector with ``twin`` of it."""
+    n = len(a)
+    t, p, seq, wv = seqcore.unit_witness(n), inequalities.unit_weights(n), RealSeq(a), WeightVec(w)
+    return [
+        outcome(relconvex.is_convex, a),
+        outcome(pecaric_check, a, b, skip_verify=skip_verify),
+        outcome(niezgoda_bound, a, p, psi, skip_verify=skip_verify),
+        outcome(convex_hhf_bounds, a, p, psi, skip_verify=skip_verify),
+        outcome(integer_majorization_check, a, pidx, qidx, skip_verify=skip_verify),
+        outcome(relconvex.lupas_constant, t),
+        outcome(cov_functional, t, twin(t), p),
+        outcome(cov_functional, seq, twin(seq), p),
+        outcome(cov_functional, seq, twin(seq), wv),
+        outcome(lupas_check, a, b, t, p, skip_verify=skip_verify),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_instances(), st.booleans(), st.sampled_from(["identity", "exp", "relu@0", "square"]))
+@example(([0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0], [1.0] * 4, [2, 2], [1, 3]), False, "identity")
+@example(([0.0, 0.0, -0.0], [-0.0, -0.0, -0.0], [1.0, 2.0, 3.0], [2, 2], [1, 3]), True, "square")
+@example(([5e-324, 0.0, 5e-324, 1e-310], [1e-310, -5e-324, 2e-310, 0.0], [3.0, 1.0, 2.0, 1e-3], [2, 3], [1, 4]),
+         True, "relu@0")
+@example(([2.2250738585072014e-308, 5e-324, 2.2250738585072014e-308], [5e-324, -5e-324, 5e-324],
+          [1.0, 1e3, 1.0], [2, 2], [1, 3]), False, "identity")
+# the weighted variance of a: (w d) d and w (d d) round apart on these values
+@example(([-4.0, -9.4, 7.3, -0.5], [1.0, 2.0, 3.0, 4.0], [2.2, 2.6, 2.2, 2.8], [2, 3], [1, 4]), True, "identity")
+@example(([1e308, -1e308, 1e308], [-1e308, 1e308, 1e308], [1.0, 1.0, 1.0], [2, 2], [1, 3]), True, "identity")
+@example(([1e308, 0.0, 1e308], [1e308, 0.0, 1e308], [0.5, 2.0, 0.5], [2, 2], [1, 3]), False, "exp")
+@example(([-1e308, 1e308], [1e308, -1e308], [1.0, 2.0], [1, 2], [2, 1]), True, "identity")
+@example(([float((i - 20) ** 2) for i in range(40)], [abs(i - 13.5) for i in range(40)],
+          [1.0 + i % 7 for i in range(40)], [20, 20], [19, 21]), False, "exp")
+def test_calls_on_the_unit_objects_equal_calls_on_their_unmarked_copies(inst, skip_verify, psi_name):
+    psi = parse_psi(psi_name)
+    # fresh unit objects, so that moments remembered by an earlier example are not reused
+    seqcore.unit_witness.cache_clear()
+    functionals.unit_weights.cache_clear()
+    marked = unit_outcomes(lambda v: v, *inst, skip_verify, psi)
+    unit_t, unit_p = seqcore.unit_witness, functionals.unit_weights
+    assert "_unit" not in vars(copy.copy(unit_t(2))) and "_unit" not in vars(copy.copy(unit_p(2)))
+    with mock.patch.object(seqcore, "unit_witness", lambda n: copy.copy(unit_t(n))), \
+            mock.patch.object(inequalities, "unit_witness", lambda n: copy.copy(unit_t(n))), \
+            mock.patch.object(inequalities, "unit_weights", lambda n: copy.copy(unit_p(n))):
+        assert marked == unit_outcomes(copy.copy, *inst, skip_verify, psi)
+
+
+def test_a_failed_precondition_keeps_the_cached_unit_witness():
+    kept = unit_witness(5)
+    bumped, curved, p = [0.0, 1.0, 0.0], [0.0, 1.0, 4.0], [1.0, 1.0, 1.0]
+    with pytest.raises(PreconditionViolation, match="^a is not convex: interior index 2 "):
+        lupas_check(bumped, curved, [1.0, 2.0, 3.0], p)  # t = 1..3, worded as is_convex words it
+    with pytest.raises(PreconditionViolation, match="^a is not convex w.r.t. t: slope pair 1 "):
+        lupas_check(bumped, curved, [1.0, 2.0, 4.0], p)
+    assert unit_witness(5) is kept
 
 
 def test_the_order_of_a_pair_is_part_of_its_key():
