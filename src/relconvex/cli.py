@@ -41,6 +41,7 @@ from .inequalities import (
 from .oracles import gen_majorized_pair, gen_relative_convex_pair
 from .polyext import build_extension, sample
 from .seqcore import (
+    DEFAULT_TOL,
     RealSeq,
     ShapeKind,
     Tolerance,
@@ -117,7 +118,7 @@ def _load_inputs(path: str) -> dict[str, list[float]]:
 def _tolerance(args) -> Tolerance:
     abs_tol = args.tol_abs
     if abs_tol is None:
-        abs_tol = float(os.environ.get(ENV_TOL_ABS, 1e-9))
+        abs_tol = float(os.environ.get(ENV_TOL_ABS, DEFAULT_TOL.abs))
     return Tolerance(abs=abs_tol, rel=args.tol_rel)
 
 
@@ -385,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--input", default=None, help="path to JSON/CSV inputs, or - for stdin")
     common.add_argument("--tol-abs", type=float, default=None,
                         help=f"absolute tolerance (default 1e-9; env {ENV_TOL_ABS} overrides)")
-    common.add_argument("--tol-rel", type=float, default=1e-12, help="relative tolerance")
+    common.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.rel, help="relative tolerance")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
     common.add_argument("--output", default="-", help="destination for CSV artifacts / report")
 

@@ -248,8 +248,9 @@ def _anchored(av, tv, s0: int, tol: Tolerance) -> CheckReport:
 
 
 def _anchored_blocks(np, av, tv):
-    """:func:`_anchored` at every anchor, in blocks of consecutive anchors, each yielded
-    as ``(gaps, offsets, scale, label)`` for :func:`_fold`.
+    """:func:`_anchored` at every anchor but the last, which has one slope and no gap, in
+    blocks of consecutive anchors, each yielded as ``(gaps, offsets, scale, label)`` for
+    :func:`_fold`.
 
     The anchors r0 <= s0 < r1 of a block share the columns i = r0+1 .. n-1:
     row s0 computes (a_i - a_s0) / (t_i - t_s0) and the gaps between its
@@ -261,8 +262,8 @@ def _anchored_blocks(np, av, tv):
     """
     n = len(av)
     A, T = np.array(av), np.array(tv)
-    work = _work(np, 3, n - 1, n - 1)
-    for r0, r1 in _spans(n - 1, lambda r: n - 1 - r):
+    work = _work(np, 3, n - 2, n - 1)
+    for r0, r1 in _spans(n - 2, lambda r: n - 1 - r):
         rows, width = r1 - r0, n - 1 - r0
         slopes, steps = (w[:rows * width].reshape(rows, width) for w in work[:2])
         gaps = work[2, :rows * (width - 1)].reshape(rows, width - 1)
@@ -385,8 +386,6 @@ def _fold(np, blocks, tol: Tolerance):
         if cut:
             foreign = np.arange(cut) < np.array(offsets)[:, None]
             np.copyto(gaps[:, :cut], math.inf, where=foreign)
-        if not gaps.size:  # the anchored scan's last row alone, with one slope
-            continue
         low = gaps.item(int(gaps.argmin()))
         if low < margin:
             margin = low

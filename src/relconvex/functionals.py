@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
-from operator import mul, sub
+from operator import eq, mul, sub
 from typing import Sequence, Union
 
 from .errors import DegenerateWitness, NonFiniteArithmetic, ZeroTotalWeight
@@ -35,6 +35,12 @@ class WeightVec(_Floats):
     def total(self) -> float:
         return _fsum(self.values)
 
+    @cached_property
+    def _unit(self) -> bool:
+        """Every weight is 1.0, so a weighted term is the term (1.0 x = x) and the total is
+        exactly n; one pass at most, up to the first weight that is not 1.0."""
+        return all(map(eq, self.values, repeat(1.0)))
+
 
 def _fsum(terms) -> float:
     """``math.fsum`` of terms that may overflow: inf - inf, or finite terms whose sum
@@ -47,15 +53,8 @@ def _fsum(terms) -> float:
 
 @lru_cache(maxsize=1)
 def unit_weights(n: int) -> WeightVec:
-    """The uniform weights of length n; the last n is cached, its moments with it (it is frozen).
-
-    It carries the private ``_unit`` marker: 1.0 x = x and the total is exactly n, so
-    the means and centred sums over it drop the weight factor.  A copy or pickle has
-    no marker and multiplies, with the same bits.
-    """
-    pv = WeightVec((1.0,) * n)
-    object.__setattr__(pv, "_unit", True)
-    return pv
+    """The uniform weights of length n; the last n is cached, its moments with it (it is frozen)."""
+    return WeightVec((1.0,) * n)
 
 
 def _mean(x: _Floats, pv: WeightVec, origin: float = 0.0) -> float:

@@ -160,9 +160,8 @@ class BoundReport(NamedTuple):
 def _require_convex_wrt(name: str, a: RealSeq, t: Witness, tol: Tolerance) -> None:
     rep = is_convex_wrt(a, t, tol)
     if not rep.holds:
-        # worded as is_convex reports it; t is compared with 1..n by value, as a call of
-        # unit_witness would evict its cached length and the moments remembered against it
-        if t.values == tuple(range(1, len(t) + 1)):
+        # at t = 1..n, however built, worded as is_convex reports it
+        if t._unit:
             raise PreconditionViolation(
                 f"{name} is not convex: interior index {rep.first_violation + 1} "
                 f"sits above its neighbour midpoint (margin {rep.margin / 2!r})"
@@ -256,9 +255,9 @@ def hhf_bounds(
     (pure, and declaring its interval); any other callable is called anew.
     M, m, gamma and lambda are measured from t_1 (M - t_1 is
     sum(p_i (t_i - t_1)) / P, remembered on p), so an exact translation of t
-    keeps every difference and the report bit for bit; a witness whose span
-    overflows is measured in t scaled by a power of two (exact barring
-    underflow), which keeps that span and sum finite.
+    keeps every difference and the report bit for bit.  A witness whose span
+    overflows is first replaced by its copy scaled by a power of two (exact
+    barring underflow), which keeps that span and sum finite.
     """
     seq, wit, pv = RealSeq.of(a, "a"), Witness.of(t, tol, "t"), WeightVec.of(p, "p")
     _same_length("a t p", seq, wit, pv)
@@ -273,20 +272,17 @@ def hhf_bounds(
 
     pure = _proven_interval(psi) is not None  # a builtin map; any other callable is called anew
     value = _remembered(pv, "_moments", "psi", psi_sum, seq, psi) if pure else psi_sum()
-    tv = wit.values
-    if math.isfinite(tv[-1] - tv[0]):
-        scale = 1.0
-        dm = _mean(wit, pv, tv[0])  # M - t_1
-    else:
+    if not math.isfinite(wit[-1] - wit[0]):
         # |t_n - t_1| < 2**1025 and P < 2**e, so in t times 2**-(2 + e) the span and
         # sum(p_i (t_i - t_1)) <= P * span stay below the largest float
         scale = math.ldexp(1.0, -2 - max(math.frexp(pv.total)[1], 0))
-        dm = _fsum(w * (x * scale - tv[0] * scale) for w, x in zip(pv, tv)) / pv.total
-    origin = tv[0] * scale
-    m = min(max(bisect_right(tv, dm, key=lambda x: x * scale - origin), 1), len(seq) - 1)
+        wit = _Floats([x * scale for x in wit])
+    tv = wit.values
+    dm = _mean(wit, pv, tv[0])  # M - t_1
+    m = min(max(bisect_right(tv, dm, key=lambda x: x - tv[0]), 1), len(seq) - 1)
     # over the gap itself, positive even where the differences from t_1 absorb it
-    gamma = min(max((dm - (tv[m - 1] * scale - origin)) / (tv[m] * scale - tv[m - 1] * scale), 0.0), 1.0)
-    lam = min(max((tv[-1] * scale - origin - dm) / (tv[-1] * scale - origin), 0.0), 1.0)
+    gamma = min(max((dm - (tv[m - 1] - tv[0])) / (tv[m] - tv[m - 1]), 0.0), 1.0)
+    lam = min(max((tv[-1] - tv[0] - dm) / (tv[-1] - tv[0]), 0.0), 1.0)
     lower = gamma * psi(seq[m]) + (1.0 - gamma) * psi(seq[m - 1])
     upper = lam * psi(seq[0]) + (1.0 - lam) * psi(seq[-1])
     return _sandwich(lower, value, upper, tol, m=m, gamma_t=gamma, lambda_t=lam)

@@ -18,8 +18,8 @@ import weakref
 from collections import namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import accumulate, islice, repeat
-from operator import gt, indexOf, lt, sub, truediv
+from itertools import accumulate, count, islice, repeat
+from operator import eq, gt, indexOf, lt, sub, truediv
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -156,13 +156,11 @@ class _Floats:
     Equal, with equal hashes, only to an object of the same class with the same
     ``values``.  Attributes cannot be assigned or deleted; the memos are set with
     ``object.__setattr__`` (a ``cached_property`` writes ``__dict__`` itself).  A
-    ``copy`` or ``pickle`` carries the values only, none of the memos and no ``_unit``
-    marker, so it takes the general path of every kernel, with the same bits."""
+    ``copy`` or ``pickle`` carries the values only, none of the memos."""
 
     values: tuple[float, ...]
     _what = "sequence"
     _min_len = 0
-    _unit = False  # True only on the objects of unit_witness and unit_weights
 
     def __init__(self, values: Iterable[float], name: str | None = None) -> None:
         object.__setattr__(self, "values", _reals(values, name))
@@ -265,6 +263,12 @@ class Witness(RealSeq):
         wit._build(values, tol.abs, name)  # a Tolerance keeps tol.abs >= 0
         return wit
 
+    @cached_property
+    def _unit(self) -> bool:
+        """The values are exactly 1..n, so every gap is 1.0 and a slope is its difference
+        (x / 1.0 = x); one pass at most, up to the first entry that is off 1..n."""
+        return all(map(eq, self.values, count(1.0)))
+
 
 class ShapeKind(str, Enum):
     """The strictly V-shaped profiles, plus the constant and rejected cases."""
@@ -336,9 +340,11 @@ def scan_margin(gaps: Iterable[float], tol: Tolerance, operands: Iterable[float]
     the label of the first gap below the negated allowance, or None.  Labels
     default to the 1-based positions 1, 2, ...  Deriving both from the one
     threshold makes every report satisfy ``holds == (first is None)``.  This
-    is the only place a gap is judged and the only place its scale is taken:
-    an inf or NaN operand raises :class:`NonFiniteArithmetic` as
-    :meth:`Tolerance.allowed` does, before a NaN gap raises it.
+    is the only place a gap is judged and the only place its scale is taken,
+    bar its numpy twin ``diagnostics._fold``, which judges the blocks of the
+    super-linear scans in the same IEEE operations: an inf or NaN operand
+    raises :class:`NonFiniteArithmetic` as :meth:`Tolerance.allowed` does,
+    before a NaN gap raises it.
 
     The gaps are judged at C level, as a list (any other iterable is made
     one): ``min``, and the first gap below the threshold.  The scale is taken
@@ -398,14 +404,9 @@ def _remembered(owner: _Floats, memo: str, key, compute, x, y):
 def unit_witness(n: int) -> "Witness":
     """The arithmetic witness 1..n, against which ordinary convexity is measured.
 
-    The last n is cached: a :class:`Witness` is frozen, so callers share it.  It
-    carries the private ``_unit`` marker: its gaps are exactly 1.0 and x / 1.0 = x,
-    so the slope test of :func:`is_convex_wrt` takes the forward differences
-    without dividing.  A copy or pickle has no marker and divides, with the same bits.
+    The last n is cached: a :class:`Witness` is frozen, so callers share it.
     """
-    wit = Witness(tuple(map(float, range(1, n + 1))))
-    object.__setattr__(wit, "_unit", True)
-    return wit
+    return Witness(tuple(map(float, range(1, n + 1))))
 
 
 def _steps(v: Sequence[float]) -> Iterator[float]:
@@ -456,10 +457,9 @@ def is_convex_wrt(a: SeqLike, t: WitnessLike, tol: Tolerance = DEFAULT_TOL) -> C
 
     Both inputs are frozen, so the test runs once per (sequence, witness,
     tolerance): the report is remembered on the :class:`RealSeq` per witness
-    object and ``tol`` by :func:`_remembered`.  Against :func:`unit_witness`
-    the slopes are the forward differences, not divided by the unit gaps
-    (x / 1.0 = x); any other witness, a copy of that one included, divides,
-    with the same bits.
+    object and ``tol`` by :func:`_remembered`.  Against a witness whose values
+    are exactly 1..n, however built, the slopes are the forward differences,
+    not divided by the unit gaps (x / 1.0 = x): the same bits, one pass.
     """
     seq, wit = paired(a, t, tol)
 

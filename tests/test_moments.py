@@ -6,10 +6,11 @@
   a copy or pickle starts empty, the memo makes no reference cycle, and
   calls on raw lists leave a bounded number of entries, all of them dead.
 * ``pecaric_check`` shares the cached ``unit_weights(n)``.
-* The unit witness and the unit weights skip the exact ÷1 and ×1, and a moment of
-  one vector with itself takes each deviation once: every engine on them reports
-  and raises exactly as on their copies, which carry no marker.  A failed
-  precondition at 1..m leaves the cached ``unit_witness(n)`` in place.
+* A witness whose values are 1..n and weights that are all 1.0 skip the exact ÷1
+  and ×1, however they were built, and a moment of one vector with itself takes
+  each deviation once: every engine on them reports and raises exactly as with
+  those fast paths forced off.  A failed precondition at 1..m leaves the cached
+  ``unit_witness(n)`` in place.
 * The value sum p_i ψ(a_i) of the HHF engines is remembered on the
   ``WeightVec`` per (sequence, map) for a builtin map only; any other
   callable is called anew.  A raise is not remembered.
@@ -22,6 +23,7 @@ import copy
 import gc
 import math
 import pickle
+import sys
 import warnings
 import weakref
 from unittest import mock
@@ -180,18 +182,65 @@ def unit_outcomes(twin, a, b, w, pidx, qidx, skip_verify, psi):
 @example(([-1e308, 1e308], [1e308, -1e308], [1.0, 2.0], [1, 2], [2, 1]), True, "identity")
 @example(([float((i - 20) ** 2) for i in range(40)], [abs(i - 13.5) for i in range(40)],
           [1.0 + i % 7 for i in range(40)], [20, 20], [19, 21]), False, "exp")
-def test_calls_on_the_unit_objects_equal_calls_on_their_unmarked_copies(inst, skip_verify, psi_name):
+def test_calls_on_the_unit_fast_paths_equal_calls_with_the_unit_predicates_forced_false(
+        inst, skip_verify, psi_name):
     psi = parse_psi(psi_name)
-    # fresh unit objects, so that moments remembered by an earlier example are not reused
+    # fresh unit objects each time, so that moments remembered by an earlier call are not reused
     seqcore.unit_witness.cache_clear()
     functionals.unit_weights.cache_clear()
-    marked = unit_outcomes(lambda v: v, *inst, skip_verify, psi)
-    unit_t, unit_p = seqcore.unit_witness, functionals.unit_weights
-    assert "_unit" not in vars(copy.copy(unit_t(2))) and "_unit" not in vars(copy.copy(unit_p(2)))
-    with mock.patch.object(seqcore, "unit_witness", lambda n: copy.copy(unit_t(n))), \
-            mock.patch.object(inequalities, "unit_witness", lambda n: copy.copy(unit_t(n))), \
-            mock.patch.object(inequalities, "unit_weights", lambda n: copy.copy(unit_p(n))):
-        assert marked == unit_outcomes(copy.copy, *inst, skip_verify, psi)
+    fast = unit_outcomes(lambda v: v, *inst, skip_verify, psi)
+    seqcore.unit_witness.cache_clear()
+    functionals.unit_weights.cache_clear()
+    values_are_unit, wording = Witness.__dict__["_unit"].func, inequalities._require_convex_wrt.__code__
+
+    def kernels_general(self):  # a failed precondition at 1..n is still worded as is_convex words it
+        return sys._getframe(1).f_code is wording and values_are_unit(self)
+
+    with mock.patch.object(Witness, "_unit", property(kernels_general)), \
+            mock.patch.object(WeightVec, "_unit", property(lambda self: False)):
+        assert not unit_witness(2)._unit and not unit_weights(2)._unit
+        assert fast == unit_outcomes(copy.copy, *inst, skip_verify, psi)
+
+
+def forbidden(*args):
+    raise AssertionError("a unit fast path was not taken")
+
+
+def centred_unweighted(x, mx, y=None, my=0.0, w=None, total=1.0, centred=functionals._centred):
+    if w is not None:
+        forbidden()
+    return centred(x, mx, y, my, w, total)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_instances(), st.booleans())
+@example(([0.0, 1.0, 0.0], [0.0, 1.0, 4.0], [1.0] * 3, [2, 2], [1, 3]), False)
+def test_unit_valued_objects_take_the_fast_paths_however_built(inst, skip_verify):
+    a, b = inst[:2]
+    n = len(a)
+
+    def calls(t, p):
+        return [
+            outcome(is_convex_wrt, a, t),
+            outcome(lupas_check, a, b, t, p, skip_verify=skip_verify),
+            outcome(cov_functional, a, b, p),
+            outcome(cov_functional, t, t, p),
+            outcome(weighted_mean, a, p),
+        ]
+
+    seqcore.unit_witness.cache_clear()
+    functionals.unit_weights.cache_clear()
+    built = [
+        (Witness([float(i) for i in range(1, n + 1)]), WeightVec([1.0] * n)),
+        (copy.copy(unit_witness(n)), pickle.loads(pickle.dumps(unit_weights(n)))),
+    ]
+    # dividing by the gaps, or multiplying by the weights, raises
+    with mock.patch.object(seqcore, "_slopes", forbidden), mock.patch.object(functionals, "mul", forbidden), \
+            mock.patch.object(functionals, "_centred", centred_unweighted):
+        cached = calls(unit_witness(n), unit_weights(n))
+        assert "a unit fast path was not taken" not in repr(cached)
+        for t, p in built:
+            assert calls(t, p) == cached
 
 
 def test_a_failed_precondition_keeps_the_cached_unit_witness():

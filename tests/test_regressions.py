@@ -12,7 +12,7 @@ import math
 import random
 from pathlib import Path
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -30,9 +30,10 @@ from relconvex import (
     is_convex_wrt,
     lupas_check,
     neighbor_chord_check,
+    parse_psi,
     psi_identity,
 )
-from relconvex.seqcore import Tolerance
+from relconvex.seqcore import Tolerance, Witness
 from relconvex.cli import main
 from relconvex.errors import IntervalError, RelConvexError, WitnessLostConvexity, WitnessNotIncreasing
 from relconvex.oracles import gen_relative_convex_pair
@@ -214,6 +215,35 @@ def test_hhf_bounds_measure_a_witness_whose_span_overflows_as_its_scaled_copy(t,
     code, out, _ = run_cli(capsys, tmp_path, ["hhf", "--psi", "identity"], payload)
     report = strict_json(out)
     assert (code, report["verdict"], report["margin_or_slacks"]["lambda_t"]) == (0, "holds", 0.5)
+
+
+def outcome(fn, *args, **kwargs):
+    """The repr of the result, or the error's type and message."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except Exception as err:  # noqa: BLE001 - the error itself is compared
+        return type(err), str(err)
+
+
+# t_n - t_1 overflows for t from -1.65e308 to 1.65e308: with P < 2**e, hhf_bounds measures t
+# scaled by 2**-(2 + e), so it reports what it reports on that scaled witness, whose span is finite
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 9).flatmap(lambda n: st.tuples(
+           st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+           st.lists(st.floats(-1.6e308, 1.6e308), min_size=n - 2, max_size=n - 2, unique=True),
+           st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e6, 7e300]), min_size=n, max_size=n))),
+       st.sampled_from(["identity", "exp", "relu@0", "square"]))
+def test_hhf_bounds_on_an_overflowing_span_equal_them_on_the_scaled_witness(case, psi_name):
+    a, inner, p = case
+    assume(any(p))
+    t = [-1.65e308, *sorted(inner), 1.65e308]
+    scale = math.ldexp(1.0, -2 - max(math.frexp(math.fsum(p))[1], 0))
+    scaled = [x * scale for x in t]
+    assume(all(u < v for u, v in zip(scaled, scaled[1:])))  # no two entries underflow to one value
+    psi = parse_psi(psi_name)
+    # Witness objects, whose gaps are not judged again at tol.abs (some small ones fall below it)
+    assert outcome(hhf_bounds, a, Witness(t), p, psi, skip_verify=True) == \
+        outcome(hhf_bounds, a, Witness(scaled), p, psi, skip_verify=True)
 
 
 # -- bounded_monotone_diagnostic: a finite "not applicable" report -----------
