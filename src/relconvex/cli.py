@@ -6,40 +6,24 @@ non-finite floats are written as null.  Exit codes: 0 = holds/success,
 1 = inequality violated or profile rejected, 2 = parse or precondition
 error, or floating-point overflow.  Besides the shared flags, a command
 takes only the flags its call reads, listed in its ``Command.flags``.
+
+A run builds the subparser of its command alone and loads only the library
+modules that command calls; help, no arguments and an unknown command build
+them all.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import os
-import random
 import sys
 from typing import Callable, NamedTuple
 
-from . import __version__
-from .diagnostics import (
-    anchored_slope_check_all,
-    collinearity_determinant_check,
-    increment_growth_check,
-    neighbor_chord_check,
-)
+import relconvex as rc  # an engine's module loads when a command reads its first name from rc
 from .errors import RelConvexError
-from .inequalities import (
-    _at_indices,
-    convex_hhf_bounds,
-    hhf_bounds,
-    lupas_check,
-    majorization_inequality_check,
-    niezgoda_bound,
-    parse_psi,
-    pecaric_check,
-)
-from .oracles import gen_majorized_pair, gen_relative_convex_pair
-from .polyext import build_extension, sample
 from .seqcore import (
     DEFAULT_TOL,
     RealSeq,
@@ -89,6 +73,8 @@ def _load_inputs(path: str) -> dict[str, list[float]]:
             for k, vals in data.items()
             if isinstance(vals, list)
         }
+    import csv
+
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         raise ValueError("CSV input needs a header row of sequence names")
@@ -138,7 +124,7 @@ def _report(args, verdict: str, margins: dict, parameters: dict, tol: Tolerance)
         "margin_or_slacks": margins,
         "parameters": parameters,
         "tolerance": {"abs": tol.abs, "rel": tol.rel},
-        "version": __version__,
+        "version": rc.__version__,
     }
 
 
@@ -228,8 +214,8 @@ def _subdivide(args, a):
 
 
 def _extend(args, a, t):
-    ext = build_extension(a, t, args.tol)
-    rows = sample(ext, args.resolution)
+    ext = rc.build_extension(a, t, args.tol)
+    rows = rc.sample(ext, args.resolution)
     args.params["resolution"] = args.resolution
     csv_text = "x,value\n" + "".join(f"{x!r},{v!r}\n" for x, v in rows)
     if args.output == "-":
@@ -250,13 +236,13 @@ _SIDES = _judged("lhs", "rhs", "slack")
 _BOUNDS = _judged("lower", "value", "upper", "slack_lower", "slack_upper", "m", "gamma_t", "lambda_t")
 
 
-def _weighted(what: str, needs: tuple[str, ...], engine: Callable) -> Command:
-    """The command of a psi-weighted bound ``engine(a, [t,] p, psi, tol, skip_verify=...)``."""
+def _weighted(what: str, needs: tuple[str, ...], engine: str) -> Command:
+    """The command of the psi-weighted bound ``rc.<engine>(a, [t,] p, psi, tol, skip_verify=...)``."""
 
     def call(args, a, *t):
         p = _weights(args, len(a))
         args.params["psi"] = args.psi
-        return engine(a, *t, p, parse_psi(args.psi), args.tol, skip_verify=args.skip_verify)
+        return getattr(rc, engine)(a, *t, p, rc.parse_psi(args.psi), args.tol, skip_verify=args.skip_verify)
 
     return Command(what, needs, call, _BOUNDS, flags=(_SKIP_VERIFY, _PSI))
 
@@ -264,8 +250,10 @@ def _weighted(what: str, needs: tuple[str, ...], engine: Callable) -> Command:
 def _majorize(args, a, pvec, qvec):
     if "t" in args.inputs:
         t = args.inputs["t"]
-        return majorization_inequality_check(a, t, pvec, qvec, args.tol, skip_verify=args.skip_verify)
+        return rc.majorization_inequality_check(a, t, pvec, qvec, args.tol, skip_verify=args.skip_verify)
     # integer_majorization_check, its errors naming the vectors the input gives
+    from .inequalities import _at_indices
+
     return _at_indices(a, pvec, qvec, args.tol, args.skip_verify, "pvec qvec")
 
 
@@ -273,9 +261,9 @@ def _diagnose(args, a, t):
     tol = args.tol
     a, t = paired(a, t, tol)
     slope = is_convex_wrt(a, t, tol)
-    chord = neighbor_chord_check(a, t, tol)
-    det = collinearity_determinant_check(a, t, tol)
-    anchored = anchored_slope_check_all(a, t, tol)
+    chord = rc.neighbor_chord_check(a, t, tol)
+    det = rc.collinearity_determinant_check(a, t, tol)
+    anchored = rc.anchored_slope_check_all(a, t, tol)
     margins = {
         "slope_margin": slope.margin,
         "chord_margin": chord.margin,
@@ -284,7 +272,7 @@ def _diagnose(args, a, t):
         "agree": slope.holds == chord.holds == det.holds == anchored.holds,
     }
     try:
-        margins["growth_margin"] = increment_growth_check(a, t, tol).margin
+        margins["growth_margin"] = rc.increment_growth_check(a, t, tol).margin
     except RelConvexError:
         margins["growth_margin"] = None
     return _verdict(slope.holds, margins)
@@ -299,14 +287,16 @@ def non_negative_int(text: str) -> int:
 
 
 def _fuzz(args):
+    import random
+
     seeds = range(args.seed, args.seed + args.trials)
     reps = []
     for seed in seeds:
-        a, t = gen_relative_convex_pair(5 + seed % 8, seed)
+        a, t = rc.gen_relative_convex_pair(5 + seed % 8, seed)
         rng = random.Random(seed + 10_000)
         q = [rng.uniform(t[0], t[-1]) for _ in range(4)]
-        pv = list(gen_majorized_pair(q, 8, seed + 20_000))
-        reps.append(majorization_inequality_check(a, t, pv, q, args.tol))
+        pv = list(rc.gen_majorized_pair(q, 8, seed + 20_000))
+        reps.append(rc.majorization_inequality_check(a, t, pv, q, args.tol))
     violating = [seed for seed, rep in zip(seeds, reps) if not rep.holds]
     return _verdict(not violating, {
         "trials": args.trials,
@@ -332,15 +322,15 @@ COMMANDS = {
     "extend": Command("sample the polygonal extension as CSV", ("a", "t"), _extend, artifact=True,
                       flags=(("--resolution", dict(type=int, default=256, help="sample count for extend")),)),
     "lupas": Command("covariance bound for a, b sharing witness t", ("a", "b", "t"),
-                     lambda args, a, b, t: lupas_check(a, b, t, _weights(args, len(a)), args.tol,
-                                                       skip_verify=args.skip_verify),
+                     lambda args, a, b, t: rc.lupas_check(a, b, t, _weights(args, len(a)), args.tol,
+                                                          skip_verify=args.skip_verify),
                      _SIDES, flags=(_SKIP_VERIFY,)),
     "pecaric": Command("raw-sum covariance bound for convex a, b", ("a", "b"),
-                       lambda args, a, b: pecaric_check(a, b, args.tol, skip_verify=args.skip_verify),
+                       lambda args, a, b: rc.pecaric_check(a, b, args.tol, skip_verify=args.skip_verify),
                        _SIDES, flags=(_SKIP_VERIFY,)),
-    "hhf": _weighted("sandwich bounds for a witnessed sequence", ("a", "t"), hhf_bounds),
-    "niezgoda": _weighted("one-sided endpoint bound, convex a", ("a",), niezgoda_bound),
-    "hhf-convex": _weighted("two-sided bounds for convex a, raw sums", ("a",), convex_hhf_bounds),
+    "hhf": _weighted("sandwich bounds for a witnessed sequence", ("a", "t"), "hhf_bounds"),
+    "niezgoda": _weighted("one-sided endpoint bound, convex a", ("a",), "niezgoda_bound"),
+    "hhf-convex": _weighted("two-sided bounds for convex a, raw sums", ("a",), "convex_hhf_bounds"),
     "majorize": Command("majorization inequality (witness mode with t, index mode without)",
                         ("a", "pvec", "qvec"), _majorize, _judged("margin"), flags=(_SKIP_VERIFY,)),
     "diagnose": Command("run the characterization battery on (a, t)", ("a", "t"), _diagnose),
@@ -381,7 +371,8 @@ def _run(args) -> tuple[int, dict]:
     return (0 if holds else 1), _report(args, verdict, margins, args.params, args.tol)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone, whose usage line lists them all."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", default=None, help="path to JSON/CSV inputs, or - for stdin")
     common.add_argument("--tol-abs", type=float, default=None,
@@ -394,16 +385,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="relconvex",
         description="Checks, witness constructions, and inequality bounds for relative convex sequences.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        sp = sub.add_parser(name, parents=[common], help=command.help)
-        for flag, kwargs in command.flags:
+    # only on one command's parser: the full parser's errors name the command and list its choices
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        sp = sub.add_parser(name, parents=[common], help=COMMANDS[name].help)
+        for flag, kwargs in COMMANDS[name].flags:
             sp.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # help, no arguments and an unknown command need every command's parser
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         code, report = _run(args)
         if not COMMANDS[args.command].artifact:

@@ -145,9 +145,14 @@ def majorizes(x: Sequence[float], y: Sequence[float], tol: Tolerance = DEFAULT_T
     """
     xv, yv = _Floats.of(x, "x"), _Floats.of(y, "y")
     _same_length("x y", xv, yv)
-    allowed = tol.allowed((_fsum(map(abs, yv.values)),))
-    xs = sorted(xv.values, reverse=True)
-    ys = sorted(yv.values, reverse=True)
+    return _majorized(xv.values, yv.values, tol)
+
+
+def _majorized(x: tuple[float, ...], y: tuple[float, ...], tol: Tolerance) -> bool:
+    """:func:`majorizes` on finite floats of one length, which it does not check again."""
+    allowed = tol.allowed((_fsum(map(abs, y)),))
+    xs = sorted(x, reverse=True)
+    ys = sorted(y, reverse=True)
     if any(px > py + allowed for px, py in zip(accumulate(xs[:-1]), accumulate(ys[:-1]))):
         return False
     return abs(_fsum(xs) - _fsum(ys)) <= allowed

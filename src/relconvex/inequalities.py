@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import DegenerateWitness, PreconditionViolation
 from .functionals import (
-    WeightLike, WeightVec, _cov, _fsum, _mean, _require_spread, majorizes, unit_weights,
+    WeightLike, WeightVec, _cov, _fsum, _mean, _majorized, _require_spread, unit_weights,
 )
 from .polyext import _value_at
 from .seqcore import (
@@ -384,7 +384,8 @@ def majorization_inequality_check(
                 raise PreconditionViolation(
                     f"{name}[{k + 1}] = {x!r} lies outside the witness range [{lo!r}, {hi!r}]"
                 )
-    if not majorizes(pv, qv, tol):
+    # finite and of one length: the checks above screened them
+    if not _majorized(pv, qv, tol):
         raise PreconditionViolation("pvec is not majorized by qvec")
     if not skip_verify:
         _require_convex_wrt("a", seq, wit, tol)

@@ -1,8 +1,10 @@
-"""The package namespace: every public name resolves, and neither importing it nor
+"""The package namespace: every public name resolves, on first use, to the object its
+submodule defines, and ``dir`` lists them all before any loads; neither importing it nor
 running the generators and ``fuzz`` loads numpy or any other module outside the
 standard library; and no test module needs numpy to be collected."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -14,6 +16,12 @@ import pytest
 import relconvex
 
 ORACLES = ("Seeded", "brute_reeval", "gen_majorized_pair", "gen_relative_convex_pair", "gen_shape")
+SUBMODULES = ("errors", "seqcore", "polyext", "functionals", "inequalities", "diagnostics", "oracles")
+
+
+def env_with_package():
+    paths = [str(Path(relconvex.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
 
 def test_every_public_name_resolves():
@@ -24,6 +32,40 @@ def test_every_public_name_resolves():
     assert set(relconvex.__all__) <= set(namespace)
 
 
+def test_every_public_name_is_the_object_its_submodule_defines():
+    assert list(relconvex._PUBLIC) == list(SUBMODULES)
+    assert relconvex.__all__ == ["__version__", *(n for names in relconvex._PUBLIC.values() for n in names)]
+    for module, names in relconvex._PUBLIC.items():
+        submodule = importlib.import_module(f"relconvex.{module}")
+        for name in names:
+            value = getattr(relconvex, name)
+            assert value is getattr(submodule, name), name
+            # defined there, not imported from another submodule (ConvexMap is a typing alias)
+            assert getattr(value, "__module__", submodule.__name__) in (submodule.__name__, "typing"), name
+            # resolved once: later reads are plain attribute reads
+            assert vars(relconvex)[name] is value, name
+
+
+# dir() and the namespace of a fresh interpreter, before and after the first read of one name
+DIR_PROBE = """
+import json, sys
+import relconvex
+listed, loaded = dir(relconvex), sorted(m for m in sys.modules if m.startswith("relconvex."))
+before = "gen_shape" in vars(relconvex)
+relconvex.gen_shape
+print(json.dumps([listed, loaded, before, "gen_shape" in vars(relconvex), "oracles" in vars(relconvex)]))
+"""
+
+
+def test_dir_lists_every_name_before_any_submodule_loads():
+    proc = subprocess.run([sys.executable, "-c", DIR_PROBE], env=env_with_package(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    listed, loaded, before, after, submodule = json.loads(proc.stdout)
+    assert loaded == [] and set(relconvex.__all__) | set(SUBMODULES) <= set(listed)
+    assert (before, after, submodule) == (False, True, True)
+
+
 def test_oracle_names_are_listed_and_shared():
     assert set(ORACLES) <= set(dir(relconvex))
     assert "oracles" in dir(relconvex)
@@ -32,9 +74,14 @@ def test_oracle_names_are_listed_and_shared():
 
 
 def test_unknown_attribute_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
+    with pytest.raises(AttributeError, match="^module 'relconvex' has no attribute 'no_such_name'$"):
         relconvex.no_such_name
     assert not hasattr(relconvex, "no_such_name")
+    with pytest.raises(ImportError, match="no_such_name"):
+        from relconvex import no_such_name  # noqa: F401
+    # a submodule's private name is not public
+    with pytest.raises(AttributeError, match="_minimal_block"):
+        relconvex._minimal_block
 
 
 # Each step of one interpreter, whether its check holds, and the non-stdlib modules new after it.
@@ -68,9 +115,7 @@ print(json.dumps(steps))
 
 
 def test_import_leaves_numpy_unloaded():
-    paths = [str(Path(relconvex.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env_with_package(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [

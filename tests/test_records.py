@@ -1,40 +1,17 @@
-"""The records without ``dataclasses``: importing the CLI loads neither ``dataclasses``
-nor ``inspect``; ``RealSeq``, ``Witness`` and ``WeightVec`` stay frozen, compare and
-hash on their values within one class and print as ``Name(values=...)``; and a
-``Tolerance`` rejects a negative, infinite or NaN component however it is built."""
+"""The records without ``dataclasses`` (``test_startup.py`` checks that importing the
+CLI loads neither ``dataclasses`` nor ``inspect``): ``RealSeq``, ``Witness`` and
+``WeightVec`` stay frozen, compare and hash on their values within one class and print
+as ``Name(values=...)``; and a ``Tolerance`` rejects a negative, infinite or NaN
+component however it is built."""
 
 import copy
-import json
 import math
-import os
 import pickle
-import subprocess
-import sys
 import weakref
-from pathlib import Path
 
 import pytest
 
-import relconvex
 from relconvex import RealSeq, Tolerance, WeightVec, Witness
-
-# only the modules the import adds: an interpreter's site may load inspect before it
-IMPORT_PROBE = """
-import json, sys
-started = set(sys.modules)
-import relconvex.cli
-print(json.dumps(sorted({"dataclasses", "inspect"} & (set(sys.modules) - started))))
-"""
-
-
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    paths = [str(Path(relconvex.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
-
 
 VECTORS = [RealSeq, Witness, WeightVec]
 
